@@ -1,6 +1,6 @@
 """Command-line driver: run declarative configs through the pipeline.
 
-Usage: ``pseudolattice run config.ini [--out DIR] [--seed N] [--jobs N]``.
+Usage: ``pseudolattice run config.ini [--out DIR] [--seed N]``.
 
 Configs are INI-style structured text with [model], [semiclassical],
 [diophantine], [loop] and [run] sections.  Artifacts (spectrum tables,
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,7 +30,6 @@ from .monodromy import (
     classical_monodromy,
     compare_monodromies,
     monodromy_report,
-    transition_matrix,
 )
 from .pipeline import spectral_chart_at, spectral_monodromy
 from .synth import NormalFormSymbol, SemiclassicalParams, spectral_band, synth_spectrum
@@ -58,11 +58,17 @@ class RunConfig:
     raw: configparser.ConfigParser = field(default=None, repr=False)
 
 
-def _line_of(path: str, key: str) -> int | None:
+def _line_of(path: str, section: str, key: str) -> int | None:
+    """Line number of ``key`` inside ``[section]`` of the config file."""
+    current = None
     try:
         for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if line.strip().lower().startswith(key.lower()):
-                return n
+            text = line.strip()
+            if text.startswith("[") and text.endswith("]"):
+                current = text[1:-1].strip().lower()
+            elif current == section.lower():
+                if re.split("[=:]", text, maxsplit=1)[0].strip().lower() == key.lower():
+                    return n
     except OSError:
         pass
     return None
@@ -79,7 +85,7 @@ def _get(cp, path, section, key, cast, default=None, required=False):
     except (ValueError, TypeError) as exc:
         raise ConfigError(
             f"bad value for '{key}' in section [{section}]: {raw!r} ({exc})",
-            lineno=_line_of(path, key),
+            lineno=_line_of(path, section, key),
         ) from exc
 
 
@@ -122,15 +128,15 @@ def parse_config(path: str) -> RunConfig:
     else:
         raise ConfigError(
             f"unknown model '{name}' (expected flat or champagne)",
-            lineno=_line_of(path, "name"),
+            lineno=_line_of(path, "model", "name"),
         )
 
     h = _get(cp, path, "semiclassical", "h", float, required=True)
     delta = _get(cp, path, "semiclassical", "delta", float, required=True)
     if not (0.0 < h <= 0.1):
-        raise ConfigError(f"h = {h} out of range (0, 0.1]", lineno=_line_of(path, "h"))
+        raise ConfigError(f"h = {h} out of range (0, 0.1]", lineno=_line_of(path, "semiclassical", "h"))
     if not (0.0 < delta < 1.0):
-        raise ConfigError(f"delta = {delta} out of range (0, 1)", lineno=_line_of(path, "delta"))
+        raise ConfigError(f"delta = {delta} out of range (0, 1)", lineno=_line_of(path, "semiclassical", "delta"))
     try:
         params = SemiclassicalParams(
             h=h,
@@ -144,7 +150,7 @@ def parse_config(path: str) -> RunConfig:
 
     alpha = _get(cp, path, "diophantine", "alpha", float, default=1e-3) if cp.has_section("diophantine") else 1e-3
     if alpha <= 0:
-        raise ConfigError(f"alpha = {alpha} must be positive", lineno=_line_of(path, "alpha"))
+        raise ConfigError(f"alpha = {alpha} must be positive", lineno=_line_of(path, "diophantine", "alpha"))
     dio = DiophantineParams(
         alpha=alpha,
         d=_get(cp, path, "diophantine", "d", float, default=1.0) if cp.has_section("diophantine") else 1.0,
@@ -153,7 +159,7 @@ def parse_config(path: str) -> RunConfig:
 
     mode = _get(cp, path, "run", "mode", str, required=True)
     if mode not in MODES:
-        raise ConfigError(f"unknown mode '{mode}' (expected one of {', '.join(MODES)})", lineno=_line_of(path, "mode"))
+        raise ConfigError(f"unknown mode '{mode}' (expected one of {', '.join(MODES)})", lineno=_line_of(path, "run", "mode"))
     center = _get(cp, path, "run", "center", _parse_pair)
     vertices = _get(cp, path, "loop", "vertices", _parse_vertices) if cp.has_section("loop") else None
 
@@ -229,39 +235,32 @@ def _run_detect(cfg: RunConfig, out: Path) -> int:
     return 0 if ok else 1
 
 
-def _run_monodromy(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
+def _loop_monodromy(cfg: RunConfig, out: Path):
+    """Spectral and classical loop monodromy; writes ``monodromy.txt`` and
+    ``loop.svg``.  Returns ``(model, spectral, classical, elements, verdict)``."""
     model = build_model(cfg)
-    cls, atlas, elements = spectral_monodromy(
-        model, cfg.vertices, cfg.params, cfg.dio, C0=cfg.C0, jobs=jobs
-    )
+    cls, _, elements = spectral_monodromy(model, cfg.vertices, cfg.params, cfg.dio, C0=cfg.C0)
     classical = classical_monodromy(model, cfg.vertices)
-    n = len(atlas)
-    edges = [transition_matrix(atlas, i, (i + 1) % n) for i in range(n)]
-    report = monodromy_report(cls, classical, edges)
-    (out / "monodromy.txt").write_text(report)
+    (out / "monodromy.txt").write_text(monodromy_report(cls, classical, cls.edges))
     centers = np.array([el.center for el in elements])
     sing = [p for kind, p in getattr(model, "singular_values", []) if p is not None]
     (out / "loop.svg").write_text(plots.plot_loop(cfg.vertices, centers, sing))
-    verdict = compare_monodromies(cls, classical)
+    return model, cls, classical, elements, compare_monodromies(cls, classical)
+
+
+def _run_monodromy(cfg: RunConfig, out: Path) -> int:
+    _, cls, classical, elements, verdict = _loop_monodromy(cfg, out)
     print(
-        f"monodromy over {n} charts: spectral m = {cls.parabolic_m}, "
+        f"monodromy over {len(elements)} charts: spectral m = {cls.parabolic_m}, "
         f"classical m = {classical.parabolic_m}, conjugate: {str(verdict).lower()} -> {out}"
     )
     return 0 if verdict else 1
 
 
-def _run_verify_all(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
-    model = build_model(cfg)
+def _run_verify_all(cfg: RunConfig, out: Path) -> int:
+    model, _, _, elements, verdict = _loop_monodromy(cfg, out)
     failures = []
-
-    cls, atlas, elements = spectral_monodromy(
-        model, cfg.vertices, cfg.params, cfg.dio, C0=cfg.C0, jobs=jobs
-    )
-    classical = classical_monodromy(model, cfg.vertices)
-    n = len(atlas)
-    edges = [transition_matrix(atlas, i, (i + 1) % n) for i in range(n)]
-    (out / "monodromy.txt").write_text(monodromy_report(cls, classical, edges))
-    if not compare_monodromies(cls, classical):
+    if not verdict:
         failures.append("spectral class not conjugate to transposed classical class")
 
     worst = max(el.hchart.max_residual() for el in elements)
@@ -288,12 +287,11 @@ def _run_verify_all(cfg: RunConfig, out: Path, jobs: int = 1) -> int:
     (out / "spectrum.tsv").write_text(el0.cloud.to_text())
     (out / "spectrum.svg").write_text(plots.plot_spectrum(el0.cloud, el0.hchart))
     (out / "residuals.svg").write_text(plots.plot_residuals(el0.hchart))
-    centers = np.array([el.center for el in elements])
-    sing = [p for kind, p in getattr(model, "singular_values", []) if p is not None]
-    (out / "loop.svg").write_text(plots.plot_loop(cfg.vertices, centers, sing))
 
-    verdict = "conjugate: true" if compare_monodromies(cls, classical) else "conjugate: false"
-    print(f"verify-all over {n} charts: {verdict}; {len(failures)} failure(s) -> {out}")
+    print(
+        f"verify-all over {len(elements)} charts: conjugate: {str(verdict).lower()}; "
+        f"{len(failures)} failure(s) -> {out}"
+    )
     for msg in failures:
         print(f"  FAIL: {msg}", file=sys.stderr)
     return 0 if not failures else 1
@@ -306,7 +304,6 @@ def main(argv=None) -> int:
     runp.add_argument("config", help="path to the config file")
     runp.add_argument("--out", default=None, help="output directory (default: timestamped under runs/)")
     runp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    runp.add_argument("--jobs", type=int, default=1, help="worker hint for rectangle jobs")
     args = parser.parse_args(argv)
 
     try:
@@ -330,8 +327,8 @@ def main(argv=None) -> int:
         if cfg.mode == "detect":
             return _run_detect(cfg, out)
         if cfg.mode == "monodromy":
-            return _run_monodromy(cfg, out, jobs=args.jobs)
-        return _run_verify_all(cfg, out, jobs=args.jobs)
+            return _run_monodromy(cfg, out)
+        return _run_verify_all(cfg, out)
     except (ModelError, DetectionError, MonodromyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

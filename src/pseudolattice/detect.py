@@ -410,20 +410,19 @@ def fit_hchart(
 
 
 def invert_leading(chart: ActionChart, target, tol: float = 1e-12, max_iter: int = 50):
-    """Solve ``phi(xi) = target`` by Newton iteration, seeded from the grid."""
+    """Solve ``phi(xi) = target`` by Newton iteration, seeded from the grid.
+
+    The Newton matrix ``(d phi/d xi)^-1`` is the chart's ``d xi/d a`` at
+    ``phi(xi)``.
+    """
     target = np.asarray(target, dtype=float)
     seeds = chart.grid_values
     i = int(np.argmin(np.linalg.norm(seeds - target, axis=1)))
     xi = chart.grid_xi[i].copy()
-    step = 1e-6
     for _ in range(max_iter):
-        r = chart.phi(xi) - target
+        a = chart.phi(xi)
+        r = a - target
         if np.max(np.abs(r)) < tol:
             return xi
-        J = np.empty((2, 2))
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = step
-            J[:, j] = (chart.phi(xi + e) - chart.phi(xi - e)) / (2 * step)
-        xi = xi - np.linalg.solve(J, r)
+        xi = xi - chart.d_xi(a) @ r
     raise DetectionError(f"Newton inversion did not converge in {max_iter} iterations")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ActionChart, ModelSystem, frequency
+from .models import ActionChart, ModelSystem, _frequencies_at
 
 
 @dataclass
@@ -166,18 +166,13 @@ def good_values(
     if not np.all(chart.contains_value(grid, margin=1e-9)):
         raise ValueError("grid_spec must lie inside the chart domain")
 
-    xis = chart.xi_of_c(grid)
-    freqs = [frequency(chart, xi) for xi in xis]
-    omegas = np.array([f.omega for f in freqs])
-    dio = are_diophantine(omegas, params)
-    dq = np.array([np.linalg.norm(f.d_avg_q) for f in freqs]) >= params.alpha
-    wp = np.array([f.omega_prime_norm for f in freqs]) >= params.alpha
+    omegas, d_avg, wprime = _frequencies_at(chart, grid)
     sing = np.asarray(model.dist_to_singular(grid)) >= params.alpha
     return GoodValueSet(
         grid=grid,
-        diophantine_ok=dio,
-        dq_ok=dq,
-        omega_prime_ok=np.asarray(wp),
+        diophantine_ok=are_diophantine(omegas, params),
+        dq_ok=np.linalg.norm(d_avg, axis=-1) >= params.alpha,
+        omega_prime_ok=wprime >= params.alpha,
         singular_ok=np.atleast_1d(sing),
         params=params,
     )
@@ -212,14 +207,9 @@ def bad_measure_estimate(
     lo = chart.domain.center - chart.domain.half
     hi = chart.domain.center + chart.domain.half
     pts = lo + (hi - lo) * rng.random((samples, 2))
-    xis = chart.xi_of_c(pts)
-    # frequencies in bulk via the chart Jacobian
-    J = chart.d_xi(pts)
-    dphi = np.linalg.inv(J)
-    omegas = dphi[:, 0, :]
-    dq = np.linalg.norm(dphi[:, 1, :], axis=-1)
+    omegas, d_avg, wprime = _frequencies_at(chart, pts)
+    dq = np.linalg.norm(d_avg, axis=-1)
     sing = np.asarray(model.dist_to_singular(pts))
-    wprime = _omega_prime_sv(chart, xis)
     params0 = DiophantineParams(alpha=min(alpha_list), d=d, k_max=k_max)
     margins, _ = _margins(omegas, params0)
     out = []
@@ -227,24 +217,3 @@ def bad_measure_estimate(
         bad = (margins < alpha) | (dq < alpha) | (sing < alpha) | (wprime < alpha)
         out.append((float(alpha), float(np.mean(bad))))
     return out
-
-
-def _omega_prime_sv(chart: ActionChart, xis) -> np.ndarray:
-    """Smallest singular value of d(omega)/d(xi), vectorized over points."""
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    h2 = 3e-4 * (1.0 + np.linalg.norm(xis, axis=-1, keepdims=True))
-    offs = np.array(
-        [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1], [0, 0]],
-        dtype=float,
-    )
-    p = np.stack([chart.p(xis + h2 * o) for o in offs], axis=0)
-    s = h2[..., 0] ** 2
-    hxx = (p[0] - 2 * p[8] + p[1]) / s
-    hyy = (p[2] - 2 * p[8] + p[3]) / s
-    hxy = (p[4] - p[5] - p[6] + p[7]) / (4 * s)
-    hess = np.empty(xis.shape[:-1] + (2, 2))
-    hess[..., 0, 0] = hxx
-    hess[..., 0, 1] = hxy
-    hess[..., 1, 0] = hxy
-    hess[..., 1, 1] = hyy
-    return np.linalg.svd(hess, compute_uv=False)[..., -1]

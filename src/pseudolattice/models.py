@@ -11,7 +11,9 @@ Two 2-degree-of-freedom models are provided:
 A chart maps between the value plane ``a = (E, G)`` -- energy and torus
 average of the perturbation -- and local action variables ``xi``.  For the
 champagne model the radial action is computed by Gauss-Legendre quadrature
-with turning-point substitutions and cached on a bivariate spline.
+with turning-point substitutions and cached on a bivariate spline.  Each
+model's ``jet`` gives the chart derivatives analytically; frequencies and
+their derivatives are read off it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import RectBivariateSpline
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-# finite-difference step for frequencies: balances truncation vs rounding
-FD_STEP = 1e-5
 
 
 class ModelError(ValueError):
@@ -104,19 +103,16 @@ class AnglePolynomial:
 class ModelSystem:
     """Base class for integrable reference systems.
 
-    Subclasses provide the Hamiltonian in action variables, the perturbation
-    symbol, Maslov indices and the geometry of the momentum-map critical set,
-    plus closed-form (or quadrature-backed) maps between the value plane and
-    action variables.
+    Subclasses provide the perturbation symbol, Maslov indices and the
+    geometry of the momentum-map critical set, plus closed-form (or
+    quadrature-backed) maps between the value plane and action variables and
+    the analytic derivatives of those maps.
     """
 
     name: str
     q_symbol: AnglePolynomial
     maslov_eta: np.ndarray
     regular_region: Rect
-
-    def p_of_xi(self, xi):
-        raise NotImplementedError
 
     def avg_q(self, xi):
         return self.q_symbol.mean(xi)
@@ -133,16 +129,15 @@ class ModelSystem:
     def value_from_xi(self, xi, shear: int = 0):
         raise NotImplementedError
 
-    def omega(self, xi):
-        """Frequency d p/d xi by central differences."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        h = FD_STEP * (1.0 + np.linalg.norm(xi, axis=-1, keepdims=True))
-        out = np.empty_like(xi)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = 1.0
-            out[..., j] = (self.p_of_xi(xi + h * e) - self.p_of_xi(xi - h * e)) / (2.0 * h[..., 0])
-        return out if out.shape[0] > 1 else out[0]
+    def jet(self, a, shear: int = 0):
+        """Chart jet at value points ``a`` (vectorized over leading axes).
+
+        Returns ``(xi, dxi_da, hess)``: the actions ``xi(a)``, the Jacobian
+        ``d xi / d a`` with shape ``(..., 2, 2)``, and the Hessian of
+        ``p = E`` with respect to ``xi`` (the frequency derivative
+        ``d omega / d xi``), also ``(..., 2, 2)``.
+        """
+        raise NotImplementedError
 
 
 class FlatModel(ModelSystem):
@@ -159,10 +154,6 @@ class FlatModel(ModelSystem):
         self.maslov_eta = np.array([0, 0])
         self.singular_values = []  # empty critical-value set
         self.regular_region = Rect(np.zeros(2), np.array([0.5, 0.5]))
-
-    def p_of_xi(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return xi @ self.omega_star + 0.5 * np.sum(xi * xi, axis=-1)
 
     def dist_to_singular(self, a):
         a = np.asarray(a, dtype=float)
@@ -188,7 +179,19 @@ class FlatModel(ModelSystem):
 
     def value_from_xi(self, xi, shear: int = 0):
         xi = np.asarray(xi, dtype=float)
-        return np.stack([self.p_of_xi(xi), xi[..., 1]], axis=-1)
+        p = xi @ self.omega_star + 0.5 * np.sum(xi * xi, axis=-1)
+        return np.stack([p, xi[..., 1]], axis=-1)
+
+    def jet(self, a, shear: int = 0):
+        # omega = omega_star + xi and d<q>/dxi = (0, 1), so d xi/d a is the
+        # inverse of [[omega_1, omega_2], [0, 1]]; the Hessian is the identity
+        xi = self.xi_from_value(a)
+        w = self.omega_star + xi
+        J = np.zeros(xi.shape + (2,))
+        J[..., 0, 0] = 1.0 / w[..., 0]
+        J[..., 0, 1] = -w[..., 1] / w[..., 0]
+        J[..., 1, 1] = 1.0
+        return xi, J, np.broadcast_to(np.eye(2), J.shape)
 
 
 def _flat_q(q_choice: str) -> AnglePolynomial:
@@ -380,12 +383,13 @@ class ChampagneModel(ModelSystem):
         """Lower boundary E_min(l) of the momentum-map image."""
         l = np.asarray(l, dtype=float)
         b = self.b
-        # positive root of 4u^3 - 2b u^2 - l^2 = 0 (Newton, monotone for u>b/3)
-        u = np.maximum(b / 2.0, np.cbrt(l * l / 4.0))
-        for _ in range(60):
-            f = 4.0 * u**3 - 2.0 * b * u * u - l * l
-            df = 12.0 * u * u - 4.0 * b * u
-            u = u - f / df
+        # the stationary radius u = r^2 is the positive root of
+        # 4u^3 - 2b u^2 - l^2 = 0, the only real one for l != 0; Cardano's
+        # hyperbolic form is u = b/6 + (b/3) cosh(arccosh(1 + x)/3) with
+        # x = 27 l^2 / b^3, and arccosh(1 + x) = log1p(x + sqrt(x (2 + x)))
+        # keeps full precision for small l
+        x = 27.0 * l * l / b**3
+        u = b / 6.0 + (b / 3.0) * np.cosh(np.log1p(x + np.sqrt(x * (2.0 + x))) / 3.0)
         return 0.5 * l * l / u + u * u - b * u
 
     def _boundary_curve_samples(self, n: int = 600):
@@ -465,8 +469,34 @@ class ChampagneModel(ModelSystem):
                 break
         return np.stack([E, l], axis=-1)
 
-    def p_of_xi(self, xi):
-        return self.value_from_xi(xi)[..., 0]
+    def jet(self, a, shear: int = 0):
+        # xi = (l, I_r(E, |l|) + shear * max(l, 0)).  On l = 0 the sign of l
+        # is taken as +1 and the shear term as present, the right-hand limit,
+        # which the sheared chart continues smoothly to l < 0.
+        a = np.asarray(a, dtype=float)
+        E, l = a[..., 0], a[..., 1]
+        spl = self._spline()
+        al = np.abs(l)
+        s = np.where(l >= 0.0, 1.0, -1.0)
+        A = spl.ev(E, al, dx=1)  # d xi_2 / dE
+        B = s * spl.ev(E, al, dy=1) + shear * (l >= 0.0)  # d xi_2 / dl
+        A_E = spl.ev(E, al, dx=2)
+        A_l = s * spl.ev(E, al, dx=1, dy=1)
+        B_l = spl.ev(E, al, dy=2)
+        J = np.zeros(a.shape + (2,))
+        J[..., 0, 1] = 1.0
+        J[..., 1, 0] = A
+        J[..., 1, 1] = B
+        # implicit-function theorem: omega = dE/dxi = (-B/A, 1/A), so along
+        # the actions d/dxi_1 = omega_1 d/dE + d/dl and d/dxi_2 = omega_2 d/dE,
+        # and d^2 E/dxi_i dxi_j = -(v_i K v_j) / A with v_1 = (omega_1, 1),
+        # v_2 = (omega_2, 0) and K the (E, l) Hessian of xi_2
+        w1, w2 = -B / A, 1.0 / A
+        hess = np.empty_like(J)
+        hess[..., 0, 0] = -(w1 * w1 * A_E + 2.0 * w1 * A_l + B_l) / A
+        hess[..., 0, 1] = hess[..., 1, 0] = -w2 * (w1 * A_E + A_l) / A
+        hess[..., 1, 1] = -w2 * w2 * A_E / A
+        return self.xi_from_value(a, shear=shear), J, hess
 
 
 def make_champagne_model(well_depth: float = 1.0) -> ChampagneModel:
@@ -524,24 +554,8 @@ class ActionChart:
         return self.phi(xi)[..., 1]
 
     def d_xi(self, a):
-        """Jacobian d(xi)/d(a) by central differences (vectorized over a)."""
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        h = FD_STEP * (1.0 + np.linalg.norm(a, axis=-1))
-        J = np.empty(a.shape[:-1] + (2, 2))
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = 1.0
-            d = (self.xi_of_c(a + h[..., None] * e) - self.xi_of_c(a - h[..., None] * e)) / (
-                2.0 * h[..., None]
-            )
-            J[..., :, j] = d
-        return J if a.shape[0] > 1 else J[0]
-
-    def dphi(self, xi):
-        """Jacobian d(phi)/d(xi), from the inverse Jacobian at phi(xi)."""
-        a = self.phi(np.atleast_2d(np.asarray(xi, dtype=float)))
-        J = np.linalg.inv(self.d_xi(a))
-        return J if J.ndim > 2 else J
+        """Jacobian d(xi)/d(a), vectorized over value points."""
+        return self.model.jet(a, shear=self.shear)[1]
 
     def contains_value(self, a, margin: float = 0.0):
         return self.domain.contains(a, margin=margin)
@@ -583,7 +597,7 @@ def action_coords(model: ModelSystem, c, radius: float | None = None) -> ActionC
     grid_values = domain.grid(9)
     if not np.all(model.is_regular(grid_values)):
         raise ModelError("chart domain touches the singular set")
-    grid_xi = model.xi_from_value(grid_values, shear=shear)
+    grid_xi, J, _ = model.jet(grid_values, shear=shear)
 
     # invertibility of the chart map on the grid
     chart = ActionChart(
@@ -597,7 +611,7 @@ def action_coords(model: ModelSystem, c, radius: float | None = None) -> ActionC
         grid_xi=grid_xi,
         grid_values=grid_values,
     )
-    dets = np.linalg.det(chart.d_xi(grid_values))
+    dets = np.linalg.det(J)
     if np.any(np.abs(dets) < 1e-10):
         raise ModelError("chart map is degenerate on the requested domain")
 
@@ -630,31 +644,17 @@ def frequency(chart: ActionChart, xi) -> FrequencyData:
     xi = np.asarray(xi, dtype=float)
     if not np.all(chart.contains_xi(np.atleast_2d(xi), margin=1e-9)):
         raise ModelError("xi outside chart domain")
-    h = FD_STEP * (1.0 + float(np.linalg.norm(xi)))
-    stencil = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    vals = chart.phi(xi + stencil)
-    omega = np.array(
-        [(vals[0, 0] - vals[1, 0]) / (2 * h), (vals[2, 0] - vals[3, 0]) / (2 * h)]
-    )
-    d_avg = np.array(
-        [(vals[0, 1] - vals[1, 1]) / (2 * h), (vals[2, 1] - vals[3, 1]) / (2 * h)]
-    )
+    omega, d_avg, sv = _frequencies_at(chart, chart.phi(xi))
     rho = math.atan2(omega[1], omega[0]) % math.pi
-    # Hessian of p by second differences with a larger step
-    h2 = 3e-4 * (1.0 + float(np.linalg.norm(xi)))
-    pts = np.array(
-        [
-            [h2, 0.0], [-h2, 0.0], [0.0, h2], [0.0, -h2],
-            [h2, h2], [h2, -h2], [-h2, h2], [-h2, -h2], [0.0, 0.0],
-        ]
-    )
-    p = chart.p(xi + pts)
-    hxx = (p[0] - 2 * p[8] + p[1]) / h2**2
-    hyy = (p[2] - 2 * p[8] + p[3]) / h2**2
-    hxy = (p[4] - p[5] - p[6] + p[7]) / (4 * h2**2)
-    hess = np.array([[hxx, hxy], [hxy, hyy]])
-    sigma = np.linalg.svd(hess, compute_uv=False)
-    return FrequencyData(omega=omega, rho=rho, d_avg_q=d_avg, omega_prime_norm=float(sigma[-1]))
+    return FrequencyData(omega=omega, rho=rho, d_avg_q=d_avg, omega_prime_norm=float(sv))
+
+
+def _frequencies_at(chart: ActionChart, a):
+    """Frequency, ``d<q>/dxi`` and the smallest singular value of
+    ``d omega/d xi`` at value points ``a``, from the chart jet."""
+    _, J, hess = chart.model.jet(a, shear=chart.shear)
+    dphi = np.linalg.inv(J)
+    return dphi[..., 0, :], dphi[..., 1, :], np.linalg.svd(hess, compute_uv=False)[..., -1]
 
 
 # ---------------------------------------------------------------------------

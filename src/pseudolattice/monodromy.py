@@ -74,7 +74,8 @@ class MonodromyClass:
     product: np.ndarray  # 2x2 integer
     normal_form: np.ndarray
     invariants: tuple  # (trace, det)
-    parabolic_m: int | None = None  # |m| for (conjugates of) [[1,m],[0,1]]
+    parabolic_m: int | None = None  # |m| for (conjugates of) +-[[1,m],[0,1]]
+    edges: list = field(default_factory=list)  # TransitionMatrix per loop edge
 
 
 ROUNDING_TOL = 0.1
@@ -165,19 +166,18 @@ def cocycle_check(atlas: PseudoChartAtlas) -> CocycleReport:
 def _normal_form(P: np.ndarray):
     """Canonical representative and invariants of the GL(2,Z) class of P.
 
-    Full classification for the identity and parabolic (trace 2, det 1)
-    cases; other classes are reported by (trace, det) with P itself as the
-    representative.
+    Full classification for the det 1, trace +-2 classes: these are
+    conjugate to ``s [[1, m], [0, 1]]`` with ``s = trace/2`` and ``|m|``
+    the gcd of the entries of ``P - s I`` (``m = 0`` for ``+-I``).  Other
+    classes are reported by (trace, det) with P itself as the representative.
     """
     P = np.asarray(P, dtype=np.int64)
     tr = int(P[0, 0] + P[1, 1])
     det = int(round(float(np.linalg.det(P))))
-    if np.array_equal(P, np.eye(2, dtype=np.int64)):
-        return np.eye(2, dtype=np.int64), (tr, det), 0
-    if det == 1 and tr == 2:
-        N = P - np.eye(2, dtype=np.int64)
-        m = int(np.gcd.reduce(np.abs(N).ravel()[np.abs(N).ravel() > 0]))
-        return np.array([[1, m], [0, 1]], dtype=np.int64), (tr, det), m
+    if det == 1 and abs(tr) == 2:
+        s = tr // 2
+        m = int(np.gcd.reduce(np.abs(P - s * np.eye(2, dtype=np.int64)).ravel()))
+        return s * np.array([[1, m], [0, 1]], dtype=np.int64), (tr, det), m
     return P, (tr, det), None
 
 
@@ -188,12 +188,14 @@ def loop_monodromy(atlas: PseudoChartAtlas, loop) -> MonodromyClass:
         raise MonodromyError("empty loop")
     closed = loop + [loop[0]] if loop[-1] != loop[0] else loop
     P = np.eye(2, dtype=np.int64)
+    edges = []
     for a, b in zip(closed[:-1], closed[1:]):
         if atlas.overlap(a, b) is None:
             raise MonodromyError(f"gap in the loop: charts {a} and {b} do not overlap")
-        P = P @ transition_matrix(atlas, a, b).M
+        edges.append(transition_matrix(atlas, a, b))
+        P = P @ edges[-1].M
     nf, inv, m = _normal_form(P)
-    return MonodromyClass(loop=loop, product=P, normal_form=nf, invariants=inv, parabolic_m=m)
+    return MonodromyClass(loop=loop, product=P, normal_form=nf, invariants=inv, parabolic_m=m, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +291,10 @@ def compare_monodromies(spectral: MonodromyClass, classical: MonodromyClass) -> 
     """True iff the spectral product is GL(2,Z)-conjugate to the transpose
     of the classical product.
 
-    Identity and parabolic classes are decided exactly (|m| is a complete
-    invariant there); for other classes only the (trace, det) pair is
-    compared, which is necessary but not sufficient in general.
+    The det 1, trace +-2 classes (``+-I`` and ``+-[[1, m], [0, 1]]``) are
+    decided exactly, since (trace, |m|) is a complete invariant there; for
+    other classes only the (trace, det) pair is compared, which is necessary
+    but not sufficient in general.
     """
     A = np.asarray(spectral.product, dtype=np.int64)
     B = np.asarray(classical.product, dtype=np.int64).T

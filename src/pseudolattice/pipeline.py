@@ -9,7 +9,6 @@ loop monodromy can be computed exactly as for the classical action atlas.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,28 +104,21 @@ def spectral_loop_atlas(
     C0: float = 2.0,
     higher_coeffs: dict | None = None,
     spacing_factor: float = 0.4,
-    jobs: int = 1,
 ):
     """Covering of fitted spectral charts along a polygonal loop.
 
     Chart centers are spaced by a fraction of the local rectangle
     half-width, so consecutive rectangles overlap with margin and
-    transitions are well-sampled.  Per-center jobs are independent; with
-    ``jobs > 1`` they run on a thread pool and results keep loop order.
+    transitions are well-sampled.
     """
 
     def rect_radius(c):
         return rect_half_width(params, C0, _chart_radius(model, c))[0]
 
-    def one(c):
-        return spectral_chart_at(model, c, params, dio, C0=C0, higher_coeffs=higher_coeffs)
-
     centers = cover_loop(model, vertices, spacing_factor=spacing_factor, radius_fn=rect_radius)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            elements = list(pool.map(one, centers))
-    else:
-        elements = [one(c) for c in centers]
+    elements = [
+        spectral_chart_at(model, c, params, dio, C0=C0, higher_coeffs=higher_coeffs) for c in centers
+    ]
     charts = []
     for el in elements:
         r = el.cloud.rectangle
@@ -146,7 +138,6 @@ def spectral_monodromy(
     C0: float = 2.0,
     higher_coeffs: dict | None = None,
     spacing_factor: float = 0.4,
-    jobs: int = 1,
 ) -> tuple:
     """Loop monodromy of the blind-fitted spectral charts.
 
@@ -160,7 +151,6 @@ def spectral_monodromy(
         C0=C0,
         higher_coeffs=higher_coeffs,
         spacing_factor=spacing_factor,
-        jobs=jobs,
     )
     cls = loop_monodromy(atlas, list(range(len(atlas))))
     return cls, atlas, elements

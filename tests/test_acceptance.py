@@ -188,12 +188,12 @@ def test_criterion_03_transition_consistency(flat_model, report):
 
 @pytest.fixture(scope="module")
 def flat_spectral(flat_model):
-    return spectral_monodromy(flat_model, FLAT_LOOP, PARAMS, DIO, C0=2.0, jobs=4)
+    return spectral_monodromy(flat_model, FLAT_LOOP, PARAMS, DIO, C0=2.0)
 
 
 @pytest.fixture(scope="module")
 def champ_spectral(champ_model):
-    return spectral_monodromy(champ_model, OCTAGON, PARAMS, DIO, C0=2.0, jobs=4)
+    return spectral_monodromy(champ_model, OCTAGON, PARAMS, DIO, C0=2.0)
 
 
 def test_criterion_04_flat_loop_trivial(flat_spectral, report):
@@ -229,10 +229,10 @@ def test_criterion_06_covering_invariance(flat_model, champ_model, flat_spectral
         ("flat", flat_model, FLAT_LOOP, flat_spectral[0]),
         ("champagne", champ_model, OCTAGON, champ_spectral[0]),
     ):
-        fine = spectral_monodromy(model, verts, PARAMS, DIO, C0=2.0, spacing_factor=0.2, jobs=4)[0]
+        fine = spectral_monodromy(model, verts, PARAMS, DIO, C0=2.0, spacing_factor=0.2)[0]
         scale = 0.1 * np.max(np.linalg.norm(verts - verts.mean(axis=0), axis=1))
         wiggled = verts + rng.uniform(-scale, scale, size=verts.shape)
-        pert = spectral_monodromy(model, wiggled, PARAMS, DIO, C0=2.0, jobs=4)[0]
+        pert = spectral_monodromy(model, wiggled, PARAMS, DIO, C0=2.0)[0]
         same = (
             fine.invariants == base.invariants
             and pert.invariants == base.invariants

@@ -75,6 +75,15 @@ def test_parse_config_bad_value_has_line_number(tmp_path):
     assert exc.value.lineno == expected_line
 
 
+def test_parse_config_bad_value_line_is_in_its_section(tmp_path):
+    # 'd' in [diophantine] must not be reported at 'delta' in [semiclassical]
+    bad = FLAT_SYNTH + "\n[diophantine]\nalpha = 1e-3\nd = banana\n"
+    path = _write(tmp_path, bad)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert exc.value.lineno == bad.splitlines().index("d = banana") + 1
+
+
 def test_parse_config_unknown_mode(tmp_path):
     with pytest.raises(ConfigError, match="unknown mode"):
         parse_config(_write(tmp_path, FLAT_SYNTH.replace("mode = synth", "mode = dance")))

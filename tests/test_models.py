@@ -49,7 +49,7 @@ def test_flat_round_trip():
 def test_flat_omega_matches_analytic():
     m = make_flat_model((1.0, 0.7), "cos_x1")
     xi = np.array([0.15, -0.2])
-    w = m.omega(xi)
+    w = frequency(action_coords(m, m.value_from_xi(xi)), xi).omega
     assert np.allclose(w, m.omega_star + xi, atol=1e-8)
 
 
@@ -196,6 +196,54 @@ def test_frequency_flat_analytic():
     assert np.allclose(fd.omega, m.omega_star + xi, atol=1e-7)
     assert np.allclose(fd.d_avg_q, [0.0, 1.0], atol=1e-7)  # <q> = xi_2
     assert 0.0 <= fd.rho < math.pi
+
+
+@pytest.mark.parametrize(
+    "factory,shear,values",
+    [
+        (lambda: make_flat_model((1.0, 0.7), "xi_weighted"), 0, [(0.25, -0.1), (0.25, 0.0), (0.25, 0.15)]),
+        (lambda: make_champagne_model(1.0), 0, [(0.3, -0.15), (-0.15, 0.0), (0.3, 0.15)]),
+        (lambda: make_champagne_model(1.0), 1, [(0.3, -0.02), (0.3, 0.0), (0.3, 0.02)]),
+    ],
+)
+def test_jet_matches_central_differences(factory, shear, values):
+    # d xi/d a against central differences of xi_from_value, and the Hessian
+    # of p against second differences of value_from_xi.  On l = 0 the
+    # spline's one-sided l-derivative carries up to ~5e-6 error, so the
+    # bounds there only pin the sign and shear convention (a wrong one is
+    # off by 0.5 or more).
+    model = factory()
+    a = np.array(values)
+    xi, J, hess = model.jet(a, shear=shear)
+    assert np.max(np.abs(xi - model.xi_from_value(a, shear=shear))) < 1e-14
+
+    h = 1e-5
+    J_fd = np.stack(
+        [
+            (model.xi_from_value(a + h * e, shear=shear) - model.xi_from_value(a - h * e, shear=shear)) / (2 * h)
+            for e in np.eye(2)
+        ],
+        axis=-1,
+    )
+    on_line = a[:, 1] == 0.0
+    J_err = np.max(np.abs(J - J_fd), axis=(1, 2))
+    assert np.all(J_err < np.where(on_line, 1e-5, 1e-9))
+
+    h2 = 1e-3
+    steps = h2 * np.eye(2)
+
+    def p(x):
+        return model.value_from_xi(x, shear=shear)[..., 0]
+
+    hess_fd = np.empty_like(hess)
+    for i in range(2):
+        for j in range(2):
+            si, sj = steps[i], steps[j]
+            hess_fd[:, i, j] = (
+                p(xi + si + sj) - p(xi + si - sj) - p(xi - si + sj) + p(xi - si - sj)
+            ) / (4 * h2 * h2)
+    H_err = np.max(np.abs(hess - hess_fd), axis=(1, 2))
+    assert np.all(H_err < np.where(on_line, 2e-2, 2e-4))
 
 
 def test_frequency_outside_chart_raises():

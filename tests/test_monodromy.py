@@ -157,6 +157,17 @@ def test_normal_form_parabolic():
     assert m2 == 2
 
 
+def test_normal_form_trace_minus_two():
+    nf, inv, m = _normal_form(-np.eye(2, dtype=int))
+    assert np.array_equal(nf, -np.eye(2, dtype=int))
+    assert (inv, m) == ((-2, 1), 0)
+    S = np.array([[2, 1], [1, 1]])
+    Sinv = np.rint(np.linalg.inv(S)).astype(int)
+    nf, inv, m = _normal_form(S @ -np.array([[1, 3], [0, 1]]) @ Sinv)
+    assert np.array_equal(nf, -np.array([[1, 3], [0, 1]]))
+    assert (inv, m) == ((-2, 1), 3)
+
+
 def test_normal_form_non_parabolic():
     P = np.array([[2, 1], [1, 1]])  # hyperbolic, trace 3
     nf, inv, m = _normal_form(P)
@@ -173,6 +184,9 @@ def test_loop_monodromy_product_and_reverse():
     fwd = loop_monodromy(atlas, loop)
     rev = loop_monodromy(atlas, loop[::-1])
     assert np.array_equal(fwd.product @ rev.product, np.eye(2, dtype=np.int64))
+    # the class keeps its per-edge transitions, in loop order
+    assert [(t.i, t.j) for t in fwd.edges] == [(0, 1), (1, 2), (2, 3), (3, 0)]
+    assert np.array_equal(np.linalg.multi_dot([t.M for t in fwd.edges]), fwd.product)
     if fwd.parabolic_m is not None:
         assert rev.parabolic_m == fwd.parabolic_m
 
@@ -248,7 +262,14 @@ def test_compare_monodromies_cases():
     p1t = mk([[1, 0], [1, 1]])
     p2 = mk([[1, 2], [0, 1]])
     hyp = mk([[2, 1], [1, 1]])
+    n1 = mk([[-1, -1], [0, -1]])
+    n1t = mk([[-1, 0], [-1, -1]])
+    n2t = mk([[-1, 0], [-2, -1]])  # transpose of -[[1, 2], [0, 1]]
     assert compare_monodromies(ident, ident)
+    assert compare_monodromies(n1, n1t)
+    assert not compare_monodromies(n1, n2t)
+    assert not compare_monodromies(n1, mk(-np.eye(2, dtype=int)))
+    assert not compare_monodromies(n1, p1)
     assert compare_monodromies(p1, p1t)  # transpose convention
     assert compare_monodromies(p1, p1)  # |m| blind to transpose
     assert not compare_monodromies(p1, p2)

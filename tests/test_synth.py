@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudolattice.models import action_coords, make_champagne_model, make_flat_model
+from pseudolattice.models import action_coords, frequency, make_champagne_model, make_flat_model
 from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
@@ -117,7 +117,7 @@ def test_cloud_spacing(flat_setup):
     k = cloud.k_true
     mu = cloud.points
     xi_a = chart.xi_of_c(a)
-    omega = m.omega(xi_a)
+    omega = frequency(chart, xi_a).omega
     # neighbors along the k1 direction on the same row
     order = np.lexsort((k[:, 0], k[:, 1]))
     ks, mus = k[order], mu[order]
