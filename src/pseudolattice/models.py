@@ -11,7 +11,8 @@ Two 2-degree-of-freedom models are provided:
 A chart maps between the value plane ``a = (E, G)`` -- energy and torus
 average of the perturbation -- and local action variables ``xi``.  For the
 champagne model the radial action is computed by Gauss-Legendre quadrature
-with turning-point substitutions and cached on a bivariate spline.  Each
+with turning-point substitutions and cached on a bivariate spline, which is
+evaluated through a table of its per-cell bicubic polynomials.  Each
 model's ``jet`` gives the chart derivatives analytically; frequencies and
 their derivatives are read off it.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import BSpline, RectBivariateSpline
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -351,6 +352,60 @@ def _radial_action_quad(E, l, b, n: int = 100):
     return out
 
 
+def _cell_table(tx, ty, c):
+    """Per-cell polynomials of a bicubic tensor-product spline ``(tx, ty, c)``.
+
+    Returns ``(xb, yb, C)``: the breakpoints in x and y, and
+    ``C[p, q, i, j]``, the coefficient of ``(x - xb[i])^p (y - yb[j])^q``
+    on cell ``[xb[i], xb[i+1]] x [yb[j], yb[j+1]]``, read off the Taylor
+    expansions of the B-spline bases at the left knots.
+    """
+    k = 3
+    xb, yb = tx[k:-k], ty[k:-k]
+    nx, ny = len(tx) - k - 1, len(ty) - k - 1
+
+    def taylor(t, brk, n):
+        # [cell, p, basis function]: p-th derivative at the left knot / p!
+        basis = BSpline(t, np.eye(n), k)
+        return np.stack([basis(brk[:-1], nu=p) / math.factorial(p) for p in range(k + 1)], axis=1)
+
+    C = np.einsum("ipa,ab,jqb->pqij", taylor(tx, xb, nx), c.reshape(nx, ny), taylor(ty, yb, ny), optimize=True)
+    return xb, yb, np.ascontiguousarray(C)
+
+
+def _cell_locate(table, x, y):
+    """Coefficients ``c[p, q, n]`` of the cells holding the points ``(x, y)``
+    (1-d arrays), and the offsets ``(u, v)`` of the points from the cells'
+    left knots.  Points outside the knot box are clamped to it, as FITPACK
+    does."""
+    xb, yb, C = table
+    x = np.minimum(np.maximum(x, xb[0]), xb[-1])
+    y = np.minimum(np.maximum(y, yb[0]), yb[-1])
+    i = xb[1:-1].searchsorted(x, "right")
+    j = yb[1:-1].searchsorted(y, "right")
+    return C[:, :, i, j], x - xb[i], y - yb[j]
+
+
+def _cell_eval(table, x, y):
+    """Value and partials up to order 2 of a tabled bicubic at ``(x, y)``.
+
+    Returns ``(f, f_x, f_y, f_xx, f_xy, f_yy)``, each with the broadcast
+    shape of ``x`` and ``y``.  Every output element depends on its own point
+    only.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    c, u, v = _cell_locate(table, x.ravel(), y.ravel())
+    # Horner in y for each power of x: the polynomial in y and its first
+    # two y-derivatives; then Horner in x
+    c0, c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
+    g = np.stack([((c3 * v + c2) * v + c1) * v + c0, (3.0 * c3 * v + 2.0 * c2) * v + c1, 6.0 * c3 * v + 2.0 * c2])
+    g0, g1, g2, g3 = g[:, 0], g[:, 1], g[:, 2], g[:, 3]
+    f, f_y, f_yy = ((g3 * u + g2) * u + g1) * u + g0
+    f_x, f_xy = (3.0 * g3[:2] * u + 2.0 * g2[:2]) * u + g1[:2]
+    f_xx = 6.0 * g3[0] * u + 2.0 * g2[0]
+    return tuple(a.reshape(x.shape) for a in (f, f_x, f_y, f_xx, f_xy, f_yy))
+
+
 class ChampagneModel(ModelSystem):
     """Champagne-bottle system with a focus-focus value at the origin.
 
@@ -398,11 +453,11 @@ class ChampagneModel(ModelSystem):
 
     def dist_to_singular(self, a):
         a = np.atleast_2d(np.asarray(a, dtype=float))
-        d_ff = np.linalg.norm(a, axis=-1)
-        d_curve = np.min(
-            np.linalg.norm(a[:, None, :] - self._curve[None, :, :], axis=-1), axis=-1
-        )
-        d = np.minimum(d_ff, d_curve)
+        d = np.linalg.norm(a, axis=-1)  # to the focus-focus value
+        # to the boundary curve, in row blocks to bound the temporaries
+        for s in range(0, len(a), 512):
+            diff = a[s : s + 512, None, :] - self._curve[None, :, :]
+            d[s : s + 512] = np.minimum(d[s : s + 512], np.min(np.linalg.norm(diff, axis=-1), axis=-1))
         return d if d.shape[0] > 1 else d[0]
 
     def is_regular(self, a):
@@ -426,6 +481,8 @@ class ChampagneModel(ModelSystem):
         return np.sqrt(np.maximum(um, 0.0)), np.sqrt(up)
 
     def _spline(self):
+        """Cell table (see ``_cell_table``) of the bicubic spline of
+        ``I_r(E, |l|)``, cached per well depth."""
         key = self.b
         if key not in ChampagneModel._spline_cache:
             Es = np.linspace(-0.26, 0.95, 220)
@@ -433,16 +490,15 @@ class ChampagneModel(ModelSystem):
             gE, gl = np.meshgrid(Es, ls, indexing="ij")
             vals = _radial_action_quad(gE.ravel(), gl.ravel(), self.b).reshape(gE.shape)
             vals[~np.isfinite(vals)] = 0.0  # below the boundary curve
-            ChampagneModel._spline_cache[key] = RectBivariateSpline(Es, ls, vals, kx=3, ky=3)
+            spl = RectBivariateSpline(Es, ls, vals, kx=3, ky=3)
+            ChampagneModel._spline_cache[key] = _cell_table(*spl.tck)
         return ChampagneModel._spline_cache[key]
 
-    def action_xi2(self, E, l, shear: int = 0, dE: int = 0):
-        """Spline-backed xi_2(E, l); ``dE=1`` gives the E-derivative."""
-        spl = self._spline()
-        E = np.asarray(E, dtype=float)
+    def action_xi2(self, E, l, shear: int = 0):
+        """Spline-backed xi_2(E, l)."""
         l = np.asarray(l, dtype=float)
-        base = spl.ev(E, np.abs(l), dx=dE)
-        if dE == 0 and shear:
+        base = _cell_eval(self._spline(), E, np.abs(l))[0]
+        if shear:
             base = base + shear * np.maximum(l, 0.0)
         return base
 
@@ -452,22 +508,37 @@ class ChampagneModel(ModelSystem):
         return np.stack([l, self.action_xi2(E, l, shear=shear)], axis=-1)
 
     def value_from_xi(self, xi, shear: int = 0, seed_E=None):
-        """Invert the action map: solve I_r(E, l) = xi_2 for E (Newton)."""
+        """Invert the action map: solve I_r(E, l) = xi_2 for E (Newton).
+
+        Each point iterates until its own residual is below 1e-14; raises
+        :class:`ModelError` if any point has not converged after 60 steps.
+        """
         xi = np.asarray(xi, dtype=float)
         l = xi[..., 0]
         target = xi[..., 1] - (shear * np.maximum(l, 0.0) if shear else 0.0)
-        E = np.full(np.shape(l), 0.3) if seed_E is None else np.broadcast_to(seed_E, np.shape(l)).copy()
-        E = np.asarray(E, dtype=float).copy()
+        E = np.array(np.broadcast_to(0.3 if seed_E is None else seed_E, l.shape), dtype=float).ravel()
+        l, target = np.ravel(l), np.ravel(target)
         lo = self.min_energy(l) + 1e-6
+        table, al = self._spline(), np.abs(l)
+        todo = np.arange(E.size)
         for _ in range(60):
-            f = self.action_xi2(E, l) - target
-            df = self.action_xi2(E, l, dE=1)
-            step = f / np.maximum(df, 1e-12)
-            step = np.clip(step, -0.2, 0.2)
-            E = np.clip(E - step, lo, 0.95)
-            if np.max(np.abs(f)) < 1e-14:
+            Et = E[todo]
+            # I_r and dI_r/dE by the Horner steps of _cell_eval
+            c, u, v = _cell_locate(table, Et, al[todo])
+            g = ((c[:, 3] * v + c[:, 2]) * v + c[:, 1]) * v + c[:, 0]
+            f = ((g[3] * u + g[2]) * u + g[1]) * u + g[0] - target[todo]
+            df = (3.0 * g[3] * u + 2.0 * g[2]) * u + g[1]
+            step = np.clip(f / np.maximum(df, 1e-12), -0.2, 0.2)
+            E[todo] = np.clip(Et - step, lo[todo], 0.95)
+            todo = todo[np.abs(f) >= 1e-14]
+            if todo.size == 0:
                 break
-        return np.stack([E, l], axis=-1)
+        else:
+            raise ModelError(
+                f"action inversion did not converge at {todo.size} of {E.size} points "
+                f"(max residual {np.max(np.abs(f)):.2e})"
+            )
+        return np.stack([E.reshape(xi.shape[:-1]), xi[..., 0]], axis=-1)
 
     def jet(self, a, shear: int = 0):
         # xi = (l, I_r(E, |l|) + shear * max(l, 0)).  On l = 0 the sign of l
@@ -475,14 +546,11 @@ class ChampagneModel(ModelSystem):
         # which the sheared chart continues smoothly to l < 0.
         a = np.asarray(a, dtype=float)
         E, l = a[..., 0], a[..., 1]
-        spl = self._spline()
-        al = np.abs(l)
         s = np.where(l >= 0.0, 1.0, -1.0)
-        A = spl.ev(E, al, dx=1)  # d xi_2 / dE
-        B = s * spl.ev(E, al, dy=1) + shear * (l >= 0.0)  # d xi_2 / dl
-        A_E = spl.ev(E, al, dx=2)
-        A_l = s * spl.ev(E, al, dx=1, dy=1)
-        B_l = spl.ev(E, al, dy=2)
+        I_r, A, I_l, A_E, A_l, B_l = _cell_eval(self._spline(), E, np.abs(l))  # A = d xi_2 / dE
+        xi2 = I_r + shear * np.maximum(l, 0.0) if shear else I_r
+        B = s * I_l + shear * (l >= 0.0)  # d xi_2 / dl
+        A_l = s * A_l
         J = np.zeros(a.shape + (2,))
         J[..., 0, 1] = 1.0
         J[..., 1, 0] = A
@@ -496,7 +564,7 @@ class ChampagneModel(ModelSystem):
         hess[..., 0, 0] = -(w1 * w1 * A_E + 2.0 * w1 * A_l + B_l) / A
         hess[..., 0, 1] = hess[..., 1, 0] = -w2 * (w1 * A_E + A_l) / A
         hess[..., 1, 1] = -w2 * w2 * A_E / A
-        return self.xi_from_value(a, shear=shear), J, hess
+        return np.stack([l, xi2], axis=-1), J, hess
 
 
 def make_champagne_model(well_depth: float = 1.0) -> ChampagneModel:
@@ -584,7 +652,7 @@ def action_coords(model: ModelSystem, c, radius: float | None = None) -> ActionC
     if d < 1e-3:
         raise ModelError("chart center too close to the singular set")
     if radius is None:
-        radius = _chart_radius(model, c)
+        radius = min(0.1, 0.1 * d)  # the rule of _chart_radius
     domain = Rect(c, np.array([radius, radius]))
 
     shear = 0

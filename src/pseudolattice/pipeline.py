@@ -86,7 +86,7 @@ def spectral_chart_at(
     """Synthesize and blind-detect the spectrum of one good rectangle."""
     c = np.asarray(c, dtype=float)
     radius = _chart_radius(model, c)
-    ac = action_coords(model, c)
+    ac = action_coords(model, c, radius)
     hw, C0_eff = rect_half_width(params, C0, radius)
     a = find_good_value(model, ac, c, dio, search_radius=0.25 * hw)
     rect = good_rectangle(a, params, C0_eff, good=True)

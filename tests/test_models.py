@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from pseudolattice.models import (
     ActionChart,
@@ -9,6 +10,8 @@ from pseudolattice.models import (
     ChampagneModel,
     ModelError,
     Rect,
+    _cell_eval,
+    _cell_table,
     action_coords,
     chart_to_text,
     frequency,
@@ -122,6 +125,56 @@ def test_action_derivative_jump_across_cut():
     assert right == pytest.approx(-0.5, abs=0.01)
     left = (float(m.action_xi2(E, -dl)) - float(m.action_xi2(E, -2 * dl))) / dl
     assert left == pytest.approx(0.5, abs=0.01)
+
+
+def test_cell_table_matches_fitpack():
+    # the per-cell polynomial table against FITPACK's own evaluation, for a
+    # smooth function on a non-square grid with non-uniform y spacing
+    xs = np.linspace(-1.0, 2.0, 23)
+    ys = 1.5 * np.linspace(0.0, 1.0, 15) ** 1.5
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    spl = RectBivariateSpline(xs, ys, np.sin(1.3 * gx + 0.7 * gy) + gx * gy**2, kx=3, ky=3)
+    table = _cell_table(*spl.tck)
+    xb, yb, _ = table
+    rng = np.random.default_rng(5)
+    kx, ky = np.meshgrid(xb, yb, indexing="ij")
+    x = np.concatenate([rng.uniform(-1.0, 2.0, 400), kx.ravel(), xs, [-1.5, 2.5, -3.0, 0.3, 0.7]])
+    y = np.concatenate([rng.uniform(0.0, 1.5, 400), ky.ravel(), np.zeros(23), [0.5, 0.2, -1.0, 2.0, -0.1]])
+    out = _cell_eval(table, x, y)  # the last five points lie outside the knot box
+    for got, (dx, dy) in zip(out, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]):
+        ref = spl.ev(x, y, dx=dx, dy=dy)
+        assert np.max(np.abs(got - ref)) < 1e-12 * (1.0 + np.max(np.abs(ref))), (dx, dy)
+    # the shape of the inputs is kept
+    assert _cell_eval(table, x[:700].reshape(-1, 2), y[:700].reshape(-1, 2))[3].shape == (350, 2)
+
+
+def test_value_from_xi_pointwise_equals_batched():
+    # the per-point convergence mask makes each point's Newton iterates
+    # independent of the batch it is solved in
+    m = make_champagne_model(1.0)
+    a = np.concatenate([Rect([0.3, 0.0], [0.08, 0.08]).grid(4), [[-0.15, 0.02], [0.6, -0.3], [0.05, 0.1]]])
+    for shear in (0, 1):
+        xi = m.xi_from_value(a, shear=shear)
+        batch = m.value_from_xi(xi, shear=shear)
+        assert np.max(np.abs(batch - a)) < 1e-9
+        for k in range(len(xi)):
+            assert np.array_equal(m.value_from_xi(xi[k], shear=shear), batch[k])
+
+
+def test_value_from_xi_unreachable_raises():
+    # xi_2 above I_r(0.95, l), the top of the energy clip, has no preimage
+    m = make_champagne_model(1.0)
+    top = float(m.action_xi2(0.95, 0.2))
+    with pytest.raises(ModelError, match="did not converge"):
+        m.value_from_xi(np.array([[0.1, 0.3], [0.2, top + 0.01]]))
+
+
+def test_dist_to_singular_matches_pointwise():
+    # more points than one row block; exact equality with a per-point loop
+    m = make_champagne_model(1.0)
+    pts = np.random.default_rng(3).uniform([-0.3, -0.7], [0.9, 0.7], size=(1300, 2))
+    ref = [min(np.sqrt(np.sum(p * p)), np.min(np.sqrt(np.sum((p - m._curve) ** 2, axis=-1)))) for p in pts]
+    assert np.array_equal(m.dist_to_singular(pts), ref)
 
 
 def test_champagne_regularity_and_distance():
