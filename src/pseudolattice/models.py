@@ -373,28 +373,21 @@ def _cell_table(tx, ty, c):
     return xb, yb, np.ascontiguousarray(C)
 
 
-def _cell_locate(table, x, y):
-    """Coefficients ``c[p, q, n]`` of the cells holding the points ``(x, y)``
-    (1-d arrays), and the offsets ``(u, v)`` of the points from the cells'
-    left knots.  Points outside the knot box are clamped to it, as FITPACK
-    does."""
-    xb, yb, C = table
-    x = np.minimum(np.maximum(x, xb[0]), xb[-1])
-    y = np.minimum(np.maximum(y, yb[0]), yb[-1])
-    i = xb[1:-1].searchsorted(x, "right")
-    j = yb[1:-1].searchsorted(y, "right")
-    return C[:, :, i, j], x - xb[i], y - yb[j]
-
-
 def _cell_eval(table, x, y):
     """Value and partials up to order 2 of a tabled bicubic at ``(x, y)``.
 
     Returns ``(f, f_x, f_y, f_xx, f_xy, f_yy)``, each with the broadcast
-    shape of ``x`` and ``y``.  Every output element depends on its own point
+    shape of ``x`` and ``y``.  Points outside the knot box are clamped to
+    it, as FITPACK does.  Every output element depends on its own point
     only.
     """
+    xb, yb, C = table
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    c, u, v = _cell_locate(table, x.ravel(), y.ravel())
+    xf = np.minimum(np.maximum(x.ravel(), xb[0]), xb[-1])
+    yf = np.minimum(np.maximum(y.ravel(), yb[0]), yb[-1])
+    i = xb[1:-1].searchsorted(xf, "right")
+    j = yb[1:-1].searchsorted(yf, "right")
+    c, u, v = C[:, :, i, j], xf - xb[i], yf - yb[j]
     # Horner in y for each power of x: the polynomial in y and its first
     # two y-derivatives; then Horner in x
     c0, c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
@@ -417,20 +410,18 @@ class ChampagneModel(ModelSystem):
     classical monodromy shows up.
     """
 
-    _spline_cache = {}
+    _table_cache = {}
 
     def __init__(self, well_depth: float):
         if well_depth <= 0:
             raise ModelError("well_depth must be positive")
         self.name = "champagne"
         self.b = float(well_depth)
-        b = self.b
         self.q_symbol = AnglePolynomial([((0, 0), lambda xi: xi[..., 0]), ((0, 1), 0.1)])
         self.maslov_eta = np.array([0, 2])
         self.singular_values = [("focus_focus_point", (0.0, 0.0)), ("minimum_energy_curve", None)]
         self.regular_region = Rect(np.array([0.3, 0.0]), np.array([0.55, 0.6]))
         self._curve = self._boundary_curve_samples()
-        self._spl = None
 
     # -- critical set -----------------------------------------------------
 
@@ -480,24 +471,24 @@ class ChampagneModel(ModelSystem):
             raise ModelError("no real radial motion at this value")
         return np.sqrt(np.maximum(um, 0.0)), np.sqrt(up)
 
-    def _spline(self):
+    def _action_table(self):
         """Cell table (see ``_cell_table``) of the bicubic spline of
         ``I_r(E, |l|)``, cached per well depth."""
         key = self.b
-        if key not in ChampagneModel._spline_cache:
+        if key not in ChampagneModel._table_cache:
             Es = np.linspace(-0.26, 0.95, 220)
             ls = np.linspace(0.0, 0.72, 160)
             gE, gl = np.meshgrid(Es, ls, indexing="ij")
             vals = _radial_action_quad(gE.ravel(), gl.ravel(), self.b).reshape(gE.shape)
             vals[~np.isfinite(vals)] = 0.0  # below the boundary curve
             spl = RectBivariateSpline(Es, ls, vals, kx=3, ky=3)
-            ChampagneModel._spline_cache[key] = _cell_table(*spl.tck)
-        return ChampagneModel._spline_cache[key]
+            ChampagneModel._table_cache[key] = _cell_table(*spl.tck)
+        return ChampagneModel._table_cache[key]
 
     def action_xi2(self, E, l, shear: int = 0):
         """Spline-backed xi_2(E, l)."""
         l = np.asarray(l, dtype=float)
-        base = _cell_eval(self._spline(), E, np.abs(l))[0]
+        base = _cell_eval(self._action_table(), E, np.abs(l))[0]
         if shear:
             base = base + shear * np.maximum(l, 0.0)
         return base
@@ -519,15 +510,12 @@ class ChampagneModel(ModelSystem):
         E = np.array(np.broadcast_to(0.3 if seed_E is None else seed_E, l.shape), dtype=float).ravel()
         l, target = np.ravel(l), np.ravel(target)
         lo = self.min_energy(l) + 1e-6
-        table, al = self._spline(), np.abs(l)
+        table, al = self._action_table(), np.abs(l)
         todo = np.arange(E.size)
         for _ in range(60):
             Et = E[todo]
-            # I_r and dI_r/dE by the Horner steps of _cell_eval
-            c, u, v = _cell_locate(table, Et, al[todo])
-            g = ((c[:, 3] * v + c[:, 2]) * v + c[:, 1]) * v + c[:, 0]
-            f = ((g[3] * u + g[2]) * u + g[1]) * u + g[0] - target[todo]
-            df = (3.0 * g[3] * u + 2.0 * g[2]) * u + g[1]
+            f, df = _cell_eval(table, Et, al[todo])[:2]
+            f = f - target[todo]
             step = np.clip(f / np.maximum(df, 1e-12), -0.2, 0.2)
             E[todo] = np.clip(Et - step, lo[todo], 0.95)
             todo = todo[np.abs(f) >= 1e-14]
@@ -547,7 +535,7 @@ class ChampagneModel(ModelSystem):
         a = np.asarray(a, dtype=float)
         E, l = a[..., 0], a[..., 1]
         s = np.where(l >= 0.0, 1.0, -1.0)
-        I_r, A, I_l, A_E, A_l, B_l = _cell_eval(self._spline(), E, np.abs(l))  # A = d xi_2 / dE
+        I_r, A, I_l, A_E, A_l, B_l = _cell_eval(self._action_table(), E, np.abs(l))  # A = d xi_2 / dE
         xi2 = I_r + shear * np.maximum(l, 0.0) if shear else I_r
         B = s * I_l + shear * (l >= 0.0)  # d xi_2 / dl
         A_l = s * A_l
@@ -632,11 +620,14 @@ class ActionChart:
         return self.xi_box.contains(xi, margin=margin)
 
 
-def _chart_radius(model: ModelSystem, c) -> float:
-    # 0.1 * distance to the critical-value set, capped for models with an
+def _radius_of(d: float) -> float:
+    # 0.1 * distance d to the critical-value set, capped for models with an
     # empty critical set
-    d = float(np.min(model.dist_to_singular(np.atleast_2d(c))))
     return min(0.1, 0.1 * d)
+
+
+def _chart_radius(model: ModelSystem, c) -> float:
+    return _radius_of(float(np.min(model.dist_to_singular(np.atleast_2d(c)))))
 
 
 def action_coords(model: ModelSystem, c, radius: float | None = None) -> ActionChart:
@@ -652,7 +643,7 @@ def action_coords(model: ModelSystem, c, radius: float | None = None) -> ActionC
     if d < 1e-3:
         raise ModelError("chart center too close to the singular set")
     if radius is None:
-        radius = min(0.1, 0.1 * d)  # the rule of _chart_radius
+        radius = _radius_of(d)
     domain = Rect(c, np.array([radius, radius]))
 
     shear = 0
