@@ -44,14 +44,8 @@ def chi_inverse(z, epsilon: float):
 # ---------------------------------------------------------------------------
 
 
-def _canonical_sign(v):
-    flip = (v[..., 1] < 0) | ((v[..., 1] == 0) & (v[..., 0] < 0))
-    return np.where(flip[..., None], -v, v)
-
-
-def _direction_peak(vs, ang_tol: float = 0.15):
-    """Centroid of the densest angular cluster among difference vectors."""
-    ang = np.mod(np.arctan2(vs[:, 1], vs[:, 0]), math.pi)
+def _direction_peak(vs, ang, ang_tol: float = 0.15):
+    """Centroid of the densest angular cluster among vectors ``vs`` with angles ``ang`` (mod pi)."""
     nb = 60
     idx = np.minimum((ang / math.pi * nb).astype(int), nb - 1)
     hist = np.bincount(idx, minlength=nb)
@@ -101,26 +95,26 @@ def detect_basis(cloud: SpectrumCloud, k_neighbors: int = 12):
     kq = min(k_neighbors + 1, n)
     _, idx = tree.query(u, k=kq)
     diffs = (u[idx[:, 1:]] - u[:, None, :]).reshape(-1, 2)
-    diffs = _canonical_sign(diffs)
+    flip = (diffs[:, 1] < 0) | ((diffs[:, 1] == 0) & (diffs[:, 0] < 0))
+    np.negative(diffs, out=diffs, where=flip[:, None])  # into the upper half-plane
     lens = np.linalg.norm(diffs, axis=1)
-    L0 = np.median(np.linalg.norm(u[idx[:, 1]] - u, axis=1))
+    ang = np.mod(np.arctan2(diffs[:, 1], diffs[:, 0]), math.pi)
+    L0 = np.median(lens[:: kq - 1])  # first-neighbor distances
 
-    short = diffs[(lens > 0.5 * L0) & (lens < 1.45 * L0)]
-    if len(short) == 0:
+    short = (lens > 0.5 * L0) & (lens < 1.45 * L0)
+    if not np.any(short):
         raise DetectionError("degenerate cloud: no short difference vectors")
-    b1 = _direction_peak(short)
+    b1 = _direction_peak(diffs[short], ang[short])
 
     # second direction: strip everything collinear with b1, then take the
     # densest direction among the shortest remaining vectors
     theta1 = math.atan2(b1[1], b1[0]) % math.pi
-    ang = np.mod(np.arctan2(diffs[:, 1], diffs[:, 0]), math.pi)
     away = np.abs(np.mod(ang - theta1 + math.pi / 2, math.pi) - math.pi / 2) > 0.35
-    rest = diffs[away & (lens < 4.0 * L0)]
-    if len(rest) == 0:
+    rest = away & (lens < 4.0 * L0)
+    if not np.any(rest):
         raise DetectionError("degenerate cloud: only one difference direction")
-    L1 = np.min(np.linalg.norm(rest, axis=1))
-    rest = rest[np.linalg.norm(rest, axis=1) < 1.45 * L1]
-    b2 = _direction_peak(rest)
+    rest &= lens < 1.45 * np.min(lens[rest])
+    b2 = _direction_peak(diffs[rest], ang[rest])
 
     b1, b2 = _gauss_reduce(b1, b2)
     B = np.column_stack([b1, b2])
@@ -133,12 +127,11 @@ def detect_basis(cloud: SpectrumCloud, k_neighbors: int = 12):
 # labeling
 # ---------------------------------------------------------------------------
 
-_QUAD_POW = np.array([[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]])
-
 
 def _features(t):
     t = np.atleast_2d(t)
-    return np.stack([t[:, 0] ** p1 * t[:, 1] ** p2 for p1, p2 in _QUAD_POW], axis=-1)
+    x, y = t[:, 0], t[:, 1]
+    return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
 
 
 def _feature_jac(coeffs, t, scale):
@@ -235,8 +228,10 @@ def label_lattice(cloud: SpectrumCloud, basis, anchor: complex, max_unlabeled: f
         frac = 1.0 - labeled.sum() / n
         if frac > max_unlabeled:
             raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {max_unlabeled}")
-    # injectivity
-    if labeled.sum() != len({(int(a), int(b)) for a, b in labels[labeled]}):
+    # injectivity: sorted by both columns, equal labels are adjacent
+    k = labels[labeled]
+    k = k[np.lexsort((k[:, 1], k[:, 0]))]
+    if np.any(np.all(k[1:] == k[:-1], axis=1)):
         raise DetectionError("label conflict: duplicate integer labels")
     return LabelResult(labels=labels, labeled=labeled, residuals=residuals)
 
@@ -297,16 +292,27 @@ class HChart:
         return val @ np.linalg.inv(self.gauge_M).T - corr
 
     def f_inverse(self, target, tol: float = 1e-13, max_iter: int = 60) -> np.ndarray:
-        """Invert the fitted quadratic map by Newton iteration."""
+        """Invert the fitted quadratic map by Newton iteration.
+
+        Converged when the residual is below ``tol * h`` or the Newton step is
+        within 16 ulps of ``u``: at fine ``h`` the residual of the nearest
+        representable ``u`` can exceed ``tol * h``.  Raises
+        :class:`DetectionError` if neither happens within ``max_iter`` steps.
+        """
         target = np.asarray(target, dtype=float)
         tgt = np.atleast_2d(target)
         u = np.tile(self.center, (tgt.shape[0], 1))
         for _ in range(max_iter):
             r = self.f(u) - tgt
-            if np.max(np.abs(r)) < tol * self.h:
+            err = np.max(np.abs(r))
+            if err < tol * self.h:
                 break
-            J = self.df(u)
-            u = u - np.linalg.solve(J, r[..., None])[..., 0]
+            step = np.linalg.solve(self.df(u), r[..., None])[..., 0]
+            u = u - step
+            if np.max(np.abs(step)) <= 16 * np.spacing(np.max(np.abs(u))):
+                break
+        else:
+            raise DetectionError(f"chart inversion did not converge in {max_iter} iterations (max residual {err / self.h:.3g} h)")
         return u if target.ndim > 1 else u[0]
 
     def max_residual(self) -> float:

@@ -83,9 +83,10 @@ def test_gauss_reduce_properties():
         assert np.allclose(k, np.rint(k), atol=1e-9)
 
 
-def _square_lattice_cloud(h=1e-3, eps=0.0316, n=15, seed=0):
-    k1, k2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    u = h * np.stack([k1.ravel(), k2.ravel()], axis=-1).astype(float)
+def _square_lattice_cloud(h=1e-3, eps=0.0316, n=15, seed=0, rows=None, aspect=1.0):
+    """``n`` x ``rows`` lattice points ``h (k1, aspect * k2)`` (``rows`` defaults to ``n``)."""
+    k1, k2 = np.meshgrid(np.arange(n), np.arange(n if rows is None else rows), indexing="ij")
+    u = h * np.stack([k1.ravel(), aspect * k2.ravel()], axis=-1).astype(float)
     pts = chi(u, eps)
     params = SemiclassicalParams(h=h, delta=0.5, seed=seed)
     rect = good_rectangle((h * n / 2, h * n / 2), params, C0=1.0)
@@ -117,6 +118,24 @@ def test_basis_needs_points():
     cloud = _square_lattice_cloud(n=3)
     with pytest.raises(DetectionError):
         detect_basis(cloud)
+
+
+def test_basis_rejects_collinear_cloud():
+    cloud = _square_lattice_cloud(n=60, rows=1)
+    with pytest.raises(DetectionError, match="only one difference direction"):
+        detect_basis(cloud)
+
+
+def test_basis_rejects_anisotropic_lattice():
+    # the second direction is sought among differences shorter than 4 |b1|
+    with pytest.raises(DetectionError, match="only one difference direction"):
+        detect_basis(_square_lattice_cloud(eps=PARAMS.epsilon, n=30, aspect=5.0))
+
+
+def test_basis_accepts_moderately_anisotropic_lattice():
+    b1, b2 = detect_basis(_square_lattice_cloud(eps=PARAMS.epsilon, n=30, aspect=3.5))
+    assert np.allclose(np.abs(b1), [1e-3, 0.0], atol=1e-12)
+    assert np.allclose(np.abs(b2), [0.0, 3.5e-3], atol=1e-12)
 
 
 def test_labels_perfect_lattice_zero_residual():
@@ -164,7 +183,20 @@ def test_label_conflict_detected(flat_cloud):
     pts = flat_cloud.points.copy()
     pts[-1] = pts[0] + 1e-9
     bad = SpectrumCloud(pts, None, flat_cloud.params, flat_cloud.rectangle)
-    with pytest.raises(DetectionError):
+    with pytest.raises(DetectionError, match="duplicate integer labels"):
+        label_lattice(bad, basis, bad.rectangle.center)
+
+
+def test_label_conflict_detected_negative_labels(flat_cloud):
+    # the duplicated label is negative on both axes relative to the anchor
+    basis = detect_basis(flat_cloud)
+    k = label_lattice(flat_cloud, basis, flat_cloud.rectangle.center).labels
+    neg = np.flatnonzero((k[:, 0] < 0) & (k[:, 1] < 0))
+    i, j = neg[np.argmin(k[neg].sum(axis=1))], neg[np.argmax(k[neg].sum(axis=1))]
+    pts = flat_cloud.points.copy()
+    pts[j] = pts[i] + 1e-9
+    bad = SpectrumCloud(pts, None, flat_cloud.params, flat_cloud.rectangle)
+    with pytest.raises(DetectionError, match="duplicate integer labels"):
         label_lattice(bad, basis, bad.rectangle.center)
 
 
@@ -232,6 +264,22 @@ def test_f_inverse_round_trip(flat_cloud, flat_setup):
     u0 = np.array([a[0] + 0.004, a[1] - 0.003])
     t = hc.f(u0)
     assert np.max(np.abs(hc.f_inverse(t) - u0)) < 1e-10
+
+
+def test_f_inverse_unconverged_raises(flat_cloud, flat_setup):
+    _, _, a = flat_setup
+    hc = fit_hchart(flat_cloud, a)
+    t = hc.f(np.array([a[0] + 0.004, a[1] - 0.003]))
+    with pytest.raises(DetectionError, match="did not converge in 1 iterations"):
+        hc.f_inverse(t, max_iter=1)
+
+
+def test_f_inverse_stops_at_rounding_floor(flat_cloud, flat_setup):
+    # no residual is below tol = 0: Newton stops once its step is rounding noise
+    _, _, a = flat_setup
+    hc = fit_hchart(flat_cloud, a)
+    u0 = np.array([a[0] + 0.004, a[1] - 0.003])
+    assert np.max(np.abs(hc.f_inverse(hc.f(u0), tol=0.0) - u0)) < 1e-10
 
 
 def test_hchart_serialization(flat_cloud, flat_setup):
