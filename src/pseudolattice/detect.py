@@ -340,7 +340,7 @@ class HChart:
 
 def fit_hchart(
     cloud: SpectrumCloud,
-    a=None,
+    *,
     chart_hint: ActionChart | None = None,
     residual_limit: float = 0.05,
 ) -> HChart:

@@ -11,14 +11,15 @@ Two 2-degree-of-freedom models are provided:
 A chart maps between the value plane ``a = (E, G)`` -- energy and torus
 average of the perturbation -- and local action variables ``xi``.  For the
 champagne model the radial action is computed by Gauss-Legendre quadrature
-with turning-point substitutions and cached on a bivariate spline, which is
-evaluated through a table of its per-cell bicubic polynomials.  Each
+with turning-point substitutions, splined once at well depth 1 and read for
+every depth by exact scaling, through a table of per-cell bicubics.  Each
 model's ``jet`` gives the chart derivatives analytically; frequencies and
 their derivatives are read off it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -113,10 +114,6 @@ class ModelSystem:
     name: str
     q_symbol: AnglePolynomial
     maslov_eta: np.ndarray
-    regular_region: Rect
-
-    def avg_q(self, xi):
-        return self.q_symbol.mean(xi)
 
     def dist_to_singular(self, a) -> np.ndarray:
         raise NotImplementedError
@@ -154,7 +151,6 @@ class FlatModel(ModelSystem):
         self.q_symbol = _flat_q(q_choice)
         self.maslov_eta = np.array([0, 0])
         self.singular_values = []  # empty critical-value set
-        self.regular_region = Rect(np.zeros(2), np.array([0.5, 0.5]))
 
     def dist_to_singular(self, a):
         a = np.asarray(a, dtype=float)
@@ -216,15 +212,11 @@ def make_flat_model(omega_star, q_choice: str = "xi_weighted") -> FlatModel:
 # champagne-bottle model
 # ---------------------------------------------------------------------------
 
-_GL_NODES = {}
-
-
+@functools.cache
 def _gauss_legendre(n: int):
-    if n not in _GL_NODES:
-        x, w = leggauss(n)
-        # map from (-1, 1) to (0, pi/2)
-        _GL_NODES[n] = (0.25 * math.pi * (x + 1.0), 0.25 * math.pi * w)
-    return _GL_NODES[n]
+    x, w = leggauss(n)
+    # map from (-1, 1) to (0, pi/2)
+    return 0.25 * math.pi * (x + 1.0), 0.25 * math.pi * w
 
 
 def _radial_roots(E, l, b):
@@ -399,6 +391,26 @@ def _cell_eval(table, x, y):
     return tuple(a.reshape(x.shape) for a in (f, f_x, f_y, f_xx, f_xy, f_yy))
 
 
+@functools.cache
+def _action_table():
+    """Cell table (see ``_cell_table``) of the bicubic spline of the well
+    depth 1 radial action ``I_r(E, |l|)`` on ``[-0.26, 0.95] x [0, 0.72]``."""
+    Es = np.linspace(-0.26, 0.95, 220)
+    ls = np.linspace(0.0, 0.72, 160)
+    gE, gl = np.meshgrid(Es, ls, indexing="ij")
+    vals = _radial_action_quad(gE.ravel(), gl.ravel(), 1.0).reshape(gE.shape)
+    vals[~np.isfinite(vals)] = 0.0  # below the boundary curve
+    return _cell_table(*RectBivariateSpline(Es, ls, vals, kx=3, ky=3).tck)
+
+
+def _tabled(E, al):
+    """The action table; raises :class:`ModelError` unless the b = 1 points ``(E, |l|)`` lie in its box."""
+    xb, yb, _ = table = _action_table()
+    if np.any((E < xb[0]) | (E > xb[-1]) | (al > yb[-1])):
+        raise ModelError(f"value outside the tabled range {xb[0]:g} b^2 <= E <= {xb[-1]:g} b^2, |l| <= {yb[-1]:g} b^1.5")
+    return table
+
+
 class ChampagneModel(ModelSystem):
     """Champagne-bottle system with a focus-focus value at the origin.
 
@@ -410,8 +422,6 @@ class ChampagneModel(ModelSystem):
     classical monodromy shows up.
     """
 
-    _table_cache = {}
-
     def __init__(self, well_depth: float):
         if well_depth <= 0:
             raise ModelError("well_depth must be positive")
@@ -420,8 +430,8 @@ class ChampagneModel(ModelSystem):
         self.q_symbol = AnglePolynomial([((0, 0), lambda xi: xi[..., 0]), ((0, 1), 0.1)])
         self.maslov_eta = np.array([0, 2])
         self.singular_values = [("focus_focus_point", (0.0, 0.0)), ("minimum_energy_curve", None)]
-        self.regular_region = Rect(np.array([0.3, 0.0]), np.array([0.55, 0.6]))
-        self._curve = self._boundary_curve_samples()
+        ls = self.b**1.5 * np.linspace(-0.8, 0.8, 600)  # boundary-curve samples
+        self._curve = np.stack([self.min_energy(ls), ls], axis=-1)
 
     # -- critical set -----------------------------------------------------
 
@@ -437,10 +447,6 @@ class ChampagneModel(ModelSystem):
         x = 27.0 * l * l / b**3
         u = b / 6.0 + (b / 3.0) * np.cosh(np.log1p(x + np.sqrt(x * (2.0 + x))) / 3.0)
         return 0.5 * l * l / u + u * u - b * u
-
-    def _boundary_curve_samples(self, n: int = 600):
-        ls = np.linspace(-0.8, 0.8, n)
-        return np.stack([self.min_energy(ls), ls], axis=-1)
 
     def dist_to_singular(self, a):
         a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -471,27 +477,20 @@ class ChampagneModel(ModelSystem):
             raise ModelError("no real radial motion at this value")
         return np.sqrt(np.maximum(um, 0.0)), np.sqrt(up)
 
-    def _action_table(self):
-        """Cell table (see ``_cell_table``) of the bicubic spline of
-        ``I_r(E, |l|)``, cached per well depth."""
-        key = self.b
-        if key not in ChampagneModel._table_cache:
-            Es = np.linspace(-0.26, 0.95, 220)
-            ls = np.linspace(0.0, 0.72, 160)
-            gE, gl = np.meshgrid(Es, ls, indexing="ij")
-            vals = _radial_action_quad(gE.ravel(), gl.ravel(), self.b).reshape(gE.shape)
-            vals[~np.isfinite(vals)] = 0.0  # below the boundary curve
-            spl = RectBivariateSpline(Es, ls, vals, kx=3, ky=3)
-            ChampagneModel._table_cache[key] = _cell_table(*spl.tck)
-        return ChampagneModel._table_cache[key]
+    def _action_jet(self, E, l):
+        """``I_r(E, |l|)`` and its partials as ``_cell_eval`` orders them:
+        ``r = sqrt(b) rho``, ``p_r = b p``, ``l = b^1.5 m`` give ``H_b = b^2 H_1``,
+        so ``I_r(E, l; b) = b^1.5 I_r(E / b^2, l / b^1.5; 1)`` (b = 1 table)."""
+        b = self.b
+        E, al = np.asarray(E, dtype=float) / b**2, np.abs(l) / b**1.5
+        out = _cell_eval(_tabled(E, al), E, al)
+        # each E-derivative scales by b^-2, each l-derivative by b^-1.5
+        return tuple(f * b**p for f, p in zip(out, (1.5, -0.5, 0.0, -2.5, -2.0, -1.5)))
 
     def action_xi2(self, E, l, shear: int = 0):
-        """Spline-backed xi_2(E, l)."""
-        l = np.asarray(l, dtype=float)
-        base = _cell_eval(self._action_table(), E, np.abs(l))[0]
-        if shear:
-            base = base + shear * np.maximum(l, 0.0)
-        return base
+        """Table-backed xi_2(E, l)."""
+        base = self._action_jet(E, l)[0]
+        return base + shear * np.maximum(l, 0.0) if shear else base
 
     def xi_from_value(self, a, shear: int = 0):
         a = np.asarray(a, dtype=float)
@@ -505,12 +504,13 @@ class ChampagneModel(ModelSystem):
         :class:`ModelError` if any point has not converged after 60 steps.
         """
         xi = np.asarray(xi, dtype=float)
+        b2, b32 = self.b**2, self.b**1.5  # the solve runs in b = 1 units
         l = xi[..., 0]
         target = xi[..., 1] - (shear * np.maximum(l, 0.0) if shear else 0.0)
-        E = np.array(np.broadcast_to(0.3 if seed_E is None else seed_E, l.shape), dtype=float).ravel()
-        l, target = np.ravel(l), np.ravel(target)
-        lo = self.min_energy(l) + 1e-6
-        table, al = self._action_table(), np.abs(l)
+        E = np.array(np.broadcast_to(0.3 if seed_E is None else seed_E / b2, l.shape), dtype=float).ravel()
+        l, target = np.ravel(l), np.ravel(target) / b32
+        lo, al = self.min_energy(l) / b2 + 1e-6, np.abs(l) / b32
+        table = _tabled(lo, al)  # Newton keeps E in [lo, 0.95]
         todo = np.arange(E.size)
         for _ in range(60):
             Et = E[todo]
@@ -526,7 +526,7 @@ class ChampagneModel(ModelSystem):
                 f"action inversion did not converge at {todo.size} of {E.size} points "
                 f"(max residual {np.max(np.abs(f)):.2e})"
             )
-        return np.stack([E.reshape(xi.shape[:-1]), xi[..., 0]], axis=-1)
+        return np.stack([b2 * E.reshape(xi.shape[:-1]), xi[..., 0]], axis=-1)
 
     def jet(self, a, shear: int = 0):
         # xi = (l, I_r(E, |l|) + shear * max(l, 0)).  On l = 0 the sign of l
@@ -535,7 +535,7 @@ class ChampagneModel(ModelSystem):
         a = np.asarray(a, dtype=float)
         E, l = a[..., 0], a[..., 1]
         s = np.where(l >= 0.0, 1.0, -1.0)
-        I_r, A, I_l, A_E, A_l, B_l = _cell_eval(self._action_table(), E, np.abs(l))  # A = d xi_2 / dE
+        I_r, A, I_l, A_E, A_l, B_l = self._action_jet(E, l)  # A = d xi_2 / dE
         xi2 = I_r + shear * np.maximum(l, 0.0) if shear else I_r
         B = s * I_l + shear * (l >= 0.0)  # d xi_2 / dl
         A_l = s * A_l
@@ -605,9 +605,6 @@ class ActionChart:
 
     def p(self, xi):
         return self.phi(xi)[..., 0]
-
-    def avg_q_of_xi(self, xi):
-        return self.phi(xi)[..., 1]
 
     def d_xi(self, a):
         """Jacobian d(xi)/d(a), vectorized over value points."""

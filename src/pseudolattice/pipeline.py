@@ -92,7 +92,7 @@ def spectral_chart_at(
     rect = good_rectangle(a, params, C0_eff, good=True)
     sym = NormalFormSymbol(ac, dict(higher_coeffs or {}), params.noise_order)
     cloud = synth_spectrum(sym, a, params, rectangle=rect)
-    hc = fit_hchart(cloud.without_labels(), a, chart_hint=ac if chart_hint else None)
+    hc = fit_hchart(cloud.without_labels(), chart_hint=ac if chart_hint else None)
     return SpectralChart(center=c, a=a, action_chart=ac, cloud=cloud, hchart=hc)
 
 

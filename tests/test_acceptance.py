@@ -118,7 +118,7 @@ def _leading_error(model, a, params):
     chart = action_coords(model, a)
     sym = NormalFormSymbol(chart, default_higher_coeffs())
     cloud = synth_spectrum(sym, a, params, C0=2.0)
-    hc = fit_hchart(cloud.without_labels(), a, chart_hint=chart)
+    hc = fit_hchart(cloud.without_labels(), chart_hint=chart)
     r = cloud.rectangle
     eps = params.epsilon
     gx = np.stack(

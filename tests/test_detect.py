@@ -83,18 +83,18 @@ def test_gauss_reduce_properties():
         assert np.allclose(k, np.rint(k), atol=1e-9)
 
 
-def _square_lattice_cloud(h=1e-3, eps=0.0316, n=15, seed=0, rows=None, aspect=1.0):
+def _square_lattice_cloud(h=1e-3, n=15, seed=0, rows=None, aspect=1.0):
     """``n`` x ``rows`` lattice points ``h (k1, aspect * k2)`` (``rows`` defaults to ``n``)."""
     k1, k2 = np.meshgrid(np.arange(n), np.arange(n if rows is None else rows), indexing="ij")
     u = h * np.stack([k1.ravel(), aspect * k2.ravel()], axis=-1).astype(float)
-    pts = chi(u, eps)
     params = SemiclassicalParams(h=h, delta=0.5, seed=seed)
+    pts = chi(u, params.epsilon)
     rect = good_rectangle((h * n / 2, h * n / 2), params, C0=1.0)
     return SpectrumCloud(points=pts, k_true=None, params=params, rectangle=rect)
 
 
 def test_basis_square_lattice():
-    cloud = _square_lattice_cloud(eps=PARAMS.epsilon)
+    cloud = _square_lattice_cloud()
     b1, b2 = detect_basis(cloud)
     B = np.abs(np.column_stack([b1, b2]))
     target = 1e-3 * np.eye(2)
@@ -129,17 +129,17 @@ def test_basis_rejects_collinear_cloud():
 def test_basis_rejects_anisotropic_lattice():
     # the second direction is sought among differences shorter than 4 |b1|
     with pytest.raises(DetectionError, match="only one difference direction"):
-        detect_basis(_square_lattice_cloud(eps=PARAMS.epsilon, n=30, aspect=5.0))
+        detect_basis(_square_lattice_cloud(n=30, aspect=5.0))
 
 
 def test_basis_accepts_moderately_anisotropic_lattice():
-    b1, b2 = detect_basis(_square_lattice_cloud(eps=PARAMS.epsilon, n=30, aspect=3.5))
+    b1, b2 = detect_basis(_square_lattice_cloud(n=30, aspect=3.5))
     assert np.allclose(np.abs(b1), [1e-3, 0.0], atol=1e-12)
     assert np.allclose(np.abs(b2), [0.0, 3.5e-3], atol=1e-12)
 
 
 def test_labels_perfect_lattice_zero_residual():
-    cloud = _square_lattice_cloud(eps=PARAMS.epsilon)
+    cloud = _square_lattice_cloud()
     basis = detect_basis(cloud)
     res = label_lattice(cloud, basis, cloud.rectangle.center)
     assert np.all(res.labeled)
@@ -201,8 +201,8 @@ def test_label_conflict_detected_negative_labels(flat_cloud):
 
 
 def test_fit_hchart_accepts_and_reports(flat_cloud, flat_setup):
-    _, chart, a = flat_setup
-    hc = fit_hchart(flat_cloud, a, chart_hint=chart)
+    _, chart, _ = flat_setup
+    hc = fit_hchart(flat_cloud, chart_hint=chart)
     assert hc.labeled_fraction == 1.0
     assert hc.max_residual() <= 0.05
     assert abs(np.linalg.det(hc.affine)) > 0
@@ -218,7 +218,7 @@ def test_fit_leading_term_error_bound(flat_setup, champ_setup):
     for m, chart, a in (flat_setup, champ_setup):
         sym = NormalFormSymbol(chart, default_higher_coeffs())
         cloud = synth_spectrum(sym, a, PARAMS, C0=2.0)
-        hc = fit_hchart(cloud, a, chart_hint=chart)
+        hc = fit_hchart(cloud, chart_hint=chart)
         r = cloud.rectangle
         gx = np.stack(
             np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9), indexing="ij"), axis=-1
@@ -236,8 +236,8 @@ def test_f_tilde0_stable_across_rectangles(flat_setup):
     h, eps = PARAMS.h, PARAMS.epsilon
     sym = NormalFormSymbol(chart, default_higher_coeffs())
     a2 = a + np.array([0.008, 0.008])
-    hc1 = fit_hchart(synth_spectrum(sym, a, PARAMS, C0=2.0), a, chart_hint=chart)
-    hc2 = fit_hchart(synth_spectrum(sym, a2, PARAMS, C0=2.0), a2, chart_hint=chart)
+    hc1 = fit_hchart(synth_spectrum(sym, a, PARAMS, C0=2.0), chart_hint=chart)
+    hc2 = fit_hchart(synth_spectrum(sym, a2, PARAMS, C0=2.0), chart_hint=chart)
     mid = 0.5 * (a + a2)
     gx = mid + 0.002 * np.stack(
         np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5), indexing="ij"), axis=-1
@@ -259,8 +259,8 @@ def test_exact_cloud_oracle_chart_is_machine_precision(flat_setup):
 
 
 def test_f_inverse_round_trip(flat_cloud, flat_setup):
-    _, chart, a = flat_setup
-    hc = fit_hchart(flat_cloud, a)
+    _, _, a = flat_setup
+    hc = fit_hchart(flat_cloud)
     u0 = np.array([a[0] + 0.004, a[1] - 0.003])
     t = hc.f(u0)
     assert np.max(np.abs(hc.f_inverse(t) - u0)) < 1e-10
@@ -268,7 +268,7 @@ def test_f_inverse_round_trip(flat_cloud, flat_setup):
 
 def test_f_inverse_unconverged_raises(flat_cloud, flat_setup):
     _, _, a = flat_setup
-    hc = fit_hchart(flat_cloud, a)
+    hc = fit_hchart(flat_cloud)
     t = hc.f(np.array([a[0] + 0.004, a[1] - 0.003]))
     with pytest.raises(DetectionError, match="did not converge in 1 iterations"):
         hc.f_inverse(t, max_iter=1)
@@ -277,14 +277,13 @@ def test_f_inverse_unconverged_raises(flat_cloud, flat_setup):
 def test_f_inverse_stops_at_rounding_floor(flat_cloud, flat_setup):
     # no residual is below tol = 0: Newton stops once its step is rounding noise
     _, _, a = flat_setup
-    hc = fit_hchart(flat_cloud, a)
+    hc = fit_hchart(flat_cloud)
     u0 = np.array([a[0] + 0.004, a[1] - 0.003])
     assert np.max(np.abs(hc.f_inverse(hc.f(u0), tol=0.0) - u0)) < 1e-10
 
 
-def test_hchart_serialization(flat_cloud, flat_setup):
-    _, chart, a = flat_setup
-    hc = fit_hchart(flat_cloud, a)
+def test_hchart_serialization(flat_cloud):
+    hc = fit_hchart(flat_cloud)
     text = hc.to_text()
     assert text.startswith("[h-chart]")
     rows = [l for l in text.splitlines() if "\t" in l and not l.startswith("#")]

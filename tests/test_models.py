@@ -18,6 +18,7 @@ from pseudolattice.models import (
     make_champagne_model,
     make_flat_model,
 )
+from pseudolattice.monodromy import classical_monodromy
 
 
 def test_rect_contains_and_grid():
@@ -167,6 +168,40 @@ def test_value_from_xi_unreachable_raises():
     top = float(m.action_xi2(0.95, 0.2))
     with pytest.raises(ModelError, match="did not converge"):
         m.value_from_xi(np.array([[0.1, 0.3], [0.2, top + 0.01]]))
+
+
+@pytest.mark.parametrize("b", [0.5, 2.0, 4.0])
+def test_well_depth_scaling(b):
+    # I_r(E, l; b) = b^1.5 I_r(E / b^2, l / b^1.5; 1): the b = 1 table read at
+    # scaled points against direct quadrature at b
+    m = make_champagne_model(b)
+    scale = np.array([b * b, b**1.5])
+    a = np.array([(0.3, 0.2), (0.6, 0.4), (-0.05, 0.15), (0.4, 0.0)]) * scale
+    direct = m.radial_action(a[:, 0], a[:, 1])
+    assert np.max(np.abs(m.action_xi2(a[:, 0], a[:, 1]) - direct)) < 1e-7 * b**1.5
+
+    _, J, _ = m.jet(a[:3])  # off the kink at l = 0
+    steps = 1e-5 * scale[:, None] * np.eye(2)
+    J_fd = np.stack(
+        [(m.xi_from_value(a[:3] + s) - m.xi_from_value(a[:3] - s)) / (2 * s[k]) for k, s in enumerate(steps)],
+        axis=-1,
+    )
+    assert np.max(np.abs(J - J_fd)) < 1e-8
+
+    assert np.max(np.abs((m.value_from_xi(m.xi_from_value(a)) - a) / scale)) < 1e-12
+    octagon = [(0.15 + 0.3 * math.cos(math.pi * t / 4), 0.3 * math.sin(math.pi * t / 4)) for t in range(8)]
+    assert classical_monodromy(m, np.array(octagon) * scale).parabolic_m == 1
+
+
+def test_action_table_box_raises():
+    # beyond |l| = 0.72 b^1.5 or E = 0.95 b^2 the table would be clamped
+    with pytest.raises(ModelError, match="outside"):
+        action_coords(make_champagne_model(1.0), np.array([0.6, 0.8]))
+    m = make_champagne_model(2.0)
+    with pytest.raises(ModelError, match="outside"):
+        m.jet(np.array([[0.96 * 4.0, 0.3]]))
+    with pytest.raises(ModelError, match="outside"):
+        m.value_from_xi(np.array([[0.75 * 2.0**1.5, 0.1]]))
 
 
 def test_dist_to_singular_matches_pointwise():
