@@ -54,7 +54,7 @@ from .monodromy import (
     monodromy_report,
     transition_matrix,
 )
-from .pipeline import spectral_chart_at, spectral_loop_atlas, spectral_monodromy
+from .pipeline import spectral_chart_at, spectral_monodromy
 from .synth import (
     GoodRectangle,
     NormalFormSymbol,
@@ -115,7 +115,6 @@ __all__ = [
     "q_infinity",
     "spectral_band",
     "spectral_chart_at",
-    "spectral_loop_atlas",
     "spectral_monodromy",
     "synth_spectrum",
     "time_average",

@@ -16,7 +16,7 @@ import configparser
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,8 @@ from .detect import DetectionError
 from .diophantine import DiophantineParams, is_good_value
 from .models import ModelError, action_coords, chart_to_text, make_champagne_model, make_flat_model
 from .monodromy import (
+    VERDICT_TEXT,
+    MonodromyClass,
     MonodromyError,
     classical_monodromy,
     compare_monodromies,
@@ -54,8 +56,6 @@ class RunConfig:
     mode: str
     center: np.ndarray | None = None
     vertices: np.ndarray | None = None
-    source_path: str = ""
-    raw: configparser.ConfigParser = field(default=None, repr=False)
 
 
 def _line_of(path: str, section: str, key: str) -> int | None:
@@ -148,20 +148,20 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(str(exc))
     C0 = _get(cp, path, "semiclassical", "C0", float, default=2.0)
 
-    alpha = _get(cp, path, "diophantine", "alpha", float, default=1e-3) if cp.has_section("diophantine") else 1e-3
+    alpha = _get(cp, path, "diophantine", "alpha", float, default=1e-3)
     if alpha <= 0:
         raise ConfigError(f"alpha = {alpha} must be positive", lineno=_line_of(path, "diophantine", "alpha"))
     dio = DiophantineParams(
         alpha=alpha,
-        d=_get(cp, path, "diophantine", "d", float, default=1.0) if cp.has_section("diophantine") else 1.0,
-        k_max=_get(cp, path, "diophantine", "k_max", int, default=1000) if cp.has_section("diophantine") else 1000,
+        d=_get(cp, path, "diophantine", "d", float, default=1.0),
+        k_max=_get(cp, path, "diophantine", "k_max", int, default=1000),
     )
 
     mode = _get(cp, path, "run", "mode", str, required=True)
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}' (expected one of {', '.join(MODES)})", lineno=_line_of(path, "run", "mode"))
     center = _get(cp, path, "run", "center", _parse_pair)
-    vertices = _get(cp, path, "loop", "vertices", _parse_vertices) if cp.has_section("loop") else None
+    vertices = _get(cp, path, "loop", "vertices", _parse_vertices)
 
     if mode in ("synth", "detect") and center is None:
         raise ConfigError(f"mode '{mode}' requires 'center' in section [run]")
@@ -177,8 +177,6 @@ def parse_config(path: str) -> RunConfig:
         mode=mode,
         center=center,
         vertices=vertices,
-        source_path=path,
-        raw=cp,
     )
 
 
@@ -241,27 +239,39 @@ def _loop_monodromy(cfg: RunConfig, out: Path):
     model = build_model(cfg)
     cls, _, elements = spectral_monodromy(model, cfg.vertices, cfg.params, cfg.dio, C0=cfg.C0)
     classical = classical_monodromy(model, cfg.vertices)
-    (out / "monodromy.txt").write_text(monodromy_report(cls, classical, cls.edges))
+    (out / "monodromy.txt").write_text(monodromy_report(cls, classical))
     centers = np.array([el.center for el in elements])
     sing = [p for kind, p in getattr(model, "singular_values", []) if p is not None]
     (out / "loop.svg").write_text(plots.plot_loop(cfg.vertices, centers, sing))
     return model, cls, classical, elements, compare_monodromies(cls, classical)
 
 
+def _verdict_failures(spectral: MonodromyClass, verdict: bool | None) -> list:
+    """The failure message for a verdict other than true, as a list."""
+    if verdict is None:
+        trace, det = spectral.invariants
+        return [
+            f"conjugacy undecided for trace {trace}, det {det}: "
+            "only the det 1, |trace| <= 2 classes are decided"
+        ]
+    return [] if verdict else ["spectral class not conjugate to transposed classical class"]
+
+
 def _run_monodromy(cfg: RunConfig, out: Path) -> int:
     _, cls, classical, elements, verdict = _loop_monodromy(cfg, out)
     print(
         f"monodromy over {len(elements)} charts: spectral m = {cls.parabolic_m}, "
-        f"classical m = {classical.parabolic_m}, conjugate: {str(verdict).lower()} -> {out}"
+        f"classical m = {classical.parabolic_m}, conjugate: {VERDICT_TEXT[verdict]} -> {out}"
     )
-    return 0 if verdict else 1
+    failures = _verdict_failures(cls, verdict)
+    for msg in failures:
+        print(f"  FAIL: {msg}", file=sys.stderr)
+    return 0 if not failures else 1
 
 
 def _run_verify_all(cfg: RunConfig, out: Path) -> int:
-    model, _, _, elements, verdict = _loop_monodromy(cfg, out)
-    failures = []
-    if not verdict:
-        failures.append("spectral class not conjugate to transposed classical class")
+    model, cls, _, elements, verdict = _loop_monodromy(cfg, out)
+    failures = _verdict_failures(cls, verdict)
 
     worst = max(el.hchart.max_residual() for el in elements)
     if worst > RESIDUAL_LIMIT:
@@ -289,7 +299,7 @@ def _run_verify_all(cfg: RunConfig, out: Path) -> int:
     (out / "residuals.svg").write_text(plots.plot_residuals(el0.hchart))
 
     print(
-        f"verify-all over {len(elements)} charts: conjugate: {str(verdict).lower()}; "
+        f"verify-all over {len(elements)} charts: conjugate: {VERDICT_TEXT[verdict]}; "
         f"{len(failures)} failure(s) -> {out}"
     )
     for msg in failures:
@@ -313,12 +323,7 @@ def main(argv=None) -> int:
         print(f"error: {loc}{exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        cfg.params = SemiclassicalParams(
-            h=cfg.params.h,
-            delta=cfg.params.delta,
-            noise_order=cfg.params.noise_order,
-            seed=args.seed,
-        )
+        cfg.params = replace(cfg.params, seed=args.seed)
 
     out = _output_dir(args.out, cfg.mode)
     try:

@@ -6,7 +6,8 @@ The non-resonance condition on a frequency vector ``omega`` is
 test is necessary-only).  The sweep is reduced exactly to O(k_max)
 candidates: for each value of one component of ``k`` only the integers
 nearest the resonance line can violate the bound (anything two or more
-steps away exceeds the axis margin, which is checked first).
+steps away exceeds the margin of an axis vector, and both axis vectors are
+among the candidates).
 """
 
 from __future__ import annotations
@@ -54,31 +55,16 @@ def _margins(omegas, params: DiophantineParams):
     best = np.full(n, np.inf)
     best_k = np.zeros((n, 2), dtype=np.int64)
 
-    def consider(val, k1, k2):
-        nonlocal best, best_k
-        normk = np.sqrt(k1.astype(float) ** 2 + k2.astype(float) ** 2)
-        inside = (normk > 0) & (normk <= km)
-        m = np.where(inside, np.abs(val) * normk**power, np.inf)
-        upd = m < best
-        best = np.where(upd, m, best)
-        best_k[upd, 0] = k1[upd] if k1.shape else k1
-        best_k[upd, 1] = k2[upd] if k2.shape else k2
-
-    # axis vectors
-    for k1, k2 in ((1, 0), (0, 1)):
-        kk1 = np.full(n, k1, dtype=np.int64)
-        kk2 = np.full(n, k2, dtype=np.int64)
-        consider(omegas[:, 0] * k1 + omegas[:, 1] * k2, kk1, kk2)
-
-    # mixed vectors: solve for the component with the larger coefficient so
-    # that the non-candidate integers are >= 1.5*max|omega| away in value
+    # solve for the component with the larger coefficient so that the
+    # non-candidate integers are >= 1.5*max|omega| away in value; the swept
+    # index starts at 0, so both axis vectors are among the candidates
     swap = np.abs(omegas[:, 1]) < np.abs(omegas[:, 0])
     wa = np.where(swap, omegas[:, 1], omegas[:, 0])  # coefficient of the swept index
     wb = np.where(swap, omegas[:, 0], omegas[:, 1])  # larger coefficient, solved index
-    ks = np.arange(1, km + 1, dtype=np.int64)
+    ks = np.arange(0, km + 1, dtype=np.int64)
     # process in chunks to bound memory
     chunk = max(1, int(2e6 // max(n, 1)))
-    for start in range(0, km, chunk):
+    for start in range(0, km + 1, chunk):
         kc = ks[start : start + chunk]
         ratio = -(wa[:, None] * kc[None, :]) / wb[:, None]
         base = np.floor(ratio)

@@ -627,7 +627,7 @@ def _chart_radius(model: ModelSystem, c) -> float:
     return _radius_of(float(np.min(model.dist_to_singular(np.atleast_2d(c)))))
 
 
-def action_coords(model: ModelSystem, c, radius: float | None = None) -> ActionChart:
+def action_coords(model: ModelSystem, c) -> ActionChart:
     """Build the local action chart at a regular value ``c``.
 
     Raises :class:`ModelError` if ``c`` is singular, too close to the
@@ -639,8 +639,7 @@ def action_coords(model: ModelSystem, c, radius: float | None = None) -> ActionC
     d = float(np.min(model.dist_to_singular(np.atleast_2d(c))))
     if d < 1e-3:
         raise ModelError("chart center too close to the singular set")
-    if radius is None:
-        radius = _radius_of(d)
+    radius = _radius_of(d)
     domain = Rect(c, np.array([radius, radius]))
 
     shear = 0

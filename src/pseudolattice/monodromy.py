@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ActionChart, ModelSystem, Rect, _chart_radius, action_coords
+from .models import ModelSystem, Rect, _chart_radius, action_coords
 
 
 class MonodromyError(ValueError):
@@ -25,12 +25,11 @@ class MonodromyError(ValueError):
 
 @dataclass
 class AtlasChart:
-    """One covering element: a domain in the value plane plus a chart map."""
+    """One covering element: a domain in the value plane plus the Jacobian
+    of its chart map, which is all that overlaps and transitions read."""
 
     domain: Rect
-    f0: object  # callable u -> R^2
     df0: object  # callable u -> 2x2 Jacobian (vectorized over points)
-    payload: object = None  # originating ActionChart or HChart, if any
 
 
 @dataclass
@@ -261,9 +260,7 @@ def action_atlas(model: ModelSystem, centers) -> PseudoChartAtlas:
     charts = []
     for c in np.atleast_2d(np.asarray(centers, dtype=float)):
         ac = action_coords(model, c)
-        charts.append(
-            AtlasChart(domain=ac.domain, f0=ac.xi_of_c, df0=ac.d_xi, payload=ac)
-        )
+        charts.append(AtlasChart(domain=ac.domain, df0=ac.d_xi))
     return PseudoChartAtlas(charts=charts)
 
 
@@ -271,40 +268,45 @@ def classical_monodromy(model: ModelSystem, loop_vertices) -> MonodromyClass:
     """Monodromy of the torus bundle over a polygonal loop of regular values.
 
     The action charts are trivializations of the bundle; their transitions
-    are the transpose-inverses of the rounded action-map differentials.
-    Composed around the loop they give the classical monodromy matrix.
+    are the transpose-inverses of the rounded action-map differentials, so
+    the classical monodromy is the transpose-inverse of the action atlas's
+    loop product, ``prod M_t^{-T} = (prod M_t)^{-T}``.  ``edges`` keeps the
+    action-map transitions ``M_t``.
     """
     centers = cover_loop(model, loop_vertices)
-    atlas = action_atlas(model, centers)
-    n = len(atlas)
-    P = np.eye(2, dtype=np.int64)
-    for t in range(n):
-        a, b = t, (t + 1) % n
-        raw = transition_matrix(atlas, a, b).M
-        inv = np.rint(np.linalg.inv(raw)).astype(np.int64)
-        P = P @ inv.T
+    cls = loop_monodromy(action_atlas(model, centers), range(len(centers)))
+    (a, b), (c, d) = cls.product
+    det = a * d - b * c  # +-1, so the integer inverse is exact
+    P = det * np.array([[d, -c], [-b, a]], dtype=np.int64)
     nf, invs, m = _normal_form(P)
-    return MonodromyClass(loop=list(range(n)), product=P, normal_form=nf, invariants=invs, parabolic_m=m)
+    return MonodromyClass(
+        loop=cls.loop, product=P, normal_form=nf, invariants=invs, parabolic_m=m, edges=cls.edges
+    )
 
 
-def compare_monodromies(spectral: MonodromyClass, classical: MonodromyClass) -> bool:
-    """True iff the spectral product is GL(2,Z)-conjugate to the transpose
-    of the classical product.
+def compare_monodromies(spectral: MonodromyClass, classical: MonodromyClass) -> bool | None:
+    """Whether the spectral product is GL(2,Z)-conjugate to the transpose
+    of the classical product; ``None`` where this is not decided.
 
-    The det 1, trace +-2 classes (``+-I`` and ``+-[[1, m], [0, 1]]``) are
-    decided exactly, since (trace, |m|) is a complete invariant there; for
-    other classes only the (trace, det) pair is compared, which is necessary
-    but not sufficient in general.
+    Different (trace, det) pairs are never conjugate.  The det 1,
+    |trace| <= 2 classes are decided exactly: at trace +-2 (``+-I`` and
+    ``+-[[1, m], [0, 1]]``) (trace, |m|) is a complete invariant, and each
+    elliptic trace 0, +-1 is a single GL(2,Z) class.  The hyperbolic and
+    det -1 classes need more than (trace, det) and are left undecided.
     """
     A = np.asarray(spectral.product, dtype=np.int64)
     B = np.asarray(classical.product, dtype=np.int64).T
-    nf_a, inv_a, m_a = _normal_form(A)
-    nf_b, inv_b, m_b = _normal_form(B)
+    _, inv_a, m_a = _normal_form(A)
+    _, inv_b, m_b = _normal_form(B)
     if inv_a != inv_b:
         return False
-    if m_a is not None or m_b is not None:
-        return m_a == m_b
-    return True
+    trace, det = inv_a
+    if det != 1 or abs(trace) > 2:
+        return None
+    return m_a == m_b
+
+
+VERDICT_TEXT = {True: "true", False: "false", None: "undecided"}
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +322,12 @@ def _fmt_mat(M) -> str:
 def monodromy_report(
     spectral: MonodromyClass,
     classical: MonodromyClass | None = None,
-    edges: list | None = None,
 ) -> str:
     """Structured-text report: loop, per-edge transitions, product, verdict."""
     lines = ["[monodromy]", f"loop = {' '.join(str(i) for i in spectral.loop)}"]
-    if edges:
+    if spectral.edges:
         lines.append("[transitions]")
-        for t in edges:
+        for t in spectral.edges:
             lines.append(
                 f"{t.i} -> {t.j}: M = {_fmt_mat(t.M)}  rounding_error = {t.rounding_error:.3e}"
             )
@@ -345,6 +346,6 @@ def monodromy_report(
             f"product = {_fmt_mat(classical.product)}",
             f"normal_form = {_fmt_mat(classical.normal_form)}",
             f"parabolic_m = {classical.parabolic_m}",
-            f"conjugate = {'true' if verdict else 'false'}",
+            f"conjugate = {VERDICT_TEXT[verdict]}",
         ]
     return "\n".join(lines) + "\n"

@@ -18,7 +18,6 @@ from .diophantine import DiophantineParams, is_good_value
 from .models import ActionChart, ModelSystem, Rect, _chart_radius, action_coords
 from .monodromy import (
     AtlasChart,
-    MonodromyClass,
     MonodromyError,
     PseudoChartAtlas,
     cover_loop,
@@ -85,49 +84,14 @@ def spectral_chart_at(
 ) -> SpectralChart:
     """Synthesize and blind-detect the spectrum of one good rectangle."""
     c = np.asarray(c, dtype=float)
-    radius = _chart_radius(model, c)
-    ac = action_coords(model, c, radius)
-    hw, C0_eff = rect_half_width(params, C0, radius)
+    ac = action_coords(model, c)
+    hw, C0_eff = rect_half_width(params, C0, ac.domain.half[0])
     a = find_good_value(model, ac, c, dio, search_radius=0.25 * hw)
     rect = good_rectangle(a, params, C0_eff, good=True)
     sym = NormalFormSymbol(ac, dict(higher_coeffs or {}), params.noise_order)
     cloud = synth_spectrum(sym, a, params, rectangle=rect)
     hc = fit_hchart(cloud.without_labels(), chart_hint=ac if chart_hint else None)
     return SpectralChart(center=c, a=a, action_chart=ac, cloud=cloud, hchart=hc)
-
-
-def spectral_loop_atlas(
-    model: ModelSystem,
-    vertices,
-    params: SemiclassicalParams,
-    dio: DiophantineParams,
-    C0: float = 2.0,
-    higher_coeffs: dict | None = None,
-    spacing_factor: float = 0.4,
-):
-    """Covering of fitted spectral charts along a polygonal loop.
-
-    Chart centers are spaced by a fraction of the local rectangle
-    half-width, so consecutive rectangles overlap with margin and
-    transitions are well-sampled.
-    """
-
-    def rect_radius(c):
-        return rect_half_width(params, C0, _chart_radius(model, c))[0]
-
-    centers = cover_loop(model, vertices, spacing_factor=spacing_factor, radius_fn=rect_radius)
-    elements = [
-        spectral_chart_at(model, c, params, dio, C0=C0, higher_coeffs=higher_coeffs) for c in centers
-    ]
-    charts = []
-    for el in elements:
-        r = el.cloud.rectangle
-        domain = Rect(
-            np.array([r.center.real, r.center.imag / params.epsilon]),
-            np.array([r.half_width, r.half_height / params.epsilon]),
-        )
-        charts.append(AtlasChart(domain=domain, f0=el.hchart.f, df0=el.hchart.df, payload=el))
-    return PseudoChartAtlas(charts=charts), elements
 
 
 def spectral_monodromy(
@@ -139,18 +103,24 @@ def spectral_monodromy(
     higher_coeffs: dict | None = None,
     spacing_factor: float = 0.4,
 ) -> tuple:
-    """Loop monodromy of the blind-fitted spectral charts.
+    """Loop monodromy of the blind-fitted spectral charts along a polygonal loop.
+
+    Chart centers are spaced by a fraction of the local rectangle
+    half-width, so consecutive rectangles overlap with margin and
+    transitions are well-sampled.  Each chart's domain is its rectangle in
+    rescaled coordinates, the fitted chart's center and scale.
 
     Returns ``(MonodromyClass, atlas, elements)``.
     """
-    atlas, elements = spectral_loop_atlas(
-        model,
-        vertices,
-        params,
-        dio,
-        C0=C0,
-        higher_coeffs=higher_coeffs,
-        spacing_factor=spacing_factor,
+
+    def rect_radius(c):
+        return rect_half_width(params, C0, _chart_radius(model, c))[0]
+
+    centers = cover_loop(model, vertices, spacing_factor=spacing_factor, radius_fn=rect_radius)
+    elements = [
+        spectral_chart_at(model, c, params, dio, C0=C0, higher_coeffs=higher_coeffs) for c in centers
+    ]
+    atlas = PseudoChartAtlas(
+        charts=[AtlasChart(domain=Rect(el.hchart.center, el.hchart.scale), df0=el.hchart.df) for el in elements]
     )
-    cls = loop_monodromy(atlas, list(range(len(atlas))))
-    return cls, atlas, elements
+    return loop_monodromy(atlas, range(len(atlas))), atlas, elements

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import torus_average
 from .models import ActionChart, ModelSystem
 
 RESOLUTION_GUARD = 10.0  # smallest allowed eps/h separation of scales
@@ -280,20 +279,15 @@ def spectral_band(
 ):
     """Interval containing Im(mu) for eigenvalues with |Re(mu) - E| <= delta_E.
 
-    The torus averages are swept over the energy leaves inside the chart's
-    action box; the o(1) widening is taken from the symbol's correction
-    table (plus the noise amplitude) when available.
+    The exact torus averages are swept over the energy leaves inside the
+    chart's action box on an n x n grid; the o(1) widening is taken from the
+    symbol's correction table (plus the noise amplitude) when available.
     """
-    box = chart.xi_box
-    xs = np.linspace(box.center[0] - box.half[0], box.center[0] + box.half[0], n)
-    ys = np.linspace(box.center[1] - box.half[1], box.center[1] + box.half[1], n)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    xis = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    p = chart.p(xis)
-    on_leaf = np.abs(p - E) <= delta_E
+    xis = chart.xi_box.grid(n)
+    on_leaf = np.abs(chart.p(xis) - E) <= delta_E
     if not np.any(on_leaf):
         raise ValueError("no leaves intersect the requested energy window")
-    avgs = np.array([torus_average(model, chart, xi) for xi in xis[on_leaf]])
+    avgs = model.q_symbol.mean(xis[on_leaf])
 
     eps = params.epsilon if params is not None else 0.0
     margin = 0.0

@@ -163,7 +163,7 @@ def test_criterion_03_transition_consistency(flat_model, report):
             np.array([r.center.real, r.center.imag / PARAMS.epsilon]),
             np.array([r.half_width, r.half_height / PARAMS.epsilon]),
         )
-        charts.append(AtlasChart(domain=dom, f0=el.hchart.f, df0=el.hchart.df, payload=el))
+        charts.append(AtlasChart(domain=dom, df0=el.hchart.df))
     atlas = PseudoChartAtlas(charts=charts)
     max_err, anti_ok = 0.0, True
     n = len(atlas)

@@ -174,3 +174,38 @@ def test_main_monodromy_flat_loop(tmp_path, capsys):
     assert "normal_form = [[1, 0], [0, 1]]" in text
     assert "conjugate: true" in capsys.readouterr().out
     assert (out / "loop.svg").exists()
+
+
+def test_parse_config_diophantine_defaults(tmp_path):
+    cfg = parse_config(_write(tmp_path, FLAT_SYNTH))
+    assert (cfg.dio.alpha, cfg.dio.d, cfg.dio.k_max) == (1e-3, 1.0, 1000)
+
+
+@pytest.mark.parametrize("mode", ["monodromy", "verify-all"])
+def test_main_undecided_conjugacy_fails(tmp_path, capsys, monkeypatch, mode):
+    # det -1, trace 0 products: equal (trace, det), conjugacy not decided
+    import dataclasses
+
+    import pseudolattice.cli as cli
+    from pseudolattice.monodromy import _normal_form
+
+    def with_product(run, P):
+        nf, inv, m = _normal_form(np.array(P))
+
+        def wrapped(*args, **kwargs):
+            out = run(*args, **kwargs)
+            cls = out[0] if isinstance(out, tuple) else out
+            cls = dataclasses.replace(cls, product=np.array(P), normal_form=nf, invariants=inv, parabolic_m=m)
+            return (cls,) + out[1:] if isinstance(out, tuple) else cls
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "spectral_monodromy", with_product(cli.spectral_monodromy, [[1, 0], [0, -1]]))
+    monkeypatch.setattr(cli, "classical_monodromy", with_product(cli.classical_monodromy, [[0, 1], [1, 0]]))
+    cfg = _write(tmp_path, FLAT_LOOP.replace("mode = monodromy", f"mode = {mode}"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    assert "conjugate = undecided" in (out / "monodromy.txt").read_text()
+    captured = capsys.readouterr()
+    assert "conjugate: undecided" in captured.out
+    assert "FAIL: conjugacy undecided for trace 0, det -1" in captured.err

@@ -51,6 +51,8 @@ def test_resonant_frequency_detected():
     assert abs(k[0] * 1.0 + k[1] * 2.0) < 1e-12
     margin_axis, k_axis = diophantine_margin((0.0, 1.0), params)
     assert margin_axis == 0.0 and k_axis == (1, 0)
+    margin_axis, k_axis = diophantine_margin((1.0, 0.0), params)
+    assert margin_axis == 0.0 and k_axis == (0, 1)
 
 
 def test_golden_ratio_is_diophantine():

@@ -4,8 +4,10 @@ import pytest
 from pseudolattice.models import Rect, make_champagne_model, make_flat_model
 from pseudolattice.monodromy import (
     AtlasChart,
+    MonodromyClass,
     MonodromyError,
     PseudoChartAtlas,
+    TransitionMatrix,
     _normal_form,
     action_atlas,
     classical_monodromy,
@@ -22,14 +24,11 @@ def _linear_chart(center, A, half=0.3):
     """Chart whose map is u -> A u, on a square domain around center."""
     A = np.asarray(A, dtype=float)
 
-    def f0(u):
-        return np.asarray(u, dtype=float) @ A.T
-
     def df0(u):
         u = np.atleast_2d(u)
         return np.broadcast_to(A, (len(u), 2, 2)).copy()
 
-    return AtlasChart(domain=Rect(np.asarray(center, float), np.array([half, half])), f0=f0, df0=df0)
+    return AtlasChart(domain=Rect(np.asarray(center, float), np.array([half, half])), df0=df0)
 
 
 def _grid_atlas(mats, spacing=0.35, half=0.3):
@@ -127,7 +126,6 @@ def test_cocycle_detects_corrupted_chart():
         _linear_chart((0.0, 0.0), np.eye(2), half=0.3),
         AtlasChart(
             domain=Rect(np.array([0.29, 0.29]), np.array([0.65, 0.65])),
-            f0=lambda u: np.asarray(u, float),
             df0=df_split,
         ),
         _linear_chart((0.58, 0.58), np.eye(2), half=0.3),
@@ -234,6 +232,13 @@ def test_classical_champagne_loop():
     cls = classical_monodromy(m, OCTAGON)
     assert cls.invariants == (2, 1)
     assert cls.parabolic_m == 1
+    # one action-chart transition per loop edge, in loop order; the class is
+    # the transpose-inverse of their product
+    n = len(cls.loop)
+    assert all(isinstance(t, TransitionMatrix) for t in cls.edges)
+    assert [(t.i, t.j) for t in cls.edges] == [(k, (k + 1) % n) for k in range(n)]
+    raw = np.linalg.multi_dot([t.M for t in cls.edges])
+    assert np.array_equal(np.rint(np.linalg.inv(raw)).astype(np.int64).T, cls.product)
 
 
 def test_classical_champagne_contractible_loop():
@@ -253,8 +258,6 @@ def test_classical_double_winding():
 def test_compare_monodromies_cases():
     def mk(P):
         nf, inv, m = _normal_form(np.asarray(P, dtype=np.int64))
-        from pseudolattice.monodromy import MonodromyClass
-
         return MonodromyClass(loop=[0], product=np.asarray(P, np.int64), normal_form=nf, invariants=inv, parabolic_m=m)
 
     ident = mk(np.eye(2, dtype=int))
@@ -275,6 +278,36 @@ def test_compare_monodromies_cases():
     assert not compare_monodromies(p1, p2)
     assert not compare_monodromies(p1, ident)
     assert not compare_monodromies(hyp, p1)
+    # equal (trace, det) outside det 1, |trace| <= 2 is not decided
+    assert compare_monodromies(mk([[1, 0], [0, -1]]), mk([[0, 1], [1, 0]])) is None
+    assert compare_monodromies(hyp, mk([[1, 1], [1, 2]])) is None
+
+
+def _conjugator(A, B, bound=3):
+    """Some X in GL(2, Z) with entries |x| <= bound and X A = B X, or None."""
+    r = np.arange(-bound, bound + 1)
+    X = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 2, 2)
+    X = X[np.abs(X[:, 0, 0] * X[:, 1, 1] - X[:, 0, 1] * X[:, 1, 0]) == 1]
+    ok = np.all(X @ A == B @ X, axis=(1, 2))
+    return X[ok][0] if ok.any() else None
+
+
+def test_compare_monodromies_decided_classes_brute_force():
+    # every det 1, |trace| <= 2 matrix with entries in [-2, 2], pairwise:
+    # True exactly when a small conjugator exists
+    r = np.arange(-2, 3)
+    P = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 2, 2)
+    det = P[:, 0, 0] * P[:, 1, 1] - P[:, 0, 1] * P[:, 1, 0]
+    P = P[(det == 1) & (np.abs(P[:, 0, 0] + P[:, 1, 1]) <= 2)]
+    cls = []
+    for A in P:
+        nf, inv, m = _normal_form(A)
+        cls.append(MonodromyClass(loop=[0], product=A, normal_form=nf, invariants=inv, parabolic_m=m))
+    for a, A in zip(cls, P):
+        for b, B in zip(cls, P):
+            verdict = compare_monodromies(a, b)
+            assert verdict is not None
+            assert verdict == (_conjugator(A, B.T) is not None), (A, B)
 
 
 def test_monodromy_report_text():
@@ -286,3 +319,6 @@ def test_monodromy_report_text():
     # classical vs itself: products are transposes of each other only up to
     # conjugacy, which the parabolic invariant certifies
     assert "conjugate = true" in text
+    # the classical class keeps its edges, so the report lists them
+    assert "[transitions]" in text
+    assert f"{len(cls.loop) - 1} -> 0: M = " in text

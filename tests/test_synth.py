@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pseudolattice.averaging import torus_average
 from pseudolattice.models import action_coords, frequency, make_champagne_model, make_flat_model
 from pseudolattice.synth import (
     NormalFormSymbol,
@@ -201,6 +202,20 @@ def test_band_contains_all_points(flat_setup, champ_setup):
         cloud = synth_spectrum(sym, a, PARAMS, C0=2.0)
         lo, hi = spectral_band(m, chart, a[0], cloud.rectangle.half_width, PARAMS, sym)
         assert np.all((cloud.points.imag >= lo) & (cloud.points.imag <= hi))
+
+
+def test_band_matches_trapezoid_torus_averages(flat_setup, champ_setup):
+    # reference: the 64 x 64 trapezoid torus average at every leaf point
+    for m, chart, a in (flat_setup, champ_setup):
+        sym = NormalFormSymbol(chart, default_higher_coeffs())
+        hw = PARAMS.h**PARAMS.delta / 2.0
+        xis = chart.xi_box.grid(40)
+        on_leaf = np.abs(chart.p(xis) - a[0]) <= hw
+        avgs = np.array([torus_average(m, chart, xi) for xi in xis[on_leaf]])
+        margin = sym.imag_correction_bound(PARAMS.epsilon, PARAMS.h) + PARAMS.h**sym.noise_order
+        lo, hi = spectral_band(m, chart, a[0], hw, PARAMS, sym)
+        assert lo == pytest.approx(PARAMS.epsilon * avgs.min() - margin, rel=0, abs=1e-15)
+        assert hi == pytest.approx(PARAMS.epsilon * avgs.max() + margin, rel=0, abs=1e-15)
 
 
 def test_band_empty_window_raises(flat_setup):
