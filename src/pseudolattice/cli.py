@@ -89,6 +89,12 @@ def _get(cp, path, section, key, cast, default=None, required=False):
         ) from exc
 
 
+def _require(ok: bool, path: str, section: str, key: str, message: str) -> None:
+    """Raise a :class:`ConfigError` at the line of ``key`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(message, lineno=_line_of(path, section, key))
+
+
 def _parse_pair(raw: str) -> np.ndarray:
     parts = raw.split()
     if len(parts) != 2:
@@ -100,7 +106,7 @@ def _parse_vertices(raw: str) -> np.ndarray:
     rows = [r for r in raw.splitlines() if r.strip()]
     if len(rows) < 3:
         raise ValueError("need at least 3 loop vertices")
-    return np.array([[float(x) for x in r.split()] for r in rows])
+    return np.array([_parse_pair(r) for r in rows])
 
 
 def parse_config(path: str) -> RunConfig:
@@ -133,10 +139,8 @@ def parse_config(path: str) -> RunConfig:
 
     h = _get(cp, path, "semiclassical", "h", float, required=True)
     delta = _get(cp, path, "semiclassical", "delta", float, required=True)
-    if not (0.0 < h <= 0.1):
-        raise ConfigError(f"h = {h} out of range (0, 0.1]", lineno=_line_of(path, "semiclassical", "h"))
-    if not (0.0 < delta < 1.0):
-        raise ConfigError(f"delta = {delta} out of range (0, 1)", lineno=_line_of(path, "semiclassical", "delta"))
+    _require(0.0 < h <= 0.1, path, "semiclassical", "h", f"h = {h} out of range (0, 0.1]")
+    _require(0.0 < delta < 1.0, path, "semiclassical", "delta", f"delta = {delta} out of range (0, 1)")
     try:
         params = SemiclassicalParams(
             h=h,
@@ -147,15 +151,15 @@ def parse_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc))
     C0 = _get(cp, path, "semiclassical", "C0", float, default=2.0)
+    _require(1.0 <= C0 < np.inf, path, "semiclassical", "C0", f"C0 = {C0} out of range [1, inf)")
 
     alpha = _get(cp, path, "diophantine", "alpha", float, default=1e-3)
-    if alpha <= 0:
-        raise ConfigError(f"alpha = {alpha} must be positive", lineno=_line_of(path, "diophantine", "alpha"))
-    dio = DiophantineParams(
-        alpha=alpha,
-        d=_get(cp, path, "diophantine", "d", float, default=1.0),
-        k_max=_get(cp, path, "diophantine", "k_max", int, default=1000),
-    )
+    _require(alpha > 0, path, "diophantine", "alpha", f"alpha = {alpha} must be positive")
+    d = _get(cp, path, "diophantine", "d", float, default=1.0)
+    _require(d > 0, path, "diophantine", "d", f"d = {d} must be positive")
+    k_max = _get(cp, path, "diophantine", "k_max", int, default=1000)
+    _require(k_max >= 100, path, "diophantine", "k_max", f"k_max = {k_max} must be at least 100")
+    dio = DiophantineParams(alpha=alpha, d=d, k_max=k_max)
 
     mode = _get(cp, path, "run", "mode", str, required=True)
     if mode not in MODES:

@@ -78,21 +78,32 @@ def _gauss_reduce(b1, b2):
     return b1, b2
 
 
+# Points nearest the anchor that the basis is estimated from.  The basis only
+# has to be right near the anchor: labels grow outward from there and the
+# quadratic refit of each growth round absorbs the curvature further out.
+BASIS_SAMPLE = 200
+
+
 def detect_basis(cloud: SpectrumCloud, k_neighbors: int = 12):
     """Estimate the two shortest lattice vectors of the rescaled cloud.
 
-    Nearest-neighbor difference vectors are clustered by direction; the two
-    densest independent directions give candidate vectors which are then
-    Gauss-reduced.  Rejects clouds whose basis is too ill-conditioned to
-    label reliably.
+    Nearest-neighbor difference vectors of the ``BASIS_SAMPLE`` points
+    nearest the rectangle's center (the labeling anchor) are clustered by
+    direction; the two densest independent directions give candidate
+    vectors which are then Gauss-reduced.  Rejects clouds whose basis is
+    too ill-conditioned to label reliably.
     """
     eps = cloud.params.epsilon
     u = chi_inverse(cloud.points, eps)
     n = len(u)
     if n < 25:
         raise DetectionError(f"insufficient points for basis detection ({n} < 25)")
+    if n > BASIS_SAMPLE:
+        d2 = np.sum((u - chi_inverse(cloud.rectangle.center, eps)) ** 2, axis=1)
+        # sorted, so the sample keeps cloud order whatever lies outside it
+        u = u[np.sort(np.argpartition(d2, BASIS_SAMPLE - 1)[:BASIS_SAMPLE])]
     tree = cKDTree(u)
-    kq = min(k_neighbors + 1, n)
+    kq = min(k_neighbors + 1, len(u))
     _, idx = tree.query(u, k=kq)
     diffs = (u[idx[:, 1:]] - u[:, None, :]).reshape(-1, 2)
     flip = (diffs[:, 1] < 0) | ((diffs[:, 1] == 0) & (diffs[:, 0] < 0))

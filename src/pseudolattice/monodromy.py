@@ -126,31 +126,37 @@ class CocycleReport:
 
 
 def cocycle_check(atlas: PseudoChartAtlas) -> CocycleReport:
-    """Verify ``M_ik = M_ij M_jk`` on every triple overlap, exactly."""
+    """Verify ``M_ik = M_ij M_jk`` on every triple overlap, exactly.
+
+    Triples are walked along the overlap graph: for each overlapping pair
+    (i, j), only the charts k overlapping j are candidates.
+    """
     n = len(atlas)
     trans = {}
+    overlaps = {}
     pairs = []
     for i in range(n):
         for j in range(n):
-            if i != j and atlas.overlap(i, j) is not None:
-                t = transition_matrix(atlas, i, j)
+            ov = atlas.overlap(i, j) if i != j else None
+            if ov is not None:
+                overlaps[(i, j)] = ov
+                t = transition_matrix(atlas, i, j, ov.grid(3))
                 trans[(i, j)] = t.M
                 if i < j:
                     pairs.append(t)
+    nbrs = [[] for _ in range(n)]
+    for i, j in sorted(trans):
+        nbrs[i].append(j)
     violations = []
     checked = 0
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) < 3:
-                    continue
-                if (i, j) not in trans or (j, k) not in trans or (i, k) not in trans:
+        for j in nbrs[i]:
+            ov_ij = overlaps[(i, j)]
+            for k in nbrs[j]:
+                if k == i or (i, k) not in trans:
                     continue
                 # the triple-wise intersection must be nonempty
-                ov_ij = atlas.overlap(i, j)
-                ov = atlas.overlap(i, k)
-                if ov is None or ov_ij is None:
-                    continue
+                ov = overlaps[(i, k)]
                 lo = np.maximum(ov.center - ov.half, ov_ij.center - ov_ij.half)
                 hi = np.minimum(ov.center + ov.half, ov_ij.center + ov_ij.half)
                 if np.any(hi - lo <= 0):

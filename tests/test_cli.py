@@ -42,6 +42,9 @@ vertices =
 """
 
 
+_VERTICES = FLAT_LOOP[FLAT_LOOP.index("    0.30 0.10") :]
+
+
 def _write(tmp_path, text, name="cfg.ini"):
     p = tmp_path / name
     p.write_text(text)
@@ -135,6 +138,28 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     line = next(n for n, l in enumerate(bad.splitlines(), 1) if l.startswith("h ="))
     assert f"{path}:{line}:" in err
+
+
+@pytest.mark.parametrize(
+    "base, old, new, key",
+    [
+        (FLAT_LOOP, "delta = 0.5", "delta = 0.5\nC0 = 0", "C0"),
+        (FLAT_SYNTH, "delta = 0.5", "delta = 0.5\nC0 = 0.5", "C0"),
+        (FLAT_SYNTH, "[run]", "[diophantine]\nk_max = 50\n\n[run]", "k_max"),
+        (FLAT_SYNTH, "[run]", "[diophantine]\nd = 0\n\n[run]", "d"),
+        (FLAT_LOOP, _VERTICES, _VERTICES.replace("\n", " 0.0\n"), "vertices"),
+    ],
+    ids=["C0-zero", "C0-below-one", "k_max-below-100", "d-zero", "vertex-three-numbers"],
+)
+def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):
+    # rejected while parsing, naming the key and its line, before any run
+    text = base.replace(old, new)
+    path = _write(tmp_path, text)
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    line = next(n for n, l in enumerate(text.splitlines(), 1) if l.split("=")[0].strip() == key)
+    assert f"{path}:{line}:" in err
+    assert key in err
 
 
 def test_main_missing_file_exit_2(tmp_path, capsys):

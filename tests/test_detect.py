@@ -138,6 +138,21 @@ def test_basis_accepts_moderately_anisotropic_lattice():
     assert np.allclose(np.abs(b2), [0.0, 3.5e-3], atol=1e-12)
 
 
+def test_basis_ignores_points_far_from_anchor(flat_cloud):
+    # a rotated copy of the cloud beside the rectangle adds a second set of
+    # difference directions, all of it far from the anchor
+    eps = flat_cloud.params.epsilon
+    r = flat_cloud.rectangle
+    u = chi_inverse(flat_cloud.points, eps)
+    ua = chi_inverse(r.center, eps)
+    c, s = np.cos(0.5), np.sin(0.5)
+    far = (u - ua) @ np.array([[c, s], [-s, c]]) + ua + np.array([2.5 * r.half_width, 0.0])
+    pts = np.concatenate([flat_cloud.points, chi(far, eps)])
+    wide = SpectrumCloud(pts, None, flat_cloud.params, r)
+    for got, want in zip(detect_basis(wide), detect_basis(flat_cloud)):
+        assert np.array_equal(got, want)
+
+
 def test_labels_perfect_lattice_zero_residual():
     cloud = _square_lattice_cloud()
     basis = detect_basis(cloud)
@@ -210,6 +225,20 @@ def test_fit_hchart_accepts_and_reports(flat_cloud, flat_setup):
     # fitted map sends points to h * labels within the residual bound
     pred = hc.f(hc.u)
     assert np.max(np.linalg.norm(pred - hc.h * hc.labels, axis=1)) <= 0.05 * hc.h
+
+
+def test_fit_hchart_large_cloud(flat_setup):
+    # the basis comes from a strict subset of the cloud; labels and fit cover all of it
+    _, chart, a = flat_setup
+    params = SemiclassicalParams(h=2.5e-4, delta=0.5, noise_order=3, seed=42)
+    cloud = synth_spectrum(NormalFormSymbol(chart, default_higher_coeffs()), a, params, C0=2.0)
+    assert len(cloud) > 3000
+    hc = fit_hchart(cloud.without_labels())
+    assert hc.labeled_fraction == 1.0
+    M, c, exact = _gauge_between(cloud.k_true, hc.labels)
+    assert exact
+    assert abs(round(float(np.linalg.det(M)))) == 1
+    assert hc.max_residual() <= 0.05
 
 
 def test_fit_leading_term_error_bound(flat_setup, champ_setup):

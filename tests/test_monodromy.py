@@ -89,14 +89,17 @@ def test_transition_rejects_bad_determinant():
         transition_matrix(atlas, 0, 1)
 
 
-def test_cocycle_clean_covering():
-    # 2x3 block of overlapping squares, all charts sharing one linear map
+def _block_atlas():
+    """2x3 block of overlapping squares, all charts sharing one linear map."""
     charts = []
     for i in range(3):
         for j in range(2):
             charts.append(_linear_chart((0.35 * i, 0.35 * j), UNIMODULAR[2]))
-    atlas = PseudoChartAtlas(charts=charts)
-    rep = cocycle_check(atlas)
+    return PseudoChartAtlas(charts=charts)
+
+
+def test_cocycle_clean_covering():
+    rep = cocycle_check(_block_atlas())
     assert rep.ok
     assert rep.triples_checked > 0
     assert len(rep.pairs) >= 6
@@ -110,10 +113,11 @@ def test_cocycle_single_chart_vacuous():
     assert rep.pairs == []
 
 
-def test_cocycle_detects_corrupted_chart():
-    # middle chart reports different Jacobians depending on where it is
-    # sampled; each pairwise overlap sees one consistent Jacobian (so all
-    # transitions round cleanly) but M_02 != M_01 M_12 on the triple overlap
+def _split_chart_atlas():
+    """Three charts whose middle one reports different Jacobians depending
+    on where it is sampled; each pairwise overlap sees one consistent
+    Jacobian (so all transitions round cleanly) but M_02 != M_01 M_12 on
+    the triple overlap."""
     U = np.array([[1.0, 1.0], [0.0, 1.0]])
 
     def df_split(u):
@@ -130,9 +134,61 @@ def test_cocycle_detects_corrupted_chart():
         ),
         _linear_chart((0.58, 0.58), np.eye(2), half=0.3),
     ]
-    rep = cocycle_check(PseudoChartAtlas(charts=charts))
+    return PseudoChartAtlas(charts=charts)
+
+
+def test_cocycle_detects_corrupted_chart():
+    rep = cocycle_check(_split_chart_atlas())
     assert not rep.ok
     assert len(rep.violations) > 0
+
+
+def _cocycle_check_brute_force(atlas):
+    """Reference: every ordered triple of distinct charts, n^3 of them."""
+    n = len(atlas)
+    trans = {}
+    pairs = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and atlas.overlap(i, j) is not None:
+                t = transition_matrix(atlas, i, j)
+                trans[(i, j)] = t.M
+                if i < j:
+                    pairs.append(t)
+    violations = []
+    checked = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if len({i, j, k}) < 3:
+                    continue
+                if (i, j) not in trans or (j, k) not in trans or (i, k) not in trans:
+                    continue
+                ov_ij = atlas.overlap(i, j)
+                ov = atlas.overlap(i, k)
+                lo = np.maximum(ov.center - ov.half, ov_ij.center - ov_ij.half)
+                hi = np.minimum(ov.center + ov.half, ov_ij.center + ov_ij.half)
+                if np.any(hi - lo <= 0):
+                    continue
+                checked += 1
+                prod = trans[(i, j)] @ trans[(j, k)]
+                if not np.array_equal(prod, trans[(i, k)]):
+                    violations.append((i, j, k, trans[(i, k)], prod))
+    return pairs, checked, violations
+
+
+@pytest.mark.parametrize("make_atlas", [_block_atlas, _split_chart_atlas], ids=["clean", "corrupted"])
+def test_cocycle_matches_brute_force(make_atlas):
+    atlas = make_atlas()
+    rep = cocycle_check(atlas)
+    pairs, checked, violations = _cocycle_check_brute_force(atlas)
+    assert [(t.i, t.j) for t in rep.pairs] == [(t.i, t.j) for t in pairs]
+    assert all(np.array_equal(a.M, b.M) and np.array_equal(a.pre_round, b.pre_round) for a, b in zip(rep.pairs, pairs))
+    assert rep.triples_checked == checked
+    assert len(rep.violations) == len(violations)
+    for got, want in zip(rep.violations, violations):
+        assert got[:3] == want[:3]
+        assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
 
 
 def test_normal_form_identity():
