@@ -141,13 +141,12 @@ def parse_config(path: str) -> RunConfig:
     delta = _get(cp, path, "semiclassical", "delta", float, required=True)
     _require(0.0 < h <= 0.1, path, "semiclassical", "h", f"h = {h} out of range (0, 0.1]")
     _require(0.0 < delta < 1.0, path, "semiclassical", "delta", f"delta = {delta} out of range (0, 1)")
+    noise_order = _get(cp, path, "semiclassical", "noise_order", int, default=3)
+    _require(noise_order >= 1, path, "semiclassical", "noise_order", f"noise_order = {noise_order} must be positive")
+    seed = _get(cp, path, "semiclassical", "seed", int, default=0)
+    _require(seed >= 0, path, "semiclassical", "seed", f"seed = {seed} must be non-negative")
     try:
-        params = SemiclassicalParams(
-            h=h,
-            delta=delta,
-            noise_order=_get(cp, path, "semiclassical", "noise_order", int, default=3),
-            seed=_get(cp, path, "semiclassical", "seed", int, default=0),
-        )
+        params = SemiclassicalParams(h=h, delta=delta, noise_order=noise_order, seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc))
     C0 = _get(cp, path, "semiclassical", "C0", float, default=2.0)
@@ -256,7 +255,7 @@ def _verdict_failures(spectral: MonodromyClass, verdict: bool | None) -> list:
         trace, det = spectral.invariants
         return [
             f"conjugacy undecided for trace {trace}, det {det}: "
-            "only the det 1, |trace| <= 2 classes are decided"
+            "only the det 1, |trace| <= 2 and the det -1, trace 0 classes are decided"
         ]
     return [] if verdict else ["spectral class not conjugate to transposed classical class"]
 
@@ -327,7 +326,11 @@ def main(argv=None) -> int:
         print(f"error: {loc}{exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        cfg.params = replace(cfg.params, seed=args.seed)
+        try:
+            cfg.params = replace(cfg.params, seed=args.seed)
+        except ValueError as exc:
+            print(f"error: --seed: {exc}", file=sys.stderr)
+            return 2
 
     out = _output_dir(args.out, cfg.mode)
     try:

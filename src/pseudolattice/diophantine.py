@@ -149,7 +149,7 @@ def good_values(
         grid = np.atleast_2d(np.asarray(grid_spec, dtype=float))
     if grid.size == 0:
         raise ValueError("empty grid")
-    if not np.all(chart.contains_value(grid, margin=1e-9)):
+    if not np.all(chart.domain.contains(grid, margin=1e-9)):
         raise ValueError("grid_spec must lie inside the chart domain")
 
     omegas, d_avg, wprime = _frequencies_at(chart, grid)

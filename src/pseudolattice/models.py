@@ -121,14 +121,16 @@ class ModelSystem:
     def is_regular(self, a) -> np.ndarray:
         raise NotImplementedError
 
-    def xi_from_value(self, a, shear: int = 0):
+    def xi_from_value(self, a, shear=0):
         raise NotImplementedError
 
-    def value_from_xi(self, xi, shear: int = 0):
+    def value_from_xi(self, xi, shear=0, seed_E=None):
         raise NotImplementedError
 
-    def jet(self, a, shear: int = 0):
+    def jet(self, a, shear=0):
         """Chart jet at value points ``a`` (vectorized over leading axes).
+
+        ``shear`` here and below, and the Newton ``seed_E``, may be per point.
 
         Returns ``(xi, dxi_da, hess)``: the actions ``xi(a)``, the Jacobian
         ``d xi / d a`` with shape ``(..., 2, 2)``, and the Hessian of
@@ -163,7 +165,7 @@ class FlatModel(ModelSystem):
         disc = w1 * w1 + 2.0 * E - 2.0 * w2 * G - G * G
         return disc > 1e-8
 
-    def xi_from_value(self, a, shear: int = 0):
+    def xi_from_value(self, a, shear=0):
         # G = <q>(xi) = xi_2 ; E = p(xi) solved for xi_1 (branch with xi_1 > -w1)
         a = np.asarray(a, dtype=float)
         E, G = a[..., 0], a[..., 1]
@@ -174,12 +176,12 @@ class FlatModel(ModelSystem):
         xi1 = -w1 + np.sqrt(disc)
         return np.stack([xi1, G], axis=-1)
 
-    def value_from_xi(self, xi, shear: int = 0):
+    def value_from_xi(self, xi, shear=0, seed_E=None):
         xi = np.asarray(xi, dtype=float)
         p = xi @ self.omega_star + 0.5 * np.sum(xi * xi, axis=-1)
         return np.stack([p, xi[..., 1]], axis=-1)
 
-    def jet(self, a, shear: int = 0):
+    def jet(self, a, shear=0):
         # omega = omega_star + xi and d<q>/dxi = (0, 1), so d xi/d a is the
         # inverse of [[omega_1, omega_2], [0, 1]]; the Hessian is the identity
         xi = self.xi_from_value(a)
@@ -487,17 +489,16 @@ class ChampagneModel(ModelSystem):
         # each E-derivative scales by b^-2, each l-derivative by b^-1.5
         return tuple(f * b**p for f, p in zip(out, (1.5, -0.5, 0.0, -2.5, -2.0, -1.5)))
 
-    def action_xi2(self, E, l, shear: int = 0):
+    def action_xi2(self, E, l, shear=0):
         """Table-backed xi_2(E, l)."""
-        base = self._action_jet(E, l)[0]
-        return base + shear * np.maximum(l, 0.0) if shear else base
+        return self._action_jet(E, l)[0] + shear * np.maximum(l, 0.0)
 
-    def xi_from_value(self, a, shear: int = 0):
+    def xi_from_value(self, a, shear=0):
         a = np.asarray(a, dtype=float)
         E, l = a[..., 0], a[..., 1]
         return np.stack([l, self.action_xi2(E, l, shear=shear)], axis=-1)
 
-    def value_from_xi(self, xi, shear: int = 0, seed_E=None):
+    def value_from_xi(self, xi, shear=0, seed_E=None):
         """Invert the action map: solve I_r(E, l) = xi_2 for E (Newton).
 
         Each point iterates until its own residual is below 1e-14; raises
@@ -506,7 +507,7 @@ class ChampagneModel(ModelSystem):
         xi = np.asarray(xi, dtype=float)
         b2, b32 = self.b**2, self.b**1.5  # the solve runs in b = 1 units
         l = xi[..., 0]
-        target = xi[..., 1] - (shear * np.maximum(l, 0.0) if shear else 0.0)
+        target = xi[..., 1] - shear * np.maximum(l, 0.0)
         E = np.array(np.broadcast_to(0.3 if seed_E is None else seed_E / b2, l.shape), dtype=float).ravel()
         l, target = np.ravel(l), np.ravel(target) / b32
         lo, al = self.min_energy(l) / b2 + 1e-6, np.abs(l) / b32
@@ -528,7 +529,7 @@ class ChampagneModel(ModelSystem):
             )
         return np.stack([b2 * E.reshape(xi.shape[:-1]), xi[..., 0]], axis=-1)
 
-    def jet(self, a, shear: int = 0):
+    def jet(self, a, shear=0):
         # xi = (l, I_r(E, |l|) + shear * max(l, 0)).  On l = 0 the sign of l
         # is taken as +1 and the shear term as present, the right-hand limit,
         # which the sheared chart continues smoothly to l < 0.
@@ -536,7 +537,7 @@ class ChampagneModel(ModelSystem):
         E, l = a[..., 0], a[..., 1]
         s = np.where(l >= 0.0, 1.0, -1.0)
         I_r, A, I_l, A_E, A_l, B_l = self._action_jet(E, l)  # A = d xi_2 / dE
-        xi2 = I_r + shear * np.maximum(l, 0.0) if shear else I_r
+        xi2 = I_r + shear * np.maximum(l, 0.0)
         B = s * I_l + shear * (l >= 0.0)  # d xi_2 / dl
         A_l = s * A_l
         J = np.zeros(a.shape + (2,))
@@ -599,9 +600,7 @@ class ActionChart:
         return self.model.xi_from_value(a, shear=self.shear)
 
     def phi(self, xi):
-        if isinstance(self.model, ChampagneModel):
-            return self.model.value_from_xi(xi, shear=self.shear, seed_E=self.c[0])
-        return self.model.value_from_xi(xi, shear=self.shear)
+        return self.model.value_from_xi(xi, shear=self.shear, seed_E=self.c[0])
 
     def p(self, xi):
         return self.phi(xi)[..., 0]
@@ -610,88 +609,68 @@ class ActionChart:
         """Jacobian d(xi)/d(a), vectorized over value points."""
         return self.model.jet(a, shear=self.shear)[1]
 
-    def contains_value(self, a, margin: float = 0.0):
-        return self.domain.contains(a, margin=margin)
-
     def contains_xi(self, xi, margin: float = 0.0):
         return self.xi_box.contains(xi, margin=margin)
 
 
-def _radius_of(d: float) -> float:
-    # 0.1 * distance d to the critical-value set, capped for models with an
-    # empty critical set
-    return min(0.1, 0.1 * d)
+def _chart_radius(model: ModelSystem, c):
+    # 0.1 * distance to the critical-value set, capped for models with an
+    # empty critical set; an array for centers of shape (n, 2)
+    r = np.minimum(0.1, 0.1 * np.broadcast_to(model.dist_to_singular(np.atleast_2d(c)), len(np.atleast_2d(c))))
+    return r if np.ndim(c) == 2 else float(r[0])
 
 
-def _chart_radius(model: ModelSystem, c) -> float:
-    return _radius_of(float(np.min(model.dist_to_singular(np.atleast_2d(c)))))
+def action_coords(model: ModelSystem, c):
+    """Local action charts at one regular value ``c``, shape ``(2,)``, or at
+    ``n``, shape ``(n, 2)`` (a list), built in one pass over all their grids.
 
-
-def action_coords(model: ModelSystem, c) -> ActionChart:
-    """Build the local action chart at a regular value ``c``.
-
-    Raises :class:`ModelError` if ``c`` is singular, too close to the
-    critical-value set, or if the chart map degenerates on the domain.
+    Raises :class:`ModelError`, naming the first such center, if a center is
+    singular or too close to the critical-value set, or if its chart map
+    degenerates on the domain.
     """
-    c = np.asarray(c, dtype=float)
-    if not np.all(model.is_regular(np.atleast_2d(c))):
-        raise ModelError(f"{c} is not a regular value of {model.name}")
-    d = float(np.min(model.dist_to_singular(np.atleast_2d(c))))
-    if d < 1e-3:
-        raise ModelError("chart center too close to the singular set")
-    radius = _radius_of(d)
-    domain = Rect(c, np.array([radius, radius]))
+    cs = np.atleast_2d(np.asarray(c, dtype=float))
 
-    shear = 0
-    if isinstance(model, ChampagneModel):
-        # domain straddles the nonsmooth ray {l = 0, E > 0} of the symmetric
-        # action branch: switch to the smooth continuation on l > 0
-        if abs(c[1]) < radius and c[0] + radius > 0:
-            shear = 1
+    def check(bad, what):
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ModelError(f"center {i} at {tuple(cs[i].tolist())}: {what}")
 
-    grid_values = domain.grid(9)
-    if not np.all(model.is_regular(grid_values)):
-        raise ModelError("chart domain touches the singular set")
-    grid_xi, J, _ = model.jet(grid_values, shear=shear)
+    check(~model.is_regular(cs), f"not a regular value of {model.name}")
+    radius = _chart_radius(model, cs)
+    check(radius < 1e-4, "too close to the singular set")  # distance below 1e-3
+    # a champagne domain that straddles the nonsmooth ray {l = 0, E > 0} of
+    # the symmetric action branch uses the smooth continuation on l > 0
+    shear = ((np.abs(cs[:, 1]) < radius) & (cs[:, 0] + radius > 0) & isinstance(model, ChampagneModel)).astype(int)
 
-    # invertibility of the chart map on the grid
-    chart = ActionChart(
-        model=model,
-        c=c,
-        domain=domain,
-        S=np.zeros(2),
-        eta=np.asarray(model.maslov_eta),
-        tau_c=np.zeros(2),
-        shear=shear,
-        grid_xi=grid_xi,
-        grid_values=grid_values,
-    )
-    dets = np.linalg.det(J)
-    if np.any(np.abs(dets) < 1e-10):
-        raise ModelError("chart map is degenerate on the requested domain")
+    # each domain's 9 x 9 grid, laid out as by Rect.grid
+    xs, ys = (np.linspace(cs[:, k] - radius, cs[:, k] + radius, 9, axis=-1) for k in (0, 1))
+    grid_values = np.stack(np.broadcast_arrays(xs[:, :, None], ys[:, None, :]), axis=-1).reshape(-1, 81, 2)
+    check(~np.all(model.is_regular(grid_values), axis=1), "chart domain touches the singular set")
+    grid_xi, J, _ = model.jet(grid_values, shear=shear[:, None])
+    check(np.any(np.abs(np.linalg.det(J)) < 1e-10, axis=1), "chart map is degenerate on the requested domain")
+    lo, hi = grid_xi.min(axis=1), grid_xi.max(axis=1)
 
-    lo = grid_xi.min(axis=0)
-    hi = grid_xi.max(axis=0)
-    chart.xi_box = Rect(0.5 * (lo + hi), 0.5 * (hi - lo) + 1e-12)
-
-    xi_c = model.xi_from_value(c, shear=shear)
+    xi_c = model.xi_from_value(cs, shear=shear)
+    S = 2.0 * math.pi * xi_c
     if isinstance(model, ChampagneModel):
         # direct quadrature for the action integrals (independent of the
-        # spline used by xi_of_c)
-        I_r = float(np.ravel(model.radial_action(c[0], c[1], n=140))[0])
-        S2 = 2.0 * math.pi * (I_r + shear * max(c[1], 0.0))
-        S = np.array([2.0 * math.pi * c[1], S2])
-    else:
-        S = 2.0 * math.pi * xi_c
-    chart.S = S
-    chart.tau_c = S / (2.0 * math.pi) - xi_c
+        # spline used by xi_of_c), one call per center
+        xi2 = np.array([float(model.radial_action(E, l, n=140)) for E, l in cs]) + shear * np.maximum(cs[:, 1], 0.0)
+        S = 2.0 * math.pi * np.stack([cs[:, 1], xi2], axis=-1)
+    tau_c = S / (2.0 * math.pi) - xi_c
 
-    # round-trip sanity on the grid
-    back = chart.phi(grid_xi)
-    err = np.max(np.abs(back - grid_values))
-    if err > 1e-6 * (1.0 + np.max(np.abs(grid_values))):
-        raise ModelError(f"chart inversion failed to converge (max error {err:.2e})")
-    return chart
+    # round-trip sanity on the grids
+    err = np.max(np.abs(model.value_from_xi(grid_xi, shear=shear[:, None], seed_E=cs[:, :1]) - grid_values), axis=(1, 2))
+    bad = err > 1e-6 * (1.0 + np.max(np.abs(grid_values), axis=(1, 2)))
+    check(bad, f"chart inversion failed to converge (max error {np.max(err[bad], initial=0.0):.2e})")
+
+    charts = [
+        ActionChart(model=model, c=cs[i], domain=Rect(cs[i], radius[[i, i]]), S=S[i], eta=np.asarray(model.maslov_eta),
+                    tau_c=tau_c[i], shear=int(shear[i]), grid_xi=grid_xi[i], grid_values=grid_values[i],
+                    xi_box=Rect(0.5 * (lo[i] + hi[i]), 0.5 * (hi[i] - lo[i]) + 1e-12))
+        for i in range(len(cs))
+    ]
+    return charts if np.ndim(c) == 2 else charts[0]
 
 
 def frequency(chart: ActionChart, xi) -> FrequencyData:

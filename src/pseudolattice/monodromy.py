@@ -263,11 +263,8 @@ def cover_loop(
 
 def action_atlas(model: ModelSystem, centers) -> PseudoChartAtlas:
     """Atlas of exact action charts at the given centers."""
-    charts = []
-    for c in np.atleast_2d(np.asarray(centers, dtype=float)):
-        ac = action_coords(model, c)
-        charts.append(AtlasChart(domain=ac.domain, df0=ac.d_xi))
-    return PseudoChartAtlas(charts=charts)
+    charts = action_coords(model, np.atleast_2d(np.asarray(centers, dtype=float)))
+    return PseudoChartAtlas(charts=[AtlasChart(domain=ac.domain, df0=ac.d_xi) for ac in charts])
 
 
 def classical_monodromy(model: ModelSystem, loop_vertices) -> MonodromyClass:
@@ -297,7 +294,10 @@ def compare_monodromies(spectral: MonodromyClass, classical: MonodromyClass) -> 
     Different (trace, det) pairs are never conjugate.  The det 1,
     |trace| <= 2 classes are decided exactly: at trace +-2 (``+-I`` and
     ``+-[[1, m], [0, 1]]``) (trace, |m|) is a complete invariant, and each
-    elliptic trace 0, +-1 is a single GL(2,Z) class.  The hyperbolic and
+    elliptic trace 0, +-1 is a single GL(2,Z) class.  The det -1, trace 0
+    involutions form two classes, ``[[1, 0], [0, -1]]`` and
+    ``[[0, 1], [1, 0]]``, told apart by the gcd of the entries of ``P - I``
+    (2 and 1), a conjugacy invariant.  The hyperbolic classes and the other
     det -1 classes need more than (trace, det) and are left undecided.
     """
     A = np.asarray(spectral.product, dtype=np.int64)
@@ -307,6 +307,9 @@ def compare_monodromies(spectral: MonodromyClass, classical: MonodromyClass) -> 
     if inv_a != inv_b:
         return False
     trace, det = inv_a
+    if (trace, det) == (0, -1):
+        eye = np.eye(2, dtype=np.int64)
+        return bool(np.gcd.reduce((A - eye).ravel()) == np.gcd.reduce((B - eye).ravel()))
     if det != 1 or abs(trace) > 2:
         return None
     return m_a == m_b

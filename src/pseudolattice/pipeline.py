@@ -81,17 +81,22 @@ def spectral_chart_at(
     C0: float = 2.0,
     higher_coeffs: dict | None = None,
     chart_hint: bool = False,
-) -> SpectralChart:
-    """Synthesize and blind-detect the spectrum of one good rectangle."""
-    c = np.asarray(c, dtype=float)
-    ac = action_coords(model, c)
-    hw, C0_eff = rect_half_width(params, C0, ac.domain.half[0])
-    a = find_good_value(model, ac, c, dio, search_radius=0.25 * hw)
-    rect = good_rectangle(a, params, C0_eff, good=True)
-    sym = NormalFormSymbol(ac, dict(higher_coeffs or {}), params.noise_order)
-    cloud = synth_spectrum(sym, a, params, rectangle=rect)
-    hc = fit_hchart(cloud.without_labels(), chart_hint=ac if chart_hint else None)
-    return SpectralChart(center=c, a=a, action_chart=ac, cloud=cloud, hchart=hc)
+):
+    """Synthesize and blind-detect the spectrum of the good rectangle at one
+    center ``c``, or at each of an ``(n, 2)`` array of centers (a list)."""
+    cs = np.atleast_2d(np.asarray(c, dtype=float))
+    charts = action_coords(model, cs)
+    goods, rects = [], []
+    for cc, ac in zip(cs, charts):
+        hw, C0_eff = rect_half_width(params, C0, ac.domain.half[0])
+        goods.append(find_good_value(model, ac, cc, dio, search_radius=0.25 * hw))
+        rects.append(good_rectangle(goods[-1], params, C0_eff, good=True))
+    syms = [NormalFormSymbol(ac, dict(higher_coeffs or {}), params.noise_order) for ac in charts]
+    elements = [
+        SpectralChart(cc, a, ac, cloud, fit_hchart(cloud.without_labels(), chart_hint=ac if chart_hint else None))
+        for cc, a, ac, cloud in zip(cs, goods, charts, synth_spectrum(syms, goods, params, rectangle=rects))
+    ]
+    return elements if np.ndim(c) == 2 else elements[0]
 
 
 def spectral_monodromy(
@@ -117,9 +122,7 @@ def spectral_monodromy(
         return rect_half_width(params, C0, _chart_radius(model, c))[0]
 
     centers = cover_loop(model, vertices, spacing_factor=spacing_factor, radius_fn=rect_radius)
-    elements = [
-        spectral_chart_at(model, c, params, dio, C0=C0, higher_coeffs=higher_coeffs) for c in centers
-    ]
+    elements = spectral_chart_at(model, centers, params, dio, C0=C0, higher_coeffs=higher_coeffs)
     atlas = PseudoChartAtlas(
         charts=[AtlasChart(domain=Rect(el.hchart.center, el.hchart.scale), df0=el.hchart.df) for el in elements]
     )

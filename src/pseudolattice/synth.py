@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ActionChart, ModelSystem
+from .models import ActionChart, ModelSystem, Rect
 
 RESOLUTION_GUARD = 10.0  # smallest allowed eps/h separation of scales
 
@@ -36,6 +36,8 @@ class SemiclassicalParams:
             raise ValueError("delta must be in (0, 1)")
         if self.noise_order < 1:
             raise ValueError("noise_order must be a positive integer")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be a non-negative integer")
         if self.epsilon / self.h < RESOLUTION_GUARD:
             raise ValueError(
                 f"scales not separated: eps/h = {self.epsilon / self.h:.3g} < {RESOLUTION_GUARD}"
@@ -60,10 +62,6 @@ class GoodRectangle:
         return (np.abs(mu.real - self.center.real) <= self.half_width) & (
             np.abs(mu.imag - self.center.imag) <= self.half_height
         )
-
-    def corners(self) -> np.ndarray:
-        w, s = self.half_width, self.half_height
-        return self.center + np.array([-w - 1j * s, w - 1j * s, w + 1j * s, -w + 1j * s])
 
 
 def good_rectangle(a, params: SemiclassicalParams, C0: float = 1.0, good: bool = True) -> GoodRectangle:
@@ -136,10 +134,6 @@ class NormalFormSymbol:
     def __post_init__(self):
         _validate_coeffs(self.higher_coeffs)
 
-    def leading(self, xi, eps: float) -> np.ndarray:
-        a = self.chart.phi(np.asarray(xi, dtype=float))
-        return a[..., 0] + 1j * eps * a[..., 1]
-
     def correction(self, xi, eps: float, h: float) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         out = np.zeros(xi.shape[:-1], dtype=complex)
@@ -148,10 +142,11 @@ class NormalFormSymbol:
         return out
 
     def __call__(self, xi, eps: float, h: float) -> np.ndarray:
-        return self.leading(xi, eps) + self.correction(xi, eps, h)
+        a = self.chart.phi(np.asarray(xi, dtype=float))
+        return a[..., 0] + 1j * eps * a[..., 1] + self.correction(xi, eps, h)
 
     def imag_correction_bound(self, eps: float, h: float) -> float:
-        """Upper bound on |Im corrections| over the chart's action box."""
+        """Upper bound on |corrections|, so on |Im| and |Re|, over the chart's action box."""
         box = self.chart.xi_box
         hi = np.abs(box.center) + box.half
         bound = 0.0
@@ -203,69 +198,100 @@ def _rect_seed(params: SemiclassicalParams, rect: GoodRectangle):
     return [np.uint64(params.seed), center_bits[0], center_bits[1]]
 
 
-def synth_spectrum(
-    symbol: NormalFormSymbol,
-    a,
-    params: SemiclassicalParams,
-    C0: float = 1.0,
-    rectangle: GoodRectangle | None = None,
-    noise: bool = True,
-) -> SpectrumCloud:
+def _ranges(start, count):  # the ranges start[i], ..., start[i] + count[i] - 1, concatenated
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(np.sum(count))
+
+
+def _candidates(symbols, rects, params: SemiclassicalParams):
+    """Blocks of whole rectangles: their indices, and the labels, actions and
+    rectangle indices of the lattice points that may map into their rectangle.
+
+    Within the integer box of the value preimage sampled on a 7 x 7 grid and
+    the action box (grown by 2h), a label is kept if the linear prediction of
+    its value from the jet at the rectangle center lies in the preimage grown
+    by all the prediction leaves out: the corrections and noise (the slack),
+    and the curvature of E, bounded by the largest Hessian on the samples (G
+    is an action in both models).  That is one k2 interval per k1 row.
+    """
+    h, eps = params.h, params.epsilon
+    charts = [sym.chart for sym in symbols]
+    center = np.array([[r.center.real, r.center.imag / eps] for r in rects])
+    half = np.array([[r.half_width, r.half_height / eps] for r in rects])
+    t = np.linspace(-1, 1, 7)
+    ares = center[:, None] + half[:, None] * np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    dom = Rect(*(np.array([getattr(c.domain, f) for c in charts])[:, None] for f in ("center", "half")))
+    if not np.all(dom.contains(ares, margin=1e-12)):
+        raise ValueError("chart domain too small to cover the rectangle preimage")
+    shear, tau_c = np.array([c.shear for c in charts]), np.array([c.tau_c for c in charts])
+    xis, J, hess = charts[0].model.jet(ares, shear=shear[:, None])
+    # the grown preimages' half-sizes in the value plane; sample 24 is the center
+    slack = np.array([sym.imag_correction_bound(eps, h) + h**sym.noise_order for sym in symbols])
+    reach = half + slack[:, None] * np.array([1.0, 1.0 / eps])
+    # the samples' integer box, dilated by 2 and by as far as the slack moves a label
+    kf = xis / h + charts[0].eta / 4.0 + tau_c[:, None] / h
+    grow = 2 + np.ceil(np.einsum("nij,nj->ni", np.abs(J[:, 24]), reach - half) / h).astype(int)
+    kmin, kmax = np.floor(kf.min(axis=1)).astype(int) - grow, np.ceil(kf.max(axis=1)).astype(int) + grow
+    radius = np.max(np.linalg.norm(xis - xis[:, 24:25], axis=-1), axis=1) * np.max(reach / half, axis=1)
+    reach[:, 0] += 0.5 * np.max(np.linalg.norm(hess, axis=(-2, -1)), axis=1) * radius**2
+    # |(h (d xi/d a)^-1 (k - kf[24]))_i| <= reach_i, row by row of every box
+    rows = kmax[:, 0] - kmin[:, 0] + 1
+    r, k1 = np.repeat(np.arange(len(rects)), rows), _ranges(kmin[:, 0], rows)
+    N = h * np.linalg.inv(J[:, 24])[r]
+    lo, hi = np.full(len(r), -np.inf), np.full(len(r), np.inf)
+    for i in (0, 1):
+        t1, n2, w = N[:, i, 0] * (k1 - kf[r, 24, 0]), N[:, i, 1], reach[r, i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.sort([(-w - t1) / n2, (w - t1) / n2], axis=0) + kf[r, 24, 1]
+        flat = n2 == 0.0  # a strip parallel to the k2 axis keeps whole rows or none
+        e[:, flat] = np.where(np.abs(t1[flat]) <= w[flat], [[-np.inf], [np.inf]], np.inf)
+        lo, hi = np.maximum(lo, e[0]), np.minimum(hi, e[1])
+    lo = np.clip(np.ceil(lo), kmin[r, 1], kmax[r, 1] + 1).astype(int)
+    n = np.maximum(np.clip(np.floor(hi), kmin[r, 1] - 1, kmax[r, 1]).astype(int) - lo + 1, 0)
+    box = [np.array([getattr(c.xi_box, f) for c in charts]) for f in ("center", "half")]
+    # whole rectangles in blocks of about 2^13 labels, which bounds the temporaries
+    block = np.cumsum(np.bincount(r, weights=n, minlength=len(rects))) // 2**13
+    for b in np.unique(block):
+        idx = np.flatnonzero(block == b)
+        sel = (r >= idx[0]) & (r <= idx[-1])
+        k = np.stack([np.repeat(k1[sel], n[sel]), _ranges(lo[sel], n[sel])], axis=-1)
+        rect_of = np.repeat(r[sel], n[sel])
+        xi_k = h * (k - charts[0].eta / 4.0) - tau_c[rect_of]
+        inside = Rect(box[0][rect_of], box[1][rect_of]).contains(xi_k, margin=2.0 * h)
+        yield idx, k[inside], xi_k[inside], rect_of[inside]
+
+
+def synth_spectrum(symbol, a, params: SemiclassicalParams, C0: float = 1.0, rectangle=None, noise: bool = True):
     """Enumerate the quantization lattice and keep points in the rectangle.
 
     ``xi_k = h*(k - eta/4) - tau_c``; ``mu_k = symbol(xi_k)`` plus seeded
     uniform complex noise of magnitude ``h^noise_order``.
+
+    A None ``rectangle`` is built from ``a`` and ``C0``.  ``symbol`` and
+    ``rectangle`` may be lists over the charts of one model, giving a list of
+    clouds; each block of ``_candidates`` is inverted in one call.
     """
-    chart = symbol.chart
-    a = np.asarray(a, dtype=float)
+    many = isinstance(symbol, list)
+    symbols, rects = (symbol, rectangle) if many else ([symbol], [rectangle or good_rectangle(a, params, C0)])
     h, eps = params.h, params.epsilon
-    rect = rectangle if rectangle is not None else good_rectangle(a, params, C0)
 
-    # preimage of the rectangle in the value plane, sampled on a grid
-    hw, hh = rect.half_width, rect.half_height
-    ares = np.stack(
-        np.meshgrid(
-            rect.center.real + hw * np.linspace(-1, 1, 7),
-            rect.center.imag / eps + (hh / eps) * np.linspace(-1, 1, 7),
-            indexing="ij",
-        ),
-        axis=-1,
-    ).reshape(-1, 2)
-    if not np.all(chart.contains_value(ares, margin=1e-12)):
-        raise ValueError("chart domain too small to cover the rectangle preimage")
-    xis = chart.xi_of_c(ares)
-
-    # integer bounding box, dilated so no boundary point can be missed
-    kf = xis / h + chart.eta / 4.0 + chart.tau_c / h
-    kmin = np.floor(kf.min(axis=0)).astype(int) - 2
-    kmax = np.ceil(kf.max(axis=0)).astype(int) + 2
-    k1, k2 = np.meshgrid(
-        np.arange(kmin[0], kmax[0] + 1), np.arange(kmin[1], kmax[1] + 1), indexing="ij"
-    )
-    k = np.stack([k1.ravel(), k2.ravel()], axis=-1)
-    xi_k = h * (k - chart.eta / 4.0) - chart.tau_c
-
-    inside_chart = chart.contains_xi(xi_k, margin=2.0 * h)
-    k = k[inside_chart]
-    xi_k = xi_k[inside_chart]
-    mu = symbol(xi_k, eps, h)
-
-    keep = rect.contains(mu)
-    k, mu = k[keep], mu[keep]
-
-    # canonical order before applying noise: reproducibility is independent
-    # of the enumeration sharding
-    order = np.lexsort((k[:, 1], k[:, 0]))
-    k, mu = k[order], mu[order]
-
-    if noise and len(mu) > 0:
-        rng = np.random.default_rng(_rect_seed(params, rect))
-        amp = h**symbol.noise_order
-        mu = mu + amp * (rng.uniform(-1, 1, len(mu)) + 1j * rng.uniform(-1, 1, len(mu)))
-        keep = rect.contains(mu)
-        k, mu = k[keep], mu[keep]
-
-    return SpectrumCloud(points=mu, k_true=k, params=params, rectangle=rect)
+    shear_seed = np.array([(sym.chart.shear, sym.chart.c[0]) for sym in symbols])
+    clouds = []
+    for idx, labels, xi, rect_of in _candidates(symbols, rects, params):
+        vals = symbols[0].chart.model.value_from_xi(xi, *shear_seed[rect_of].T)  # per-point shear and seed_E
+        for i, k, xi_k, a_k in zip(idx, *(np.split(x, np.searchsorted(rect_of, idx[1:])) for x in (labels, xi, vals))):
+            sym, rect = symbols[i], rects[i]
+            mu = a_k[:, 0] + 1j * eps * a_k[:, 1] + sym.correction(xi_k, eps, h)  # sym(xi_k, eps, h) at the values a_k
+            keep = rect.contains(mu)
+            # labels run k1-major, k2-minor: the canonical order for the noise
+            k, mu = k[keep], mu[keep]
+            if noise and len(mu) > 0:
+                rng = np.random.default_rng(_rect_seed(params, rect))
+                amp = h**sym.noise_order
+                mu = mu + amp * (rng.uniform(-1, 1, len(mu)) + 1j * rng.uniform(-1, 1, len(mu)))
+                keep = rect.contains(mu)
+                k, mu = k[keep], mu[keep]
+            clouds.append(SpectrumCloud(points=mu, k_true=k, params=params, rectangle=rect))
+    return clouds if many else clouds[0]
 
 
 def spectral_band(

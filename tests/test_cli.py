@@ -148,8 +148,10 @@ def test_main_config_error_exit_2(tmp_path, capsys):
         (FLAT_SYNTH, "[run]", "[diophantine]\nk_max = 50\n\n[run]", "k_max"),
         (FLAT_SYNTH, "[run]", "[diophantine]\nd = 0\n\n[run]", "d"),
         (FLAT_LOOP, _VERTICES, _VERTICES.replace("\n", " 0.0\n"), "vertices"),
+        (FLAT_SYNTH, "seed = 7", "seed = -1", "seed"),
+        (FLAT_SYNTH, "delta = 0.5", "delta = 0.5\nnoise_order = 0", "noise_order"),
     ],
-    ids=["C0-zero", "C0-below-one", "k_max-below-100", "d-zero", "vertex-three-numbers"],
+    ids=["C0-zero", "C0-below-one", "k_max-below-100", "d-zero", "vertex-three-numbers", "seed-negative", "noise_order-zero"],
 )
 def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):
     # rejected while parsing, naming the key and its line, before any run
@@ -160,6 +162,16 @@ def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):
     line = next(n for n, l in enumerate(text.splitlines(), 1) if l.split("=")[0].strip() == key)
     assert f"{path}:{line}:" in err
     assert key in err
+
+
+def test_main_negative_seed_option_exit_2(tmp_path, capsys):
+    # --seed overrides the config after parsing; a negative one is refused
+    # before any run, where it used to end in an OverflowError traceback
+    path = _write(tmp_path, FLAT_SYNTH)
+    out = tmp_path / "o"
+    assert main(["run", path, "--out", str(out), "--seed", "-3"]) == 2
+    assert "error: --seed: seed = -3 must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_missing_file_exit_2(tmp_path, capsys):
@@ -208,7 +220,7 @@ def test_parse_config_diophantine_defaults(tmp_path):
 
 @pytest.mark.parametrize("mode", ["monodromy", "verify-all"])
 def test_main_undecided_conjugacy_fails(tmp_path, capsys, monkeypatch, mode):
-    # det -1, trace 0 products: equal (trace, det), conjugacy not decided
+    # hyperbolic trace 3 products: equal (trace, det), conjugacy not decided
     import dataclasses
 
     import pseudolattice.cli as cli
@@ -225,12 +237,12 @@ def test_main_undecided_conjugacy_fails(tmp_path, capsys, monkeypatch, mode):
 
         return wrapped
 
-    monkeypatch.setattr(cli, "spectral_monodromy", with_product(cli.spectral_monodromy, [[1, 0], [0, -1]]))
-    monkeypatch.setattr(cli, "classical_monodromy", with_product(cli.classical_monodromy, [[0, 1], [1, 0]]))
+    monkeypatch.setattr(cli, "spectral_monodromy", with_product(cli.spectral_monodromy, [[2, 1], [1, 1]]))
+    monkeypatch.setattr(cli, "classical_monodromy", with_product(cli.classical_monodromy, [[1, 1], [1, 2]]))
     cfg = _write(tmp_path, FLAT_LOOP.replace("mode = monodromy", f"mode = {mode}"))
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 1
     assert "conjugate = undecided" in (out / "monodromy.txt").read_text()
     captured = capsys.readouterr()
     assert "conjugate: undecided" in captured.out
-    assert "FAIL: conjugacy undecided for trace 0, det -1" in captured.err
+    assert "FAIL: conjugacy undecided for trace 3, det 1" in captured.err

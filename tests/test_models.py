@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from pseudolattice.models import (
     Rect,
     _cell_eval,
     _cell_table,
+    _chart_radius,
     action_coords,
     chart_to_text,
     frequency,
     make_champagne_model,
     make_flat_model,
 )
-from pseudolattice.monodromy import classical_monodromy
+from pseudolattice.monodromy import classical_monodromy, cover_loop
+from pseudolattice.pipeline import rect_half_width
+from pseudolattice.synth import SemiclassicalParams
 
 
 def test_rect_contains_and_grid():
@@ -265,6 +269,36 @@ def test_chart_rejects_singular_center():
         action_coords(m, np.array([0.0, 0.0]))
     with pytest.raises(ModelError):
         action_coords(m, np.array([-0.2499, 0.0]))
+
+
+def test_action_coords_batch_equals_single_centers():
+    # one pass over many centers builds each chart bit for bit as its own
+    # n = 1 call does: the classical and the spectral octagon covers
+    m = make_champagne_model(1.0)
+    octagon = [(0.15 + 0.3 * math.cos(math.pi * t / 4), 0.3 * math.sin(math.pi * t / 4)) for t in range(8)]
+    params = SemiclassicalParams(h=1e-3, delta=0.5)
+    spectral = cover_loop(m, octagon, radius_fn=lambda c: rect_half_width(params, 2.0, _chart_radius(m, c))[0])
+    for centers in (cover_loop(m, octagon), spectral):
+        charts = action_coords(m, centers)
+        assert len(charts) == len(centers) and sum(ch.shear for ch in charts) > 0
+        for c, batched in zip(centers, charts):
+            single = action_coords(m, c)
+            assert single.shear == batched.shear
+            for f in ("c", "grid_xi", "grid_values", "S", "tau_c"):
+                assert getattr(single, f).tobytes() == getattr(batched, f).tobytes(), f
+            for f in ("domain", "xi_box"):
+                r1, r2 = getattr(single, f), getattr(batched, f)
+                assert r1.center.tobytes() == r2.center.tobytes() and r1.half.tobytes() == r2.half.tobytes(), f
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [((0.0, 0.0), "not a regular value"), ((0.0005, 0.0), "too close to the singular set")],
+)
+def test_action_coords_batch_names_bad_center(bad, reason):
+    centers = np.array([(0.3, 0.15), bad, (0.3, 0.0)])
+    with pytest.raises(ModelError, match=re.escape(f"center 1 at {bad}: ") + reason):
+        action_coords(make_champagne_model(1.0), centers)
 
 
 def test_sheared_chart_is_smooth_across_cut():

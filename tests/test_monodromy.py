@@ -334,8 +334,10 @@ def test_compare_monodromies_cases():
     assert not compare_monodromies(p1, p2)
     assert not compare_monodromies(p1, ident)
     assert not compare_monodromies(hyp, p1)
-    # equal (trace, det) outside det 1, |trace| <= 2 is not decided
-    assert compare_monodromies(mk([[1, 0], [0, -1]]), mk([[0, 1], [1, 0]])) is None
+    # the two det -1, trace 0 classes: gcd of the entries of P - I
+    assert compare_monodromies(mk([[1, 0], [0, -1]]), mk([[0, 1], [1, 0]])) is False
+    assert compare_monodromies(mk([[1, 0], [0, -1]]), mk([[-1, 0], [0, 1]])) is True
+    # equal (trace, det) on a hyperbolic class is not decided
     assert compare_monodromies(hyp, mk([[1, 1], [1, 2]])) is None
 
 
@@ -349,12 +351,14 @@ def _conjugator(A, B, bound=3):
 
 
 def test_compare_monodromies_decided_classes_brute_force():
-    # every det 1, |trace| <= 2 matrix with entries in [-2, 2], pairwise:
-    # True exactly when a small conjugator exists
+    # every det 1, |trace| <= 2 and every det -1, trace 0 matrix with
+    # entries in [-2, 2], pairwise: True exactly when a small conjugator exists
     r = np.arange(-2, 3)
     P = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 2, 2)
     det = P[:, 0, 0] * P[:, 1, 1] - P[:, 0, 1] * P[:, 1, 0]
-    P = P[(det == 1) & (np.abs(P[:, 0, 0] + P[:, 1, 1]) <= 2)]
+    trace = P[:, 0, 0] + P[:, 1, 1]
+    P = P[((det == 1) & (np.abs(trace) <= 2)) | ((det == -1) & (trace == 0))]
+    assert len(P) == 44 + 20
     cls = []
     for A in P:
         nf, inv, m = _normal_form(A)

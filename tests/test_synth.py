@@ -36,6 +36,8 @@ def test_params_validation():
         SemiclassicalParams(h=1e-3, delta=1.5)
     with pytest.raises(ValueError):
         SemiclassicalParams(h=1e-3, delta=0.5, noise_order=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        SemiclassicalParams(h=1e-3, delta=0.5, seed=-1)
     with pytest.raises(ValueError):
         # eps/h = h^(delta-1) too close to 1: scales not separated
         SemiclassicalParams(h=0.09, delta=0.9)
@@ -81,23 +83,35 @@ def test_symbol_real_at_eps_zero(flat_setup):
     assert np.max(np.abs(vals.imag)) == 0.0
 
 
-def _brute_force_count(model, chart, rect, params):
+def _brute_force_labels(chart, sym, rect, params):
+    # every label whose actions lie in the chart's action box grown by 5h,
+    # each mapped through the full symbol
     h, eps = params.h, params.epsilon
-    k1, k2 = np.meshgrid(np.arange(-1000, 2000), np.arange(-1000, 2000), indexing="ij")
+    box = chart.xi_box
+    kb = (np.stack([box.center - box.half, box.center + box.half]) + chart.tau_c) / h + chart.eta / 4.0
+    lo, hi = np.floor(kb[0]).astype(int) - 5, np.ceil(kb[1]).astype(int) + 5
+    k1, k2 = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij")
     k = np.stack([k1.ravel(), k2.ravel()], axis=-1)
     xi = h * (k - chart.eta / 4.0) - chart.tau_c
     ok = chart.contains_xi(xi, margin=5 * h)
-    a = chart.phi(xi[ok])
-    mu = a[..., 0] + 1j * eps * a[..., 1]
-    return int(np.sum(rect.contains(mu)))
+    return k[ok][rect.contains(sym(xi[ok], eps, h))]
 
 
-def test_exact_cloud_count_matches_brute_force(flat_setup):
-    m, chart, a = flat_setup
-    sym = NormalFormSymbol(chart, {})
-    cloud = synth_spectrum(sym, a, PARAMS, C0=2.0, noise=False)
-    assert len(cloud) > 100
-    assert len(cloud) == _brute_force_count(m, chart, cloud.rectangle, PARAMS)
+def test_exact_cloud_count_matches_brute_force(flat_setup, champ_setup):
+    # synthesis inverts only the labels its preimage filter keeps; the kept
+    # labels must be exactly those of the full enumeration, on a flat, a
+    # sheared champagne and a plain champagne chart, without and with the
+    # higher-order corrections, also at 50 times their size (which move
+    # points across the rectangle's edges by several lattice rows)
+    m = make_champagne_model(1.0)
+    sheared = (m, action_coords(m, np.array([0.3, 0.0])), np.array([0.3, 0.0]))
+    assert sheared[1].shear == 1
+    for _, chart, a in (flat_setup, sheared, champ_setup):
+        for coeffs in ({}, default_higher_coeffs(), default_higher_coeffs(1.0)):
+            sym = NormalFormSymbol(chart, coeffs)
+            cloud = synth_spectrum(sym, a, PARAMS, C0=2.0, noise=False)
+            assert len(cloud) > 100
+            assert np.array_equal(cloud.k_true, _brute_force_labels(chart, sym, cloud.rectangle, PARAMS))
 
 
 def test_exact_cloud_oracle_labeling(flat_setup):
