@@ -13,8 +13,6 @@ from .averaging import AverageReport, average_report, q_infinity, time_average, 
 from .detect import (
     DetectionError,
     HChart,
-    chi,
-    chi_inverse,
     detect_basis,
     fit_hchart,
     invert_leading,
@@ -56,10 +54,11 @@ from .monodromy import (
 )
 from .pipeline import spectral_chart_at, spectral_monodromy
 from .synth import (
-    GoodRectangle,
     NormalFormSymbol,
     SemiclassicalParams,
     SpectrumCloud,
+    chi,
+    chi_inverse,
     default_higher_coeffs,
     good_rectangle,
     spectral_band,
@@ -75,7 +74,6 @@ __all__ = [
     "DetectionError",
     "DiophantineParams",
     "FlatModel",
-    "GoodRectangle",
     "GoodValueSet",
     "HChart",
     "ModelError",

@@ -289,8 +289,8 @@ def _run_verify_all(cfg: RunConfig, out: Path) -> int:
     band = spectral_band(
         model,
         el0.action_chart,
-        el0.cloud.rectangle.center.real,
-        el0.cloud.rectangle.half_width,
+        el0.cloud.rectangle.center[0],
+        el0.cloud.rectangle.half[0],
         cfg.params,
         sym0,
     )

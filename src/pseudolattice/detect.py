@@ -1,7 +1,9 @@
 """Recover lattice structure from a raw eigenvalue cloud.
 
 The cloud in a good rectangle is a smoothly deformed copy of ``h Z^2`` once
-rescaled by ``chi^{-1}``.  Detection proceeds in three steps: estimate a
+rescaled by ``chi^{-1}`` into the value plane, where the rectangle lives;
+:func:`fit_hchart` rescales the cloud once and every step works on the
+rescaled points.  Detection proceeds in three steps: estimate a
 local lattice basis from nearest-neighbor difference vectors, unwind integer
 labels outward from an anchor point (refitting a quadratic map each round so
 smooth curvature never accumulates), and least-squares fit the chart map
@@ -17,26 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .models import ActionChart
-from .synth import GoodRectangle, SpectrumCloud
+from .models import ActionChart, Rect
+from .synth import SpectrumCloud, chi_inverse
 
 
 class DetectionError(ValueError):
     """Raised when a cloud fails lattice detection or labeling."""
-
-
-def chi(u, epsilon: float):
-    """Identify ``(u1, u2)`` with the complex number ``u1 + i*eps*u2``."""
-    u = np.asarray(u, dtype=float)
-    return u[..., 0] + 1j * epsilon * u[..., 1]
-
-
-def chi_inverse(z, epsilon: float):
-    """Exact inverse of :func:`chi`; requires a positive ``epsilon``."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    z = np.asarray(z, dtype=complex)
-    return np.stack([z.real, z.imag / epsilon], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -84,22 +72,20 @@ def _gauss_reduce(b1, b2):
 BASIS_SAMPLE = 200
 
 
-def detect_basis(cloud: SpectrumCloud, k_neighbors: int = 12):
-    """Estimate the two shortest lattice vectors of the rescaled cloud.
+def detect_basis(u, anchor, k_neighbors: int = 12):
+    """Estimate the two shortest lattice vectors of the rescaled cloud ``u``.
 
     Nearest-neighbor difference vectors of the ``BASIS_SAMPLE`` points
-    nearest the rectangle's center (the labeling anchor) are clustered by
-    direction; the two densest independent directions give candidate
-    vectors which are then Gauss-reduced.  Rejects clouds whose basis is
-    too ill-conditioned to label reliably.
+    nearest the ``anchor`` (the labeling anchor, the rectangle's center) are
+    clustered by direction; the two densest independent directions give
+    candidate vectors which are then Gauss-reduced.  Rejects clouds whose
+    basis is too ill-conditioned to label reliably.
     """
-    eps = cloud.params.epsilon
-    u = chi_inverse(cloud.points, eps)
     n = len(u)
     if n < 25:
         raise DetectionError(f"insufficient points for basis detection ({n} < 25)")
     if n > BASIS_SAMPLE:
-        d2 = np.sum((u - chi_inverse(cloud.rectangle.center, eps)) ** 2, axis=1)
+        d2 = np.sum((u - anchor) ** 2, axis=1)
         # sorted, so the sample keeps cloud order whatever lies outside it
         u = u[np.sort(np.argpartition(d2, BASIS_SAMPLE - 1)[:BASIS_SAMPLE])]
     tree = cKDTree(u)
@@ -162,35 +148,29 @@ def _feature_jac(coeffs, t, scale):
     return J
 
 
-@dataclass
-class LabelResult:
-    labels: np.ndarray  # (n, 2) integers; undefined where not labeled
-    labeled: np.ndarray  # boolean mask
-    residuals: np.ndarray  # |poly prediction - label|, units of one lattice step
+MAX_UNLABELED = 0.01  # largest fraction of a cloud left without a label
 
 
-def label_lattice(cloud: SpectrumCloud, basis, anchor: complex, max_unlabeled: float = 0.01) -> LabelResult:
-    """Integer labels by breadth-first unwinding from the anchor point.
+def label_lattice(u, basis, anchor):
+    """Integer labels of the rescaled cloud ``u`` by breadth-first unwinding
+    from the point nearest ``anchor``; returns ``(labels, labeled)``, the
+    ``(n, 2)`` labels (undefined where not labeled) and the labeled mask.
 
     A quadratic map from rescaled points to label space is refit on every
     growth round, so the acceptance test for a new point always uses the
     locally correct basis.  Conflicts (a refit that disagrees with an
     already-assigned label) reject the rectangle.
     """
-    eps = cloud.params.epsilon
-    u = chi_inverse(cloud.points, eps)
     n = len(u)
     b1, b2 = basis
     B = np.column_stack([b1, b2])
     Binv = np.linalg.inv(B)
 
-    ua = chi_inverse(np.asarray(anchor, dtype=complex), eps)
-    i0 = int(np.argmin(np.linalg.norm(u - ua, axis=1)))
+    i0 = int(np.argmin(np.linalg.norm(u - anchor, axis=1)))
     u0 = u[i0]
 
     labels = np.zeros((n, 2), dtype=np.int64)
     labeled = np.zeros(n, dtype=bool)
-    residuals = np.zeros(n)
     labeled[i0] = True
 
     # seed: direct rounding in the constant basis close to the anchor,
@@ -203,7 +183,6 @@ def label_lattice(cloud: SpectrumCloud, basis, anchor: complex, max_unlabeled: f
     seed = (d0 <= seed_r) & (res <= 0.25)
     labels[seed] = kr[seed]
     labeled |= seed
-    residuals[seed] = res[seed]
 
     # grow outward, refitting the quadratic map each round
     center = u0
@@ -232,19 +211,18 @@ def label_lattice(cloud: SpectrumCloud, basis, anchor: complex, max_unlabeled: f
             break
         ci = np.flatnonzero(cand)[ok]
         labels[ci] = kr_c[ok]
-        residuals[ci] = res_c[ok]
         labeled[ci] = True
 
     if labeled.sum() < n:
         frac = 1.0 - labeled.sum() / n
-        if frac > max_unlabeled:
-            raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {max_unlabeled}")
+        if frac > MAX_UNLABELED:
+            raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {MAX_UNLABELED}")
     # injectivity: sorted by both columns, equal labels are adjacent
     k = labels[labeled]
     k = k[np.lexsort((k[:, 1], k[:, 0]))]
     if np.any(np.all(k[1:] == k[:-1], axis=1)):
         raise DetectionError("label conflict: duplicate integer labels")
-    return LabelResult(labels=labels, labeled=labeled, residuals=residuals)
+    return labels, labeled
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +234,7 @@ def label_lattice(cloud: SpectrumCloud, basis, anchor: complex, max_unlabeled: f
 class HChart:
     """Fitted local chart certifying lattice structure of one rectangle."""
 
-    rectangle: GoodRectangle
+    rectangle: Rect  # in the value plane; its center and half-sizes scale the fit
     h: float
     epsilon: float
     u: np.ndarray  # rescaled points (n, 2)
@@ -264,10 +242,7 @@ class HChart:
     residuals: np.ndarray  # dist(f(mu), h*label) in units of h
     basis: tuple
     coeffs: np.ndarray  # (6, 2): quadratic map t -> h*k on scaled coords
-    center: np.ndarray
-    scale: np.ndarray
     affine: np.ndarray  # df/du at the rectangle center
-    offset: np.ndarray  # f at the rectangle center
     gauge_M: np.ndarray | None = None  # integer alignment vs a reference chart
     gauge_c: np.ndarray | None = None
     eta: np.ndarray | None = None
@@ -276,14 +251,14 @@ class HChart:
     def f(self, u) -> np.ndarray:
         """Fitted chart map: rescaled point -> approximately h * Z^2."""
         u = np.asarray(u, dtype=float)
-        t = (np.atleast_2d(u) - self.center) / self.scale
+        t = (np.atleast_2d(u) - self.rectangle.center) / self.rectangle.half
         out = _features(t) @ self.coeffs
         return out if u.ndim > 1 else out[0]
 
     def df(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        t = (np.atleast_2d(u) - self.center) / self.scale
-        J = _feature_jac(self.coeffs, t, self.scale)
+        t = (np.atleast_2d(u) - self.rectangle.center) / self.rectangle.half
+        J = _feature_jac(self.coeffs, t, self.rectangle.half)
         return J if u.ndim > 1 else J[0]
 
     # leading-term views ---------------------------------------------------
@@ -312,7 +287,7 @@ class HChart:
         """
         target = np.asarray(target, dtype=float)
         tgt = np.atleast_2d(target)
-        u = np.tile(self.center, (tgt.shape[0], 1))
+        u = np.tile(self.rectangle.center, (tgt.shape[0], 1))
         for _ in range(max_iter):
             r = self.f(u) - tgt
             err = np.max(np.abs(r))
@@ -331,11 +306,12 @@ class HChart:
 
     def to_text(self) -> str:
         b1, b2 = self.basis
+        E, G = map(float, self.rectangle.center)
         lines = [
             "[h-chart]",
             f"h = {self.h!r}",
             f"epsilon = {self.epsilon!r}",
-            f"center = {self.rectangle.center.real!r} {self.rectangle.center.imag!r}",
+            f"center = {E!r} {self.epsilon * G!r}",  # the spectral window's
             f"basis1 = {float(b1[0])!r} {float(b1[1])!r}",
             f"basis2 = {float(b2[0])!r} {float(b2[1])!r}",
             f"max_residual = {self.max_residual()!r}",
@@ -362,19 +338,14 @@ def fit_hchart(
     are solved for, making ``f_tilde0`` directly comparable to the ground
     truth ``tau_c + phi^{-1}``.
     """
-    params = cloud.params
-    h, eps = params.h, params.epsilon
+    h, eps = cloud.params.h, cloud.params.epsilon
     rect = cloud.rectangle
-    basis = detect_basis(cloud)
-    lab = label_lattice(cloud, basis, rect.center)
     u = chi_inverse(cloud.points, eps)
+    basis = detect_basis(u, rect.center)
+    labels, m = label_lattice(u, basis, rect.center)
 
-    m = lab.labeled
-    center = chi_inverse(np.asarray(rect.center, dtype=complex), eps)
-    scale = np.array([rect.half_width, rect.half_height / eps])
-    t = (u[m] - center) / scale
-    X = _features(t)
-    target = h * lab.labels[m].astype(float)
+    X = _features((u[m] - rect.center) / rect.half)
+    target = h * labels[m].astype(float)
     C, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)
     if rank < X.shape[1]:
         raise DetectionError("chart fit is rank deficient")
@@ -384,29 +355,25 @@ def fit_hchart(
             f"chart rejected: max residual {np.max(residuals):.4f} > {residual_limit} (units of h)"
         )
 
-    affine = _feature_jac(C, np.zeros((1, 2)), scale)[0]
+    affine = _feature_jac(C, np.zeros((1, 2)), rect.half)[0]
     if abs(np.linalg.det(affine)) < 1e-300:
         raise DetectionError("fitted chart is not a local diffeomorphism")
-    offset = _features(np.zeros((1, 2)))[0] @ C
 
     hc = HChart(
         rectangle=rect,
         h=h,
         epsilon=eps,
         u=u[m],
-        labels=lab.labels[m],
+        labels=labels[m],
         residuals=residuals,
         basis=basis,
         coeffs=C,
-        center=center,
-        scale=scale,
         affine=affine,
-        offset=offset,
         labeled_fraction=float(np.mean(m)),
     )
 
     if chart_hint is not None:
-        J = chart_hint.d_xi(center)  # Jacobian of the ground-truth leading term
+        J = chart_hint.d_xi(rect.center)  # Jacobian of the ground-truth leading term
         M_pre = affine @ np.linalg.inv(J)
         M = np.rint(M_pre).astype(np.int64)
         if abs(round(float(np.linalg.det(M)))) != 1:

@@ -93,12 +93,6 @@ def is_diophantine(omega, params: DiophantineParams) -> bool:
     return bool(margin >= params.alpha)
 
 
-def are_diophantine(omegas, params: DiophantineParams) -> np.ndarray:
-    """Vectorized version of :func:`is_diophantine` for an (n, 2) batch."""
-    margins, _ = _margins(np.asarray(omegas, dtype=float), params)
-    return margins >= params.alpha
-
-
 @dataclass
 class GoodValueSet:
     """Grid of candidate values with the four exclusion flags per node."""
@@ -154,9 +148,10 @@ def good_values(
 
     omegas, d_avg, wprime = _frequencies_at(chart, grid)
     sing = np.asarray(model.dist_to_singular(grid)) >= params.alpha
+    margins, _ = _margins(omegas, params)
     return GoodValueSet(
         grid=grid,
-        diophantine_ok=are_diophantine(omegas, params),
+        diophantine_ok=margins >= params.alpha,
         dq_ok=np.linalg.norm(d_avg, axis=-1) >= params.alpha,
         omega_prime_ok=wprime >= params.alpha,
         singular_ok=np.atleast_1d(sing),

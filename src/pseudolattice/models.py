@@ -50,13 +50,6 @@ class Rect:
         d = np.abs(pts - self.center) - (self.half + margin)
         return np.all(d <= 0.0, axis=-1)
 
-    def corners(self) -> np.ndarray:
-        sx, sy = self.half
-        cx, cy = self.center
-        return np.array(
-            [[cx - sx, cy - sy], [cx + sx, cy - sy], [cx + sx, cy + sy], [cx - sx, cy + sy]]
-        )
-
     def grid(self, n: int) -> np.ndarray:
         xs = np.linspace(self.center[0] - self.half[0], self.center[0] + self.half[0], n)
         ys = np.linspace(self.center[1] - self.half[1], self.center[1] + self.half[1], n)
@@ -279,56 +272,26 @@ def _radial_action_quad(E, l, b, n: int = 100):
     theta, w = _gauss_legendre(n)
     vals = np.empty(rm.shape)
 
-    layer = rm < 0.05 * rp  # includes rm == 0
+    # rm == 0 takes the sin^2 branch: its integrand is then regular at the origin
+    layer = (rm > 1e-300) & (rm < 0.05 * rp)
     if np.any(layer):
-        rmL = rm[layer]
-        rpL = rp[layer]
-        u3L = u3g[layer]
-        smooth_zero = rmL < 1e-300
-        rmL = np.where(smooth_zero, 0.0, rmL)
-        # cosh substitution r = rm*cosh(T sin(phi)); for rm == 0 fall back to
-        # r = rp*sin^2(phi) (integrand is then regular at the origin)
-        resL = np.empty(rmL.shape)
-        if np.any(~smooth_zero):
-            rm2, rp2, u32 = rmL[~smooth_zero], rpL[~smooth_zero], u3L[~smooth_zero]
-            T = np.arccosh(rp2 / rm2)
-            t = T[:, None] * np.sin(theta)[None, :]
-            r = rm2[:, None] * np.cosh(t)
-            u = r * r
-            # rp - r = rm*(cosh T - cosh t), in a cancellation-free form
-            dtop = rm2[:, None] * 2.0 * np.sinh(0.5 * (T[:, None] + t)) * np.sinh(0.5 * (T[:, None] - t))
-            integ = (
-                np.sqrt(2.0 * (u - u32[:, None]) * dtop * (rp2[:, None] + r))
-                * (rm2[:, None] * np.sinh(t)) ** 2
-                * (T[:, None] * np.cos(theta)[None, :])
-                / r
-            )
-            resL[~smooth_zero] = integ @ w / math.pi
-        if np.any(smooth_zero):
-            rp0 = rpL[smooth_zero]
-            u30 = u3L[smooth_zero]
-            s2 = np.sin(theta) ** 2
-            r = rp0[:, None] * s2[None, :]
-            u = r * r
-            # u - um = u, up - u = (rp - r)(rp + r)
-            pr_dr = (
-                np.sqrt(2.0 * (u - u30[:, None]) * (rp0[:, None] - r) * (rp0[:, None] + r))
-                * 2.0
-                * rp0[:, None]
-                * np.sin(theta)[None, :]
-                * np.cos(theta)[None, :]
-            )
-            # sqrt(u - um)/r = 1 here (um = 0): pr = sqrt(2(u-u3)(up-u))*r/r... use g/u form
-            resL[smooth_zero] = pr_dr @ w / math.pi
-        vals[layer] = resL
-    if np.any(~layer):
-        rmS, rpS, u3S, umS, upS = (
-            rm[~layer],
-            rp[~layer],
-            u3g[~layer],
-            umg[~layer],
-            upg[~layer],
+        rmL, rpL, u3L = rm[layer], rp[layer], u3g[layer]
+        # cosh substitution r = rm*cosh(T sin(phi))
+        T = np.arccosh(rpL / rmL)
+        t = T[:, None] * np.sin(theta)[None, :]
+        r = rmL[:, None] * np.cosh(t)
+        u = r * r
+        # rp - r = rm*(cosh T - cosh t), in a cancellation-free form
+        dtop = rmL[:, None] * 2.0 * np.sinh(0.5 * (T[:, None] + t)) * np.sinh(0.5 * (T[:, None] - t))
+        integ = (
+            np.sqrt(2.0 * (u - u3L[:, None]) * dtop * (rpL[:, None] + r))
+            * (rmL[:, None] * np.sinh(t)) ** 2
+            * (T[:, None] * np.cos(theta)[None, :])
+            / r
         )
+        vals[layer] = integ @ w / math.pi
+    if np.any(~layer):
+        rmS, rpS, u3S = rm[~layer], rp[~layer], u3g[~layer]
         s, c = np.sin(theta), np.cos(theta)
         r = rmS[:, None] + (rpS[:, None] - rmS[:, None]) * (s * s)[None, :]
         u = r * r

@@ -80,8 +80,8 @@ class MonodromyClass:
 ROUNDING_TOL = 0.1
 
 
-def transition_matrix(atlas: PseudoChartAtlas, i: int, j: int, sample_points=None) -> TransitionMatrix:
-    """Integer differential of ``f_i o f_j^{-1}`` on overlap samples.
+def transition_matrix(atlas: PseudoChartAtlas, i: int, j: int) -> TransitionMatrix:
+    """Integer differential of ``f_i o f_j^{-1}`` on a 3 x 3 grid of the overlap.
 
     The Jacobians of both charts are averaged over the samples before
     rounding; the pre-rounding matrix and its distance to the integer
@@ -90,14 +90,10 @@ def transition_matrix(atlas: PseudoChartAtlas, i: int, j: int, sample_points=Non
     if i == j:
         eye = np.eye(2, dtype=np.int64)
         return TransitionMatrix(i, j, eye, eye.astype(float), 0.0)
-    if sample_points is None:
-        ov = atlas.overlap(i, j)
-        if ov is None:
-            raise MonodromyError(f"charts {i} and {j} do not overlap")
-        sample_points = ov.grid(3)
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    if len(pts) < 4:
-        raise MonodromyError("need at least 4 overlap samples")
+    ov = atlas.overlap(i, j)
+    if ov is None:
+        raise MonodromyError(f"charts {i} and {j} do not overlap")
+    pts = ov.grid(3)
     Ji = np.asarray(atlas.charts[i].df0(pts))
     Jj = np.asarray(atlas.charts[j].df0(pts))
     T = Ji @ np.linalg.inv(Jj)
@@ -140,7 +136,7 @@ def cocycle_check(atlas: PseudoChartAtlas) -> CocycleReport:
             ov = atlas.overlap(i, j) if i != j else None
             if ov is not None:
                 overlaps[(i, j)] = ov
-                t = transition_matrix(atlas, i, j, ov.grid(3))
+                t = transition_matrix(atlas, i, j)
                 trans[(i, j)] = t.M
                 if i < j:
                     pairs.append(t)

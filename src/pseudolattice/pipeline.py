@@ -15,7 +15,7 @@ import numpy as np
 
 from .detect import HChart, fit_hchart
 from .diophantine import DiophantineParams, is_good_value
-from .models import ActionChart, ModelSystem, Rect, _chart_radius, action_coords
+from .models import ActionChart, ModelSystem, _chart_radius, action_coords
 from .monodromy import (
     AtlasChart,
     MonodromyError,
@@ -90,7 +90,7 @@ def spectral_chart_at(
     for cc, ac in zip(cs, charts):
         hw, C0_eff = rect_half_width(params, C0, ac.domain.half[0])
         goods.append(find_good_value(model, ac, cc, dio, search_radius=0.25 * hw))
-        rects.append(good_rectangle(goods[-1], params, C0_eff, good=True))
+        rects.append(good_rectangle(goods[-1], params, C0_eff))
     syms = [NormalFormSymbol(ac, dict(higher_coeffs or {}), params.noise_order) for ac in charts]
     elements = [
         SpectralChart(cc, a, ac, cloud, fit_hchart(cloud.without_labels(), chart_hint=ac if chart_hint else None))
@@ -112,8 +112,8 @@ def spectral_monodromy(
 
     Chart centers are spaced by a fraction of the local rectangle
     half-width, so consecutive rectangles overlap with margin and
-    transitions are well-sampled.  Each chart's domain is its rectangle in
-    rescaled coordinates, the fitted chart's center and scale.
+    transitions are well-sampled.  Each chart's domain is its good
+    rectangle, which lives in the value plane like the fitted chart.
 
     Returns ``(MonodromyClass, atlas, elements)``.
     """
@@ -124,6 +124,6 @@ def spectral_monodromy(
     centers = cover_loop(model, vertices, spacing_factor=spacing_factor, radius_fn=rect_radius)
     elements = spectral_chart_at(model, centers, params, dio, C0=C0, higher_coeffs=higher_coeffs)
     atlas = PseudoChartAtlas(
-        charts=[AtlasChart(domain=Rect(el.hchart.center, el.hchart.scale), df0=el.hchart.df) for el in elements]
+        charts=[AtlasChart(domain=el.cloud.rectangle, df0=el.hchart.df) for el in elements]
     )
     return loop_monodromy(atlas, range(len(atlas))), atlas, elements

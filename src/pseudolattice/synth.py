@@ -4,9 +4,9 @@ In a local action chart the eigenvalues near a good value form a deformed
 lattice: ``mu_k = P(xi_k)`` with ``xi_k = h*(k - eta/4) - tau_c`` for integer
 vectors ``k``, where ``P`` has leading term ``p(xi) + i*eps*<q>(xi)`` plus a
 finite table of higher corrections and a seeded ``O(h^N)`` perturbation.
-The cloud is restricted to a rectangle of size ``(h^delta/C0) x
-(eps*h^delta/C0)`` around the chosen value, matching the vertical-to-
-horizontal aspect ratio ``eps`` of the deformed lattice.
+The cloud is restricted to the good rectangle: a square of half-size
+``h^delta/C0`` around the chosen value in the value plane, which ``chi``
+carries onto a window of aspect ratio ``eps``, that of the deformed lattice.
 """
 
 from __future__ import annotations
@@ -48,41 +48,31 @@ class SemiclassicalParams:
         return self.h**self.delta
 
 
-@dataclass
-class GoodRectangle:
-    """Spectral window centered at ``E + i*eps*G`` for a good value (E, G)."""
-
-    center: complex
-    half_width: float
-    half_height: float
-    C0: float
-
-    def contains(self, mu) -> np.ndarray:
-        mu = np.asarray(mu, dtype=complex)
-        return (np.abs(mu.real - self.center.real) <= self.half_width) & (
-            np.abs(mu.imag - self.center.imag) <= self.half_height
-        )
+def chi(u, epsilon: float):
+    """Identify ``(u1, u2)`` with the complex number ``u1 + i*eps*u2``."""
+    u = np.asarray(u, dtype=float)
+    return u[..., 0] + 1j * epsilon * u[..., 1]
 
 
-def good_rectangle(a, params: SemiclassicalParams, C0: float = 1.0, good: bool = True) -> GoodRectangle:
-    """Rectangle of half-sizes ``h^delta/C0`` by ``eps*h^delta/C0`` at ``a``.
+def chi_inverse(z, epsilon: float):
+    """Exact inverse of :func:`chi`; requires a positive ``epsilon``."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag / epsilon], axis=-1)
 
-    The caller is responsible for the goodness of ``a`` (the flag is
-    typically the output of the frequency exclusion tests).
+
+def good_rectangle(a, params: SemiclassicalParams, C0: float = 1.0) -> Rect:
+    """Square of half-size ``h^delta/C0`` around the good value ``a``, in the
+    value plane; :func:`chi` carries it onto the spectral window of
+    half-sizes ``h^delta/C0`` by ``eps*h^delta/C0``.
+
+    The caller is responsible for the goodness of ``a``.
     """
     if C0 < 1.0:
         raise ValueError("C0 must be >= 1")
-    if not good:
-        raise ValueError(f"{tuple(a)} is not a good value")
-    a = np.asarray(a, dtype=float)
-    eps = params.epsilon
     hw = params.h**params.delta / C0
-    return GoodRectangle(
-        center=complex(a[0], eps * a[1]),
-        half_width=hw,
-        half_height=eps * hw,
-        C0=float(C0),
-    )
+    return Rect(np.array(a, dtype=float), (hw, hw))
 
 
 def default_higher_coeffs(scale: float = 0.02) -> dict:
@@ -162,7 +152,7 @@ class SpectrumCloud:
     points: np.ndarray  # complex
     k_true: np.ndarray | None  # (n, 2) integers, or None in blind mode
     params: SemiclassicalParams
-    rectangle: GoodRectangle
+    rectangle: Rect  # in the value plane
 
     def __len__(self):
         return len(self.points)
@@ -170,17 +160,19 @@ class SpectrumCloud:
     def without_labels(self) -> "SpectrumCloud":
         return SpectrumCloud(self.points, None, self.params, self.rectangle)
 
-    def to_text(self, include_k: bool = True) -> str:
-        r = self.rectangle
+    def to_text(self) -> str:
+        # the spectral window: the rectangle carried over by chi
+        eps = self.params.epsilon
+        (E, G), hw = map(float, self.rectangle.center), float(self.rectangle.half[0])
         lines = [
             "[spectrum]",
             f"h = {self.params.h!r}",
             f"delta = {self.params.delta!r}",
-            f"epsilon = {self.params.epsilon!r}",
-            f"center = {r.center.real!r} {r.center.imag!r}",
-            f"half = {r.half_width!r} {r.half_height!r}",
+            f"epsilon = {eps!r}",
+            f"center = {E!r} {eps * G!r}",
+            f"half = {hw!r} {eps * hw!r}",
         ]
-        with_k = include_k and self.k_true is not None
+        with_k = self.k_true is not None
         lines.append("# re_mu\tim_mu" + ("\tk1\tk2" if with_k else ""))
         for i, mu in enumerate(self.points):
             row = f"{float(mu.real)!r}\t{float(mu.imag)!r}"
@@ -190,11 +182,10 @@ class SpectrumCloud:
         return "\n".join(lines) + "\n"
 
 
-def _rect_seed(params: SemiclassicalParams, rect: GoodRectangle):
+def _rect_seed(params: SemiclassicalParams, rect: Rect):
     # decorrelate rectangles while keeping runs bit-reproducible
-    center_bits = np.frombuffer(
-        np.array([rect.center.real, rect.center.imag], dtype="<f8").tobytes(), dtype="<u8"
-    )
+    center = [rect.center[0], params.epsilon * rect.center[1]]  # the spectral window's
+    center_bits = np.frombuffer(np.array(center, dtype="<f8").tobytes(), dtype="<u8")
     return [np.uint64(params.seed), center_bits[0], center_bits[1]]
 
 
@@ -215,8 +206,7 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
     """
     h, eps = params.h, params.epsilon
     charts = [sym.chart for sym in symbols]
-    center = np.array([[r.center.real, r.center.imag / eps] for r in rects])
-    half = np.array([[r.half_width, r.half_height / eps] for r in rects])
+    center, half = (np.array([getattr(r, f) for r in rects]) for f in ("center", "half"))
     t = np.linspace(-1, 1, 7)
     ares = center[:, None] + half[:, None] * np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
     dom = Rect(*(np.array([getattr(c.domain, f) for c in charts])[:, None] for f in ("center", "half")))
@@ -281,14 +271,14 @@ def synth_spectrum(symbol, a, params: SemiclassicalParams, C0: float = 1.0, rect
         for i, k, xi_k, a_k in zip(idx, *(np.split(x, np.searchsorted(rect_of, idx[1:])) for x in (labels, xi, vals))):
             sym, rect = symbols[i], rects[i]
             mu = a_k[:, 0] + 1j * eps * a_k[:, 1] + sym.correction(xi_k, eps, h)  # sym(xi_k, eps, h) at the values a_k
-            keep = rect.contains(mu)
+            keep = rect.contains(chi_inverse(mu, eps))
             # labels run k1-major, k2-minor: the canonical order for the noise
             k, mu = k[keep], mu[keep]
             if noise and len(mu) > 0:
                 rng = np.random.default_rng(_rect_seed(params, rect))
                 amp = h**sym.noise_order
                 mu = mu + amp * (rng.uniform(-1, 1, len(mu)) + 1j * rng.uniform(-1, 1, len(mu)))
-                keep = rect.contains(mu)
+                keep = rect.contains(chi_inverse(mu, eps))
                 k, mu = k[keep], mu[keep]
             clouds.append(SpectrumCloud(points=mu, k_true=k, params=params, rectangle=rect))
     return clouds if many else clouds[0]

@@ -120,13 +120,10 @@ def _leading_error(model, a, params):
     cloud = synth_spectrum(sym, a, params, C0=2.0)
     hc = fit_hchart(cloud.without_labels(), chart_hint=chart)
     r = cloud.rectangle
-    eps = params.epsilon
     gx = np.stack(
         np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9), indexing="ij"), axis=-1
     ).reshape(-1, 2)
-    us = np.array([r.center.real, r.center.imag / eps]) + gx * np.array(
-        [r.half_width, r.half_height / eps]
-    )
+    us = r.center + gx * r.half
     gt = chart.tau_c + chart.xi_of_c(us)
     return float(np.max(np.abs(hc.f_tilde0(us) - gt)))
 
@@ -153,18 +150,9 @@ def test_criterion_03_transition_consistency(flat_model, report):
     base = np.array([0.30, 0.14])
     centers = [base + 0.6 * hw * np.array([i, j]) for i in range(3) for j in range(2)]
     els = [spectral_chart_at(flat_model, c, PARAMS, DIO, C0=2.0) for c in centers]
-    from pseudolattice.models import Rect
     from pseudolattice.monodromy import AtlasChart
 
-    charts = []
-    for el in els:
-        r = el.cloud.rectangle
-        dom = Rect(
-            np.array([r.center.real, r.center.imag / PARAMS.epsilon]),
-            np.array([r.half_width, r.half_height / PARAMS.epsilon]),
-        )
-        charts.append(AtlasChart(domain=dom, df0=el.hchart.df))
-    atlas = PseudoChartAtlas(charts=charts)
+    atlas = PseudoChartAtlas(charts=[AtlasChart(domain=el.cloud.rectangle, df0=el.hchart.df) for el in els])
     max_err, anti_ok = 0.0, True
     n = len(atlas)
     for i in range(n):
@@ -284,7 +272,7 @@ def test_criterion_09_band_containment(rectangles, flat_model, champ_model, repo
             sym = NormalFormSymbol(el.action_chart, dict(coeffs), PARAMS.noise_order)
             r = el.cloud.rectangle
             lo, hi = spectral_band(
-                model, el.action_chart, r.center.real, r.half_width, PARAMS, sym
+                model, el.action_chart, r.center[0], r.half[0], PARAMS, sym
             )
             escaped += int(
                 np.any((el.cloud.points.imag < lo) | (el.cloud.points.imag > hi))

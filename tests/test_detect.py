@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from pseudolattice.detect import (
     DetectionError,
     _gauss_reduce,
-    chi,
-    chi_inverse,
     detect_basis,
     fit_hchart,
     invert_leading,
@@ -18,6 +16,8 @@ from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
     SpectrumCloud,
+    chi,
+    chi_inverse,
     default_higher_coeffs,
     good_rectangle,
     synth_spectrum,
@@ -93,9 +93,14 @@ def _square_lattice_cloud(h=1e-3, n=15, seed=0, rows=None, aspect=1.0):
     return SpectrumCloud(points=pts, k_true=None, params=params, rectangle=rect)
 
 
+def _rescaled(cloud):
+    """The rescaled points and the rectangle's center, as fit_hchart passes them on."""
+    return chi_inverse(cloud.points, cloud.params.epsilon), cloud.rectangle.center
+
+
 def test_basis_square_lattice():
     cloud = _square_lattice_cloud()
-    b1, b2 = detect_basis(cloud)
+    b1, b2 = detect_basis(*_rescaled(cloud))
     B = np.abs(np.column_stack([b1, b2]))
     target = 1e-3 * np.eye(2)
     assert np.allclose(np.sort(B.ravel()), np.sort(target.ravel()), atol=1e-9)
@@ -105,7 +110,7 @@ def test_basis_flat_cloud_matches_jacobian(flat_setup):
     m, chart, a = flat_setup
     sym = NormalFormSymbol(chart, {})
     cloud = synth_spectrum(sym, a, PARAMS, C0=2.0, noise=False)
-    b1, b2 = detect_basis(cloud)
+    b1, b2 = detect_basis(*_rescaled(cloud))
     # lattice generated by h * columns of d(phi)/d(xi) at the center
     cols = PARAMS.h * np.linalg.inv(chart.d_xi(a))
     got = np.column_stack([b1, b2])
@@ -117,23 +122,23 @@ def test_basis_flat_cloud_matches_jacobian(flat_setup):
 def test_basis_needs_points():
     cloud = _square_lattice_cloud(n=3)
     with pytest.raises(DetectionError):
-        detect_basis(cloud)
+        detect_basis(*_rescaled(cloud))
 
 
 def test_basis_rejects_collinear_cloud():
     cloud = _square_lattice_cloud(n=60, rows=1)
     with pytest.raises(DetectionError, match="only one difference direction"):
-        detect_basis(cloud)
+        detect_basis(*_rescaled(cloud))
 
 
 def test_basis_rejects_anisotropic_lattice():
     # the second direction is sought among differences shorter than 4 |b1|
     with pytest.raises(DetectionError, match="only one difference direction"):
-        detect_basis(_square_lattice_cloud(n=30, aspect=5.0))
+        detect_basis(*_rescaled(_square_lattice_cloud(n=30, aspect=5.0)))
 
 
 def test_basis_accepts_moderately_anisotropic_lattice():
-    b1, b2 = detect_basis(_square_lattice_cloud(n=30, aspect=3.5))
+    b1, b2 = detect_basis(*_rescaled(_square_lattice_cloud(n=30, aspect=3.5)))
     assert np.allclose(np.abs(b1), [1e-3, 0.0], atol=1e-12)
     assert np.allclose(np.abs(b2), [0.0, 3.5e-3], atol=1e-12)
 
@@ -141,24 +146,19 @@ def test_basis_accepts_moderately_anisotropic_lattice():
 def test_basis_ignores_points_far_from_anchor(flat_cloud):
     # a rotated copy of the cloud beside the rectangle adds a second set of
     # difference directions, all of it far from the anchor
-    eps = flat_cloud.params.epsilon
-    r = flat_cloud.rectangle
-    u = chi_inverse(flat_cloud.points, eps)
-    ua = chi_inverse(r.center, eps)
+    u, ua = _rescaled(flat_cloud)
     c, s = np.cos(0.5), np.sin(0.5)
-    far = (u - ua) @ np.array([[c, s], [-s, c]]) + ua + np.array([2.5 * r.half_width, 0.0])
-    pts = np.concatenate([flat_cloud.points, chi(far, eps)])
-    wide = SpectrumCloud(pts, None, flat_cloud.params, r)
-    for got, want in zip(detect_basis(wide), detect_basis(flat_cloud)):
+    far = (u - ua) @ np.array([[c, s], [-s, c]]) + ua + np.array([2.5 * flat_cloud.rectangle.half[0], 0.0])
+    for got, want in zip(detect_basis(np.concatenate([u, far]), ua), detect_basis(u, ua)):
         assert np.array_equal(got, want)
 
 
 def test_labels_perfect_lattice_zero_residual():
     cloud = _square_lattice_cloud()
-    basis = detect_basis(cloud)
-    res = label_lattice(cloud, basis, cloud.rectangle.center)
-    assert np.all(res.labeled)
-    assert np.max(res.residuals) < 1e-9
+    u, anchor = _rescaled(cloud)
+    _, labeled = label_lattice(u, detect_basis(u, anchor), anchor)
+    assert np.all(labeled)
+    assert np.max(fit_hchart(cloud).residuals) < 1e-9
 
 
 def _gauge_between(k_a, k_b):
@@ -174,45 +174,43 @@ def _gauge_between(k_a, k_b):
 
 
 def test_labels_match_k_true_up_to_gauge(flat_cloud):
-    basis = detect_basis(flat_cloud)
-    res = label_lattice(flat_cloud, basis, flat_cloud.rectangle.center)
-    assert np.all(res.labeled)
-    M, c, exact = _gauge_between(flat_cloud.k_true, res.labels)
+    u, anchor = _rescaled(flat_cloud)
+    labels, labeled = label_lattice(u, detect_basis(u, anchor), anchor)
+    assert np.all(labeled)
+    M, c, exact = _gauge_between(flat_cloud.k_true, labels)
     assert exact
     assert abs(round(float(np.linalg.det(M)))) == 1
 
 
 def test_label_gauge_freedom_between_anchors(flat_cloud):
-    basis = detect_basis(flat_cloud)
-    r = flat_cloud.rectangle
-    res1 = label_lattice(flat_cloud, basis, r.center)
-    res2 = label_lattice(flat_cloud, basis, r.center + 0.6 * r.half_width)
-    M, c, exact = _gauge_between(res1.labels, res2.labels)
+    u, anchor = _rescaled(flat_cloud)
+    basis = detect_basis(u, anchor)
+    labels1, _ = label_lattice(u, basis, anchor)
+    labels2, _ = label_lattice(u, basis, anchor + [0.6 * flat_cloud.rectangle.half[0], 0.0])
+    M, c, exact = _gauge_between(labels1, labels2)
     assert exact
 
 
 def test_label_conflict_detected(flat_cloud):
-    basis = detect_basis(flat_cloud)
+    u, anchor = _rescaled(flat_cloud)
+    basis = detect_basis(u, anchor)
     # corrupt the geometry: collapse two distant points onto nearly the same
     # position so any consistent labeling must assign duplicate labels
-    pts = flat_cloud.points.copy()
-    pts[-1] = pts[0] + 1e-9
-    bad = SpectrumCloud(pts, None, flat_cloud.params, flat_cloud.rectangle)
+    u[-1] = u[0] + [1e-9, 0.0]
     with pytest.raises(DetectionError, match="duplicate integer labels"):
-        label_lattice(bad, basis, bad.rectangle.center)
+        label_lattice(u, basis, anchor)
 
 
 def test_label_conflict_detected_negative_labels(flat_cloud):
     # the duplicated label is negative on both axes relative to the anchor
-    basis = detect_basis(flat_cloud)
-    k = label_lattice(flat_cloud, basis, flat_cloud.rectangle.center).labels
+    u, anchor = _rescaled(flat_cloud)
+    basis = detect_basis(u, anchor)
+    k, _ = label_lattice(u, basis, anchor)
     neg = np.flatnonzero((k[:, 0] < 0) & (k[:, 1] < 0))
     i, j = neg[np.argmin(k[neg].sum(axis=1))], neg[np.argmax(k[neg].sum(axis=1))]
-    pts = flat_cloud.points.copy()
-    pts[j] = pts[i] + 1e-9
-    bad = SpectrumCloud(pts, None, flat_cloud.params, flat_cloud.rectangle)
+    u[j] = u[i] + [1e-9, 0.0]
     with pytest.raises(DetectionError, match="duplicate integer labels"):
-        label_lattice(bad, basis, bad.rectangle.center)
+        label_lattice(u, basis, anchor)
 
 
 def test_fit_hchart_accepts_and_reports(flat_cloud, flat_setup):
@@ -252,9 +250,7 @@ def test_fit_leading_term_error_bound(flat_setup, champ_setup):
         gx = np.stack(
             np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9), indexing="ij"), axis=-1
         ).reshape(-1, 2)
-        us = np.array([r.center.real, r.center.imag / eps]) + gx * np.array(
-            [r.half_width, r.half_height / eps]
-        )
+        us = r.center + gx * r.half
         gt = chart.tau_c + chart.xi_of_c(us)
         assert np.max(np.abs(hc.f_tilde0(us) - gt)) <= bound
 

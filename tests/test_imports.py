@@ -1,12 +1,17 @@
-"""Every module-level import of the package modules is used.
+"""Every module-level import of the package modules is used, and every
+name the package exports resolves to the module it is imported from.
 
-``__init__.py`` is skipped: it imports names to re-export them.
+``__init__.py`` is skipped by the first check: it imports names to
+re-export them.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import pseudolattice
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pseudolattice"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -27,3 +32,29 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert _unused_imports(path) == []
+
+
+def _reexports() -> list:
+    """``(module, name)`` for every ``from .module import name`` in ``__init__.py``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [
+        (node.module, a.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+    ]
+
+
+def test_package_exports_resolve_once():
+    names = pseudolattice.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(pseudolattice, n)] == []
+    assert sorted(names) == sorted(name for _, name in _reexports())
+    # each export is defined in the module it is imported from, not passed on
+    # by a module that imports it in turn
+    stale = [
+        f"{mod}.{name}"
+        for mod, name in _reexports()
+        if getattr(importlib.import_module(f"pseudolattice.{mod}"), name).__module__ != f"pseudolattice.{mod}"
+    ]
+    assert stale == []

@@ -33,7 +33,6 @@ def test_rect_contains_and_grid():
     g = r.grid(5)
     assert g.shape == (25, 2)
     assert np.all(r.contains(g, margin=1e-12))
-    assert r.corners().shape == (4, 2)
 
 
 def test_angle_polynomial_mean_and_eval():

@@ -382,3 +382,20 @@ def test_monodromy_report_text():
     # the classical class keeps its edges, so the report lists them
     assert "[transitions]" in text
     assert f"{len(cls.loop) - 1} -> 0: M = " in text
+
+
+def test_spectral_atlas_domains_are_the_good_rectangles():
+    # the fitted charts and their atlas live in the value plane: each
+    # domain is the cloud's good rectangle itself, centered on its good value
+    from pseudolattice.diophantine import DiophantineParams
+    from pseudolattice.pipeline import spectral_monodromy
+    from pseudolattice.synth import SemiclassicalParams
+
+    params = SemiclassicalParams(h=1e-3, delta=0.5, seed=0)
+    square = np.array([(0.30, 0.10), (0.34, 0.10), (0.34, 0.14), (0.30, 0.14)])
+    cls, atlas, elements = spectral_monodromy(make_flat_model((1.0, 0.7)), square, params, DiophantineParams(alpha=1e-3, k_max=500))
+    assert np.array_equal(cls.product, np.eye(2, dtype=np.int64))
+    assert len(atlas) == len(elements) > 4
+    for chart, el in zip(atlas.charts, elements):
+        assert chart.domain is el.cloud.rectangle is el.hchart.rectangle
+        assert chart.domain.center.tobytes() == el.a.tobytes()

@@ -6,6 +6,7 @@ from pseudolattice.models import action_coords, frequency, make_champagne_model,
 from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
+    chi_inverse,
     default_higher_coeffs,
     good_rectangle,
     spectral_band,
@@ -45,21 +46,24 @@ def test_params_validation():
 
 
 def test_good_rectangle_geometry():
+    # a square in the value plane; chi carries it onto a window eps times
+    # as high as wide
     r = good_rectangle((0.0, 0.0), PARAMS, C0=1.0)
-    assert r.center == 0.0 + 0.0j
-    assert r.half_width == pytest.approx(0.0316227766, abs=1e-6)
-    assert r.half_height == pytest.approx(1e-3, rel=1e-12)
-    assert r.half_height / r.half_width == pytest.approx(PARAMS.epsilon)
+    assert np.array_equal(r.center, [0.0, 0.0])
+    assert r.half[0] == pytest.approx(0.0316227766, abs=1e-6)
+    assert PARAMS.epsilon * r.half[1] == pytest.approx(1e-3, rel=1e-12)
+    assert r.half[1] == r.half[0]
     r10 = good_rectangle((0.0, 0.0), PARAMS, C0=10.0)
-    assert r10.half_width == pytest.approx(r.half_width / 10.0)
-    assert r10.half_height == pytest.approx(r.half_height / 10.0)
+    assert r10.half[0] == pytest.approx(r.half[0] / 10.0)
+    assert r10.half[1] == pytest.approx(r.half[1] / 10.0)
     quarter = SemiclassicalParams(h=2.5e-4, delta=0.5, seed=1)
-    assert good_rectangle((0.0, 0.0), quarter, C0=1.0).half_width == pytest.approx(r.half_width / 2.0)
+    assert good_rectangle((0.0, 0.0), quarter, C0=1.0).half[0] == pytest.approx(r.half[0] / 2.0)
+    # centered on the good value itself, bit for bit
+    a = np.array([0.3, 0.1 + 0.2])
+    assert good_rectangle(a, PARAMS, C0=2.0).center.tobytes() == a.tobytes()
 
 
 def test_good_rectangle_rejects_bad_value():
-    with pytest.raises(ValueError):
-        good_rectangle((0.0, 0.0), PARAMS, C0=1.0, good=False)
     with pytest.raises(ValueError):
         good_rectangle((0.0, 0.0), PARAMS, C0=0.5)
 
@@ -94,7 +98,7 @@ def _brute_force_labels(chart, sym, rect, params):
     k = np.stack([k1.ravel(), k2.ravel()], axis=-1)
     xi = h * (k - chart.eta / 4.0) - chart.tau_c
     ok = chart.contains_xi(xi, margin=5 * h)
-    return k[ok][rect.contains(sym(xi[ok], eps, h))]
+    return k[ok][rect.contains(chi_inverse(sym(xi[ok], eps, h), eps))]
 
 
 def test_exact_cloud_count_matches_brute_force(flat_setup, champ_setup):
@@ -153,7 +157,7 @@ def test_cloud_injectivity_and_containment(champ_setup):
     cloud = synth_spectrum(sym, a, PARAMS, C0=2.0)
     assert len(set(map(tuple, cloud.k_true))) == len(cloud)
     assert len(set(cloud.points.tolist())) == len(cloud)
-    assert np.all(cloud.rectangle.contains(cloud.points))
+    assert np.all(cloud.rectangle.contains(chi_inverse(cloud.points, PARAMS.epsilon)))
 
 
 def test_cloud_determinism(champ_setup):
@@ -214,7 +218,7 @@ def test_band_contains_all_points(flat_setup, champ_setup):
     for m, chart, a in (flat_setup, champ_setup):
         sym = NormalFormSymbol(chart, default_higher_coeffs())
         cloud = synth_spectrum(sym, a, PARAMS, C0=2.0)
-        lo, hi = spectral_band(m, chart, a[0], cloud.rectangle.half_width, PARAMS, sym)
+        lo, hi = spectral_band(m, chart, a[0], cloud.rectangle.half[0], PARAMS, sym)
         assert np.all((cloud.points.imag >= lo) & (cloud.points.imag <= hi))
 
 
@@ -253,3 +257,9 @@ def test_to_text_with_and_without_labels(flat_setup):
     # full-precision round trip
     mu0 = complex(*map(float, rows[0].split("\t")[:2]))
     assert mu0 == cloud.points[0]
+    # the value-plane rectangle prints as its spectral window: center
+    # E + i eps G and half-sizes hw, eps hw, to full precision
+    eps, hw = PARAMS.epsilon, PARAMS.h**PARAMS.delta / 4.0
+    head = dict(l.split(" = ") for l in txt.splitlines() if " = " in l)
+    assert head["center"] == f"{float(a[0])!r} {eps * float(a[1])!r}"
+    assert head["half"] == f"{hw!r} {eps * hw!r}"
