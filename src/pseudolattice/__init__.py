@@ -20,12 +20,11 @@ from .detect import (
 )
 from .diophantine import (
     DiophantineParams,
-    GoodValueSet,
     bad_measure_estimate,
     diophantine_margin,
+    good_margin,
     good_values,
     is_diophantine,
-    is_good_value,
 )
 from .models import (
     ActionChart,
@@ -74,7 +73,6 @@ __all__ = [
     "DetectionError",
     "DiophantineParams",
     "FlatModel",
-    "GoodValueSet",
     "HChart",
     "ModelError",
     "MonodromyClass",
@@ -100,11 +98,11 @@ __all__ = [
     "diophantine_margin",
     "fit_hchart",
     "frequency",
+    "good_margin",
     "good_rectangle",
     "good_values",
     "invert_leading",
     "is_diophantine",
-    "is_good_value",
     "label_lattice",
     "loop_monodromy",
     "make_champagne_model",

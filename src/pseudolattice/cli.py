@@ -23,7 +23,7 @@ import numpy as np
 
 from . import plots
 from .detect import DetectionError
-from .diophantine import DiophantineParams, is_good_value
+from .diophantine import DiophantineParams, good_values
 from .models import ModelError, action_coords, chart_to_text, make_champagne_model, make_flat_model
 from .monodromy import (
     VERDICT_TEXT,
@@ -33,7 +33,7 @@ from .monodromy import (
     compare_monodromies,
     monodromy_report,
 )
-from .pipeline import spectral_chart_at, spectral_monodromy
+from .pipeline import rect_half_width, spectral_chart_at, spectral_monodromy
 from .synth import NormalFormSymbol, SemiclassicalParams, spectral_band, synth_spectrum
 
 MODES = ("synth", "detect", "monodromy", "verify-all")
@@ -208,11 +208,13 @@ def _output_dir(out_arg: str | None, mode: str) -> Path:
 def _run_synth(cfg: RunConfig, out: Path) -> int:
     model = build_model(cfg)
     chart = action_coords(model, cfg.center)
-    if not is_good_value(model, chart, cfg.center, cfg.dio):
-        print(f"error: center {tuple(cfg.center)} is not a good value", file=sys.stderr)
+    if not good_values(model, chart, cfg.dio, cfg.center[None])[0]:
+        print(f"error: center {tuple(cfg.center.tolist())} is not a good value", file=sys.stderr)
         return 1
+    # the rectangle detect mode builds: capped to fit inside the chart
+    _, C0 = rect_half_width(cfg.params, cfg.C0, chart.domain.half[0])
     sym = NormalFormSymbol(chart, {}, cfg.params.noise_order)
-    cloud = synth_spectrum(sym, cfg.center, cfg.params, C0=cfg.C0)
+    cloud = synth_spectrum(sym, cfg.center, cfg.params, C0=C0)
     (out / "spectrum.tsv").write_text(cloud.to_text())
     (out / "chart.txt").write_text(chart_to_text(chart))
     (out / "spectrum.svg").write_text(plots.plot_spectrum(cloud))

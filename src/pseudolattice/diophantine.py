@@ -1,4 +1,4 @@
-"""Diophantine frequency tests, good-value sets and bad-set measure.
+"""Diophantine frequency tests, the good-value margin and bad-set measure.
 
 The non-resonance condition on a frequency vector ``omega`` is
 ``|<omega, k>| >= alpha / |k|^(1+d)`` for all nonzero integer ``k`` with
@@ -12,7 +12,7 @@ among the candidates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,76 +93,34 @@ def is_diophantine(omega, params: DiophantineParams) -> bool:
     return bool(margin >= params.alpha)
 
 
-@dataclass
-class GoodValueSet:
-    """Grid of candidate values with the four exclusion flags per node."""
+def good_margin(model: ModelSystem, a, params: DiophantineParams, shear=0) -> np.ndarray:
+    """Good-value margin at value points ``a``, with shape ``a.shape[:-1]``.
 
-    grid: np.ndarray  # (n, 2) values a = (E, G)
-    diophantine_ok: np.ndarray
-    dq_ok: np.ndarray
-    omega_prime_ok: np.ndarray
-    singular_ok: np.ndarray
-    params: DiophantineParams = field(default=None)
-
-    @property
-    def good(self) -> np.ndarray:
-        return self.diophantine_ok & self.dq_ok & self.omega_prime_ok & self.singular_ok
-
-    @property
-    def good_fraction(self) -> float:
-        return float(np.mean(self.good))
-
-    def to_text(self) -> str:
-        lines = ["# E\tG\tdiophantine\tdq\tomega_prime\tsingular\tgood"]
-        for a, f1, f2, f3, f4, g in zip(
-            self.grid, self.diophantine_ok, self.dq_ok, self.omega_prime_ok, self.singular_ok, self.good
-        ):
-            lines.append(
-                f"{float(a[0])!r}\t{float(a[1])!r}\t{int(f1)}\t{int(f2)}\t{int(f3)}\t{int(f4)}"
-                f"\t{int(g)}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def good_values(
-    model: ModelSystem,
-    chart: ActionChart,
-    params: DiophantineParams,
-    grid_spec,
-) -> GoodValueSet:
-    """Evaluate the four exclusion clauses on a grid of candidate values.
-
-    ``grid_spec`` is either an integer n (an n x n grid over the chart
-    domain) or an (m, 2) array of values inside the chart domain.  On the
-    tori that pass the non-resonance test the flow is ergodic, so the
-    admissible vertical position reduces to the torus average itself.
+    The smallest of the four clause quantities: the Diophantine margin of
+    the frequency (see ``diophantine_margin``), ``|d<q>/dxi|``, the smallest
+    singular value of ``d omega/d xi`` and the distance to the critical
+    values, read off the jet of the chart with ``shear`` (which may be per
+    point).  A point is a good value at ``alpha`` iff its margin is
+    ``>= params.alpha``: on the tori that pass the non-resonance test the
+    flow is ergodic, so the admissible vertical position reduces to the
+    torus average itself.
     """
-    if np.isscalar(grid_spec):
-        grid = chart.domain.grid(int(grid_spec))
-    else:
-        grid = np.atleast_2d(np.asarray(grid_spec, dtype=float))
-    if grid.size == 0:
-        raise ValueError("empty grid")
-    if not np.all(chart.domain.contains(grid, margin=1e-9)):
-        raise ValueError("grid_spec must lie inside the chart domain")
-
-    omegas, d_avg, wprime = _frequencies_at(chart, grid)
-    sing = np.asarray(model.dist_to_singular(grid)) >= params.alpha
-    margins, _ = _margins(omegas, params)
-    return GoodValueSet(
-        grid=grid,
-        diophantine_ok=margins >= params.alpha,
-        dq_ok=np.linalg.norm(d_avg, axis=-1) >= params.alpha,
-        omega_prime_ok=wprime >= params.alpha,
-        singular_ok=np.atleast_1d(sing),
-        params=params,
-    )
+    a = np.asarray(a, dtype=float)
+    omegas, d_avg, wprime = _frequencies_at(model, a, shear)
+    margins, _ = _margins(omegas.reshape(-1, 2), params)
+    clauses = (margins.reshape(a.shape[:-1]), np.linalg.norm(d_avg, axis=-1), wprime, model.dist_to_singular(a))
+    return np.min(np.stack(clauses), axis=0)
 
 
-def is_good_value(model, chart, a, params: DiophantineParams) -> bool:
-    """Single-value version of the good-value test."""
-    gv = good_values(model, chart, params, np.atleast_2d(np.asarray(a, dtype=float)))
-    return bool(gv.good[0])
+def good_values(model: ModelSystem, chart: ActionChart, params: DiophantineParams, points) -> np.ndarray:
+    """Mask of the good values among the ``(n, 2)`` ``points``, which must lie
+    in the chart domain (``chart.domain.grid(n)`` gives an n x n grid)."""
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        raise ValueError("no points to decide")
+    if not np.all(chart.domain.contains(points, margin=1e-9)):
+        raise ValueError("points must lie inside the chart domain")
+    return good_margin(model, points, params, chart.shear) >= params.alpha
 
 
 def bad_measure_estimate(
@@ -188,13 +146,6 @@ def bad_measure_estimate(
     lo = chart.domain.center - chart.domain.half
     hi = chart.domain.center + chart.domain.half
     pts = lo + (hi - lo) * rng.random((samples, 2))
-    omegas, d_avg, wprime = _frequencies_at(chart, pts)
-    dq = np.linalg.norm(d_avg, axis=-1)
-    sing = np.asarray(model.dist_to_singular(pts))
     params0 = DiophantineParams(alpha=min(alpha_list), d=d, k_max=k_max)
-    margins, _ = _margins(omegas, params0)
-    out = []
-    for alpha in alpha_list:
-        bad = (margins < alpha) | (dq < alpha) | (sing < alpha) | (wprime < alpha)
-        out.append((float(alpha), float(np.mean(bad))))
-    return out
+    margin = good_margin(model, pts, params0, chart.shear)
+    return [(float(alpha), float(np.mean(margin < alpha))) for alpha in alpha_list]

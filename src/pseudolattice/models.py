@@ -257,7 +257,8 @@ def _radial_action_quad(E, l, b, n: int = 100):
     Vectorized Gauss-Legendre quadrature.  A ``sin^2`` substitution removes
     the square-root turning-point singularities; when the inner turning
     radius is small relative to the outer one (near the focus-focus cut) a
-    ``cosh`` substitution resolves the inner boundary layer.
+    ``cosh`` substitution resolves the inner boundary layer.  The weighted
+    sums are ``einsum`` reductions, so a point gets the same bits in any batch.
     """
     E = np.atleast_1d(np.asarray(E, dtype=float))
     l = np.atleast_1d(np.asarray(l, dtype=float))
@@ -289,7 +290,7 @@ def _radial_action_quad(E, l, b, n: int = 100):
             * (T[:, None] * np.cos(theta)[None, :])
             / r
         )
-        vals[layer] = integ @ w / math.pi
+        vals[layer] = np.einsum("ij,j->i", integ, w) / math.pi
     if np.any(~layer):
         rmS, rpS, u3S = rm[~layer], rp[~layer], u3g[~layer]
         s, c = np.sin(theta), np.cos(theta)
@@ -304,7 +305,7 @@ def _radial_action_quad(E, l, b, n: int = 100):
             * 2.0
             * amp
         )
-        vals[~layer] = pr_dr @ w / math.pi
+        vals[~layer] = np.einsum("ij,j->i", pr_dr, w) / math.pi
     out[good] = vals
     return out
 
@@ -414,13 +415,14 @@ class ChampagneModel(ModelSystem):
         return 0.5 * l * l / u + u * u - b * u
 
     def dist_to_singular(self, a):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        d = np.linalg.norm(a, axis=-1)  # to the focus-focus value
+        a = np.asarray(a, dtype=float)
+        pts = a.reshape(-1, 2)
+        d = np.linalg.norm(pts, axis=-1)  # to the focus-focus value
         # to the boundary curve, in row blocks to bound the temporaries
-        for s in range(0, len(a), 512):
-            diff = a[s : s + 512, None, :] - self._curve[None, :, :]
+        for s in range(0, len(pts), 512):
+            diff = pts[s : s + 512, None, :] - self._curve[None, :, :]
             d[s : s + 512] = np.minimum(d[s : s + 512], np.min(np.linalg.norm(diff, axis=-1), axis=-1))
-        return d if d.shape[0] > 1 else d[0]
+        return d.reshape(a.shape[:-1])
 
     def is_regular(self, a):
         a = np.asarray(a, dtype=float)
@@ -579,8 +581,8 @@ class ActionChart:
 def _chart_radius(model: ModelSystem, c):
     # 0.1 * distance to the critical-value set, capped for models with an
     # empty critical set; an array for centers of shape (n, 2)
-    r = np.minimum(0.1, 0.1 * np.broadcast_to(model.dist_to_singular(np.atleast_2d(c)), len(np.atleast_2d(c))))
-    return r if np.ndim(c) == 2 else float(r[0])
+    r = np.minimum(0.1, 0.1 * model.dist_to_singular(c))
+    return r if np.ndim(c) == 2 else float(r)
 
 
 def action_coords(model: ModelSystem, c):
@@ -617,8 +619,8 @@ def action_coords(model: ModelSystem, c):
     S = 2.0 * math.pi * xi_c
     if isinstance(model, ChampagneModel):
         # direct quadrature for the action integrals (independent of the
-        # spline used by xi_of_c), one call per center
-        xi2 = np.array([float(model.radial_action(E, l, n=140)) for E, l in cs]) + shear * np.maximum(cs[:, 1], 0.0)
+        # spline used by xi_of_c)
+        xi2 = model.radial_action(cs[:, 0], cs[:, 1], n=140) + shear * np.maximum(cs[:, 1], 0.0)
         S = 2.0 * math.pi * np.stack([cs[:, 1], xi2], axis=-1)
     tau_c = S / (2.0 * math.pi) - xi_c
 
@@ -641,15 +643,16 @@ def frequency(chart: ActionChart, xi) -> FrequencyData:
     xi = np.asarray(xi, dtype=float)
     if not np.all(chart.contains_xi(np.atleast_2d(xi), margin=1e-9)):
         raise ModelError("xi outside chart domain")
-    omega, d_avg, sv = _frequencies_at(chart, chart.phi(xi))
+    omega, d_avg, sv = _frequencies_at(chart.model, chart.phi(xi), chart.shear)
     rho = math.atan2(omega[1], omega[0]) % math.pi
     return FrequencyData(omega=omega, rho=rho, d_avg_q=d_avg, omega_prime_norm=float(sv))
 
 
-def _frequencies_at(chart: ActionChart, a):
+def _frequencies_at(model: ModelSystem, a, shear=0):
     """Frequency, ``d<q>/dxi`` and the smallest singular value of
-    ``d omega/d xi`` at value points ``a``, from the chart jet."""
-    _, J, hess = chart.model.jet(a, shear=chart.shear)
+    ``d omega/d xi`` at value points ``a``, from the jet of the chart with
+    ``shear`` (which may be per point)."""
+    _, J, hess = model.jet(a, shear=shear)
     dphi = np.linalg.inv(J)
     return dphi[..., 0, :], dphi[..., 1, :], np.linalg.svd(hess, compute_uv=False)[..., -1]
 

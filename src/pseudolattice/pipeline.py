@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import HChart, fit_hchart
-from .diophantine import DiophantineParams, is_good_value
+from .diophantine import DiophantineParams, good_margin
 from .models import ActionChart, ModelSystem, _chart_radius, action_coords
 from .monodromy import (
     AtlasChart,
@@ -42,24 +42,15 @@ def rect_half_width(params: SemiclassicalParams, C0: float, chart_radius: float)
     return hw, C0
 
 
-def find_good_value(
-    model: ModelSystem,
-    chart: ActionChart,
-    c,
-    dio: DiophantineParams,
-    search_radius: float,
-) -> np.ndarray:
-    """The center itself if good, else the nearest good node of a small grid."""
-    c = np.asarray(c, dtype=float)
-    if is_good_value(model, chart, c, dio):
-        return c
+def _nearest_good(model: ModelSystem, c, shear: int, dio: DiophantineParams, search_radius: float) -> np.ndarray:
+    """The nearest good node of a 4 x 4 grid around a center that is not good."""
     offs = search_radius * np.array([-1.0, -0.5, 0.5, 1.0])
     cands = np.stack(np.meshgrid(c[0] + offs, c[1] + offs, indexing="ij"), axis=-1).reshape(-1, 2)
-    order = np.argsort(np.linalg.norm(cands - c, axis=1))
-    for a in cands[order]:
-        if is_good_value(model, chart, a, dio):
-            return a
-    raise MonodromyError(f"no good value found near {tuple(c)}")
+    cands = cands[np.argsort(np.linalg.norm(cands - c, axis=1))]
+    good = np.flatnonzero(good_margin(model, cands, dio, shear) >= dio.alpha)
+    if good.size == 0:
+        raise MonodromyError(f"no good value found near {tuple(c.tolist())}")
+    return cands[good[0]]
 
 
 @dataclass
@@ -86,10 +77,12 @@ def spectral_chart_at(
     center ``c``, or at each of an ``(n, 2)`` array of centers (a list)."""
     cs = np.atleast_2d(np.asarray(c, dtype=float))
     charts = action_coords(model, cs)
+    # each center is its own good value if good, else the nearest good node
+    ok = good_margin(model, cs, dio, np.array([ac.shear for ac in charts])) >= dio.alpha
     goods, rects = [], []
-    for cc, ac in zip(cs, charts):
+    for cc, ac, good in zip(cs, charts, ok):
         hw, C0_eff = rect_half_width(params, C0, ac.domain.half[0])
-        goods.append(find_good_value(model, ac, cc, dio, search_radius=0.25 * hw))
+        goods.append(cc if good else _nearest_good(model, cc, ac.shear, dio, search_radius=0.25 * hw))
         rects.append(good_rectangle(goods[-1], params, C0_eff))
     syms = [NormalFormSymbol(ac, dict(higher_coeffs or {}), params.noise_order) for ac in charts]
     elements = [

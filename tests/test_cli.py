@@ -122,6 +122,31 @@ def test_main_synth_matches_library(tmp_path, capsys):
     assert str(len(cloud)) in capsys.readouterr().out
 
 
+CHAMPAGNE_SYNTH = """\
+[model]
+name = champagne
+
+[semiclassical]
+h = 1e-3
+delta = 0.5
+
+[run]
+mode = synth
+center = {center}
+"""
+
+
+@pytest.mark.parametrize("center", ["0.3 0.02", "0.1 0.01"])
+def test_main_synth_matches_detect_spectrum(tmp_path, center):
+    # at (0.1, 0.01) the chart radius caps the rectangle: synth mode must
+    # build the capped rectangle that detect mode builds
+    synth = _write(tmp_path, CHAMPAGNE_SYNTH.format(center=center))
+    detect = _write(tmp_path, CHAMPAGNE_SYNTH.format(center=center).replace("mode = synth", "mode = detect"), "d.ini")
+    assert main(["run", synth, "--out", str(tmp_path / "s")]) == 0
+    assert main(["run", detect, "--out", str(tmp_path / "d")]) == 0
+    assert (tmp_path / "s" / "spectrum.tsv").read_bytes() == (tmp_path / "d" / "spectrum.tsv").read_bytes()
+
+
 def test_main_detect_mode(tmp_path, capsys):
     cfg = _write(tmp_path, FLAT_SYNTH.replace("mode = synth", "mode = detect"))
     out = tmp_path / "out"

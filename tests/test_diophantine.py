@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from pseudolattice.diophantine import (
     _margins,
     bad_measure_estimate,
     diophantine_margin,
+    good_margin,
     good_values,
     is_diophantine,
-    is_good_value,
 )
-from pseudolattice.models import GOLDEN, action_coords, make_champagne_model, make_flat_model
+from pseudolattice.models import GOLDEN, _chart_radius, action_coords, make_champagne_model, make_flat_model
+from pseudolattice.monodromy import MonodromyError, cover_loop
+from pseudolattice.pipeline import _nearest_good, rect_half_width, spectral_chart_at
+from pseudolattice.synth import SemiclassicalParams
 
 
 def brute_margin(omega, params):
@@ -72,12 +76,9 @@ def test_good_values_flat_chart():
     m = make_flat_model((1.0, GOLDEN), "xi_weighted")
     chart = action_coords(m, np.array([0.25, 0.15]))
     params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
-    gv = good_values(m, chart, params, 8)
-    assert gv.grid.shape == (64, 2)
-    assert gv.good_fraction > 0.9
-    text = gv.to_text()
-    assert text.splitlines()[0].startswith("# E")
-    assert len(text.splitlines()) == 65
+    good = good_values(m, chart, params, chart.domain.grid(8))
+    assert good.shape == (64,) and good.dtype == bool
+    assert np.mean(good) > 0.9
 
 
 def test_good_values_rejects_outside_grid():
@@ -92,7 +93,116 @@ def test_is_good_value_champagne():
     m = make_champagne_model(1.0)
     chart = action_coords(m, np.array([0.3, 0.15]))
     params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
-    assert is_good_value(m, chart, (0.3, 0.15), params)
+    assert good_values(m, chart, params, [(0.3, 0.15)])[0]
+
+
+def _clauses(model, chart, pts, params):
+    """The four good-value clause quantities, each computed on its own."""
+    _, J, hess = model.jet(pts, shear=chart.shear)
+    dphi = np.linalg.inv(J)  # rows: d E / d xi = omega and d <q> / d xi
+    return (
+        _margins(dphi[:, 0, :], params)[0],
+        np.linalg.norm(dphi[:, 1, :], axis=-1),
+        np.linalg.svd(hess, compute_uv=False)[:, -1],
+        model.dist_to_singular(pts),
+    )
+
+
+@pytest.mark.parametrize(
+    "model, center, shear",
+    [
+        (make_champagne_model(1.0), (0.3, 0.0), 1),  # sheared chart, a grid row on l = 0
+        (make_champagne_model(1.0), (0.02, 0.0), 1),  # nodes 0.018-0.022 from the focus-focus value
+        (make_champagne_model(1.0), (0.05, 0.02), 0),
+        (make_flat_model((2.0, 2.0 * GOLDEN), "xi_weighted"), (0.25, 0.15), 0),  # d<q> and omega' bind
+    ],
+)
+def test_good_margin_is_the_conjunction_of_the_four_clauses(model, center, shear):
+    chart = action_coords(model, np.array(center))
+    assert chart.shear == shear
+    pts = chart.domain.grid(7)
+    params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
+    clauses = _clauses(model, chart, pts, params)
+    margin = good_margin(model, pts, params, chart.shear)
+    assert np.array_equal(margin, np.minimum.reduce(clauses))
+    # each clause value is a decision boundary; so are the points just off it
+    values = np.concatenate(clauses)
+    values = values[np.isfinite(values)]
+    for alpha in np.concatenate([values, np.nextafter(values, np.inf)]):
+        expected = np.logical_and.reduce([q >= alpha for q in clauses])
+        assert np.array_equal(margin >= alpha, expected)
+    for alpha in (1e-3, float(np.median(values))):
+        expected = np.logical_and.reduce([q >= alpha for q in clauses])
+        assert np.array_equal(good_values(model, chart, DiophantineParams(alpha=alpha, d=1.0, k_max=500), pts), expected)
+
+
+def test_good_margin_shape_follows_the_points():
+    m = make_champagne_model(1.0)
+    params = DiophantineParams(alpha=1e-3, k_max=500)
+    pts = action_coords(m, np.array([0.3, 0.0])).domain.grid(4).reshape(4, 4, 2)
+    margin = good_margin(m, pts, params, shear=1)
+    assert margin.shape == (4, 4)
+    assert np.array_equal(margin.ravel(), good_margin(m, pts.reshape(-1, 2), params, shear=1))
+    assert good_margin(m, pts[0, 0], params, shear=1) == margin[0, 0]
+
+
+def _octagon_centers(model, params):
+    octagon = [(0.15 + 0.3 * math.cos(math.pi * t / 4), 0.3 * math.sin(math.pi * t / 4)) for t in range(8)]
+    return cover_loop(model, octagon, radius_fn=lambda c: rect_half_width(params, 2.0, _chart_radius(model, c))[0])
+
+
+def test_batched_decision_equals_per_center_decision():
+    # the 341 centers of the spectral octagon loop, each with its chart's shear
+    m = make_champagne_model(1.0)
+    dio = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
+    centers = _octagon_centers(m, SemiclassicalParams(h=1e-3, delta=0.5))
+    charts = action_coords(m, centers)
+    shear = np.array([ch.shear for ch in charts])
+    assert len(centers) == 341 and 0 < shear.sum() < 341
+    batched = good_margin(m, centers, dio, shear)
+    single = np.array([good_margin(m, c[None], dio, ch.shear)[0] for c, ch in zip(centers, charts)])
+    assert batched.tobytes() == single.tobytes()
+    per_center = np.array([good_values(m, ch, dio, c[None])[0] for c, ch in zip(centers, charts)])
+    assert np.array_equal(batched >= dio.alpha, per_center)
+    assert 0 < np.sum(~per_center) < 341  # some centers need the fallback search
+
+
+def _nearest_good_one_at_a_time(model, chart, c, dio, search_radius):
+    """The fallback search deciding one node at a time, nearest first."""
+    offs = search_radius * np.array([-1.0, -0.5, 0.5, 1.0])
+    cands = np.stack(np.meshgrid(c[0] + offs, c[1] + offs, indexing="ij"), axis=-1).reshape(-1, 2)
+    for a in cands[np.argsort(np.linalg.norm(cands - c, axis=1))]:
+        if good_values(model, chart, dio, a[None])[0]:
+            return a
+    return None
+
+
+def test_fallback_returns_the_nearest_good_node():
+    m = make_champagne_model(1.0)
+    params = SemiclassicalParams(h=1e-3, delta=0.5)
+    dio = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
+    centers = _octagon_centers(m, params)
+    charts = action_coords(m, centers)
+    shear = np.array([ch.shear for ch in charts])
+    bad = np.flatnonzero(good_margin(m, centers, dio, shear) < dio.alpha)
+    assert bad.size > 0
+    nearest = []
+    for i in bad:
+        hw, _ = rect_half_width(params, 2.0, charts[i].domain.half[0])
+        expected = _nearest_good_one_at_a_time(m, charts[i], centers[i], dio, 0.25 * hw)
+        nearest.append(_nearest_good(m, centers[i], charts[i].shear, dio, 0.25 * hw))
+        assert nearest[-1].tobytes() == expected.tobytes()
+    # the spectral chart at such a center is built on that node
+    assert spectral_chart_at(m, centers[bad[0]], params, dio).a.tobytes() == nearest[0].tobytes()
+
+
+def test_no_good_value_raises_naming_the_center():
+    # no value is 10 away from the focus-focus point in the chart at (0.3, 0.15)
+    m = make_champagne_model(1.0)
+    dio = DiophantineParams(alpha=10.0, d=1.0, k_max=500)
+    params = SemiclassicalParams(h=1e-3, delta=0.5)
+    with pytest.raises(MonodromyError, match=re.escape("no good value found near (0.3, 0.15)")):
+        spectral_chart_at(m, np.array([0.3, 0.15]), params, dio)
 
 
 def test_bad_measure_monotone_and_small():

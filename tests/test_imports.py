@@ -1,5 +1,6 @@
-"""Every module-level import of the package modules is used, and every
-name the package exports resolves to the module it is imported from.
+"""Every module-level import of the package modules is used, every
+module-level private function and class is used by the package itself, and
+every name the package exports resolves to the module it is imported from.
 
 ``__init__.py`` is skipped by the first check: it imports names to
 re-export them.
@@ -58,3 +59,22 @@ def test_package_exports_resolve_once():
         if getattr(importlib.import_module(f"pseudolattice.{mod}"), name).__module__ != f"pseudolattice.{mod}"
     ]
     assert stale == []
+
+
+def _private_definitions(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in tree.body if isinstance(node, kinds) and node.name.startswith("_")]
+
+
+def test_private_helpers_are_used_by_the_package():
+    # a helper that only the tests still reach is left over from folded code
+    referenced = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = [f"{path.name}:{name}" for path in MODULES for name in _private_definitions(path) if name not in referenced]
+    assert unused == []

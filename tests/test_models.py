@@ -14,6 +14,7 @@ from pseudolattice.models import (
     _cell_eval,
     _cell_table,
     _chart_radius,
+    _radial_action_quad,
     action_coords,
     chart_to_text,
     frequency,
@@ -213,6 +214,31 @@ def test_dist_to_singular_matches_pointwise():
     pts = np.random.default_rng(3).uniform([-0.3, -0.7], [0.9, 0.7], size=(1300, 2))
     ref = [min(np.sqrt(np.sum(p * p)), np.min(np.sqrt(np.sum((p - m._curve) ** 2, axis=-1)))) for p in pts]
     assert np.array_equal(m.dist_to_singular(pts), ref)
+
+
+@pytest.mark.parametrize("model", [make_champagne_model(1.0), make_flat_model((1.0, 0.7), "xi_weighted")], ids=["champagne", "flat"])
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (7, 2), (3, 5, 2)])
+def test_dist_to_singular_shape_follows_the_points(model, shape):
+    pts = np.random.default_rng(4).uniform([0.05, -0.3], [0.6, 0.3], size=shape)
+    d = model.dist_to_singular(pts)
+    assert d.shape == shape[:-1]
+    per_point = [model.dist_to_singular(p[None])[0] for p in pts.reshape(-1, 2)]
+    assert d.ravel().tobytes() == np.array(per_point).tobytes()
+
+
+def test_radial_action_quadrature_does_not_depend_on_the_batch():
+    # each row of the weighted quadrature sums gets the same bits alone as in
+    # any batch, in both substitution branches (l = 0 rows, and rows near the
+    # focus-focus cut, take the sin^2 and cosh branches)
+    rng = np.random.default_rng(8)
+    E, l = rng.uniform(-0.2, 0.9, 400), rng.uniform(0.0, 0.7, 400)
+    l[:20], l[20:40] = 0.0, rng.uniform(0.0, 1e-3, 20)
+    for n in (100, 140):
+        batched = _radial_action_quad(E, l, 1.0, n=n)
+        assert np.sum(np.isfinite(batched)) > 300
+        rows = np.array([_radial_action_quad(e, al, 1.0, n=n)[0] for e, al in zip(E, l)])
+        assert batched.tobytes() == rows.tobytes()
+        assert batched[7:].tobytes() == _radial_action_quad(E[7:], l[7:], 1.0, n=n).tobytes()
 
 
 def test_champagne_regularity_and_distance():
