@@ -9,7 +9,7 @@ along loops in the value plane, validated against the classical monodromy
 of the action atlas.
 """
 
-from .averaging import AverageReport, average_report, q_infinity, time_average, torus_average
+from .averaging import q_infinity, time_average, torus_average
 from .detect import (
     DetectionError,
     HChart,
@@ -24,7 +24,6 @@ from .diophantine import (
     diophantine_margin,
     good_margin,
     good_values,
-    is_diophantine,
 )
 from .models import (
     ActionChart,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionChart",
-    "AverageReport",
     "ChampagneModel",
     "DetectionError",
     "DiophantineParams",
@@ -84,7 +82,6 @@ __all__ = [
     "SpectrumCloud",
     "TransitionMatrix",
     "action_coords",
-    "average_report",
     "bad_measure_estimate",
     "chart_to_text",
     "chi",
@@ -102,7 +99,6 @@ __all__ = [
     "good_rectangle",
     "good_values",
     "invert_leading",
-    "is_diophantine",
     "label_lattice",
     "loop_monodromy",
     "make_champagne_model",

@@ -10,8 +10,6 @@ finite-horizon surrogate for the set of attainable long-time averages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .models import ActionChart, ModelSystem, frequency
@@ -90,41 +88,3 @@ def q_infinity(
     T_max = T_list[-1]
     avgs = [time_average(model, chart, xi, x0, T_max) for x0 in _quasi_random_angles(n_x0)]
     return (float(np.min(avgs)), float(np.max(avgs)))
-
-
-@dataclass
-class AverageReport:
-    """Convergence record of time averages toward the torus average."""
-
-    xi: np.ndarray
-    torus_avg: float
-    time_avgs: list  # (T, <q>_T) pairs at a fixed starting angle
-    q_infinity: tuple
-
-    def to_text(self) -> str:
-        lines = [
-            f"# xi = {float(self.xi[0])!r} {float(self.xi[1])!r}",
-            f"# torus_avg = {self.torus_avg!r}",
-            f"# q_infinity = {self.q_infinity[0]!r} {self.q_infinity[1]!r}",
-            "# T\tavg_T",
-        ]
-        for T, v in self.time_avgs:
-            lines.append(f"{T!r}\t{v!r}")
-        return "\n".join(lines) + "\n"
-
-
-def average_report(
-    model: ModelSystem,
-    chart: ActionChart,
-    xi,
-    T_list,
-    x0=(0.0, 0.0),
-) -> AverageReport:
-    """Collect torus average, time averages and the q-infinity surrogate."""
-    xi = np.asarray(xi, dtype=float)
-    return AverageReport(
-        xi=xi,
-        torus_avg=torus_average(model, chart, xi),
-        time_avgs=[(float(T), time_average(model, chart, xi, np.asarray(x0, float), T)) for T in T_list],
-        q_infinity=q_infinity(model, chart, xi, T_list),
-    )

@@ -24,12 +24,22 @@ from .synth import SpectrumCloud, chi_inverse
 
 
 class DetectionError(ValueError):
-    """Raised when a cloud fails lattice detection or labeling."""
+    """Raised when a cloud fails lattice detection or labeling.
+
+    ``index`` is the position of the failing rectangle in a batch of them.
+    """
+
+    index: int | None = None
 
 
 # ---------------------------------------------------------------------------
 # basis detection
 # ---------------------------------------------------------------------------
+
+
+def _row_norm(x):
+    """Lengths of the rows of an ``(n, 2)`` array, bit for bit ``np.linalg.norm(x, axis=1)``."""
+    return np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1])
 
 
 def _direction_peak(vs, ang, ang_tol: float = 0.15):
@@ -85,7 +95,8 @@ def detect_basis(u, anchor, k_neighbors: int = 12):
     if n < 25:
         raise DetectionError(f"insufficient points for basis detection ({n} < 25)")
     if n > BASIS_SAMPLE:
-        d2 = np.sum((u - anchor) ** 2, axis=1)
+        d = u - anchor
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         # sorted, so the sample keeps cloud order whatever lies outside it
         u = u[np.sort(np.argpartition(d2, BASIS_SAMPLE - 1)[:BASIS_SAMPLE])]
     tree = cKDTree(u)
@@ -94,7 +105,7 @@ def detect_basis(u, anchor, k_neighbors: int = 12):
     diffs = (u[idx[:, 1:]] - u[:, None, :]).reshape(-1, 2)
     flip = (diffs[:, 1] < 0) | ((diffs[:, 1] == 0) & (diffs[:, 0] < 0))
     np.negative(diffs, out=diffs, where=flip[:, None])  # into the upper half-plane
-    lens = np.linalg.norm(diffs, axis=1)
+    lens = _row_norm(diffs)
     ang = np.mod(np.arctan2(diffs[:, 1], diffs[:, 0]), math.pi)
     L0 = np.median(lens[:: kq - 1])  # first-neighbor distances
 
@@ -128,7 +139,13 @@ def detect_basis(u, anchor, k_neighbors: int = 12):
 def _features(t):
     t = np.atleast_2d(t)
     x, y = t[:, 0], t[:, 1]
-    return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
+    X = np.empty((len(t), 6))
+    X[:, 0] = 1.0
+    X[:, 1:3] = t
+    X[:, 3] = x * x
+    X[:, 4] = x * y
+    X[:, 5] = y * y
+    return X
 
 
 def _feature_jac(coeffs, t, scale):
@@ -160,69 +177,87 @@ def label_lattice(u, basis, anchor):
     growth round, so the acceptance test for a new point always uses the
     locally correct basis.  Conflicts (a refit that disagrees with an
     already-assigned label) reject the rectangle.
+
+    Each round takes the points within a radius of the first labeled point,
+    so with the cloud sorted by that distance its points are a prefix.  The
+    refit solves normal equations accumulated over the newly labeled points;
+    only the labels reach the chart fit, which makes its own least squares.
     """
     n = len(u)
     b1, b2 = basis
-    B = np.column_stack([b1, b2])
-    Binv = np.linalg.inv(B)
+    Binv = np.linalg.inv(np.column_stack([b1, b2]))
 
-    i0 = int(np.argmin(np.linalg.norm(u - anchor, axis=1)))
+    i0 = int(np.argmin(_row_norm(u - anchor)))
     u0 = u[i0]
+    d0 = _row_norm(u - u0)
+    order = np.argsort(d0)
+    d0, us = d0[order], u[order]
 
     labels = np.zeros((n, 2), dtype=np.int64)
     labeled = np.zeros(n, dtype=bool)
-    labeled[i0] = True
+    labeled[0] = True  # u0, or an exact copy of it, which the seed labels 0 too
 
     # seed: direct rounding in the constant basis close to the anchor,
     # where chart curvature is negligible
     seed_r = 4.5 * max(np.linalg.norm(b1), np.linalg.norm(b2))
-    d0 = np.linalg.norm(u - u0, axis=1)
-    kf = (u - u0) @ Binv.T
-    kr = np.rint(kf).astype(np.int64)
-    res = np.max(np.abs(kf - kr), axis=1)
-    seed = (d0 <= seed_r) & (res <= 0.25)
-    labels[seed] = kr[seed]
-    labeled |= seed
+    kf = (us[: np.searchsorted(d0, seed_r, side="right")] - u0) @ Binv.T
+    kr = np.rint(kf)
+    r = np.abs(kf - kr)
+    new = np.flatnonzero(np.maximum(r[:, 0], r[:, 1]) <= 0.25)
+    knew = kr[new]
+    labels[new] = knew
+    labeled[new] = True
 
     # grow outward, refitting the quadratic map each round
-    center = u0
-    scale = np.maximum(u.max(axis=0) - u.min(axis=0), 1e-300) / 2.0
-    t = (u - center) / scale
-    X = _features(t)
+    scale = np.maximum([np.ptp(u[:, 0]), np.ptp(u[:, 1])], 1e-300) / 2.0
+    X = _features((us - u0) / scale)
+    XtX, Xtk = np.zeros((6, 6)), np.zeros((6, 2))
+    count, last = int(labeled.sum()), int(np.flatnonzero(labeled)[-1])
     for _ in range(200):
-        if labeled.sum() < 8:
+        # the points labeled last round (the seed, in the first) join the normal equations
+        Xn = X[new]
+        XtX += Xn.T @ Xn
+        Xtk += Xn.T @ knew
+        if count < 8:
             break
-        C, _, rank, _ = np.linalg.lstsq(X[labeled], labels[labeled].astype(float), rcond=None)
-        if rank < X.shape[1] and labeled.sum() >= 12:
-            raise DetectionError("labeling fit is rank deficient")
-        pred = X @ C
-        # consistency on already-labeled points
-        back = np.rint(pred[labeled]).astype(np.int64)
-        if np.any(back != labels[labeled]):
+        if count >= 12 and np.linalg.cond(XtX) < 1e8:
+            # far inside full rank: least squares would find rank 6 here
+            C = np.linalg.solve(XtX, Xtk)
+        else:
+            C, _, rank, _ = np.linalg.lstsq(X[labeled], labels[labeled].astype(float), rcond=None)
+            if rank < X.shape[1] and count >= 12:
+                raise DetectionError("labeling fit is rank deficient")
+        r_max = 1.6 * d0[last] + seed_r
+        m = np.searchsorted(d0, r_max, side="right")
+        pred = X[:m] @ C
+        # consistency on already-labeled points, all of which lie in the prefix
+        done = labeled[:m]
+        if np.any(np.rint(pred[done]) != labels[:m][done]):
             raise DetectionError("label conflict: refit disagrees with assigned labels")
-        r_max = 1.6 * np.max(d0[labeled]) + seed_r
-        cand = ~labeled & (d0 <= r_max)
-        if not np.any(cand):
+        cand = np.flatnonzero(~done)
+        if not cand.size:
             break
-        kr_c = np.rint(pred[cand]).astype(np.int64)
-        res_c = np.max(np.abs(pred[cand] - kr_c), axis=1)
-        ok = res_c <= 0.25
+        kr = np.rint(pred[cand])
+        r = np.abs(pred[cand] - kr)
+        ok = np.maximum(r[:, 0], r[:, 1]) <= 0.25
         if not np.any(ok):
             break
-        ci = np.flatnonzero(cand)[ok]
-        labels[ci] = kr_c[ok]
-        labeled[ci] = True
+        new, knew = cand[ok], kr[ok]
+        labels[new] = knew
+        labeled[new] = True
+        count, last = count + len(new), max(last, int(new[-1]))
 
-    if labeled.sum() < n:
-        frac = 1.0 - labeled.sum() / n
+    if count < n:
+        frac = 1.0 - count / n
         if frac > MAX_UNLABELED:
             raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {MAX_UNLABELED}")
-    # injectivity: sorted by both columns, equal labels are adjacent
-    k = labels[labeled]
-    k = k[np.lexsort((k[:, 1], k[:, 0]))]
-    if np.any(np.all(k[1:] == k[:-1], axis=1)):
+    # injectivity: one int64 key per label (labels are far below 2^31)
+    key = np.sort(((labels[:, 0] << 32) + labels[:, 1])[labeled])
+    if np.any(key[1:] == key[:-1]):
         raise DetectionError("label conflict: duplicate integer labels")
-    return labels, labeled
+    out_labels, out_labeled = np.empty_like(labels), np.empty_like(labeled)
+    out_labels[order], out_labeled[order] = labels, labeled
+    return out_labels, out_labeled
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +384,7 @@ def fit_hchart(
     C, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)
     if rank < X.shape[1]:
         raise DetectionError("chart fit is rank deficient")
-    residuals = np.linalg.norm(X @ C - target, axis=1) / h
+    residuals = _row_norm(X @ C - target) / h
     if np.max(residuals) > residual_limit:
         raise DetectionError(
             f"chart rejected: max residual {np.max(residuals):.4f} > {residual_limit} (units of h)"

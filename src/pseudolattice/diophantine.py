@@ -87,12 +87,6 @@ def _margins(omegas, params: DiophantineParams):
     return best, best_k
 
 
-def is_diophantine(omega, params: DiophantineParams) -> bool:
-    """Truncated (alpha, d)-non-resonance decision for a frequency vector."""
-    margin, _ = diophantine_margin(omega, params)
-    return bool(margin >= params.alpha)
-
-
 def good_margin(model: ModelSystem, a, params: DiophantineParams, shear=0) -> np.ndarray:
     """Good-value margin at value points ``a``, with shape ``a.shape[:-1]``.
 

@@ -438,12 +438,6 @@ class ChampagneModel(ModelSystem):
         out = _radial_action_quad(E, np.abs(l), self.b, n=n)
         return out if (np.ndim(E) or np.ndim(l)) else out[0]
 
-    def turning_radii(self, E, l):
-        u3, um, up = _radial_roots(E, l, self.b)
-        if not (np.all(np.isfinite(up)) and np.all(up > np.maximum(um, 0.0))):
-            raise ModelError("no real radial motion at this value")
-        return np.sqrt(np.maximum(um, 0.0)), np.sqrt(up)
-
     def _action_jet(self, E, l):
         """``I_r(E, |l|)`` and its partials as ``_cell_eval`` orders them:
         ``r = sqrt(b) rho``, ``p_r = b p``, ``l = b^1.5 m`` give ``H_b = b^2 H_1``,

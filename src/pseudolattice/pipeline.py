@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import HChart, fit_hchart
+from .detect import DetectionError, HChart, fit_hchart
 from .diophantine import DiophantineParams, good_margin
 from .models import ActionChart, ModelSystem, _chart_radius, action_coords
 from .monodromy import (
@@ -85,10 +85,17 @@ def spectral_chart_at(
         goods.append(cc if good else _nearest_good(model, cc, ac.shear, dio, search_radius=0.25 * hw))
         rects.append(good_rectangle(goods[-1], params, C0_eff))
     syms = [NormalFormSymbol(ac, dict(higher_coeffs or {}), params.noise_order) for ac in charts]
-    elements = [
-        SpectralChart(cc, a, ac, cloud, fit_hchart(cloud.without_labels(), chart_hint=ac if chart_hint else None))
-        for cc, a, ac, cloud in zip(cs, goods, charts, synth_spectrum(syms, goods, params, rectangle=rects))
-    ]
+    clouds = synth_spectrum(syms, goods, params, rectangle=rects)
+    elements = []
+    for i, (cc, a, ac, cloud) in enumerate(zip(cs, goods, charts, clouds)):
+        try:
+            hc = fit_hchart(cloud.without_labels(), chart_hint=ac if chart_hint else None)
+        except DetectionError as exc:
+            E, G = cloud.rectangle.center
+            err = DetectionError(f"rectangle {i} at ({E:.6g}, {G:.6g}): {exc}")
+            err.index = i
+            raise err from exc
+        elements.append(SpectralChart(cc, a, ac, cloud, hc))
     return elements if np.ndim(c) == 2 else elements[0]
 
 

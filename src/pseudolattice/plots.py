@@ -47,7 +47,8 @@ def plot_spectrum(cloud, hchart=None) -> str:
     """Cloud of eigenvalues, optionally with fitted lattice lines.
 
     Grid lines are level sets of the fitted integer coordinates, one per
-    integer value in the label range of each component.
+    integer value in the label range of each component; the samples of all
+    lines are inverted in one call.
     """
     if len(cloud) == 0:
         raise ValueError("empty cloud")
@@ -57,20 +58,20 @@ def plot_spectrum(cloud, hchart=None) -> str:
 
     if hchart is not None:
         eps = hchart.epsilon
-        h = hchart.h
         lo = hchart.labels.min(axis=0)
         hi = hchart.labels.max(axis=0)
+        lines = []
         for axis in (0, 1):
             other = 1 - axis
             for k in range(int(lo[axis]), int(hi[axis]) + 1):
-                ts = np.linspace(lo[other], hi[other], 24)
-                kk = np.empty((len(ts), 2))
+                kk = np.empty((24, 2))
                 kk[:, axis] = k
-                kk[:, other] = ts
-                us = hchart.f_inverse(h * kk)
-                pts = [frame(u[0], eps * u[1]) for u in us]
-                d = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
-                parts.append(f'<polyline points="{d}" fill="none" stroke="#bbccee" stroke-width="0.6"/>')
+                kk[:, other] = np.linspace(lo[other], hi[other], 24)
+                lines.append(kk)
+        for us in hchart.f_inverse(hchart.h * np.concatenate(lines)).reshape(len(lines), 24, 2):
+            pts = [frame(u[0], eps * u[1]) for u in us]
+            d = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+            parts.append(f'<polyline points="{d}" fill="none" stroke="#bbccee" stroke-width="0.6"/>')
 
     for z in mu:
         px, py = frame(z.real, z.imag)

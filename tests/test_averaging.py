@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudolattice.averaging import average_report, q_infinity, time_average, torus_average
+from pseudolattice.averaging import q_infinity, time_average, torus_average
 from pseudolattice.models import GOLDEN, action_coords, make_flat_model
 
 
@@ -103,14 +103,11 @@ def test_q_infinity_validates_T_list():
         q_infinity(m, ch, np.zeros(2), [100.0, 50.0])
 
 
-def test_average_report_text():
+def test_time_averages_bracket_torus_average():
     m, ch = _chart_at_origin("cos_x1")
-    rep = average_report(m, ch, np.zeros(2), [50.0, 100.0])
-    assert rep.torus_avg == pytest.approx(0.0, abs=1e-12)
-    assert rep.q_infinity[0] <= rep.torus_avg <= rep.q_infinity[1]
-    lines = rep.to_text().splitlines()
-    assert lines[0].startswith("# xi")
-    assert len(lines) == 6  # 4 header lines + 2 rows
-    T, v = lines[-1].split("\t")
-    assert float(T) == 100.0
-    assert abs(float(v)) < 0.05
+    xi = np.zeros(2)
+    avg = torus_average(m, ch, xi)
+    assert avg == pytest.approx(0.0, abs=1e-12)
+    lo, hi = q_infinity(m, ch, xi, [50.0, 100.0])
+    assert lo <= avg <= hi
+    assert abs(time_average(m, ch, xi, np.zeros(2), 100.0)) < 0.05

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -271,3 +274,36 @@ def test_main_undecided_conjugacy_fails(tmp_path, capsys, monkeypatch, mode):
     captured = capsys.readouterr()
     assert "conjugate: undecided" in captured.out
     assert "FAIL: conjugacy undecided for trace 3, det 1" in captured.err
+
+
+OCTAGON_NOISY = f"""\
+[model]
+name = champagne
+well_depth = 1.0
+
+[semiclassical]
+h = 0.001
+delta = 0.5
+noise_order = 1
+
+[diophantine]
+alpha = 0.001
+k_max = 500
+
+[run]
+mode = verify-all
+
+[loop]
+vertices =
+""" + "".join(
+    f"    {0.15 + 0.3 * math.cos(2 * math.pi * t / 8)!r} {0.3 * math.sin(2 * math.pi * t / 8)!r}\n" for t in range(8)
+)
+
+
+def test_main_chart_fit_error_names_rectangle(tmp_path, capsys):
+    # noise of order h buries the lattice: the error names the rectangle it came from
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, OCTAGON_NOISY), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: rectangle \d+ at \(\S+, \S+\): unlabeled fraction \S+ exceeds 0.01\n", err)
+

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudolattice.detect import (
+    MAX_UNLABELED,
     DetectionError,
+    _features,
     _gauss_reduce,
+    _row_norm,
     detect_basis,
     fit_hchart,
     invert_leading,
@@ -211,6 +214,130 @@ def test_label_conflict_detected_negative_labels(flat_cloud):
     u[j] = u[i] + [1e-9, 0.0]
     with pytest.raises(DetectionError, match="duplicate integer labels"):
         label_lattice(u, basis, anchor)
+
+
+def _label_lattice_reference(u, basis, anchor):
+    """``label_lattice`` as first written: a full least-squares refit and a
+    prediction over every point per growth round, and a lexsort for
+    distinct labels.  Kept as the reference the sorted-prefix growth must match."""
+    n = len(u)
+    b1, b2 = basis
+    Binv = np.linalg.inv(np.column_stack([b1, b2]))
+    i0 = int(np.argmin(np.linalg.norm(u - anchor, axis=1)))
+    u0 = u[i0]
+    labels = np.zeros((n, 2), dtype=np.int64)
+    labeled = np.zeros(n, dtype=bool)
+    labeled[i0] = True
+    seed_r = 4.5 * max(np.linalg.norm(b1), np.linalg.norm(b2))
+    d0 = np.linalg.norm(u - u0, axis=1)
+    kf = (u - u0) @ Binv.T
+    kr = np.rint(kf).astype(np.int64)
+    res = np.max(np.abs(kf - kr), axis=1)
+    seed = (d0 <= seed_r) & (res <= 0.25)
+    labels[seed] = kr[seed]
+    labeled |= seed
+    scale = np.maximum(u.max(axis=0) - u.min(axis=0), 1e-300) / 2.0
+    X = _features((u - u0) / scale)
+    for _ in range(200):
+        if labeled.sum() < 8:
+            break
+        C, _, rank, _ = np.linalg.lstsq(X[labeled], labels[labeled].astype(float), rcond=None)
+        if rank < X.shape[1] and labeled.sum() >= 12:
+            raise DetectionError("labeling fit is rank deficient")
+        pred = X @ C
+        back = np.rint(pred[labeled]).astype(np.int64)
+        if np.any(back != labels[labeled]):
+            raise DetectionError("label conflict: refit disagrees with assigned labels")
+        r_max = 1.6 * np.max(d0[labeled]) + seed_r
+        cand = ~labeled & (d0 <= r_max)
+        if not np.any(cand):
+            break
+        kr_c = np.rint(pred[cand]).astype(np.int64)
+        res_c = np.max(np.abs(pred[cand] - kr_c), axis=1)
+        ok = res_c <= 0.25
+        if not np.any(ok):
+            break
+        ci = np.flatnonzero(cand)[ok]
+        labels[ci] = kr_c[ok]
+        labeled[ci] = True
+    if labeled.sum() < n:
+        frac = 1.0 - labeled.sum() / n
+        if frac > MAX_UNLABELED:
+            raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {MAX_UNLABELED}")
+    k = labels[labeled]
+    k = k[np.lexsort((k[:, 1], k[:, 0]))]
+    if np.any(np.all(k[1:] == k[:-1], axis=1)):
+        raise DetectionError("label conflict: duplicate integer labels")
+    return labels, labeled
+
+
+def _label_outcome(label, u, basis, anchor):
+    """``(labels, labeled)``, or the message of the ``DetectionError`` raised."""
+    try:
+        return label(u, basis, anchor)
+    except DetectionError as exc:
+        return str(exc)
+
+
+def _assert_labels_match_reference(u, basis, anchor):
+    got = _label_outcome(label_lattice, u, basis, anchor)
+    want = _label_outcome(_label_lattice_reference, u, basis, anchor)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    return want
+
+
+def test_label_lattice_matches_reference_fine_flat_cloud(flat_setup):
+    _, chart, a = flat_setup
+    params = SemiclassicalParams(h=2.5e-4, delta=0.5, noise_order=3, seed=42)
+    cloud = synth_spectrum(NormalFormSymbol(chart, default_higher_coeffs()), a, params, C0=2.0)
+    assert len(cloud) > 3000
+    u, anchor = _rescaled(cloud)
+    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), anchor)
+    assert np.all(labeled)
+
+
+def test_label_lattice_matches_reference_champagne_cloud(champ_setup):
+    _, chart, a = champ_setup
+    cloud = synth_spectrum(NormalFormSymbol(chart, default_higher_coeffs()), a, PARAMS, C0=2.0)
+    u, anchor = _rescaled(cloud)
+    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), anchor)
+    assert np.all(labeled)
+
+
+def test_label_lattice_matches_reference_failures(flat_cloud):
+    # a planted duplicate
+    u, anchor = _rescaled(flat_cloud)
+    basis = detect_basis(u, anchor)
+    u[-1] = u[0] + [1e-9, 0.0]
+    assert _assert_labels_match_reference(u, basis, anchor) == "label conflict: duplicate integer labels"
+    # off-lattice points: the centers of 12 cells of a square lattice stay unlabeled
+    h = 1e-3
+    u, anchor = _rescaled(_square_lattice_cloud())
+    u = np.concatenate([u, u[:12] + 0.5 * h])
+    msg = _assert_labels_match_reference(u, (np.array([h, 0.0]), np.array([0.0, h])), anchor)
+    assert msg == f"unlabeled fraction {12 / len(u):.3f} exceeds {MAX_UNLABELED}"
+    # 41 points on a diagonal line, collinear up to rounding: the seed's nine
+    # points leave the refit underdetermined, the first growth round reaches 21
+    b1 = np.array([h, h])
+    line = np.array([0.3, 0.15]) + np.arange(-20, 21)[:, None] * b1
+    msg = _assert_labels_match_reference(line, (b1, np.array([-h, h])), line[20])
+    assert msg == "labeling fit is rank deficient"
+
+
+def test_column_kernels_equal_axis_reductions():
+    # label_lattice, detect_basis and fit_hchart reduce (n, 2) arrays column by column
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4000, 2)) * 10.0 ** rng.integers(-9, 3, size=(4000, 2))
+    assert np.array_equal(_row_norm(x), np.linalg.norm(x, axis=1))
+    assert np.array_equal(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1], np.sum(x**2, axis=1))
+    r = np.abs(x)
+    assert np.array_equal(np.maximum(r[:, 0], r[:, 1]), np.max(r, axis=1))
+    t = x[:, 0], x[:, 1]
+    stacked = np.stack([np.ones_like(t[0]), t[0], t[1], t[0] * t[0], t[0] * t[1], t[1] * t[1]], axis=-1)
+    assert np.array_equal(_features(x), stacked)
 
 
 def test_fit_hchart_accepts_and_reports(flat_cloud, flat_setup):

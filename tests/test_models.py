@@ -8,13 +8,13 @@ from scipy.interpolate import RectBivariateSpline
 from pseudolattice.models import (
     ActionChart,
     AnglePolynomial,
-    ChampagneModel,
     ModelError,
     Rect,
     _cell_eval,
     _cell_table,
     _chart_radius,
     _radial_action_quad,
+    _radial_roots,
     action_coords,
     chart_to_text,
     frequency,
@@ -90,8 +90,9 @@ def test_min_energy_at_zero_momentum():
 
 def _radial_action_oracle(E, l, b, n=400_000):
     """Dense trapezoid quadrature of p_r between the turning radii."""
-    m = ChampagneModel(b)
-    rm, rp = m.turning_radii(E, abs(l))
+    _, um, up = _radial_roots(E, abs(l), b)
+    assert np.isfinite(up) and up > max(um, 0.0)  # real radial motion
+    rm, rp = np.sqrt(max(um, 0.0)), np.sqrt(up)
     r = np.linspace(rm + 1e-12, rp - 1e-12, n)
     val = 2.0 * (E - r**4 + b * r**2) - l * l / r**2
     pr = np.sqrt(np.maximum(val, 0.0))

@@ -399,3 +399,29 @@ def test_spectral_atlas_domains_are_the_good_rectangles():
     for chart, el in zip(atlas.charts, elements):
         assert chart.domain is el.cloud.rectangle is el.hchart.rectangle
         assert chart.domain.center.tobytes() == el.a.tobytes()
+
+
+def test_spectral_chart_error_names_rectangle(monkeypatch):
+    import pseudolattice.pipeline as pipeline
+    from pseudolattice.detect import DetectionError
+    from pseudolattice.diophantine import DiophantineParams
+    from pseudolattice.synth import SemiclassicalParams
+
+    fit, fits = pipeline.fit_hchart, []
+
+    def fit_failing_third(cloud, **kwargs):
+        fits.append(cloud)
+        if len(fits) == 3:
+            raise DetectionError("planted failure")
+        return fit(cloud, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_hchart", fit_failing_third)
+    centers = np.array([(0.30, 0.10), (0.32, 0.10), (0.34, 0.12)])
+    params = SemiclassicalParams(h=1e-3, delta=0.5, seed=0)
+    with pytest.raises(DetectionError) as exc:
+        pipeline.spectral_chart_at(make_flat_model((1.0, 0.7)), centers, params, DiophantineParams(alpha=1e-3, k_max=500))
+    E, G = fits[2].rectangle.center
+    assert str(exc.value) == f"rectangle 2 at ({E:.6g}, {G:.6g}): planted failure"
+    assert exc.value.index == 2
+    assert str(exc.value.__cause__) == "planted failure"
+
