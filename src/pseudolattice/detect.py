@@ -48,7 +48,8 @@ def _direction_peak(vs, ang, ang_tol: float = 0.15):
     idx = np.minimum((ang / math.pi * nb).astype(int), nb - 1)
     hist = np.bincount(idx, minlength=nb)
     # wrap-around smoothing over adjacent bins
-    smooth = hist + np.roll(hist, 1) + np.roll(hist, -1)
+    ext = hist[np.arange(-1, nb + 1) % nb]
+    smooth = ext[:-2] + ext[1:-1] + ext[2:]
     peak = np.argmax(smooth)
     theta = (peak + 0.5) * math.pi / nb
     dist = np.abs(np.mod(ang - theta + math.pi / 2, math.pi) - math.pi / 2)
@@ -151,17 +152,11 @@ def _features(t):
 def _feature_jac(coeffs, t, scale):
     """Jacobian of the quadratic map w.r.t. unscaled coordinates, per point."""
     t = np.atleast_2d(t)
-    n = t.shape[0]
-    J = np.empty((n, 2, 2))
-    c = coeffs  # (6, 2)
-    dt1 = np.stack(
-        [np.zeros(n), np.ones(n), np.zeros(n), 2 * t[:, 0], t[:, 1], np.zeros(n)], axis=-1
-    )
-    dt2 = np.stack(
-        [np.zeros(n), np.zeros(n), np.ones(n), np.zeros(n), t[:, 0], 2 * t[:, 1]], axis=-1
-    )
-    J[:, :, 0] = dt1 @ c / scale[0]
-    J[:, :, 1] = dt2 @ c / scale[1]
+    x, y = t[:, :1], t[:, 1:]
+    c = coeffs  # (6, 2): rows 1, x, y, x^2, xy, y^2
+    J = np.empty((len(t), 2, 2))
+    J[:, :, 0] = (c[1] + 2.0 * x * c[3] + y * c[4]) / scale[0]
+    J[:, :, 1] = (c[2] + x * c[4] + 2.0 * y * c[5]) / scale[1]
     return J
 
 

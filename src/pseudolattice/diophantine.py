@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ActionChart, ModelSystem, _frequencies_at
+from .models import BLOCK, ActionChart, ModelSystem, _frequencies_at
 
 
 @dataclass
@@ -36,7 +36,8 @@ def diophantine_margin(omega, params: DiophantineParams):
     """Worst margin ``min_k |<omega,k>| * |k|^(1+d)`` over the truncated sweep.
 
     Returns ``(margin, k_witness)``; the frequency passes the test iff
-    ``margin >= alpha``.
+    ``margin >= alpha``.  The witness is a ``k`` attaining the margin; among
+    exact ties, which one is returned depends on the order of the sweep.
     """
     omega = np.asarray(omega, dtype=float)
     if np.all(omega == 0.0):
@@ -46,7 +47,12 @@ def diophantine_margin(omega, params: DiophantineParams):
 
 
 def _margins(omegas, params: DiophantineParams):
-    """Vectorized worst margins for a batch of frequency vectors."""
+    """Vectorized worst margins and witnesses for a batch of frequency vectors.
+
+    Each margin is a minimum of per-``(row, k)`` values, so it does not
+    depend on the batch or the chunking; each witness is a ``k`` attaining
+    it, and among exact ties the first one visited.
+    """
     omegas = np.asarray(omegas, dtype=float)
     n = omegas.shape[0]
     km = params.k_max
@@ -62,8 +68,8 @@ def _margins(omegas, params: DiophantineParams):
     wa = np.where(swap, omegas[:, 1], omegas[:, 0])  # coefficient of the swept index
     wb = np.where(swap, omegas[:, 0], omegas[:, 1])  # larger coefficient, solved index
     ks = np.arange(0, km + 1, dtype=np.int64)
-    # process in chunks to bound memory
-    chunk = max(1, int(2e6 // max(n, 1)))
+    # sweep in chunks of BLOCK (row, k) pairs
+    chunk = max(1, BLOCK // max(n, 1))
     for start in range(0, km + 1, chunk):
         kc = ks[start : start + chunk]
         ratio = -(wa[:, None] * kc[None, :]) / wb[:, None]

@@ -29,6 +29,12 @@ from scipy.interpolate import BSpline, RectBivariateSpline
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
+# Elements per (points x nodes) temporary of a batch kernel.  Every kernel
+# that broadcasts points against quadrature nodes, sweep integers or curve
+# samples works in blocks of this size, which keeps its temporaries in the
+# cache and bounds peak memory; no result depends on the block it is in.
+BLOCK = 2**17
+
 
 class ModelError(ValueError):
     """Raised for invalid model parameters or values outside the model range."""
@@ -257,12 +263,22 @@ def _radial_action_quad(E, l, b, n: int = 100):
     Vectorized Gauss-Legendre quadrature.  A ``sin^2`` substitution removes
     the square-root turning-point singularities; when the inner turning
     radius is small relative to the outer one (near the focus-focus cut) a
-    ``cosh`` substitution resolves the inner boundary layer.  The weighted
-    sums are ``einsum`` reductions, so a point gets the same bits in any batch.
+    ``cosh`` substitution resolves the inner boundary layer.  Points are
+    taken in blocks of ``BLOCK // n`` and the weighted sums are ``einsum``
+    reductions, so a point gets the same bits in any batch.
     """
     E = np.atleast_1d(np.asarray(E, dtype=float))
     l = np.atleast_1d(np.asarray(l, dtype=float))
     E, l = np.broadcast_arrays(E, l)
+    out = np.empty(E.shape)
+    rows = BLOCK // n
+    for s in range(0, E.size, rows):
+        out.flat[s : s + rows] = _radial_action_block(E.flat[s : s + rows], l.flat[s : s + rows], b, n)
+    return out
+
+
+def _radial_action_block(E, l, b, n):
+    """``_radial_action_quad`` on one block of 1-d ``E``, ``l``."""
     u3, um, up = _radial_roots(E, l, b)
     out = np.full(E.shape, np.nan)
     good = np.isfinite(up) & (up > um) & (um >= -1e-12)
@@ -418,10 +434,11 @@ class ChampagneModel(ModelSystem):
         a = np.asarray(a, dtype=float)
         pts = a.reshape(-1, 2)
         d = np.linalg.norm(pts, axis=-1)  # to the focus-focus value
-        # to the boundary curve, in row blocks to bound the temporaries
-        for s in range(0, len(pts), 512):
-            diff = pts[s : s + 512, None, :] - self._curve[None, :, :]
-            d[s : s + 512] = np.minimum(d[s : s + 512], np.min(np.linalg.norm(diff, axis=-1), axis=-1))
+        # to the boundary curve, in row blocks of BLOCK elements
+        rows = BLOCK // self._curve.size
+        for s in range(0, len(pts), rows):
+            diff = pts[s : s + rows, None, :] - self._curve[None, :, :]
+            d[s : s + rows] = np.minimum(d[s : s + rows], np.min(np.linalg.norm(diff, axis=-1), axis=-1))
         return d.reshape(a.shape[:-1])
 
     def is_regular(self, a):

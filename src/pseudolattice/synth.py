@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ActionChart, ModelSystem, Rect
+from .models import BLOCK, ActionChart, ModelSystem, Rect
 
 RESOLUTION_GUARD = 10.0  # smallest allowed eps/h separation of scales
 
@@ -238,8 +238,9 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
     lo = np.clip(np.ceil(lo), kmin[r, 1], kmax[r, 1] + 1).astype(int)
     n = np.maximum(np.clip(np.floor(hi), kmin[r, 1] - 1, kmax[r, 1]).astype(int) - lo + 1, 0)
     box = [np.array([getattr(c.xi_box, f) for c in charts]) for f in ("center", "half")]
-    # whole rectangles in blocks of about 2^13 labels, which bounds the temporaries
-    block = np.cumsum(np.bincount(r, weights=n, minlength=len(rects))) // 2**13
+    # whole rectangles in blocks of about BLOCK // 16 labels: each label
+    # gathers the 16 coefficients of its 4 x 4 action-table cell
+    block = np.cumsum(np.bincount(r, weights=n, minlength=len(rects))) // (BLOCK // 16)
     for b in np.unique(block):
         idx = np.flatnonzero(block == b)
         sel = (r >= idx[0]) & (r <= idx[-1])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from pseudolattice.detect import (
     MAX_UNLABELED,
     DetectionError,
+    _direction_peak,
+    _feature_jac,
     _features,
     _gauss_reduce,
     _row_norm,
@@ -456,3 +460,47 @@ def test_invert_leading_flat_is_fast(flat_setup):
     target = np.asarray(a, dtype=float)
     got = invert_leading(chart, target, max_iter=5)
     assert np.max(np.abs(chart.phi(got) - target)) < 1e-12
+
+
+def _feature_jac_reference(coeffs, t, scale):
+    """The feature-derivative matrices times the coefficients, as a product."""
+    n = len(t)
+    zero, one = np.zeros(n), np.ones(n)
+    dt1 = np.stack([zero, one, zero, 2 * t[:, 0], t[:, 1], zero], axis=-1)
+    dt2 = np.stack([zero, zero, one, zero, t[:, 0], 2 * t[:, 1]], axis=-1)
+    return np.stack([dt1 @ coeffs / scale[0], dt2 @ coeffs / scale[1]], axis=-1)
+
+
+def test_feature_jac_matches_product_form():
+    rng = np.random.default_rng(6)
+    coeffs, scale = rng.standard_normal((6, 2)), np.array([3e-3, 2e-3])
+    t = rng.uniform(-1.0, 1.0, size=(500, 2))
+    J, ref = _feature_jac(coeffs, t, scale), _feature_jac_reference(coeffs, t, scale)
+    # the closed form sums three terms where the product sums six: a few ulps
+    assert np.allclose(J, ref, rtol=0.0, atol=8 * np.finfo(float).eps * np.max(np.abs(ref)))
+    # at the center it is exactly the linear coefficients (the chart's affine part)
+    center = np.zeros((1, 2))
+    assert _feature_jac(coeffs, center, scale).tobytes() == _feature_jac_reference(coeffs, center, scale).tobytes()
+
+
+def _direction_peak_reference(vs, ang, ang_tol=0.15):
+    """``_direction_peak`` with the wrap-around smoothing by ``np.roll``."""
+    nb = 60
+    idx = np.minimum((ang / math.pi * nb).astype(int), nb - 1)
+    hist = np.bincount(idx, minlength=nb)
+    smooth = hist + np.roll(hist, 1) + np.roll(hist, -1)
+    theta = (np.argmax(smooth) + 0.5) * math.pi / nb
+    dist = np.abs(np.mod(ang - theta + math.pi / 2, math.pi) - math.pi / 2)
+    members = vs[dist < max(ang_tol, 1.5 * math.pi / nb)]
+    direction = np.array([math.cos(theta), math.sin(theta)])
+    return (members * np.sign(members @ direction)[:, None]).mean(axis=0)
+
+
+@pytest.mark.parametrize("center", [0.0, 0.02, 1.5, np.pi - 0.02])
+def test_direction_peak_matches_roll_smoothing(center):
+    # clusters at both ends of [0, pi) test the wrap-around
+    rng = np.random.default_rng(9)
+    ang = np.mod(center + 0.03 * rng.standard_normal(300), np.pi)
+    ang = np.concatenate([ang, rng.uniform(0.0, np.pi, 100)])
+    vs = np.stack([np.cos(ang), np.sin(ang)], axis=-1) * rng.uniform(0.5, 1.0, (400, 1))
+    assert _direction_peak(vs, ang).tobytes() == _direction_peak_reference(vs, ang).tobytes()

@@ -12,7 +12,7 @@ from pseudolattice.diophantine import (
     good_margin,
     good_values,
 )
-from pseudolattice.models import GOLDEN, _chart_radius, action_coords, make_champagne_model, make_flat_model
+from pseudolattice.models import BLOCK, GOLDEN, _chart_radius, action_coords, make_champagne_model, make_flat_model
 from pseudolattice.monodromy import MonodromyError, cover_loop
 from pseudolattice.pipeline import _nearest_good, rect_half_width, spectral_chart_at
 from pseudolattice.synth import SemiclassicalParams
@@ -45,6 +45,33 @@ def test_margin_matches_brute_force():
     margins, _ = _margins(omegas, params)
     for w, m in zip(omegas, margins):
         assert m == pytest.approx(brute_margin(w, params), rel=1e-12)
+
+
+def test_batched_margins_equal_per_row_margins():
+    # 2 000 rows sweep k in several chunks: resonant rows (margin exactly 0,
+    # attained by every multiple of a resonant k), both axes, near-resonant
+    # rows whose margin is attained at k = (j, 1) for every swept j with
+    # |k| <= k_max, so at every chunk seam, and generic rows
+    params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
+    rng = np.random.default_rng(12)
+    omegas = rng.uniform(-2.0, 2.0, size=(2000, 2))
+    omegas[:200] = 2.0 ** rng.integers(-2, 3, size=(200, 1)) * rng.integers(1, 8, size=(200, 2))
+    omegas[:200] *= rng.choice([-1.0, 1.0], size=(200, 2))
+    omegas[200:220, 0] = 0.0
+    omegas[220:240, 1] = 0.0
+    j = np.arange(1, 500)
+    omegas[240:739] = np.stack([np.ones(499), -j * (1.0 + 1e-9)], axis=-1)
+    assert params.k_max + 1 > BLOCK // len(omegas)  # more than one chunk
+    margins, witness = _margins(omegas, params)
+    per_row = np.array([_margins(w[None], params)[0][0] for w in omegas])
+    assert margins.tobytes() == per_row.tobytes()
+    assert np.all(margins[:240] == 0.0) and np.all(margins[240:] > 0.0)
+    # every witness attains its margin
+    nk = np.linalg.norm(witness, axis=1)
+    assert np.all((nk > 0) & (nk <= params.k_max))
+    attained = np.abs(np.sum(witness * omegas, axis=1)) * nk**2
+    assert np.allclose(attained, margins, rtol=1e-9, atol=1e-12)
+    assert np.array_equal(witness[240:739], np.stack([j, np.ones(499)], axis=-1))
 
 
 def test_resonant_frequency_detected():

@@ -1,0 +1,44 @@
+"""Peak memory of the batch kernels, as traced by ``tracemalloc``.
+
+NumPy reports its array buffers to ``tracemalloc``, so the traced peak is
+the peak of the kernel's temporaries.  Each kernel works in blocks of
+``models.BLOCK`` elements (1 MB of float64), so its peak stays a few blocks
+however many points it is given.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pseudolattice.diophantine import DiophantineParams, _margins
+from pseudolattice.models import _action_table, make_champagne_model
+
+
+def traced_peak_mb(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _table():
+    _action_table.__wrapped__()  # uncached: the full quadrature over 35 200 nodes
+
+
+def _margins_1e4():
+    omegas = np.random.default_rng(0).uniform(-2.0, 2.0, size=(10_000, 2))
+    _margins(omegas, DiophantineParams(alpha=1e-3, d=1.0, k_max=500))
+
+
+def _dist_1e4():
+    m = make_champagne_model(1.0)
+    pts = np.random.default_rng(1).uniform([0.0, -0.3], [0.6, 0.3], size=(10_000, 2))
+    m.dist_to_singular(pts)
+
+
+@pytest.mark.parametrize("kernel,limit_mb", [(_table, 16.0), (_margins_1e4, 16.0), (_dist_1e4, 8.0)], ids=["action-table", "margins", "dist-to-singular"])
+def test_batch_kernel_peak_memory(kernel, limit_mb):
+    assert traced_peak_mb(kernel) < limit_mb
