@@ -30,6 +30,7 @@ from .monodromy import (
     MonodromyClass,
     MonodromyError,
     classical_monodromy,
+    cocycle_check,
     compare_monodromies,
     monodromy_report,
 )
@@ -240,15 +241,16 @@ def _run_detect(cfg: RunConfig, out: Path) -> int:
 
 def _loop_monodromy(cfg: RunConfig, out: Path):
     """Spectral and classical loop monodromy; writes ``monodromy.txt`` and
-    ``loop.svg``.  Returns ``(model, spectral, classical, elements, verdict)``."""
+    ``loop.svg``.  Returns ``(model, spectral, classical, spectral atlas,
+    elements, verdict)``."""
     model = build_model(cfg)
-    cls, _, elements = spectral_monodromy(model, cfg.vertices, cfg.params, cfg.dio, C0=cfg.C0)
+    cls, atlas, elements = spectral_monodromy(model, cfg.vertices, cfg.params, cfg.dio, C0=cfg.C0)
     classical = classical_monodromy(model, cfg.vertices)
     (out / "monodromy.txt").write_text(monodromy_report(cls, classical))
     centers = np.array([el.center for el in elements])
     sing = [p for kind, p in getattr(model, "singular_values", []) if p is not None]
     (out / "loop.svg").write_text(plots.plot_loop(cfg.vertices, centers, sing))
-    return model, cls, classical, elements, compare_monodromies(cls, classical)
+    return model, cls, classical, atlas, elements, compare_monodromies(cls, classical)
 
 
 def _verdict_failures(spectral: MonodromyClass, verdict: bool | None) -> list:
@@ -263,7 +265,7 @@ def _verdict_failures(spectral: MonodromyClass, verdict: bool | None) -> list:
 
 
 def _run_monodromy(cfg: RunConfig, out: Path) -> int:
-    _, cls, classical, elements, verdict = _loop_monodromy(cfg, out)
+    _, cls, classical, _, elements, verdict = _loop_monodromy(cfg, out)
     print(
         f"monodromy over {len(elements)} charts: spectral m = {cls.parabolic_m}, "
         f"classical m = {classical.parabolic_m}, conjugate: {VERDICT_TEXT[verdict]} -> {out}"
@@ -275,8 +277,12 @@ def _run_monodromy(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_verify_all(cfg: RunConfig, out: Path) -> int:
-    model, cls, _, elements, verdict = _loop_monodromy(cfg, out)
+    model, cls, _, atlas, elements, verdict = _loop_monodromy(cfg, out)
     failures = _verdict_failures(cls, verdict)
+    cocycle = cocycle_check(atlas)
+    if not cocycle.ok:
+        i, j, k = cocycle.violations[0][:3]
+        failures.append(f"cocycle violated on {len(cocycle.violations)} triple(s), first at charts ({i}, {j}, {k})")
 
     worst = max(el.hchart.max_residual() for el in elements)
     if worst > RESIDUAL_LIMIT:
@@ -305,7 +311,7 @@ def _run_verify_all(cfg: RunConfig, out: Path) -> int:
 
     print(
         f"verify-all over {len(elements)} charts: conjugate: {VERDICT_TEXT[verdict]}; "
-        f"{len(failures)} failure(s) -> {out}"
+        f"cocycle: {cocycle.triples_checked} triples; {len(failures)} failure(s) -> {out}"
     )
     for msg in failures:
         print(f"  FAIL: {msg}", file=sys.stderr)

@@ -150,14 +150,12 @@ def _features(t):
 
 
 def _feature_jac(coeffs, t, scale):
-    """Jacobian of the quadratic map w.r.t. unscaled coordinates, per point."""
-    t = np.atleast_2d(t)
-    x, y = t[:, :1], t[:, 1:]
-    c = coeffs  # (6, 2): rows 1, x, y, x^2, xy, y^2
-    J = np.empty((len(t), 2, 2))
-    J[:, :, 0] = (c[1] + 2.0 * x * c[3] + y * c[4]) / scale[0]
-    J[:, :, 1] = (c[2] + x * c[4] + 2.0 * y * c[5]) / scale[1]
-    return J
+    """Jacobian of the quadratic map w.r.t. unscaled coordinates, per point;
+    the ``(..., 6, 2)`` coefficients broadcast with the points and scales."""
+    c, x, y = coeffs, t[..., :1], t[..., 1:]  # rows of c: 1, x, y, x^2, xy, y^2
+    dx = (c[..., 1, :] + 2.0 * x * c[..., 3, :] + y * c[..., 4, :]) / scale[..., :1]
+    dy = (c[..., 2, :] + x * c[..., 4, :] + 2.0 * y * c[..., 5, :]) / scale[..., 1:]
+    return np.stack([dx, dy], axis=-1)
 
 
 MAX_UNLABELED = 0.01  # largest fraction of a cloud left without a label
@@ -286,10 +284,8 @@ class HChart:
         return out if u.ndim > 1 else out[0]
 
     def df(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        t = (np.atleast_2d(u) - self.rectangle.center) / self.rectangle.half
-        J = _feature_jac(self.coeffs, t, self.rectangle.half)
-        return J if u.ndim > 1 else J[0]
+        t = (np.asarray(u, dtype=float) - self.rectangle.center) / self.rectangle.half
+        return _feature_jac(self.coeffs, t, self.rectangle.half)
 
     # leading-term views ---------------------------------------------------
 
@@ -385,7 +381,7 @@ def fit_hchart(
             f"chart rejected: max residual {np.max(residuals):.4f} > {residual_limit} (units of h)"
         )
 
-    affine = _feature_jac(C, np.zeros((1, 2)), rect.half)[0]
+    affine = _feature_jac(C, np.zeros(2), rect.half)
     if abs(np.linalg.det(affine)) < 1e-300:
         raise DetectionError("fitted chart is not a local diffeomorphism")
 

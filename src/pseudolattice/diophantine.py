@@ -68,6 +68,7 @@ def _margins(omegas, params: DiophantineParams):
     wa = np.where(swap, omegas[:, 1], omegas[:, 0])  # coefficient of the swept index
     wb = np.where(swap, omegas[:, 0], omegas[:, 1])  # larger coefficient, solved index
     ks = np.arange(0, km + 1, dtype=np.int64)
+    rows = np.arange(n)
     # sweep in chunks of BLOCK (row, k) pairs
     chunk = max(1, BLOCK // max(n, 1))
     for start in range(0, km + 1, chunk):
@@ -77,19 +78,16 @@ def _margins(omegas, params: DiophantineParams):
         for off in (0.0, 1.0):
             kb = (base + off).astype(np.int64)
             val = wa[:, None] * kc[None, :] + wb[:, None] * kb
-            ka_full = np.broadcast_to(kc[None, :], kb.shape)
-            k1 = np.where(swap[:, None], kb, ka_full)
-            k2 = np.where(swap[:, None], ka_full, kb)
-            normk = np.sqrt(k1.astype(float) ** 2 + k2.astype(float) ** 2)
+            normk = np.sqrt(kc.astype(float) ** 2 + kb.astype(float) ** 2)
             inside = (normk > 0) & (normk <= km)
             m = np.where(inside, np.abs(val) * normk**power, np.inf)
             idx = np.argmin(m, axis=1)
-            rows = np.arange(n)
             mv = m[rows, idx]
             upd = mv < best
             best = np.where(upd, mv, best)
-            best_k[upd, 0] = k1[rows, idx][upd]
-            best_k[upd, 1] = k2[rows, idx][upd]
+            best_k[upd, 0] = kc[idx][upd]
+            best_k[upd, 1] = kb[rows, idx][upd]
+    best_k[swap] = best_k[swap, ::-1]  # kept as (swept, solved) until here
     return best, best_k
 
 

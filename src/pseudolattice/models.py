@@ -57,10 +57,10 @@ class Rect:
         return np.all(d <= 0.0, axis=-1)
 
     def grid(self, n: int) -> np.ndarray:
-        xs = np.linspace(self.center[0] - self.half[0], self.center[0] + self.half[0], n)
-        ys = np.linspace(self.center[1] - self.half[1], self.center[1] + self.half[1], n)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel()], axis=-1)
+        """The n x n grid of each rectangle (x major): ``(..., n * n, 2)``."""
+        lo, hi = self.center - self.half, self.center + self.half
+        xs, ys = (np.linspace(lo[..., k], hi[..., k], n, axis=-1) for k in (0, 1))
+        return np.stack(np.broadcast_arrays(xs[..., :, None], ys[..., None, :]), axis=-1).reshape(xs.shape[:-1] + (n * n, 2))
 
 
 class AnglePolynomial:
@@ -618,9 +618,7 @@ def action_coords(model: ModelSystem, c):
     # the symmetric action branch uses the smooth continuation on l > 0
     shear = ((np.abs(cs[:, 1]) < radius) & (cs[:, 0] + radius > 0) & isinstance(model, ChampagneModel)).astype(int)
 
-    # each domain's 9 x 9 grid, laid out as by Rect.grid
-    xs, ys = (np.linspace(cs[:, k] - radius, cs[:, k] + radius, 9, axis=-1) for k in (0, 1))
-    grid_values = np.stack(np.broadcast_arrays(xs[:, :, None], ys[:, None, :]), axis=-1).reshape(-1, 81, 2)
+    grid_values = Rect(cs, np.stack([radius, radius], axis=-1)).grid(9)
     check(~np.all(model.is_regular(grid_values), axis=1), "chart domain touches the singular set")
     grid_xi, J, _ = model.jet(grid_values, shear=shear[:, None])
     check(np.any(np.abs(np.linalg.det(J)) < 1e-10, axis=1), "chart map is degenerate on the requested domain")

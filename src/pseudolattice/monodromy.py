@@ -1,13 +1,14 @@
 """Transition matrices, cocycle checks and monodromy along loops.
 
 An atlas is a finite covering of a region of the value plane by local
-charts, each carrying a leading-term map and its Jacobian.  Transitions
-between overlapping charts are integer matrices obtained by differentiating
-``f_i o f_j^{-1}`` on overlap samples and rounding; composing them around a
-loop gives the monodromy class, well-defined modulo GL(2,Z) conjugacy.  The
-classical monodromy of the action atlas is computed by the same scheme
-applied to the exact action maps (with the transpose-inverse convention for
-the torus-bundle trivializations) and serves as the independent oracle.
+charts, held as arrays of rectangles and one Jacobian of all chart maps.
+Transitions between overlapping charts are integer matrices obtained by
+differentiating ``f_i o f_j^{-1}`` on overlap samples and rounding, for
+arrays of pairs at once; composing them around a loop gives the monodromy
+class, well-defined modulo GL(2,Z) conjugacy.  The classical monodromy of
+the action atlas is computed by the same scheme applied to the exact action
+maps (with the transpose-inverse convention for the torus-bundle
+trivializations) and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -15,47 +16,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .models import ModelSystem, Rect, _chart_radius, action_coords
+from .models import BLOCK, ModelSystem, Rect, _chart_radius, action_coords
 
 
 class MonodromyError(ValueError):
     """Raised for inconsistent transitions or broken coverings."""
 
 
-@dataclass
-class AtlasChart:
-    """One covering element: a domain in the value plane plus the Jacobian
-    of its chart map, which is all that overlaps and transitions read."""
-
-    domain: Rect
-    df0: object  # callable u -> 2x2 Jacobian (vectorized over points)
+OVERLAP_SHRINK = 0.05  # keeps the transition samples inside both domains
 
 
 @dataclass
 class PseudoChartAtlas:
-    charts: list
+    """Charts on the rectangles ``center[k] +- half[k]`` (``(n, 2)`` arrays);
+    ``jac(idx, pts)`` is the Jacobian of chart ``idx[...]`` at ``pts[...]``,
+    with ``idx`` broadcast against ``pts.shape[:-1]``."""
+
+    center: np.ndarray
+    half: np.ndarray
+    jac: object
 
     def __len__(self):
-        return len(self.charts)
+        return len(self.center)
 
-    def overlap(self, i: int, j: int, shrink: float = 0.05):
-        """Intersection rectangle of domains i and j, slightly shrunk.
-
-        Returns None for an empty intersection.  The shrink factor keeps
-        finite-difference stencils of transition sampling inside both
-        domains.
-        """
-        di, dj = self.charts[i].domain, self.charts[j].domain
-        lo = np.maximum(di.center - di.half, dj.center - dj.half)
-        hi = np.minimum(di.center + di.half, dj.center + dj.half)
-        if np.any(hi - lo <= 0):
-            return None
-        c = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * (1.0 - shrink)
-        if np.any(half <= 0):
-            return None
-        return Rect(c, half)
+    def overlap(self, i, j):
+        """Intersections of domains ``i`` and ``j`` (indices or index arrays),
+        shrunk by ``OVERLAP_SHRINK``: ``(center, half)``, with a half-size
+        ``<= 0`` where the domains do not overlap."""
+        lo = np.maximum(self.center[i] - self.half[i], self.center[j] - self.half[j])
+        hi = np.minimum(self.center[i] + self.half[i], self.center[j] + self.half[j])
+        return 0.5 * (lo + hi), 0.5 * (hi - lo) * (1.0 - OVERLAP_SHRINK)
 
 
 @dataclass
@@ -78,36 +70,38 @@ class MonodromyClass:
 
 
 ROUNDING_TOL = 0.1
+PAIR_BLOCK = BLOCK // 512  # chart pairs per block: a pair's 9 jet samples take ~440 elements
 
 
-def transition_matrix(atlas: PseudoChartAtlas, i: int, j: int) -> TransitionMatrix:
-    """Integer differential of ``f_i o f_j^{-1}`` on a 3 x 3 grid of the overlap.
+def transition_matrix(atlas: PseudoChartAtlas, i, j):
+    """Integer differential of ``f_i o f_j^{-1}`` on a 3 x 3 grid of the
+    overlap, for charts ``i`` and ``j``, or for index arrays (then a list).
 
-    The Jacobians of both charts are averaged over the samples before
-    rounding; the pre-rounding matrix and its distance to the integer
-    matrix are recorded.
+    ``J_i J_j^{-1}`` is averaged over the samples before rounding; the
+    pre-rounding matrix and its distance to the integer matrix are recorded.
+    A pair with ``i == j`` is the exact identity.  The first pair that does
+    not overlap, round or have det +-1 raises :class:`MonodromyError`.
     """
-    if i == j:
-        eye = np.eye(2, dtype=np.int64)
-        return TransitionMatrix(i, j, eye, eye.astype(float), 0.0)
-    ov = atlas.overlap(i, j)
-    if ov is None:
-        raise MonodromyError(f"charts {i} and {j} do not overlap")
-    pts = ov.grid(3)
-    Ji = np.asarray(atlas.charts[i].df0(pts))
-    Jj = np.asarray(atlas.charts[j].df0(pts))
-    T = Ji @ np.linalg.inv(Jj)
-    pre = T.mean(axis=0)
+    ii, jj = (np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (i, j))
+    pre = np.broadcast_to(np.eye(2), ii.shape + (2, 2)).copy()
+    sel = np.flatnonzero(ii != jj)
+    for s in range(0, sel.size, PAIR_BLOCK):
+        blk = sel[s : s + PAIR_BLOCK]
+        c, half = atlas.overlap(ii[blk], jj[blk])
+        gap = blk[~np.all(half > 0, axis=-1)]
+        if gap.size:
+            raise MonodromyError(f"charts {ii[gap[0]]} and {jj[gap[0]]} do not overlap")
+        pts, a, b = Rect(c, half).grid(3), ii[blk, None], jj[blk, None]
+        pre[blk] = np.mean(atlas.jac(a, pts) @ np.linalg.inv(atlas.jac(b, pts)), axis=1)
     M = np.rint(pre).astype(np.int64)
-    err = float(np.max(np.abs(pre - M)))
-    if err > ROUNDING_TOL:
-        raise MonodromyError(
-            f"transition {i}->{j} not integral: rounding error {err:.3f} > {ROUNDING_TOL}"
-        )
-    det = int(round(float(np.linalg.det(M))))
-    if det not in (-1, 1):
-        raise MonodromyError(f"transition {i}->{j} has det {det}, expected +-1")
-    return TransitionMatrix(i=i, j=j, M=M, pre_round=pre, rounding_error=err)
+    err = np.max(np.abs(pre - M), axis=(1, 2))
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    for k in np.flatnonzero((err > ROUNDING_TOL) | (np.abs(det) != 1))[:1]:  # the first failing pair
+        if err[k] > ROUNDING_TOL:
+            raise MonodromyError(f"transition {ii[k]}->{jj[k]} not integral: rounding error {err[k]:.3f} > {ROUNDING_TOL}")
+        raise MonodromyError(f"transition {ii[k]}->{jj[k]} has det {det[k]}, expected +-1")
+    out = [TransitionMatrix(int(a), int(b), m, p, float(e)) for a, b, m, p, e in zip(ii, jj, M, pre, err)]
+    return out if np.ndim(i) else out[0]
 
 
 @dataclass
@@ -124,44 +118,44 @@ class CocycleReport:
 def cocycle_check(atlas: PseudoChartAtlas) -> CocycleReport:
     """Verify ``M_ik = M_ij M_jk`` on every triple overlap, exactly.
 
-    Triples are walked along the overlap graph: for each overlapping pair
-    (i, j), only the charts k overlapping j are candidates.
+    Overlapping pairs are the centers a k-d tree finds within twice the
+    largest half-size that pass the exact rectangle test; each ordered pair
+    (i, j) is joined with the pairs (j, k).  Results are in (i, j, k) order.
     """
     n = len(atlas)
-    trans = {}
-    overlaps = {}
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            ov = atlas.overlap(i, j) if i != j else None
-            if ov is not None:
-                overlaps[(i, j)] = ov
-                t = transition_matrix(atlas, i, j)
-                trans[(i, j)] = t.M
-                if i < j:
-                    pairs.append(t)
-    nbrs = [[] for _ in range(n)]
-    for i, j in sorted(trans):
-        nbrs[i].append(j)
-    violations = []
-    checked = 0
-    for i in range(n):
-        for j in nbrs[i]:
-            ov_ij = overlaps[(i, j)]
-            for k in nbrs[j]:
-                if k == i or (i, k) not in trans:
-                    continue
-                # the triple-wise intersection must be nonempty
-                ov = overlaps[(i, k)]
-                lo = np.maximum(ov.center - ov.half, ov_ij.center - ov_ij.half)
-                hi = np.minimum(ov.center + ov.half, ov_ij.center + ov_ij.half)
-                if np.any(hi - lo <= 0):
-                    continue
-                checked += 1
-                prod = trans[(i, j)] @ trans[(j, k)]
-                if not np.array_equal(prod, trans[(i, k)]):
-                    violations.append((i, j, k, trans[(i, k)], prod))
-    return CocycleReport(pairs=pairs, triples_checked=checked, violations=violations)
+    # rounding can make rectangles that touch within an ulp overlap, so the
+    # search radius has a margin and the exact test decides
+    radius = 2.0 * np.max(atlas.half) * (1.0 + 1e-9)
+    ij = cKDTree(atlas.center).query_pairs(radius, p=np.inf, output_type="ndarray")
+    ij = ij[np.all(atlas.overlap(ij[:, 0], ij[:, 1])[1] > 0, axis=1)]
+    ij = np.concatenate([ij, ij[:, ::-1]])
+    i, j = ij[np.lexsort((ij[:, 1], ij[:, 0]))].T
+    trans = transition_matrix(atlas, i, j)
+    M = np.array([t.M for t in trans], dtype=np.int64).reshape(-1, 2, 2)
+    oc, oh = atlas.overlap(i, j)
+    lo, hi = oc - oh, oc + oh
+    key = i * n + j
+    start = np.searchsorted(i, np.arange(n + 1))  # pairs (j, k) are the rows start[j]:start[j + 1]
+    checked, violations = 0, []
+    for s in range(0, len(i), PAIR_BLOCK):
+        r = np.arange(s, min(s + PAIR_BLOCK, len(i)))
+        # each row (i, j) repeated over the rows (j, k), then the row (i, k)
+        deg = start[j[r] + 1] - start[j[r]]
+        r_ij = np.repeat(r, deg)
+        r_jk = np.arange(len(r_ij)) + np.repeat(start[j[r]] - (np.cumsum(deg) - deg), deg)
+        want = i[r_ij] * n + j[r_jk]
+        r_ik = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        # k != i, (i, k) overlap, and the triple-wise intersection is nonempty
+        meet = np.all(np.minimum(hi[r_ik], hi[r_ij]) - np.maximum(lo[r_ik], lo[r_ij]) > 0, axis=1)
+        keep = (j[r_jk] != i[r_ij]) & (key[r_ik] == want) & meet
+        r_ij, r_jk, r_ik = r_ij[keep], r_jk[keep], r_ik[keep]
+        checked += len(r_ij)
+        prod = M[r_ij] @ M[r_jk]
+        violations += [
+            (int(i[r_ij[t]]), int(j[r_ij[t]]), int(j[r_jk[t]]), M[r_ik[t]], prod[t])
+            for t in np.flatnonzero(np.any(prod != M[r_ik], axis=(1, 2)))
+        ]
+    return CocycleReport(pairs=[t for t in trans if t.i < t.j], triples_checked=checked, violations=violations)
 
 
 def _normal_form(P: np.ndarray):
@@ -188,13 +182,10 @@ def loop_monodromy(atlas: PseudoChartAtlas, loop) -> MonodromyClass:
     if len(loop) < 1:
         raise MonodromyError("empty loop")
     closed = loop + [loop[0]] if loop[-1] != loop[0] else loop
+    edges = transition_matrix(atlas, closed[:-1], closed[1:])
     P = np.eye(2, dtype=np.int64)
-    edges = []
-    for a, b in zip(closed[:-1], closed[1:]):
-        if atlas.overlap(a, b) is None:
-            raise MonodromyError(f"gap in the loop: charts {a} and {b} do not overlap")
-        edges.append(transition_matrix(atlas, a, b))
-        P = P @ edges[-1].M
+    for t in edges:
+        P = P @ t.M
     nf, inv, m = _normal_form(P)
     return MonodromyClass(loop=loop, product=P, normal_form=nf, invariants=inv, parabolic_m=m, edges=edges)
 
@@ -258,9 +249,12 @@ def cover_loop(
 
 
 def action_atlas(model: ModelSystem, centers) -> PseudoChartAtlas:
-    """Atlas of exact action charts at the given centers."""
+    """Atlas of exact action charts at the given centers: each batch of
+    Jacobians is one ``jet`` call, with the shear of each point's chart."""
     charts = action_coords(model, np.atleast_2d(np.asarray(centers, dtype=float)))
-    return PseudoChartAtlas(charts=[AtlasChart(domain=ac.domain, df0=ac.d_xi) for ac in charts])
+    center, half = (np.array([getattr(ac.domain, f) for ac in charts]) for f in ("center", "half"))
+    shear = np.array([ac.shear for ac in charts])
+    return PseudoChartAtlas(center, half, lambda idx, pts: model.jet(pts, shear=shear[idx])[1])
 
 
 def classical_monodromy(model: ModelSystem, loop_vertices) -> MonodromyClass:

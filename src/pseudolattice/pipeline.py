@@ -13,16 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import DetectionError, HChart, fit_hchart
+from .detect import DetectionError, HChart, _feature_jac, fit_hchart
 from .diophantine import DiophantineParams, good_margin
 from .models import ActionChart, ModelSystem, _chart_radius, action_coords
-from .monodromy import (
-    AtlasChart,
-    MonodromyError,
-    PseudoChartAtlas,
-    cover_loop,
-    loop_monodromy,
-)
+from .monodromy import MonodromyError, PseudoChartAtlas, cover_loop, loop_monodromy
 from .synth import (
     NormalFormSymbol,
     SemiclassicalParams,
@@ -99,6 +93,16 @@ def spectral_chart_at(
     return elements if np.ndim(c) == 2 else elements[0]
 
 
+def _spectral_atlas(elements) -> PseudoChartAtlas:
+    """Atlas of the fitted charts of ``spectral_chart_at`` elements, each on
+    its good rectangle; the Jacobians are ``HChart.df`` on stacked fits."""
+    center, half = (np.array([getattr(el.hchart.rectangle, f) for el in elements]) for f in ("center", "half"))
+    coeffs = np.array([el.hchart.coeffs for el in elements])
+    return PseudoChartAtlas(
+        center, half, lambda idx, pts: _feature_jac(coeffs[idx], (pts - center[idx]) / half[idx], half[idx])
+    )
+
+
 def spectral_monodromy(
     model: ModelSystem,
     vertices,
@@ -123,7 +127,5 @@ def spectral_monodromy(
 
     centers = cover_loop(model, vertices, spacing_factor=spacing_factor, radius_fn=rect_radius)
     elements = spectral_chart_at(model, centers, params, dio, C0=C0, higher_coeffs=higher_coeffs)
-    atlas = PseudoChartAtlas(
-        charts=[AtlasChart(domain=el.cloud.rectangle, df0=el.hchart.df) for el in elements]
-    )
+    atlas = _spectral_atlas(elements)
     return loop_monodromy(atlas, range(len(atlas))), atlas, elements

@@ -20,13 +20,12 @@ from pseudolattice.models import (
     make_flat_model,
 )
 from pseudolattice.monodromy import (
-    PseudoChartAtlas,
     classical_monodromy,
     cocycle_check,
     compare_monodromies,
     transition_matrix,
 )
-from pseudolattice.pipeline import spectral_chart_at, spectral_monodromy
+from pseudolattice.pipeline import _spectral_atlas, spectral_chart_at, spectral_monodromy
 from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
@@ -150,20 +149,13 @@ def test_criterion_03_transition_consistency(flat_model, report):
     base = np.array([0.30, 0.14])
     centers = [base + 0.6 * hw * np.array([i, j]) for i in range(3) for j in range(2)]
     els = [spectral_chart_at(flat_model, c, PARAMS, DIO, C0=2.0) for c in centers]
-    from pseudolattice.monodromy import AtlasChart
-
-    atlas = PseudoChartAtlas(charts=[AtlasChart(domain=el.cloud.rectangle, df0=el.hchart.df) for el in els])
-    max_err, anti_ok = 0.0, True
-    n = len(atlas)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if atlas.overlap(i, j) is None:
-                continue
-            tij = transition_matrix(atlas, i, j)
-            tji = transition_matrix(atlas, j, i)
-            max_err = max(max_err, tij.rounding_error, tji.rounding_error)
-            anti_ok = anti_ok and np.array_equal(tij.M @ tji.M, np.eye(2, dtype=np.int64))
-            assert int(round(abs(np.linalg.det(tij.M)))) == 1
+    atlas = _spectral_atlas(els)
+    i, j = np.triu_indices(len(atlas), 1)
+    i, j = (x[np.all(atlas.overlap(i, j)[1] > 0, axis=1)] for x in (i, j))
+    tij, tji = transition_matrix(atlas, i, j), transition_matrix(atlas, j, i)
+    max_err = max(t.rounding_error for t in tij + tji)
+    anti_ok = all(np.array_equal(a.M @ b.M, np.eye(2, dtype=np.int64)) for a, b in zip(tij, tji))
+    assert all(int(round(abs(np.linalg.det(t.M)))) == 1 for t in tij)
     rep = cocycle_check(atlas)
     ok = max_err <= 0.1 and anti_ok and rep.ok and rep.triples_checked > 0
     report(

@@ -276,6 +276,31 @@ def test_main_undecided_conjugacy_fails(tmp_path, capsys, monkeypatch, mode):
     assert "FAIL: conjugacy undecided for trace 3, det 1" in captured.err
 
 
+def test_main_verify_all_fails_on_a_cocycle_violation(tmp_path, capsys, monkeypatch):
+    # verify-all checks the cocycle of the spectral atlas it used; a
+    # violation is a failure naming the first triple
+    import dataclasses
+
+    import pseudolattice.cli as cli
+
+    check, reports = cli.cocycle_check, []
+
+    def with_violation(atlas):
+        reports.append(check(atlas))
+        eye = np.eye(2, dtype=np.int64)
+        return dataclasses.replace(reports[0], violations=[(3, 4, 5, eye, -eye)])
+
+    monkeypatch.setattr(cli, "cocycle_check", with_violation)
+    cfg = _write(tmp_path, FLAT_LOOP.replace("mode = monodromy", "mode = verify-all"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    assert len(reports) == 1 and reports[0].ok and reports[0].triples_checked > 0
+    captured = capsys.readouterr()
+    assert f"conjugate: true; cocycle: {reports[0].triples_checked} triples; 1 failure(s)" in captured.out
+    assert captured.err == "  FAIL: cocycle violated on 1 triple(s), first at charts (3, 4, 5)\n"
+    assert "conjugate = true" in (out / "monodromy.txt").read_text()
+
+
 OCTAGON_NOISY = f"""\
 [model]
 name = champagne

@@ -51,7 +51,8 @@ def test_batched_margins_equal_per_row_margins():
     # 2 000 rows sweep k in several chunks: resonant rows (margin exactly 0,
     # attained by every multiple of a resonant k), both axes, near-resonant
     # rows whose margin is attained at k = (j, 1) for every swept j with
-    # |k| <= k_max, so at every chunk seam, and generic rows
+    # |k| <= k_max, so at every chunk seam, the same rows with their
+    # components exchanged (witness (1, j)), and generic rows
     params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
     rng = np.random.default_rng(12)
     omegas = rng.uniform(-2.0, 2.0, size=(2000, 2))
@@ -61,6 +62,7 @@ def test_batched_margins_equal_per_row_margins():
     omegas[220:240, 1] = 0.0
     j = np.arange(1, 500)
     omegas[240:739] = np.stack([np.ones(499), -j * (1.0 + 1e-9)], axis=-1)
+    omegas[739:1238] = omegas[240:739, ::-1]  # the same rows, solved for the other component
     assert params.k_max + 1 > BLOCK // len(omegas)  # more than one chunk
     margins, witness = _margins(omegas, params)
     per_row = np.array([_margins(w[None], params)[0][0] for w in omegas])
@@ -72,6 +74,8 @@ def test_batched_margins_equal_per_row_margins():
     attained = np.abs(np.sum(witness * omegas, axis=1)) * nk**2
     assert np.allclose(attained, margins, rtol=1e-9, atol=1e-12)
     assert np.array_equal(witness[240:739], np.stack([j, np.ones(499)], axis=-1))
+    assert np.array_equal(witness[739:1238], np.stack([np.ones(499), j], axis=-1))
+    assert margins[739:1238].tobytes() == margins[240:739].tobytes()
 
 
 def test_resonant_frequency_detected():

@@ -3,7 +3,8 @@
 NumPy reports its array buffers to ``tracemalloc``, so the traced peak is
 the peak of the kernel's temporaries.  Each kernel works in blocks of
 ``models.BLOCK`` elements (1 MB of float64), so its peak stays a few blocks
-however many points it is given.
+however many points it is given; the cocycle check takes its chart pairs in
+blocks of ``monodromy.PAIR_BLOCK``.
 """
 
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 
 from pseudolattice.diophantine import DiophantineParams, _margins
 from pseudolattice.models import _action_table, make_champagne_model
+from pseudolattice.monodromy import action_atlas, cocycle_check, cover_loop
 
 
 def traced_peak_mb(f):
@@ -42,3 +44,12 @@ def _dist_1e4():
 @pytest.mark.parametrize("kernel,limit_mb", [(_table, 16.0), (_margins_1e4, 16.0), (_dist_1e4, 8.0)], ids=["action-table", "margins", "dist-to-singular"])
 def test_batch_kernel_peak_memory(kernel, limit_mb):
     assert traced_peak_mb(kernel) < limit_mb
+
+
+def test_cocycle_check_peak_memory():
+    # the acceptance octagon's 211 action charts: 1 077 overlapping pairs,
+    # 13 308 triples, and the champagne jet for every transition sample
+    m = make_champagne_model(1.0)
+    octagon = [(0.15 + 0.3 * np.cos(np.pi * t / 4), 0.3 * np.sin(np.pi * t / 4)) for t in range(8)]
+    atlas = action_atlas(m, cover_loop(m, octagon))
+    assert traced_peak_mb(lambda: cocycle_check(atlas)) < 3.0

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from pseudolattice.models import Rect, make_champagne_model, make_flat_model
+from pseudolattice.models import make_champagne_model, make_flat_model
 from pseudolattice.monodromy import (
-    AtlasChart,
     MonodromyClass,
     MonodromyError,
     PseudoChartAtlas,
@@ -20,23 +19,20 @@ from pseudolattice.monodromy import (
 )
 
 
-def _linear_chart(center, A, half=0.3):
-    """Chart whose map is u -> A u, on a square domain around center."""
-    A = np.asarray(A, dtype=float)
+def _linear_atlas(centers, mats, half=0.3):
+    """Charts whose maps are u -> A_k u, on squares around the centers."""
+    mats = np.asarray(mats, dtype=float)
 
-    def df0(u):
-        u = np.atleast_2d(u)
-        return np.broadcast_to(A, (len(u), 2, 2)).copy()
+    def jac(idx, pts):
+        return np.broadcast_to(mats[idx], pts.shape + (2,)).copy()
 
-    return AtlasChart(domain=Rect(np.asarray(center, float), np.array([half, half])), df0=df0)
+    centers = np.asarray(centers, dtype=float)
+    return PseudoChartAtlas(centers, np.full(centers.shape, half), jac)
 
 
 def _grid_atlas(mats, spacing=0.35, half=0.3):
     """Charts on a row of overlapping squares, one matrix per chart."""
-    charts = [
-        _linear_chart((i * spacing, 0.0), M, half=half) for i, M in enumerate(mats)
-    ]
-    return PseudoChartAtlas(charts=charts)
+    return _linear_atlas([(i * spacing, 0.0) for i in range(len(mats))], mats, half=half)
 
 
 UNIMODULAR = [
@@ -52,6 +48,11 @@ def test_self_transition_is_identity():
     t = transition_matrix(atlas, 0, 0)
     assert np.array_equal(t.M, np.eye(2, dtype=np.int64))
     assert t.rounding_error == 0.0
+    # and within a batch of other pairs
+    batch = transition_matrix(atlas, [0, 0, 1], [0, 1, 1])
+    assert [t.rounding_error for t in batch[::2]] == [0.0, 0.0]
+    assert all(np.array_equal(t.pre_round, np.eye(2)) and np.array_equal(t.M, np.eye(2)) for t in batch[::2])
+    assert not np.array_equal(batch[1].M, np.eye(2))
 
 
 def test_transition_antisymmetry():
@@ -91,11 +92,8 @@ def test_transition_rejects_bad_determinant():
 
 def _block_atlas():
     """2x3 block of overlapping squares, all charts sharing one linear map."""
-    charts = []
-    for i in range(3):
-        for j in range(2):
-            charts.append(_linear_chart((0.35 * i, 0.35 * j), UNIMODULAR[2]))
-    return PseudoChartAtlas(charts=charts)
+    centers = [(0.35 * i, 0.35 * j) for i in range(3) for j in range(2)]
+    return _linear_atlas(centers, [UNIMODULAR[2]] * len(centers))
 
 
 def test_cocycle_clean_covering():
@@ -106,8 +104,7 @@ def test_cocycle_clean_covering():
 
 
 def test_cocycle_single_chart_vacuous():
-    atlas = PseudoChartAtlas(charts=[_linear_chart((0.0, 0.0), np.eye(2))])
-    rep = cocycle_check(atlas)
+    rep = cocycle_check(_linear_atlas([(0.0, 0.0)], [np.eye(2)]))
     assert rep.ok
     assert rep.triples_checked == 0
     assert rep.pairs == []
@@ -119,22 +116,17 @@ def _split_chart_atlas():
     Jacobian (so all transitions round cleanly) but M_02 != M_01 M_12 on
     the triple overlap."""
     U = np.array([[1.0, 1.0], [0.0, 1.0]])
+    atlas = _linear_atlas([(0.0, 0.0), (0.29, 0.29), (0.58, 0.58)], [np.eye(2)] * 3)
+    atlas.half[1] = 0.65
+    linear = atlas.jac
 
-    def df_split(u):
-        u = np.atleast_2d(u)
-        out = np.broadcast_to(np.eye(2), (len(u), 2, 2)).copy()
-        out[u[:, 0] >= 0.29] = U
+    def jac(idx, pts):
+        out = linear(idx, pts)
+        out[(idx == 1) & (pts[..., 0] >= 0.29)] = U
         return out
 
-    charts = [
-        _linear_chart((0.0, 0.0), np.eye(2), half=0.3),
-        AtlasChart(
-            domain=Rect(np.array([0.29, 0.29]), np.array([0.65, 0.65])),
-            df0=df_split,
-        ),
-        _linear_chart((0.58, 0.58), np.eye(2), half=0.3),
-    ]
-    return PseudoChartAtlas(charts=charts)
+    atlas.jac = jac
+    return atlas
 
 
 def test_cocycle_detects_corrupted_chart():
@@ -150,7 +142,7 @@ def _cocycle_check_brute_force(atlas):
     pairs = []
     for i in range(n):
         for j in range(n):
-            if i != j and atlas.overlap(i, j) is not None:
+            if i != j and np.all(atlas.overlap(i, j)[1] > 0):
                 t = transition_matrix(atlas, i, j)
                 trans[(i, j)] = t.M
                 if i < j:
@@ -164,10 +156,10 @@ def _cocycle_check_brute_force(atlas):
                     continue
                 if (i, j) not in trans or (j, k) not in trans or (i, k) not in trans:
                     continue
-                ov_ij = atlas.overlap(i, j)
-                ov = atlas.overlap(i, k)
-                lo = np.maximum(ov.center - ov.half, ov_ij.center - ov_ij.half)
-                hi = np.minimum(ov.center + ov.half, ov_ij.center + ov_ij.half)
+                c_ij, h_ij = atlas.overlap(i, j)
+                c, h = atlas.overlap(i, k)
+                lo = np.maximum(c - h, c_ij - h_ij)
+                hi = np.minimum(c + h, c_ij + h_ij)
                 if np.any(hi - lo <= 0):
                     continue
                 checked += 1
@@ -177,14 +169,28 @@ def _cocycle_check_brute_force(atlas):
     return pairs, checked, violations
 
 
-@pytest.mark.parametrize("make_atlas", [_block_atlas, _split_chart_atlas], ids=["clean", "corrupted"])
+def _random_atlas():
+    """30 linear charts on rectangles of unequal half-sizes, so that some
+    overlapping centers are farther apart than twice most half-sizes."""
+    rng = np.random.default_rng(3)
+    atlas = _linear_atlas(rng.uniform(0.0, 1.0, (30, 2)), np.array(UNIMODULAR)[rng.integers(0, 4, 30)])
+    atlas.half = rng.uniform(0.05, 0.25, (30, 2))
+    i, j = np.triu_indices(30, 1)
+    far = np.max(np.abs(atlas.center[i] - atlas.center[j]), axis=1) > 2.0 * np.median(atlas.half)
+    assert np.any(far & np.all(atlas.overlap(i, j)[1] > 0, axis=1))
+    return atlas
+
+
+@pytest.mark.parametrize(
+    "make_atlas", [_block_atlas, _split_chart_atlas, _random_atlas], ids=["clean", "corrupted", "unequal-halves"]
+)
 def test_cocycle_matches_brute_force(make_atlas):
     atlas = make_atlas()
     rep = cocycle_check(atlas)
     pairs, checked, violations = _cocycle_check_brute_force(atlas)
     assert [(t.i, t.j) for t in rep.pairs] == [(t.i, t.j) for t in pairs]
     assert all(np.array_equal(a.M, b.M) and np.array_equal(a.pre_round, b.pre_round) for a, b in zip(rep.pairs, pairs))
-    assert rep.triples_checked == checked
+    assert rep.triples_checked == checked > 0
     assert len(rep.violations) == len(violations)
     for got, want in zip(rep.violations, violations):
         assert got[:3] == want[:3]
@@ -233,7 +239,7 @@ def test_normal_form_non_parabolic():
 def test_loop_monodromy_product_and_reverse():
     atlas = _grid_atlas(UNIMODULAR)
     # fold the row into a cycle by making the last chart overlap the first
-    atlas.charts[-1].domain = Rect(np.array([0.0, 0.0]), np.array([1.5, 0.3]))
+    atlas.center[-1], atlas.half[-1] = (0.0, 0.0), (1.5, 0.3)
     loop = [0, 1, 2, 3]
     fwd = loop_monodromy(atlas, loop)
     rev = loop_monodromy(atlas, loop[::-1])
@@ -384,21 +390,43 @@ def test_monodromy_report_text():
     assert f"{len(cls.loop) - 1} -> 0: M = " in text
 
 
-def test_spectral_atlas_domains_are_the_good_rectangles():
-    # the fitted charts and their atlas live in the value plane: each
-    # domain is the cloud's good rectangle itself, centered on its good value
+@pytest.fixture(scope="module")
+def small_spectral_loop():
     from pseudolattice.diophantine import DiophantineParams
     from pseudolattice.pipeline import spectral_monodromy
     from pseudolattice.synth import SemiclassicalParams
 
     params = SemiclassicalParams(h=1e-3, delta=0.5, seed=0)
     square = np.array([(0.30, 0.10), (0.34, 0.10), (0.34, 0.14), (0.30, 0.14)])
-    cls, atlas, elements = spectral_monodromy(make_flat_model((1.0, 0.7)), square, params, DiophantineParams(alpha=1e-3, k_max=500))
+    return spectral_monodromy(make_flat_model((1.0, 0.7)), square, params, DiophantineParams(alpha=1e-3, k_max=500))
+
+
+def test_spectral_atlas_domains_are_the_good_rectangles(small_spectral_loop):
+    # the fitted charts and their atlas live in the value plane: each
+    # domain is the cloud's good rectangle itself, centered on its good value
+    cls, atlas, elements = small_spectral_loop
     assert np.array_equal(cls.product, np.eye(2, dtype=np.int64))
     assert len(atlas) == len(elements) > 4
-    for chart, el in zip(atlas.charts, elements):
-        assert chart.domain is el.cloud.rectangle is el.hchart.rectangle
-        assert chart.domain.center.tobytes() == el.a.tobytes()
+    for center, half, el in zip(atlas.center, atlas.half, elements):
+        assert el.cloud.rectangle is el.hchart.rectangle
+        assert center.tobytes() == el.a.tobytes() == el.cloud.rectangle.center.tobytes()
+        assert half.tobytes() == el.cloud.rectangle.half.tobytes()
+
+
+@pytest.mark.parametrize("loop", ["spectral", "classical"])
+def test_batched_transitions_equal_per_pair_transitions(small_spectral_loop, loop):
+    if loop == "spectral":
+        atlas = small_spectral_loop[1]
+    else:
+        m = make_champagne_model(1.0)
+        atlas = action_atlas(m, cover_loop(m, OCTAGON))
+    i = np.arange(len(atlas))
+    j = np.roll(i, -1)
+    batch = transition_matrix(atlas, np.concatenate([i, j]), np.concatenate([j, i]))
+    single = [transition_matrix(atlas, a, b) for a, b in zip(np.concatenate([i, j]), np.concatenate([j, i]))]
+    assert [(t.i, t.j) for t in batch] == [(t.i, t.j) for t in single]
+    assert all(a.M.tobytes() == b.M.tobytes() and a.pre_round.tobytes() == b.pre_round.tobytes() for a, b in zip(batch, single))
+    assert [t.rounding_error for t in batch] == [t.rounding_error for t in single]
 
 
 def test_spectral_chart_error_names_rectangle(monkeypatch):
