@@ -15,6 +15,7 @@ from .detect import (
     HChart,
     detect_basis,
     fit_hchart,
+    gauge_alignment,
     invert_leading,
     label_lattice,
 )
@@ -30,6 +31,7 @@ from .models import (
     ChampagneModel,
     FlatModel,
     ModelError,
+    ParameterError,
     Rect,
     action_coords,
     chart_to_text,
@@ -76,6 +78,7 @@ __all__ = [
     "MonodromyClass",
     "MonodromyError",
     "NormalFormSymbol",
+    "ParameterError",
     "PseudoChartAtlas",
     "Rect",
     "SemiclassicalParams",
@@ -95,6 +98,7 @@ __all__ = [
     "diophantine_margin",
     "fit_hchart",
     "frequency",
+    "gauge_alignment",
     "good_margin",
     "good_rectangle",
     "good_values",

@@ -60,21 +60,15 @@ def time_average(
     return float(np.sum(w * vals) * (T / m) / 3.0 / T)
 
 
-def _quasi_random_angles(n: int = 16) -> np.ndarray:
-    # deterministic low-discrepancy sample of the torus (Kronecker sequence)
-    i = np.arange(1, n + 1)
+def _quasi_random_angles() -> np.ndarray:
+    # deterministic low-discrepancy sample of the torus (Kronecker sequence), 16 angles
+    i = np.arange(1, 17)
     a1 = (i * 0.7548776662466927) % 1.0  # plastic-number rotations
     a2 = (i * 0.5698402909980532) % 1.0
     return 2.0 * np.pi * np.stack([a1, a2], axis=-1)
 
 
-def q_infinity(
-    model: ModelSystem,
-    chart: ActionChart,
-    xi,
-    T_list,
-    n_x0: int = 16,
-):
+def q_infinity(model: ModelSystem, chart: ActionChart, xi, T_list):
     """Finite-horizon surrogate of the attainable-average interval at ``xi``.
 
     Returns ``(lo, hi)``: the range of the longest-horizon time average over
@@ -86,5 +80,5 @@ def q_infinity(
     if not T_list or any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise ValueError("T_list must be nonempty and increasing")
     T_max = T_list[-1]
-    avgs = [time_average(model, chart, xi, x0, T_max) for x0 in _quasi_random_angles(n_x0)]
+    avgs = [time_average(model, chart, xi, x0, T_max) for x0 in _quasi_random_angles()]
     return (float(np.min(avgs)), float(np.max(avgs)))

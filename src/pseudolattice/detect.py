@@ -8,7 +8,8 @@ local lattice basis from nearest-neighbor difference vectors, unwind integer
 labels outward from an anchor point (refitting a quadratic map each round so
 smooth curvature never accumulates), and least-squares fit the chart map
 ``f`` sending points to ``h`` times their labels.  The leading term of the
-fitted map can be gauge-aligned against a reference action chart.
+fitted map is gauge-aligned against a reference action chart by
+:func:`gauge_alignment`.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def _row_norm(x):
     return np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1])
 
 
-def _direction_peak(vs, ang, ang_tol: float = 0.15):
-    """Centroid of the densest angular cluster among vectors ``vs`` with angles ``ang`` (mod pi)."""
+def _direction_peak(vs, ang):
+    """Centroid of the densest angular cluster among vectors ``vs`` with angles ``ang`` (mod pi):
+    the vectors within 0.15 rad of the peak of the smoothed 60-bin histogram."""
     nb = 60
     idx = np.minimum((ang / math.pi * nb).astype(int), nb - 1)
     hist = np.bincount(idx, minlength=nb)
@@ -53,7 +55,7 @@ def _direction_peak(vs, ang, ang_tol: float = 0.15):
     peak = np.argmax(smooth)
     theta = (peak + 0.5) * math.pi / nb
     dist = np.abs(np.mod(ang - theta + math.pi / 2, math.pi) - math.pi / 2)
-    members = vs[dist < max(ang_tol, 1.5 * math.pi / nb)]
+    members = vs[dist < max(0.15, 1.5 * math.pi / nb)]
     if len(members) == 0:
         raise DetectionError("degenerate cloud: no difference cluster found")
     # average with consistent orientation along the peak direction
@@ -81,9 +83,10 @@ def _gauss_reduce(b1, b2):
 # has to be right near the anchor: labels grow outward from there and the
 # quadratic refit of each growth round absorbs the curvature further out.
 BASIS_SAMPLE = 200
+BASIS_NEIGHBORS = 12  # nearest neighbors of each sample point that give difference vectors
 
 
-def detect_basis(u, anchor, k_neighbors: int = 12):
+def detect_basis(u, anchor):
     """Estimate the two shortest lattice vectors of the rescaled cloud ``u``.
 
     Nearest-neighbor difference vectors of the ``BASIS_SAMPLE`` points
@@ -101,7 +104,7 @@ def detect_basis(u, anchor, k_neighbors: int = 12):
         # sorted, so the sample keeps cloud order whatever lies outside it
         u = u[np.sort(np.argpartition(d2, BASIS_SAMPLE - 1)[:BASIS_SAMPLE])]
     tree = cKDTree(u)
-    kq = min(k_neighbors + 1, len(u))
+    kq = min(BASIS_NEIGHBORS + 1, len(u))
     _, idx = tree.query(u, k=kq)
     diffs = (u[idx[:, 1:]] - u[:, None, :]).reshape(-1, 2)
     flip = (diffs[:, 1] < 0) | ((diffs[:, 1] == 0) & (diffs[:, 0] < 0))
@@ -159,6 +162,7 @@ def _feature_jac(coeffs, t, scale):
 
 
 MAX_UNLABELED = 0.01  # largest fraction of a cloud left without a label
+RESIDUAL_LIMIT = 0.05  # largest chart-fit residual, in units of h
 
 
 def label_lattice(u, basis, anchor):
@@ -271,9 +275,6 @@ class HChart:
     basis: tuple
     coeffs: np.ndarray  # (6, 2): quadratic map t -> h*k on scaled coords
     affine: np.ndarray  # df/du at the rectangle center
-    gauge_M: np.ndarray | None = None  # integer alignment vs a reference chart
-    gauge_c: np.ndarray | None = None
-    eta: np.ndarray | None = None
     labeled_fraction: float = 1.0
 
     def f(self, u) -> np.ndarray:
@@ -289,19 +290,12 @@ class HChart:
 
     # leading-term views ---------------------------------------------------
 
-    def f_tilde0(self, u) -> np.ndarray:
-        """Leading-term estimate of the chart map.
-
-        If a gauge alignment against a reference action chart was computed,
-        the integer change of basis and offset are removed so the result
-        targets ``tau_c + phi^{-1}``; otherwise the raw fit is returned (it
-        is the same map up to the label gauge).
-        """
-        val = self.f(u)
-        if self.gauge_M is None:
-            return val
-        corr = self.h * (self.gauge_c + (self.eta if self.eta is not None else 0.0) / 4.0)
-        return val @ np.linalg.inv(self.gauge_M).T - corr
+    def f_tilde0(self, u, M, c, eta) -> np.ndarray:
+        """Leading-term estimate of the chart map, targeting ``tau_c + phi^{-1}``
+        of a reference chart with Maslov indices ``eta``: the fit with the
+        integer label basis ``M`` and offset ``c`` of :func:`gauge_alignment`
+        removed."""
+        return self.f(u) @ np.linalg.inv(M).T - self.h * (c + np.asarray(eta, dtype=float) / 4.0)
 
     def f_inverse(self, target, tol: float = 1e-13, max_iter: int = 60) -> np.ndarray:
         """Invert the fitted quadratic map by Newton iteration.
@@ -351,19 +345,9 @@ class HChart:
         return "\n".join(lines) + "\n"
 
 
-def fit_hchart(
-    cloud: SpectrumCloud,
-    *,
-    chart_hint: ActionChart | None = None,
-    residual_limit: float = 0.05,
-) -> HChart:
-    """Detect, label and fit the chart map of one good rectangle.
-
-    With ``chart_hint`` the fit is additionally gauge-aligned: the integer
-    change of label basis and offset relative to the reference action chart
-    are solved for, making ``f_tilde0`` directly comparable to the ground
-    truth ``tau_c + phi^{-1}``.
-    """
+def fit_hchart(cloud: SpectrumCloud) -> HChart:
+    """Detect, label and fit the chart map of one good rectangle; rejects a
+    fit whose residual exceeds ``RESIDUAL_LIMIT``."""
     h, eps = cloud.params.h, cloud.params.epsilon
     rect = cloud.rectangle
     u = chi_inverse(cloud.points, eps)
@@ -376,16 +360,16 @@ def fit_hchart(
     if rank < X.shape[1]:
         raise DetectionError("chart fit is rank deficient")
     residuals = _row_norm(X @ C - target) / h
-    if np.max(residuals) > residual_limit:
+    if np.max(residuals) > RESIDUAL_LIMIT:
         raise DetectionError(
-            f"chart rejected: max residual {np.max(residuals):.4f} > {residual_limit} (units of h)"
+            f"chart rejected: max residual {np.max(residuals):.4f} > {RESIDUAL_LIMIT} (units of h)"
         )
 
     affine = _feature_jac(C, np.zeros(2), rect.half)
     if abs(np.linalg.det(affine)) < 1e-300:
         raise DetectionError("fitted chart is not a local diffeomorphism")
 
-    hc = HChart(
+    return HChart(
         rectangle=rect,
         h=h,
         epsilon=eps,
@@ -398,20 +382,24 @@ def fit_hchart(
         labeled_fraction=float(np.mean(m)),
     )
 
-    if chart_hint is not None:
-        J = chart_hint.d_xi(rect.center)  # Jacobian of the ground-truth leading term
-        M_pre = affine @ np.linalg.inv(J)
-        M = np.rint(M_pre).astype(np.int64)
-        if abs(round(float(np.linalg.det(M)))) != 1:
-            raise DetectionError("gauge alignment failed: non-unimodular label basis")
-        gt = chart_hint.tau_c + chart_hint.xi_of_c(u[m])
-        eta = np.asarray(chart_hint.eta, dtype=float)
-        diff = (X @ C) @ np.linalg.inv(M).T - gt
-        c = np.rint(np.mean(diff, axis=0) / h - eta / 4.0).astype(np.int64)
-        hc.gauge_M = M
-        hc.gauge_c = c
-        hc.eta = eta
-    return hc
+
+def gauge_alignment(hchart: HChart, chart: ActionChart) -> tuple:
+    """Integer label basis ``M`` and offset ``c`` between a fitted chart and
+    the action chart of its rectangle: to leading order ``hchart.f`` is
+    ``M (tau_c + phi^{-1} + h (c + eta/4))``, which :meth:`HChart.f_tilde0`
+    undoes.
+
+    ``M`` rounds the fit's affine part against the action chart's Jacobian
+    at the rectangle center and ``c`` the mean offset over the labeled
+    points.  Raises :class:`DetectionError` unless ``M`` is unimodular.
+    """
+    J = chart.d_xi(hchart.rectangle.center)  # Jacobian of the ground-truth leading term
+    M = np.rint(hchart.affine @ np.linalg.inv(J)).astype(np.int64)
+    if abs(round(float(np.linalg.det(M)))) != 1:
+        raise DetectionError("gauge alignment failed: non-unimodular label basis")
+    diff = hchart.f(hchart.u) @ np.linalg.inv(M).T - (chart.tau_c + chart.xi_of_c(hchart.u))
+    c = np.rint(np.mean(diff, axis=0) / hchart.h - np.asarray(chart.eta, dtype=float) / 4.0).astype(np.int64)
+    return M, c
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import BLOCK, ActionChart, ModelSystem, _frequencies_at
+from .models import BLOCK, ActionChart, ModelSystem, ParameterError, _frequencies_at
 
 
 @dataclass
@@ -26,10 +26,12 @@ class DiophantineParams:
     k_max: int = 10_000
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.d <= 0:
-            raise ValueError("alpha and d must be positive")
-        if self.k_max < 100:
-            raise ValueError("k_max must be at least 100")
+        if not self.alpha > 0.0:
+            raise ParameterError("alpha", f"alpha = {self.alpha} must be positive")
+        if not 0.0 < self.d < np.inf:
+            raise ParameterError("d", f"d = {self.d} must be positive and finite")
+        if not self.k_max >= 100:
+            raise ParameterError("k_max", f"k_max = {self.k_max} must be at least 100")
 
 
 def diophantine_margin(omega, params: DiophantineParams):

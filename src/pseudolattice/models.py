@@ -26,18 +26,30 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BSpline, RectBivariateSpline
+from scipy.spatial import cKDTree
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 # Elements per (points x nodes) temporary of a batch kernel.  Every kernel
-# that broadcasts points against quadrature nodes, sweep integers or curve
-# samples works in blocks of this size, which keeps its temporaries in the
+# that broadcasts points against quadrature nodes, sweep integers or labels
+# works in blocks of this size, which keeps its temporaries in the
 # cache and bounds peak memory; no result depends on the block it is in.
 BLOCK = 2**17
 
 
 class ModelError(ValueError):
     """Raised for invalid model parameters or values outside the model range."""
+
+
+class ParameterError(ModelError):
+    """A run parameter outside its range, raised by the object it configures.
+
+    ``key`` names the parameter as a config file does.
+    """
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass
@@ -144,8 +156,8 @@ class FlatModel(ModelSystem):
 
     def __init__(self, omega_star, q_choice: str):
         omega_star = np.asarray(omega_star, dtype=float)
-        if np.allclose(omega_star, 0.0):
-            raise ModelError("omega_star must be nonzero")
+        if not np.all(np.isfinite(omega_star)) or np.allclose(omega_star, 0.0):
+            raise ParameterError("omega_star", f"omega_star = {' '.join(map(str, omega_star))} must be finite and nonzero")
         self.name = "flat"
         self.omega_star = omega_star
         self.q_choice = q_choice
@@ -201,7 +213,7 @@ def _flat_q(q_choice: str) -> AnglePolynomial:
         return AnglePolynomial([((0, 0), lambda xi: xi[..., 1]), ((1, 0), 0.1)])
     if q_choice == "const3":
         return AnglePolynomial([((0, 0), 3.0)])
-    raise ModelError(f"unknown q_choice {q_choice!r}")
+    raise ParameterError("q_choice", f"unknown q_choice {q_choice!r}")
 
 
 def make_flat_model(omega_star, q_choice: str = "xi_weighted") -> FlatModel:
@@ -405,8 +417,8 @@ class ChampagneModel(ModelSystem):
     """
 
     def __init__(self, well_depth: float):
-        if well_depth <= 0:
-            raise ModelError("well_depth must be positive")
+        if not 0.0 < well_depth < math.inf:
+            raise ParameterError("well_depth", f"well_depth = {well_depth} must be positive and finite")
         self.name = "champagne"
         self.b = float(well_depth)
         self.q_symbol = AnglePolynomial([((0, 0), lambda xi: xi[..., 0]), ((0, 1), 0.1)])
@@ -414,6 +426,7 @@ class ChampagneModel(ModelSystem):
         self.singular_values = [("focus_focus_point", (0.0, 0.0)), ("minimum_energy_curve", None)]
         ls = self.b**1.5 * np.linspace(-0.8, 0.8, 600)  # boundary-curve samples
         self._curve = np.stack([self.min_energy(ls), ls], axis=-1)
+        self._curve_tree = cKDTree(self._curve)
 
     # -- critical set -----------------------------------------------------
 
@@ -434,11 +447,10 @@ class ChampagneModel(ModelSystem):
         a = np.asarray(a, dtype=float)
         pts = a.reshape(-1, 2)
         d = np.linalg.norm(pts, axis=-1)  # to the focus-focus value
-        # to the boundary curve, in row blocks of BLOCK elements
-        rows = BLOCK // self._curve.size
-        for s in range(0, len(pts), rows):
-            diff = pts[s : s + rows, None, :] - self._curve[None, :, :]
-            d[s : s + rows] = np.minimum(d[s : s + rows], np.min(np.linalg.norm(diff, axis=-1), axis=-1))
+        # to the nearest boundary-curve sample; the tree takes finite points
+        # only, and the distance of any other point is its norm, nan or inf
+        fin = np.isfinite(d)
+        d[fin] = np.minimum(d[fin], self._curve_tree.query(pts[fin])[0])
         return d.reshape(a.shape[:-1])
 
     def is_regular(self, a):

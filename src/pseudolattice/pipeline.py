@@ -65,7 +65,6 @@ def spectral_chart_at(
     dio: DiophantineParams,
     C0: float = 2.0,
     higher_coeffs: dict | None = None,
-    chart_hint: bool = False,
 ):
     """Synthesize and blind-detect the spectrum of the good rectangle at one
     center ``c``, or at each of an ``(n, 2)`` array of centers (a list)."""
@@ -83,7 +82,7 @@ def spectral_chart_at(
     elements = []
     for i, (cc, a, ac, cloud) in enumerate(zip(cs, goods, charts, clouds)):
         try:
-            hc = fit_hchart(cloud.without_labels(), chart_hint=ac if chart_hint else None)
+            hc = fit_hchart(cloud.without_labels())
         except DetectionError as exc:
             E, G = cloud.rectangle.center
             err = DetectionError(f"rectangle {i} at ({E:.6g}, {G:.6g}): {exc}")

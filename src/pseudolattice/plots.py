@@ -80,8 +80,9 @@ def plot_spectrum(cloud, hchart=None) -> str:
     return "\n".join(parts) + "\n"
 
 
-def plot_residuals(hchart, bins: int = 20) -> str:
-    """Histogram of per-point residuals in units of h."""
+def plot_residuals(hchart) -> str:
+    """Histogram of per-point residuals in units of h, in 20 bins."""
+    bins = 20
     res = np.asarray(hchart.residuals, dtype=float)
     top = max(float(res.max()), 1e-12)
     counts, edges = np.histogram(res, bins=bins, range=(0.0, top))

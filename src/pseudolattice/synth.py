@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import BLOCK, ActionChart, ModelSystem, Rect
+from .models import BLOCK, ActionChart, ModelSystem, ParameterError, Rect
 
 RESOLUTION_GUARD = 10.0  # smallest allowed eps/h separation of scales
 
@@ -30,17 +30,17 @@ class SemiclassicalParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.h <= 0.1):
-            raise ValueError("h must be in (0, 0.1]")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must be in (0, 1)")
-        if self.noise_order < 1:
-            raise ValueError("noise_order must be a positive integer")
-        if self.seed < 0:
-            raise ValueError(f"seed = {self.seed} must be a non-negative integer")
-        if self.epsilon / self.h < RESOLUTION_GUARD:
-            raise ValueError(
-                f"scales not separated: eps/h = {self.epsilon / self.h:.3g} < {RESOLUTION_GUARD}"
+        if not 0.0 < self.h <= 0.1:
+            raise ParameterError("h", f"h = {self.h} out of range (0, 0.1]")
+        if not 0.0 < self.delta < 1.0:
+            raise ParameterError("delta", f"delta = {self.delta} out of range (0, 1)")
+        if not self.noise_order >= 1:
+            raise ParameterError("noise_order", f"noise_order = {self.noise_order} must be positive")
+        if not self.seed >= 0:
+            raise ParameterError("seed", f"seed = {self.seed} must be a non-negative integer")
+        if not self.epsilon / self.h >= RESOLUTION_GUARD:
+            raise ParameterError(
+                "delta", f"scales not separated: eps/h = h^(delta - 1) = {self.epsilon / self.h:.3g} < {RESOLUTION_GUARD}"
             )
 
     @property

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pseudolattice.averaging import time_average, torus_average
-from pseudolattice.detect import fit_hchart, invert_leading
+from pseudolattice.detect import fit_hchart, gauge_alignment, invert_leading
 from pseudolattice.diophantine import DiophantineParams, bad_measure_estimate
 from pseudolattice.models import (
     GOLDEN,
@@ -117,14 +117,15 @@ def _leading_error(model, a, params):
     chart = action_coords(model, a)
     sym = NormalFormSymbol(chart, default_higher_coeffs())
     cloud = synth_spectrum(sym, a, params, C0=2.0)
-    hc = fit_hchart(cloud.without_labels(), chart_hint=chart)
+    hc = fit_hchart(cloud.without_labels())
+    M, c = gauge_alignment(hc, chart)
     r = cloud.rectangle
     gx = np.stack(
         np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9), indexing="ij"), axis=-1
     ).reshape(-1, 2)
     us = r.center + gx * r.half
     gt = chart.tau_c + chart.xi_of_c(us)
-    return float(np.max(np.abs(hc.f_tilde0(us) - gt)))
+    return float(np.max(np.abs(hc.f_tilde0(us, M, c, chart.eta) - gt)))
 
 
 def test_criterion_02_leading_term_error_scaling(flat_model, champ_model, report):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from pseudolattice.cli import ConfigError, main, parse_config
+from pseudolattice.detect import gauge_alignment
 from pseudolattice.models import action_coords, make_flat_model
+from pseudolattice.pipeline import spectral_chart_at
 from pseudolattice.synth import NormalFormSymbol, SemiclassicalParams, synth_spectrum
 
 FLAT_SYNTH = """\
@@ -56,7 +58,7 @@ def _write(tmp_path, text, name="cfg.ini"):
 
 def test_parse_config_valid(tmp_path):
     cfg = parse_config(_write(tmp_path, FLAT_SYNTH))
-    assert cfg.model_name == "flat"
+    assert cfg.model.name == "flat"
     assert cfg.params.h == 1e-3
     assert cfg.params.seed == 7
     assert cfg.mode == "synth"
@@ -159,6 +161,25 @@ def test_main_detect_mode(tmp_path, capsys):
     assert "max residual" in capsys.readouterr().out
 
 
+def test_main_detect_mode_writes_the_gauge(tmp_path):
+    # hchart.txt ends with the gauge alignment against the action chart and
+    # criterion 2's leading-term error at the labeled points, in units of h
+    cfg = _write(tmp_path, FLAT_SYNTH.replace("mode = synth", "mode = detect"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    head, gauge = (out / "hchart.txt").read_text().split("[gauge]\n")
+    run = parse_config(cfg)
+    el = spectral_chart_at(run.model, run.center, run.params, run.dio, C0=run.C0)
+    hc, ac = el.hchart, el.action_chart
+    assert head == hc.to_text()
+    M, c = gauge_alignment(hc, ac)
+    err = float(np.max(np.abs(hc.f_tilde0(hc.u, M, c, ac.eta) - (ac.tau_c + ac.xi_of_c(hc.u)))) / hc.h)
+    assert gauge == f"gauge_M = {M.tolist()}\ngauge_c = {c[0]} {c[1]}\nleading_term_error = {err!r}\n"
+    assert abs(round(float(np.linalg.det(M)))) == 1
+    eps = run.params.epsilon
+    assert err <= 5.0 * (eps + hc.h / eps) / hc.h  # criterion 2's bound
+
+
 def test_main_config_error_exit_2(tmp_path, capsys):
     bad = FLAT_SYNTH.replace("h = 1e-3", "h = banana")
     path = _write(tmp_path, bad)
@@ -166,6 +187,9 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     line = next(n for n, l in enumerate(bad.splitlines(), 1) if l.startswith("h ="))
     assert f"{path}:{line}:" in err
+
+
+_CHAMPAGNE = CHAMPAGNE_SYNTH.format(center="0.3 0.02")
 
 
 @pytest.mark.parametrize(
@@ -178,11 +202,42 @@ def test_main_config_error_exit_2(tmp_path, capsys):
         (FLAT_LOOP, _VERTICES, _VERTICES.replace("\n", " 0.0\n"), "vertices"),
         (FLAT_SYNTH, "seed = 7", "seed = -1", "seed"),
         (FLAT_SYNTH, "delta = 0.5", "delta = 0.5\nnoise_order = 0", "noise_order"),
+        (_CHAMPAGNE, "name = champagne", "name = champagne\nwell_depth = -1", "well_depth"),
+        (FLAT_SYNTH, "q_choice = xi_weighted", "q_choice = bogus", "q_choice"),
+        (_CHAMPAGNE, "name = champagne", "name = champagne\nwell_depth = nan", "well_depth"),
+        (FLAT_SYNTH, "omega_star = 1.0 0.7", "omega_star = nan 1", "omega_star"),
+        (FLAT_LOOP, "    0.42 0.10", "    nan 0.10", "vertices"),
+        (FLAT_LOOP, "    0.42 0.10", "    inf 0.10", "vertices"),
+        (FLAT_SYNTH, "[run]", "[diophantine]\nd = inf\n\n[run]", "d"),
+        (FLAT_SYNTH, "h = 1e-3\ndelta = 0.5", "h = 0.1\ndelta = 0.9", "delta"),
+        (FLAT_SYNTH, "omega_star = 1.0 0.7", "omega_star = 0 0", "omega_star"),
+        (FLAT_SYNTH, "center = 0.25 0.15", "center = inf 0.15", "center"),
+        (_CHAMPAGNE, "name = champagne", "name = champagne\nwell_depth = inf", "well_depth"),
     ],
-    ids=["C0-zero", "C0-below-one", "k_max-below-100", "d-zero", "vertex-three-numbers", "seed-negative", "noise_order-zero"],
+    ids=[
+        "C0-zero",
+        "C0-below-one",
+        "k_max-below-100",
+        "d-zero",
+        "vertex-three-numbers",
+        "seed-negative",
+        "noise_order-zero",
+        "well_depth-negative",
+        "q_choice-unknown",
+        "well_depth-nan",
+        "omega_star-nan",
+        "vertex-nan",
+        "vertex-inf",
+        "d-inf",
+        "scales-not-separated",
+        "omega_star-zero",
+        "center-inf",
+        "well_depth-inf",
+    ],
 )
 def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):
     # rejected while parsing, naming the key and its line, before any run
+    assert old in base
     text = base.replace(old, new)
     path = _write(tmp_path, text)
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 2

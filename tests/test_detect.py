@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pseudolattice.detect import (
     MAX_UNLABELED,
+    RESIDUAL_LIMIT,
     DetectionError,
     _direction_peak,
     _feature_jac,
@@ -15,6 +16,7 @@ from pseudolattice.detect import (
     _row_norm,
     detect_basis,
     fit_hchart,
+    gauge_alignment,
     invert_leading,
     label_lattice,
 )
@@ -346,14 +348,32 @@ def test_column_kernels_equal_axis_reductions():
 
 def test_fit_hchart_accepts_and_reports(flat_cloud, flat_setup):
     _, chart, _ = flat_setup
-    hc = fit_hchart(flat_cloud, chart_hint=chart)
+    hc = fit_hchart(flat_cloud)
     assert hc.labeled_fraction == 1.0
     assert hc.max_residual() <= 0.05
     assert abs(np.linalg.det(hc.affine)) > 0
-    assert abs(round(float(np.linalg.det(hc.gauge_M)))) == 1
+    M, _ = gauge_alignment(hc, chart)
+    assert abs(round(float(np.linalg.det(M)))) == 1
     # fitted map sends points to h * labels within the residual bound
     pred = hc.f(hc.u)
     assert np.max(np.linalg.norm(pred - hc.h * hc.labels, axis=1)) <= 0.05 * hc.h
+
+
+@pytest.mark.parametrize("amplitude, accepted", [(0.05, True), (0.3, False)])
+def test_fit_hchart_residual_limit(amplitude, accepted):
+    # a smooth cubic deformation of the square lattice that still labels in
+    # full; a quadratic chart leaves about 0.45 of its amplitude as residual
+    h = 1e-3
+    cloud = _square_lattice_cloud(h=h, n=25)
+    u, anchor = _rescaled(cloud)
+    u = u + amplitude * h * ((u - anchor) / (12.5 * h))[:, ::-1] ** 3
+    assert np.all(label_lattice(u, detect_basis(u, anchor), anchor)[1])
+    deformed = SpectrumCloud(chi(u, cloud.params.epsilon), None, cloud.params, cloud.rectangle)
+    if accepted:
+        assert fit_hchart(deformed).max_residual() <= RESIDUAL_LIMIT
+    else:
+        with pytest.raises(DetectionError, match=r"^chart rejected: max residual 0\.\d{4} > 0\.05 \(units of h\)$"):
+            fit_hchart(deformed)
 
 
 def test_fit_hchart_large_cloud(flat_setup):
@@ -376,14 +396,15 @@ def test_fit_leading_term_error_bound(flat_setup, champ_setup):
     for m, chart, a in (flat_setup, champ_setup):
         sym = NormalFormSymbol(chart, default_higher_coeffs())
         cloud = synth_spectrum(sym, a, PARAMS, C0=2.0)
-        hc = fit_hchart(cloud, chart_hint=chart)
+        hc = fit_hchart(cloud)
+        M, c = gauge_alignment(hc, chart)
         r = cloud.rectangle
         gx = np.stack(
             np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9), indexing="ij"), axis=-1
         ).reshape(-1, 2)
         us = r.center + gx * r.half
         gt = chart.tau_c + chart.xi_of_c(us)
-        assert np.max(np.abs(hc.f_tilde0(us) - gt)) <= bound
+        assert np.max(np.abs(hc.f_tilde0(us, M, c, chart.eta) - gt)) <= bound
 
 
 def test_f_tilde0_stable_across_rectangles(flat_setup):
@@ -392,13 +413,14 @@ def test_f_tilde0_stable_across_rectangles(flat_setup):
     h, eps = PARAMS.h, PARAMS.epsilon
     sym = NormalFormSymbol(chart, default_higher_coeffs())
     a2 = a + np.array([0.008, 0.008])
-    hc1 = fit_hchart(synth_spectrum(sym, a, PARAMS, C0=2.0), chart_hint=chart)
-    hc2 = fit_hchart(synth_spectrum(sym, a2, PARAMS, C0=2.0), chart_hint=chart)
+    hc1 = fit_hchart(synth_spectrum(sym, a, PARAMS, C0=2.0))
+    hc2 = fit_hchart(synth_spectrum(sym, a2, PARAMS, C0=2.0))
     mid = 0.5 * (a + a2)
     gx = mid + 0.002 * np.stack(
         np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5), indexing="ij"), axis=-1
     ).reshape(-1, 2)
-    d = np.max(np.abs(hc1.f_tilde0(gx) - hc2.f_tilde0(gx)))
+    f1, f2 = (hc.f_tilde0(gx, *gauge_alignment(hc, chart), chart.eta) for hc in (hc1, hc2))
+    d = np.max(np.abs(f1 - f2))
     assert d <= 5.0 * (eps + h / eps)
 
 

@@ -38,6 +38,22 @@ def test_params_validation():
         DiophantineParams(alpha=0.1, k_max=10)
 
 
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"alpha": float("nan")}, "alpha"),
+        ({"alpha": 0.1, "d": float("nan")}, "d"),
+        ({"alpha": 0.1, "d": float("inf")}, "d"),
+    ],
+    ids=["alpha-nan", "d-nan", "d-inf"],
+)
+def test_params_reject_non_finite(kwargs, key):
+    # nan fails every range check; an infinite d would make the test vacuous
+    with pytest.raises(ValueError, match=f"^{key} = ") as exc:
+        DiophantineParams(**kwargs)
+    assert exc.value.key == key
+
+
 def test_margin_matches_brute_force():
     params = DiophantineParams(alpha=1e-3, d=1.0, k_max=100)
     rng = np.random.default_rng(5)

@@ -10,6 +10,7 @@ from pseudolattice.models import (
     ActionChart,
     AnglePolynomial,
     ModelError,
+    ParameterError,
     Rect,
     _cell_eval,
     _cell_table,
@@ -67,6 +68,25 @@ def test_flat_rejects_zero_frequency():
         make_flat_model((0.0, 0.0), "cos_x1")
     with pytest.raises(ModelError):
         make_flat_model((1.0, 0.0), "nope")
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda: make_champagne_model(float("nan")), "well_depth"),
+        (lambda: make_champagne_model(float("inf")), "well_depth"),
+        (lambda: make_champagne_model(-1.0), "well_depth"),
+        (lambda: make_flat_model((float("nan"), 1.0)), "omega_star"),
+        (lambda: make_flat_model((0.0, float("inf"))), "omega_star"),
+        (lambda: make_flat_model((1.0, 0.7), "bogus"), "q_choice"),
+    ],
+    ids=["well_depth-nan", "well_depth-inf", "well_depth-negative", "omega_star-nan", "omega_star-inf", "q_choice-unknown"],
+)
+def test_model_parameters_name_their_key(make, key):
+    with pytest.raises(ParameterError, match=key) as exc:
+        make()
+    assert exc.value.key == key
+    assert isinstance(exc.value, ModelError)
 
 
 def test_flat_value_outside_range():
@@ -211,9 +231,10 @@ def test_action_table_box_raises():
 
 
 def test_dist_to_singular_matches_pointwise():
-    # over two row blocks and part of a third; exact equality with a per-point
-    # loop.  Most points lie near the boundary curve, which is then nearer
-    # than the focus-focus value; every tenth lies near that value.
+    # the k-d tree's nearest curve sample gives exactly the distance of a
+    # per-point loop over all the samples.  Most points lie near the boundary
+    # curve, which is then nearer than the focus-focus value; every tenth
+    # lies near that value.
     m = make_champagne_model(1.0)
     rng = np.random.default_rng(3)
     size = 2 * (BLOCK // m._curve.size) + 17

@@ -45,6 +45,23 @@ def test_params_validation():
     assert PARAMS.epsilon == pytest.approx(1e-3**0.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"h": float("nan"), "delta": 0.5}, "h"),
+        ({"h": 1e-3, "delta": float("nan")}, "delta"),
+        ({"h": 0.1, "delta": 0.9}, "delta"),  # eps/h = h^(delta - 1) = 1.26
+        ({"h": 1e-3, "delta": 0.5, "noise_order": 0}, "noise_order"),
+        ({"h": 1e-3, "delta": 0.5, "seed": -1}, "seed"),
+    ],
+    ids=["h-nan", "delta-nan", "scales-not-separated", "noise_order-zero", "seed-negative"],
+)
+def test_params_errors_name_their_key(kwargs, key):
+    with pytest.raises(ValueError, match=key) as exc:
+        SemiclassicalParams(**kwargs)
+    assert exc.value.key == key
+
+
 def test_good_rectangle_geometry():
     # a square in the value plane; chi carries it onto a window eps times
     # as high as wide
