@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import re
 import sys
 import time
@@ -42,8 +43,8 @@ from .monodromy import (
     compare_monodromies,
     monodromy_report,
 )
-from .pipeline import rect_half_width, spectral_chart_at, spectral_monodromy
-from .synth import NormalFormSymbol, SemiclassicalParams, spectral_band, synth_spectrum
+from .pipeline import spectral_chart_at, spectral_monodromy
+from .synth import NormalFormSymbol, SemiclassicalParams, good_rectangle, spectral_band, synth_spectrum
 
 MODES = ("synth", "detect", "monodromy", "verify-all")
 
@@ -58,7 +59,6 @@ class ConfigError(Exception):
 class RunConfig:
     model: ModelSystem
     params: SemiclassicalParams
-    C0: float
     dio: DiophantineParams
     mode: str
     center: np.ndarray | None = None
@@ -81,11 +81,11 @@ def _line_of(path: str, section: str, key: str) -> int | None:
     return None
 
 
-def _get(cp, path, section, key, cast, default=None, required=False):
+def _get(cp, path, section, key, cast, required=False):
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"missing key '{key}' in section [{section}]")
-        return default
+        return None
     raw = cp.get(section, key)
     try:
         return cast(raw)
@@ -96,12 +96,15 @@ def _get(cp, path, section, key, cast, default=None, required=False):
         ) from exc
 
 
-def _build(cp, path: str, section: str, make, **fields):
-    """``make`` called with the keys of ``[section]``, each field a
-    ``(cast, default)`` pair (a default of None: the key is required); a
+def _build(cp, path: str, section: str, make, **casts):
+    """``make`` called with the keys of ``[section]`` that the file sets, each
+    read by its cast; a key that ``make`` has no default for is required.  A
     :class:`ParameterError` is a :class:`ConfigError` at the line of its key."""
+    sig = inspect.signature(make).parameters
     kwargs = {
-        key: _get(cp, path, section, key, cast, default, required=default is None) for key, (cast, default) in fields.items()
+        key: _get(cp, path, section, key, cast, required=True)
+        for key, cast in casts.items()
+        if cp.has_option(section, key) or sig[key].default is inspect.Parameter.empty
     }
     try:
         return make(**kwargs)
@@ -119,11 +122,29 @@ def _parse_pair(raw: str) -> np.ndarray:
     return pair
 
 
-def _parse_vertices(raw: str) -> np.ndarray:
-    rows = [r for r in raw.splitlines() if r.strip()]
+def _parse_vertices(cp, path: str) -> np.ndarray | None:
+    """The ``[loop]`` vertex rows, or None; a bad row is reported by its
+    index, at its own line."""
+    if not cp.has_option("loop", "vertices"):
+        return None
+    rows = [r for r in cp.get("loop", "vertices").splitlines() if r]
+    key_line = _line_of(path, "loop", "vertices")
     if len(rows) < 3:
-        raise ValueError("need at least 3 loop vertices")
-    return np.array([_parse_pair(r) for r in rows])
+        raise ConfigError("bad value for 'vertices' in section [loop]: need at least 3 loop vertices", lineno=key_line)
+    # the value's text from the key's line on (none for a key set in
+    # [DEFAULT]); configparser strips each line
+    text = Path(path).read_text().splitlines()[key_line - 1 :] if key_line else [""]
+    text[0] = re.split("[=:]", text[0], maxsplit=1)[-1]
+    pairs, k = [], -1
+    for i, row in enumerate(rows):
+        k = next((j for j in range(k + 1, len(text)) if text[j].strip() == row), k)  # row i is at key_line + k
+        try:
+            pairs.append(_parse_pair(row))
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad value for 'vertices' in section [loop]: row {i} {row!r} ({exc})", lineno=key_line and key_line + k
+            ) from exc
+    return np.array(pairs)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -143,9 +164,9 @@ def parse_config(path: str) -> RunConfig:
 
     name = _get(cp, path, "model", "name", str, required=True)
     if name == "flat":
-        model = _build(cp, path, "model", make_flat_model, omega_star=(_parse_pair, None), q_choice=(str, "xi_weighted"))
+        model = _build(cp, path, "model", make_flat_model, omega_star=_parse_pair, q_choice=str)
     elif name == "champagne":
-        model = _build(cp, path, "model", make_champagne_model, well_depth=(float, 1.0))
+        model = _build(cp, path, "model", make_champagne_model, well_depth=float)
     else:
         raise ConfigError(
             f"unknown model '{name}' (expected flat or champagne)",
@@ -153,19 +174,15 @@ def parse_config(path: str) -> RunConfig:
         )
 
     params = _build(
-        cp, path, "semiclassical", SemiclassicalParams, h=(float, None), delta=(float, None), noise_order=(int, 3), seed=(int, 0)
+        cp, path, "semiclassical", SemiclassicalParams, h=float, delta=float, noise_order=int, seed=int, C0=float
     )
-    C0 = _get(cp, path, "semiclassical", "C0", float, default=2.0)
-    if not 1.0 <= C0 < np.inf:  # the one parameter no constructor owns
-        raise ConfigError(f"C0 = {C0} out of range [1, inf)", lineno=_line_of(path, "semiclassical", "C0"))
-
-    dio = _build(cp, path, "diophantine", DiophantineParams, alpha=(float, 1e-3), d=(float, 1.0), k_max=(int, 1000))
+    dio = _build(cp, path, "diophantine", DiophantineParams, alpha=float, d=float, k_max=int)
 
     mode = _get(cp, path, "run", "mode", str, required=True)
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}' (expected one of {', '.join(MODES)})", lineno=_line_of(path, "run", "mode"))
     center = _get(cp, path, "run", "center", _parse_pair)
-    vertices = _get(cp, path, "loop", "vertices", _parse_vertices)
+    vertices = _parse_vertices(cp, path)
 
     if mode in ("synth", "detect") and center is None:
         raise ConfigError(f"mode '{mode}' requires 'center' in section [run]")
@@ -175,7 +192,6 @@ def parse_config(path: str) -> RunConfig:
     return RunConfig(
         model=model,
         params=params,
-        C0=C0,
         dio=dio,
         mode=mode,
         center=center,
@@ -204,10 +220,8 @@ def _run_synth(cfg: RunConfig, out: Path) -> int:
     if not good_values(cfg.model, chart, cfg.dio, cfg.center[None])[0]:
         print(f"error: center {tuple(cfg.center.tolist())} is not a good value", file=sys.stderr)
         return 1
-    # the rectangle detect mode builds: capped to fit inside the chart
-    _, C0 = rect_half_width(cfg.params, cfg.C0, chart.domain.half[0])
-    sym = NormalFormSymbol(chart, {}, cfg.params.noise_order)
-    cloud = synth_spectrum(sym, cfg.center, cfg.params, C0=C0)
+    rect = good_rectangle(cfg.center, cfg.params, chart.domain.half[0])  # the rectangle detect mode builds
+    cloud = synth_spectrum(NormalFormSymbol(chart), rect, cfg.params)
     (out / "spectrum.tsv").write_text(cloud.to_text())
     (out / "chart.txt").write_text(chart_to_text(chart))
     (out / "spectrum.svg").write_text(plots.plot_spectrum(cloud))
@@ -216,7 +230,7 @@ def _run_synth(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_detect(cfg: RunConfig, out: Path) -> int:
-    el = spectral_chart_at(cfg.model, cfg.center, cfg.params, cfg.dio, C0=cfg.C0)
+    el = spectral_chart_at(cfg.model, cfg.center, cfg.params, cfg.dio)
     hc, ac = el.hchart, el.action_chart
     M, c = gauge_alignment(hc, ac)
     # criterion 2's quantity at the labeled points: the leading term against the ground truth
@@ -237,7 +251,7 @@ def _loop_monodromy(cfg: RunConfig, out: Path):
     """Spectral and classical loop monodromy; writes ``monodromy.txt`` and
     ``loop.svg``.  Returns ``(spectral, classical, spectral atlas, elements,
     verdict)``."""
-    cls, atlas, elements = spectral_monodromy(cfg.model, cfg.vertices, cfg.params, cfg.dio, C0=cfg.C0)
+    cls, atlas, elements = spectral_monodromy(cfg.model, cfg.vertices, cfg.params, cfg.dio)
     classical = classical_monodromy(cfg.model, cfg.vertices)
     (out / "monodromy.txt").write_text(monodromy_report(cls, classical))
     centers = np.array([el.center for el in elements])
@@ -279,15 +293,8 @@ def _run_verify_all(cfg: RunConfig, out: Path) -> int:
 
     # band containment on the first rectangle
     el0 = elements[0]
-    sym0 = NormalFormSymbol(el0.action_chart, {}, cfg.params.noise_order)
-    band = spectral_band(
-        cfg.model,
-        el0.action_chart,
-        el0.cloud.rectangle.center[0],
-        el0.cloud.rectangle.half[0],
-        cfg.params,
-        sym0,
-    )
+    rect0, sym0 = el0.cloud.rectangle, NormalFormSymbol(el0.action_chart)
+    band = spectral_band(cfg.model, el0.action_chart, rect0.center[0], rect0.half[0], cfg.params, sym0)
     if not np.all((el0.cloud.points.imag >= band[0]) & (el0.cloud.points.imag <= band[1])):
         failures.append("eigenvalues escape the spectral band")
 

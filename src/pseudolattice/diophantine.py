@@ -21,9 +21,9 @@ from .models import BLOCK, ActionChart, ModelSystem, ParameterError, _frequencie
 
 @dataclass
 class DiophantineParams:
-    alpha: float
+    alpha: float = 1e-3
     d: float = 1.0
-    k_max: int = 10_000
+    k_max: int = 1000
 
     def __post_init__(self):
         if not self.alpha > 0.0:

@@ -26,16 +26,6 @@ from .synth import (
 )
 
 
-def rect_half_width(params: SemiclassicalParams, C0: float, chart_radius: float) -> tuple:
-    """Rectangle half-width and the effective C0 keeping it inside the chart."""
-    hw = params.h**params.delta / C0
-    cap = 0.8 * chart_radius
-    if hw > cap:
-        C0 = params.h**params.delta / cap
-        hw = cap
-    return hw, C0
-
-
 def _nearest_good(model: ModelSystem, c, shear: int, dio: DiophantineParams, search_radius: float) -> np.ndarray:
     """The nearest good node of a 4 x 4 grid around a center that is not good."""
     offs = search_radius * np.array([-1.0, -0.5, 0.5, 1.0])
@@ -63,7 +53,6 @@ def spectral_chart_at(
     c,
     params: SemiclassicalParams,
     dio: DiophantineParams,
-    C0: float = 2.0,
     higher_coeffs: dict | None = None,
 ):
     """Synthesize and blind-detect the spectrum of the good rectangle at one
@@ -72,15 +61,14 @@ def spectral_chart_at(
     charts = action_coords(model, cs)
     # each center is its own good value if good, else the nearest good node
     ok = good_margin(model, cs, dio, np.array([ac.shear for ac in charts])) >= dio.alpha
-    goods, rects = [], []
-    for cc, ac, good in zip(cs, charts, ok):
-        hw, C0_eff = rect_half_width(params, C0, ac.domain.half[0])
-        goods.append(cc if good else _nearest_good(model, cc, ac.shear, dio, search_radius=0.25 * hw))
-        rects.append(good_rectangle(goods[-1], params, C0_eff))
-    syms = [NormalFormSymbol(ac, dict(higher_coeffs or {}), params.noise_order) for ac in charts]
-    clouds = synth_spectrum(syms, goods, params, rectangle=rects)
+    rects = [good_rectangle(cc, params, ac.domain.half[0]) for cc, ac in zip(cs, charts)]
+    for i in np.flatnonzero(~ok):
+        a = _nearest_good(model, cs[i], charts[i].shear, dio, search_radius=0.25 * rects[i].half[0])
+        rects[i] = good_rectangle(a, params, charts[i].domain.half[0])
+    syms = [NormalFormSymbol(ac, dict(higher_coeffs or {})) for ac in charts]
+    clouds = synth_spectrum(syms, rects, params)
     elements = []
-    for i, (cc, a, ac, cloud) in enumerate(zip(cs, goods, charts, clouds)):
+    for i, (cc, ac, cloud) in enumerate(zip(cs, charts, clouds)):
         try:
             hc = fit_hchart(cloud.without_labels())
         except DetectionError as exc:
@@ -88,8 +76,15 @@ def spectral_chart_at(
             err = DetectionError(f"rectangle {i} at ({E:.6g}, {G:.6g}): {exc}")
             err.index = i
             raise err from exc
-        elements.append(SpectralChart(cc, a, ac, cloud, hc))
+        elements.append(SpectralChart(cc, cloud.rectangle.center, ac, cloud, hc))
     return elements if np.ndim(c) == 2 else elements[0]
+
+
+def _cover(model: ModelSystem, vertices, params: SemiclassicalParams, spacing_factor: float = 0.4) -> np.ndarray:
+    """Chart centers along a loop, spaced by a fraction of the half-width of
+    the good rectangle at each, so consecutive rectangles overlap."""
+    radius = lambda c: good_rectangle(c, params, _chart_radius(model, c)).half[0]
+    return cover_loop(model, vertices, spacing_factor=spacing_factor, radius_fn=radius)
 
 
 def _spectral_atlas(elements) -> PseudoChartAtlas:
@@ -107,8 +102,6 @@ def spectral_monodromy(
     vertices,
     params: SemiclassicalParams,
     dio: DiophantineParams,
-    C0: float = 2.0,
-    higher_coeffs: dict | None = None,
     spacing_factor: float = 0.4,
 ) -> tuple:
     """Loop monodromy of the blind-fitted spectral charts along a polygonal loop.
@@ -120,11 +113,7 @@ def spectral_monodromy(
 
     Returns ``(MonodromyClass, atlas, elements)``.
     """
-
-    def rect_radius(c):
-        return rect_half_width(params, C0, _chart_radius(model, c))[0]
-
-    centers = cover_loop(model, vertices, spacing_factor=spacing_factor, radius_fn=rect_radius)
-    elements = spectral_chart_at(model, centers, params, dio, C0=C0, higher_coeffs=higher_coeffs)
+    centers = _cover(model, vertices, params, spacing_factor)
+    elements = spectral_chart_at(model, centers, params, dio)
     atlas = _spectral_atlas(elements)
     return loop_monodromy(atlas, range(len(atlas))), atlas, elements

@@ -5,8 +5,9 @@ lattice: ``mu_k = P(xi_k)`` with ``xi_k = h*(k - eta/4) - tau_c`` for integer
 vectors ``k``, where ``P`` has leading term ``p(xi) + i*eps*<q>(xi)`` plus a
 finite table of higher corrections and a seeded ``O(h^N)`` perturbation.
 The cloud is restricted to the good rectangle: a square of half-size
-``h^delta/C0`` around the chosen value in the value plane, which ``chi``
-carries onto a window of aspect ratio ``eps``, that of the deformed lattice.
+``h^delta/C0`` (capped to fit the chart) around the chosen value in the
+value plane, which ``chi`` carries onto a window of aspect ratio ``eps``,
+that of the deformed lattice.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ RESOLUTION_GUARD = 10.0  # smallest allowed eps/h separation of scales
 
 @dataclass
 class SemiclassicalParams:
-    """Semiclassical parameter block: h, the coupling exponent and noise."""
+    """Semiclassical parameter block: h, the coupling exponent, noise and
+    the good rectangles' size ``h^delta/C0``."""
 
     h: float
     delta: float
     noise_order: int = 3
     seed: int = 0
+    C0: float = 2.0
 
     def __post_init__(self):
         if not 0.0 < self.h <= 0.1:
@@ -38,6 +41,8 @@ class SemiclassicalParams:
             raise ParameterError("noise_order", f"noise_order = {self.noise_order} must be positive")
         if not self.seed >= 0:
             raise ParameterError("seed", f"seed = {self.seed} must be a non-negative integer")
+        if not 1.0 <= self.C0 < np.inf:
+            raise ParameterError("C0", f"C0 = {self.C0} out of range [1, inf)")
         if not self.epsilon / self.h >= RESOLUTION_GUARD:
             raise ParameterError(
                 "delta", f"scales not separated: eps/h = h^(delta - 1) = {self.epsilon / self.h:.3g} < {RESOLUTION_GUARD}"
@@ -62,16 +67,15 @@ def chi_inverse(z, epsilon: float):
     return np.stack([z.real, z.imag / epsilon], axis=-1)
 
 
-def good_rectangle(a, params: SemiclassicalParams, C0: float = 1.0) -> Rect:
-    """Square of half-size ``h^delta/C0`` around the good value ``a``, in the
-    value plane; :func:`chi` carries it onto the spectral window of
-    half-sizes ``h^delta/C0`` by ``eps*h^delta/C0``.
+def good_rectangle(a, params: SemiclassicalParams, chart_radius: float) -> Rect:
+    """Square of half-size ``min(h^delta/C0, 0.8*chart_radius)`` around the
+    good value ``a``, in the value plane, so that it fits inside the chart;
+    :func:`chi` carries it onto the spectral window of half-sizes ``hw`` by
+    ``eps*hw``.
 
     The caller is responsible for the goodness of ``a``.
     """
-    if C0 < 1.0:
-        raise ValueError("C0 must be >= 1")
-    hw = params.h**params.delta / C0
+    hw = min(params.h**params.delta / params.C0, 0.8 * chart_radius)
     return Rect(np.array(a, dtype=float), (hw, hw))
 
 
@@ -119,7 +123,6 @@ class NormalFormSymbol:
 
     chart: ActionChart
     higher_coeffs: dict = field(default_factory=dict)
-    noise_order: int = 3
 
     def __post_init__(self):
         _validate_coeffs(self.higher_coeffs)
@@ -215,7 +218,7 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
     shear, tau_c = np.array([c.shear for c in charts]), np.array([c.tau_c for c in charts])
     xis, J, hess = charts[0].model.jet(ares, shear=shear[:, None])
     # the grown preimages' half-sizes in the value plane; sample 24 is the center
-    slack = np.array([sym.imag_correction_bound(eps, h) + h**sym.noise_order for sym in symbols])
+    slack = np.array([sym.imag_correction_bound(eps, h) for sym in symbols]) + h**params.noise_order
     reach = half + slack[:, None] * np.array([1.0, 1.0 / eps])
     # the samples' integer box, dilated by 2 and by as far as the slack moves a label
     kf = xis / h + charts[0].eta / 4.0 + tau_c[:, None] / h
@@ -251,18 +254,18 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
         yield idx, k[inside], xi_k[inside], rect_of[inside]
 
 
-def synth_spectrum(symbol, a, params: SemiclassicalParams, C0: float = 1.0, rectangle=None, noise: bool = True):
+def synth_spectrum(symbol, rectangle, params: SemiclassicalParams, noise: bool = True):
     """Enumerate the quantization lattice and keep points in the rectangle.
 
     ``xi_k = h*(k - eta/4) - tau_c``; ``mu_k = symbol(xi_k)`` plus seeded
     uniform complex noise of magnitude ``h^noise_order``.
 
-    A None ``rectangle`` is built from ``a`` and ``C0``.  ``symbol`` and
-    ``rectangle`` may be lists over the charts of one model, giving a list of
-    clouds; each block of ``_candidates`` is inverted in one call.
+    ``symbol`` and ``rectangle`` may be lists over the charts of one model,
+    giving a list of clouds; each block of ``_candidates`` is inverted in one
+    call.
     """
     many = isinstance(symbol, list)
-    symbols, rects = (symbol, rectangle) if many else ([symbol], [rectangle or good_rectangle(a, params, C0)])
+    symbols, rects = (symbol, rectangle) if many else ([symbol], [rectangle])
     h, eps = params.h, params.epsilon
 
     shear_seed = np.array([(sym.chart.shear, sym.chart.c[0]) for sym in symbols])
@@ -277,7 +280,7 @@ def synth_spectrum(symbol, a, params: SemiclassicalParams, C0: float = 1.0, rect
             k, mu = k[keep], mu[keep]
             if noise and len(mu) > 0:
                 rng = np.random.default_rng(_rect_seed(params, rect))
-                amp = h**sym.noise_order
+                amp = h**params.noise_order
                 mu = mu + amp * (rng.uniform(-1, 1, len(mu)) + 1j * rng.uniform(-1, 1, len(mu)))
                 keep = rect.contains(chi_inverse(mu, eps))
                 k, mu = k[keep], mu[keep]
@@ -306,11 +309,8 @@ def spectral_band(
         raise ValueError("no leaves intersect the requested energy window")
     avgs = model.q_symbol.mean(xis[on_leaf])
 
-    eps = params.epsilon if params is not None else 0.0
-    margin = 0.0
-    if symbol is not None and params is not None:
-        margin = symbol.imag_correction_bound(eps, params.h) + params.h**symbol.noise_order
-    if params is None:
-        # dimensionless fallback: band in units of eps
+    if params is None:  # dimensionless fallback: band in units of eps
         return (float(avgs.min()), float(avgs.max()))
+    eps = params.epsilon
+    margin = 0.0 if symbol is None else symbol.imag_correction_bound(eps, params.h) + params.h**params.noise_order
     return (float(eps * avgs.min() - margin), float(eps * avgs.max() + margin))

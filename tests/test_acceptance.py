@@ -30,6 +30,7 @@ from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
     default_higher_coeffs,
+    good_rectangle,
     spectral_band,
     synth_spectrum,
 )
@@ -88,7 +89,7 @@ def rectangles(flat_model, champ_model):
         ("champagne", champ_model, _center_grid(0.30, 0.50, 0.05, 0.20)),
     ):
         out[name] = [
-            spectral_chart_at(model, c, PARAMS, DIO, C0=2.0, higher_coeffs=coeffs)
+            spectral_chart_at(model, c, PARAMS, DIO, higher_coeffs=coeffs)
             for c in centers
         ]
     out["elapsed"] = time.perf_counter() - t0
@@ -116,7 +117,7 @@ def test_criterion_01_blind_detection_at_scale(rectangles, report):
 def _leading_error(model, a, params):
     chart = action_coords(model, a)
     sym = NormalFormSymbol(chart, default_higher_coeffs())
-    cloud = synth_spectrum(sym, a, params, C0=2.0)
+    cloud = synth_spectrum(sym, good_rectangle(a, params, chart.domain.half[0]), params)
     hc = fit_hchart(cloud.without_labels())
     M, c = gauge_alignment(hc, chart)
     r = cloud.rectangle
@@ -149,7 +150,7 @@ def test_criterion_03_transition_consistency(flat_model, report):
     hw = PARAMS.h**PARAMS.delta / 2.0
     base = np.array([0.30, 0.14])
     centers = [base + 0.6 * hw * np.array([i, j]) for i in range(3) for j in range(2)]
-    els = [spectral_chart_at(flat_model, c, PARAMS, DIO, C0=2.0) for c in centers]
+    els = [spectral_chart_at(flat_model, c, PARAMS, DIO) for c in centers]
     atlas = _spectral_atlas(els)
     i, j = np.triu_indices(len(atlas), 1)
     i, j = (x[np.all(atlas.overlap(i, j)[1] > 0, axis=1)] for x in (i, j))
@@ -169,12 +170,12 @@ def test_criterion_03_transition_consistency(flat_model, report):
 
 @pytest.fixture(scope="module")
 def flat_spectral(flat_model):
-    return spectral_monodromy(flat_model, FLAT_LOOP, PARAMS, DIO, C0=2.0)
+    return spectral_monodromy(flat_model, FLAT_LOOP, PARAMS, DIO)
 
 
 @pytest.fixture(scope="module")
 def champ_spectral(champ_model):
-    return spectral_monodromy(champ_model, OCTAGON, PARAMS, DIO, C0=2.0)
+    return spectral_monodromy(champ_model, OCTAGON, PARAMS, DIO)
 
 
 def test_criterion_04_flat_loop_trivial(flat_spectral, report):
@@ -184,7 +185,14 @@ def test_criterion_04_flat_loop_trivial(flat_spectral, report):
 
 
 def test_criterion_05_champagne_monodromy(champ_model, champ_spectral, report):
-    cls, atlas, _ = champ_spectral
+    cls, atlas, elements = champ_spectral
+    # one rule sizes every rectangle, bit for bit: h^delta/C0, capped at 0.8
+    # chart radius where the chart is small
+    half = np.array([el.cloud.rectangle.half for el in elements])
+    cap = 0.8 * np.array([el.action_chart.domain.half[0] for el in elements])
+    rule = np.minimum(PARAMS.h**PARAMS.delta / PARAMS.C0, cap)
+    assert half.tobytes() == np.stack([rule, rule], axis=-1).tobytes()
+    assert 0 < np.sum(rule == cap) < len(elements)
     single = classical_monodromy(champ_model, OCTAGON)
     double = classical_monodromy(champ_model, np.vstack([OCTAGON, OCTAGON]))
     ok = (
@@ -210,10 +218,10 @@ def test_criterion_06_covering_invariance(flat_model, champ_model, flat_spectral
         ("flat", flat_model, FLAT_LOOP, flat_spectral[0]),
         ("champagne", champ_model, OCTAGON, champ_spectral[0]),
     ):
-        fine = spectral_monodromy(model, verts, PARAMS, DIO, C0=2.0, spacing_factor=0.2)[0]
+        fine = spectral_monodromy(model, verts, PARAMS, DIO, spacing_factor=0.2)[0]
         scale = 0.1 * np.max(np.linalg.norm(verts - verts.mean(axis=0), axis=1))
         wiggled = verts + rng.uniform(-scale, scale, size=verts.shape)
-        pert = spectral_monodromy(model, wiggled, PARAMS, DIO, C0=2.0)[0]
+        pert = spectral_monodromy(model, wiggled, PARAMS, DIO)[0]
         same = (
             fine.invariants == base.invariants
             and pert.invariants == base.invariants
@@ -262,7 +270,7 @@ def test_criterion_09_band_containment(rectangles, flat_model, champ_model, repo
     escaped = 0
     for name, model in (("flat", flat_model), ("champagne", champ_model)):
         for el in rectangles[name]:
-            sym = NormalFormSymbol(el.action_chart, dict(coeffs), PARAMS.noise_order)
+            sym = NormalFormSymbol(el.action_chart, dict(coeffs))
             r = el.cloud.rectangle
             lo, hi = spectral_band(
                 model, el.action_chart, r.center[0], r.half[0], PARAMS, sym

@@ -1,5 +1,8 @@
+import configparser
+import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from pseudolattice.cli import ConfigError, main, parse_config
 from pseudolattice.detect import gauge_alignment
 from pseudolattice.models import action_coords, make_flat_model
 from pseudolattice.pipeline import spectral_chart_at
-from pseudolattice.synth import NormalFormSymbol, SemiclassicalParams, synth_spectrum
+from pseudolattice.synth import NormalFormSymbol, SemiclassicalParams, good_rectangle, synth_spectrum
 
 FLAT_SYNTH = """\
 [model]
@@ -121,7 +124,8 @@ def test_main_synth_matches_library(tmp_path, capsys):
     m = make_flat_model((1.0, 0.7), "xi_weighted")
     chart = action_coords(m, np.array([0.25, 0.15]))
     params = SemiclassicalParams(h=1e-3, delta=0.5, seed=7)
-    cloud = synth_spectrum(NormalFormSymbol(chart, {}), np.array([0.25, 0.15]), params, C0=2.0)
+    rect = good_rectangle(np.array([0.25, 0.15]), params, chart.domain.half[0])
+    cloud = synth_spectrum(NormalFormSymbol(chart, {}), rect, params)
     assert len(rows) == len(cloud)
     assert (out / "spectrum.svg").exists()
     assert str(len(cloud)) in capsys.readouterr().out
@@ -169,7 +173,7 @@ def test_main_detect_mode_writes_the_gauge(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     head, gauge = (out / "hchart.txt").read_text().split("[gauge]\n")
     run = parse_config(cfg)
-    el = spectral_chart_at(run.model, run.center, run.params, run.dio, C0=run.C0)
+    el = spectral_chart_at(run.model, run.center, run.params, run.dio)
     hc, ac = el.hchart, el.action_chart
     assert head == hc.to_text()
     M, c = gauge_alignment(hc, ac)
@@ -213,6 +217,8 @@ _CHAMPAGNE = CHAMPAGNE_SYNTH.format(center="0.3 0.02")
         (FLAT_SYNTH, "omega_star = 1.0 0.7", "omega_star = 0 0", "omega_star"),
         (FLAT_SYNTH, "center = 0.25 0.15", "center = inf 0.15", "center"),
         (_CHAMPAGNE, "name = champagne", "name = champagne\nwell_depth = inf", "well_depth"),
+        (FLAT_SYNTH, "delta = 0.5", "delta = 0.5\nC0 = nan", "C0"),
+        (FLAT_LOOP, "delta = 0.5", "delta = 0.5\nC0 = inf", "C0"),
     ],
     ids=[
         "C0-zero",
@@ -233,6 +239,8 @@ _CHAMPAGNE = CHAMPAGNE_SYNTH.format(center="0.3 0.02")
         "omega_star-zero",
         "center-inf",
         "well_depth-inf",
+        "C0-nan",
+        "C0-inf",
     ],
 )
 def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):
@@ -242,9 +250,29 @@ def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):
     path = _write(tmp_path, text)
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    line = next(n for n, l in enumerate(text.splitlines(), 1) if l.split("=")[0].strip() == key)
+    lines = text.splitlines()
+    line = next(n for n, l in enumerate(lines, 1) if l.split("=")[0].strip() == key)
+    if key == "vertices":  # a bad row is reported by its index, at its own line
+        row = next(n for n, (l, b) in enumerate(zip(lines, base.splitlines()), 1) if l != b)
+        assert f"row {row - line - 1} {lines[row - 1].strip()!r}" in err
+        line = row
     assert f"{path}:{line}:" in err
     assert key in err
+
+
+def test_readme_config_runs_at_the_constructor_defaults(tmp_path):
+    # every key the README example omits takes the default its constructor declares
+    ini = re.search(r"```ini\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S).group(1)
+    cfg = parse_config(_write(tmp_path, ini))
+    cp = configparser.ConfigParser()
+    cp.read_string(ini)
+    omitted = []
+    for obj, section in ((cfg.params, "semiclassical"), (cfg.dio, "diophantine")):
+        for f in dataclasses.fields(obj):
+            if not cp.has_option(section, f.name):
+                omitted.append(f.name)
+                assert getattr(obj, f.name) == f.default, f.name
+    assert omitted == ["C0", "d", "k_max"]
 
 
 def test_main_negative_seed_option_exit_2(tmp_path, capsys):

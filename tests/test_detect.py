@@ -20,7 +20,7 @@ from pseudolattice.detect import (
     invert_leading,
     label_lattice,
 )
-from pseudolattice.models import action_coords, make_champagne_model, make_flat_model
+from pseudolattice.models import Rect, action_coords, make_champagne_model, make_flat_model
 from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
@@ -35,6 +35,11 @@ from pseudolattice.synth import (
 PARAMS = SemiclassicalParams(h=1e-3, delta=0.5, noise_order=3, seed=42)
 
 
+def _cloud(sym, a, params=PARAMS, noise=True):
+    """The cloud of the good rectangle at ``a`` in the symbol's chart."""
+    return synth_spectrum(sym, good_rectangle(a, params, sym.chart.domain.half[0]), params, noise=noise)
+
+
 @pytest.fixture(scope="module")
 def flat_setup():
     m = make_flat_model((1.0, 0.7), "xi_weighted")
@@ -46,7 +51,7 @@ def flat_setup():
 def flat_cloud(flat_setup):
     m, chart, a = flat_setup
     sym = NormalFormSymbol(chart, default_higher_coeffs())
-    return synth_spectrum(sym, a, PARAMS, C0=2.0)
+    return _cloud(sym, a)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +103,7 @@ def _square_lattice_cloud(h=1e-3, n=15, seed=0, rows=None, aspect=1.0):
     u = h * np.stack([k1.ravel(), aspect * k2.ravel()], axis=-1).astype(float)
     params = SemiclassicalParams(h=h, delta=0.5, seed=seed)
     pts = chi(u, params.epsilon)
-    rect = good_rectangle((h * n / 2, h * n / 2), params, C0=1.0)
+    rect = Rect((h * n / 2, h * n / 2), (h**0.5, h**0.5))  # h^delta / C0 at C0 = 1
     return SpectrumCloud(points=pts, k_true=None, params=params, rectangle=rect)
 
 
@@ -118,7 +123,7 @@ def test_basis_square_lattice():
 def test_basis_flat_cloud_matches_jacobian(flat_setup):
     m, chart, a = flat_setup
     sym = NormalFormSymbol(chart, {})
-    cloud = synth_spectrum(sym, a, PARAMS, C0=2.0, noise=False)
+    cloud = _cloud(sym, a, noise=False)
     b1, b2 = detect_basis(*_rescaled(cloud))
     # lattice generated by h * columns of d(phi)/d(xi) at the center
     cols = PARAMS.h * np.linalg.inv(chart.d_xi(a))
@@ -298,7 +303,7 @@ def _assert_labels_match_reference(u, basis, anchor):
 def test_label_lattice_matches_reference_fine_flat_cloud(flat_setup):
     _, chart, a = flat_setup
     params = SemiclassicalParams(h=2.5e-4, delta=0.5, noise_order=3, seed=42)
-    cloud = synth_spectrum(NormalFormSymbol(chart, default_higher_coeffs()), a, params, C0=2.0)
+    cloud = _cloud(NormalFormSymbol(chart, default_higher_coeffs()), a, params)
     assert len(cloud) > 3000
     u, anchor = _rescaled(cloud)
     _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), anchor)
@@ -307,7 +312,7 @@ def test_label_lattice_matches_reference_fine_flat_cloud(flat_setup):
 
 def test_label_lattice_matches_reference_champagne_cloud(champ_setup):
     _, chart, a = champ_setup
-    cloud = synth_spectrum(NormalFormSymbol(chart, default_higher_coeffs()), a, PARAMS, C0=2.0)
+    cloud = _cloud(NormalFormSymbol(chart, default_higher_coeffs()), a)
     u, anchor = _rescaled(cloud)
     _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), anchor)
     assert np.all(labeled)
@@ -380,7 +385,7 @@ def test_fit_hchart_large_cloud(flat_setup):
     # the basis comes from a strict subset of the cloud; labels and fit cover all of it
     _, chart, a = flat_setup
     params = SemiclassicalParams(h=2.5e-4, delta=0.5, noise_order=3, seed=42)
-    cloud = synth_spectrum(NormalFormSymbol(chart, default_higher_coeffs()), a, params, C0=2.0)
+    cloud = _cloud(NormalFormSymbol(chart, default_higher_coeffs()), a, params)
     assert len(cloud) > 3000
     hc = fit_hchart(cloud.without_labels())
     assert hc.labeled_fraction == 1.0
@@ -395,7 +400,7 @@ def test_fit_leading_term_error_bound(flat_setup, champ_setup):
     bound = 5.0 * (eps + h / eps)
     for m, chart, a in (flat_setup, champ_setup):
         sym = NormalFormSymbol(chart, default_higher_coeffs())
-        cloud = synth_spectrum(sym, a, PARAMS, C0=2.0)
+        cloud = _cloud(sym, a)
         hc = fit_hchart(cloud)
         M, c = gauge_alignment(hc, chart)
         r = cloud.rectangle
@@ -413,8 +418,8 @@ def test_f_tilde0_stable_across_rectangles(flat_setup):
     h, eps = PARAMS.h, PARAMS.epsilon
     sym = NormalFormSymbol(chart, default_higher_coeffs())
     a2 = a + np.array([0.008, 0.008])
-    hc1 = fit_hchart(synth_spectrum(sym, a, PARAMS, C0=2.0))
-    hc2 = fit_hchart(synth_spectrum(sym, a2, PARAMS, C0=2.0))
+    hc1 = fit_hchart(_cloud(sym, a))
+    hc2 = fit_hchart(_cloud(sym, a2))
     mid = 0.5 * (a + a2)
     gx = mid + 0.002 * np.stack(
         np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5), indexing="ij"), axis=-1
@@ -428,7 +433,7 @@ def test_exact_cloud_oracle_chart_is_machine_precision(flat_setup):
     # the exact leading-term map sends every exact eigenvalue to h Z^2
     m, chart, a = flat_setup
     sym = NormalFormSymbol(chart, {})
-    cloud = synth_spectrum(sym, a, PARAMS, C0=2.0, noise=False)
+    cloud = _cloud(sym, a, noise=False)
     u = chi_inverse(cloud.points, PARAMS.epsilon)
     f = chart.tau_c + PARAMS.h * chart.eta / 4.0 + chart.xi_of_c(u)
     assert np.max(np.abs(f - PARAMS.h * cloud.k_true)) < 1e-10 * max(

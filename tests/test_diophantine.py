@@ -12,10 +12,10 @@ from pseudolattice.diophantine import (
     good_margin,
     good_values,
 )
-from pseudolattice.models import BLOCK, GOLDEN, _chart_radius, action_coords, make_champagne_model, make_flat_model
-from pseudolattice.monodromy import MonodromyError, cover_loop
-from pseudolattice.pipeline import _nearest_good, rect_half_width, spectral_chart_at
-from pseudolattice.synth import SemiclassicalParams
+from pseudolattice.models import BLOCK, GOLDEN, action_coords, make_champagne_model, make_flat_model
+from pseudolattice.monodromy import MonodromyError
+from pseudolattice.pipeline import _cover, _nearest_good, spectral_chart_at
+from pseudolattice.synth import SemiclassicalParams, good_rectangle
 
 
 def brute_margin(omega, params):
@@ -194,7 +194,7 @@ def test_good_margin_shape_follows_the_points():
 
 def _octagon_centers(model, params):
     octagon = [(0.15 + 0.3 * math.cos(math.pi * t / 4), 0.3 * math.sin(math.pi * t / 4)) for t in range(8)]
-    return cover_loop(model, octagon, radius_fn=lambda c: rect_half_width(params, 2.0, _chart_radius(model, c))[0])
+    return _cover(model, octagon, params)
 
 
 def test_batched_decision_equals_per_center_decision():
@@ -234,7 +234,7 @@ def test_fallback_returns_the_nearest_good_node():
     assert bad.size > 0
     nearest = []
     for i in bad:
-        hw, _ = rect_half_width(params, 2.0, charts[i].domain.half[0])
+        hw = good_rectangle(centers[i], params, charts[i].domain.half[0]).half[0]
         expected = _nearest_good_one_at_a_time(m, charts[i], centers[i], dio, 0.25 * hw)
         nearest.append(_nearest_good(m, centers[i], charts[i].shear, dio, 0.25 * hw))
         assert nearest[-1].tobytes() == expected.tobytes()

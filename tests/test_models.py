@@ -14,7 +14,6 @@ from pseudolattice.models import (
     Rect,
     _cell_eval,
     _cell_table,
-    _chart_radius,
     _radial_action_quad,
     _radial_roots,
     action_coords,
@@ -24,7 +23,7 @@ from pseudolattice.models import (
     make_flat_model,
 )
 from pseudolattice.monodromy import classical_monodromy, cover_loop
-from pseudolattice.pipeline import rect_half_width
+from pseudolattice.pipeline import _cover
 from pseudolattice.synth import SemiclassicalParams
 
 
@@ -333,7 +332,7 @@ def test_action_coords_batch_equals_single_centers():
     m = make_champagne_model(1.0)
     octagon = [(0.15 + 0.3 * math.cos(math.pi * t / 4), 0.3 * math.sin(math.pi * t / 4)) for t in range(8)]
     params = SemiclassicalParams(h=1e-3, delta=0.5)
-    spectral = cover_loop(m, octagon, radius_fn=lambda c: rect_half_width(params, 2.0, _chart_radius(m, c))[0])
+    spectral = _cover(m, octagon, params)
     for centers in (cover_loop(m, octagon), spectral):
         charts = action_coords(m, centers)
         assert len(charts) == len(centers) and sum(ch.shear for ch in charts) > 0

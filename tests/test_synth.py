@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pseudolattice.averaging import torus_average
-from pseudolattice.models import action_coords, frequency, make_champagne_model, make_flat_model
+from pseudolattice.models import ParameterError, Rect, action_coords, frequency, make_champagne_model, make_flat_model
 from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
@@ -14,6 +16,11 @@ from pseudolattice.synth import (
 )
 
 PARAMS = SemiclassicalParams(h=1e-3, delta=0.5, noise_order=3, seed=42)
+
+
+def _cloud(sym, a, params=PARAMS, noise=True):
+    """The cloud of the good rectangle at ``a`` in the symbol's chart."""
+    return synth_spectrum(sym, good_rectangle(a, params, sym.chart.domain.half[0]), params, noise=noise)
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +60,11 @@ def test_params_validation():
         ({"h": 0.1, "delta": 0.9}, "delta"),  # eps/h = h^(delta - 1) = 1.26
         ({"h": 1e-3, "delta": 0.5, "noise_order": 0}, "noise_order"),
         ({"h": 1e-3, "delta": 0.5, "seed": -1}, "seed"),
+        ({"h": 1e-3, "delta": 0.5, "C0": float("nan")}, "C0"),
+        ({"h": 1e-3, "delta": 0.5, "C0": 0.5}, "C0"),
+        ({"h": 1e-3, "delta": 0.5, "C0": float("inf")}, "C0"),
     ],
-    ids=["h-nan", "delta-nan", "scales-not-separated", "noise_order-zero", "seed-negative"],
+    ids=["h-nan", "delta-nan", "scales-not-separated", "noise_order-zero", "seed-negative", "C0-nan", "C0-half", "C0-inf"],
 )
 def test_params_errors_name_their_key(kwargs, key):
     with pytest.raises(ValueError, match=key) as exc:
@@ -65,24 +75,31 @@ def test_params_errors_name_their_key(kwargs, key):
 def test_good_rectangle_geometry():
     # a square in the value plane; chi carries it onto a window eps times
     # as high as wide
-    r = good_rectangle((0.0, 0.0), PARAMS, C0=1.0)
+    r = good_rectangle((0.0, 0.0), replace(PARAMS, C0=1.0), 1.0)
     assert np.array_equal(r.center, [0.0, 0.0])
     assert r.half[0] == pytest.approx(0.0316227766, abs=1e-6)
     assert PARAMS.epsilon * r.half[1] == pytest.approx(1e-3, rel=1e-12)
     assert r.half[1] == r.half[0]
-    r10 = good_rectangle((0.0, 0.0), PARAMS, C0=10.0)
+    r10 = good_rectangle((0.0, 0.0), replace(PARAMS, C0=10.0), 1.0)
     assert r10.half[0] == pytest.approx(r.half[0] / 10.0)
     assert r10.half[1] == pytest.approx(r.half[1] / 10.0)
-    quarter = SemiclassicalParams(h=2.5e-4, delta=0.5, seed=1)
-    assert good_rectangle((0.0, 0.0), quarter, C0=1.0).half[0] == pytest.approx(r.half[0] / 2.0)
+    quarter = SemiclassicalParams(h=2.5e-4, delta=0.5, seed=1, C0=1.0)
+    assert good_rectangle((0.0, 0.0), quarter, 1.0).half[0] == pytest.approx(r.half[0] / 2.0)
+    # C0 = 2 by default; a rectangle that would leave the chart is capped at
+    # 0.8 chart radius
+    assert np.array_equal(good_rectangle((0.0, 0.0), PARAMS, 1.0).half, [r.half[0] / 2.0] * 2)
+    assert np.array_equal(good_rectangle((0.0, 0.0), PARAMS, 0.015).half, [0.8 * 0.015] * 2)
     # centered on the good value itself, bit for bit
     a = np.array([0.3, 0.1 + 0.2])
-    assert good_rectangle(a, PARAMS, C0=2.0).center.tobytes() == a.tobytes()
+    assert good_rectangle(a, PARAMS, 1.0).center.tobytes() == a.tobytes()
 
 
 def test_good_rectangle_rejects_bad_value():
-    with pytest.raises(ValueError):
-        good_rectangle((0.0, 0.0), PARAMS, C0=0.5)
+    # the parameter block owns C0 and checks it
+    for C0 in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="C0") as exc:
+            replace(PARAMS, C0=C0)
+        assert exc.value.key == "C0"
 
 
 def test_coefficient_table_validation(flat_setup):
@@ -130,7 +147,7 @@ def test_exact_cloud_count_matches_brute_force(flat_setup, champ_setup):
     for _, chart, a in (flat_setup, sheared, champ_setup):
         for coeffs in ({}, default_higher_coeffs(), default_higher_coeffs(1.0)):
             sym = NormalFormSymbol(chart, coeffs)
-            cloud = synth_spectrum(sym, a, PARAMS, C0=2.0, noise=False)
+            cloud = _cloud(sym, a, noise=False)
             assert len(cloud) > 100
             assert np.array_equal(cloud.k_true, _brute_force_labels(chart, sym, cloud.rectangle, PARAMS))
 
@@ -139,7 +156,7 @@ def test_exact_cloud_oracle_labeling(flat_setup):
     # applying the exact leading-term inverse recovers h*(k - eta/4) - tau_c
     m, chart, a = flat_setup
     sym = NormalFormSymbol(chart, {})
-    cloud = synth_spectrum(sym, a, PARAMS, C0=2.0, noise=False)
+    cloud = _cloud(sym, a, noise=False)
     u = np.stack([cloud.points.real, cloud.points.imag / PARAMS.epsilon], axis=-1)
     kf = chart.xi_of_c(u) / PARAMS.h + chart.eta / 4.0 + chart.tau_c / PARAMS.h
     assert np.max(np.abs(kf - cloud.k_true)) < 1e-9  # 1e-12 relative to k ~ O(1e3)
@@ -149,7 +166,7 @@ def test_cloud_spacing(flat_setup):
     # horizontal gaps ~ h * dp/dxi1, vertical gaps ~ eps*h * d<q>/dxi2
     m, chart, a = flat_setup
     sym = NormalFormSymbol(chart, {})
-    cloud = synth_spectrum(sym, a, PARAMS, C0=2.0, noise=False)
+    cloud = _cloud(sym, a, noise=False)
     k = cloud.k_true
     mu = cloud.points
     xi_a = chart.xi_of_c(a)
@@ -171,7 +188,7 @@ def test_cloud_spacing(flat_setup):
 def test_cloud_injectivity_and_containment(champ_setup):
     m, chart, a = champ_setup
     sym = NormalFormSymbol(chart, default_higher_coeffs())
-    cloud = synth_spectrum(sym, a, PARAMS, C0=2.0)
+    cloud = _cloud(sym, a)
     assert len(set(map(tuple, cloud.k_true))) == len(cloud)
     assert len(set(cloud.points.tolist())) == len(cloud)
     assert np.all(cloud.rectangle.contains(chi_inverse(cloud.points, PARAMS.epsilon)))
@@ -180,19 +197,19 @@ def test_cloud_injectivity_and_containment(champ_setup):
 def test_cloud_determinism(champ_setup):
     m, chart, a = champ_setup
     sym = NormalFormSymbol(chart, default_higher_coeffs())
-    c1 = synth_spectrum(sym, a, PARAMS, C0=2.0)
-    c2 = synth_spectrum(sym, a, PARAMS, C0=2.0)
+    c1 = _cloud(sym, a)
+    c2 = _cloud(sym, a)
     assert np.array_equal(c1.points, c2.points)
     assert np.array_equal(c1.k_true, c2.k_true)
-    c3 = synth_spectrum(sym, a, SemiclassicalParams(h=1e-3, delta=0.5, seed=43), C0=2.0)
+    c3 = _cloud(sym, a, SemiclassicalParams(h=1e-3, delta=0.5, seed=43))
     assert not np.array_equal(c1.points, c3.points)
 
 
 def test_noise_magnitude(champ_setup):
     m, chart, a = champ_setup
-    sym = NormalFormSymbol(chart, {}, noise_order=3)
-    clean = synth_spectrum(sym, a, PARAMS, C0=2.0, noise=False)
-    noisy = synth_spectrum(sym, a, PARAMS, C0=2.0, noise=True)
+    sym = NormalFormSymbol(chart, {})
+    clean = _cloud(sym, a, noise=False)
+    noisy = _cloud(sym, a, noise=True)
     # same lattice points, perturbed by at most sqrt(2) h^3 each
     common = set(map(tuple, clean.k_true)) & set(map(tuple, noisy.k_true))
     assert len(common) >= len(clean) - 2  # boundary points may drop out
@@ -206,9 +223,9 @@ def test_noise_magnitude(champ_setup):
 def test_rectangle_must_fit_chart(champ_setup):
     m, chart, a = champ_setup
     sym = NormalFormSymbol(chart, {})
-    big = SemiclassicalParams(h=0.01, delta=0.5, seed=0)  # h^delta = 0.1 rectangle
+    big = SemiclassicalParams(h=0.01, delta=0.5, seed=0)
     with pytest.raises(ValueError):
-        synth_spectrum(sym, a, big, C0=1.0)
+        synth_spectrum(sym, Rect(a, (0.1, 0.1)), big)  # h^delta = 0.1: good_rectangle would cap it
 
 
 def test_band_constant_q_degenerates():
@@ -234,7 +251,7 @@ def test_band_xi_weighted_window(flat_setup):
 def test_band_contains_all_points(flat_setup, champ_setup):
     for m, chart, a in (flat_setup, champ_setup):
         sym = NormalFormSymbol(chart, default_higher_coeffs())
-        cloud = synth_spectrum(sym, a, PARAMS, C0=2.0)
+        cloud = _cloud(sym, a)
         lo, hi = spectral_band(m, chart, a[0], cloud.rectangle.half[0], PARAMS, sym)
         assert np.all((cloud.points.imag >= lo) & (cloud.points.imag <= hi))
 
@@ -247,7 +264,7 @@ def test_band_matches_trapezoid_torus_averages(flat_setup, champ_setup):
         xis = chart.xi_box.grid(40)
         on_leaf = np.abs(chart.p(xis) - a[0]) <= hw
         avgs = np.array([torus_average(m, chart, xi) for xi in xis[on_leaf]])
-        margin = sym.imag_correction_bound(PARAMS.epsilon, PARAMS.h) + PARAMS.h**sym.noise_order
+        margin = sym.imag_correction_bound(PARAMS.epsilon, PARAMS.h) + PARAMS.h**PARAMS.noise_order
         lo, hi = spectral_band(m, chart, a[0], hw, PARAMS, sym)
         assert lo == pytest.approx(PARAMS.epsilon * avgs.min() - margin, rel=0, abs=1e-15)
         assert hi == pytest.approx(PARAMS.epsilon * avgs.max() + margin, rel=0, abs=1e-15)
@@ -261,8 +278,7 @@ def test_band_empty_window_raises(flat_setup):
 
 def test_to_text_with_and_without_labels(flat_setup):
     m, chart, a = flat_setup
-    sym = NormalFormSymbol(chart, {})
-    cloud = synth_spectrum(sym, a, PARAMS, C0=4.0)
+    cloud = _cloud(NormalFormSymbol(chart, {}), a, replace(PARAMS, C0=4.0))
     txt = cloud.to_text()
     rows = [l for l in txt.splitlines() if not l.startswith(("#", "[")) and "=" not in l]
     assert len(rows) == len(cloud)
