@@ -148,7 +148,7 @@ def _parse_vertices(cp, path: str) -> np.ndarray | None:
 
 
 def parse_config(path: str) -> RunConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             cp.read_file(fh, source=path)

@@ -3,13 +3,13 @@
 The cloud in a good rectangle is a smoothly deformed copy of ``h Z^2`` once
 rescaled by ``chi^{-1}`` into the value plane, where the rectangle lives;
 :func:`fit_hchart` rescales the cloud once and every step works on the
-rescaled points.  Detection proceeds in three steps: estimate a
-local lattice basis from nearest-neighbor difference vectors, unwind integer
-labels outward from an anchor point (refitting a quadratic map each round so
-smooth curvature never accumulates), and least-squares fit the chart map
-``f`` sending points to ``h`` times their labels.  The leading term of the
-fitted map is gauge-aligned against a reference action chart by
-:func:`gauge_alignment`.
+rescaled points.  Detection proceeds in three steps: estimate a local
+lattice basis from the difference vectors of the points around an anchor,
+unwind integer labels outward from that anchor (refitting a quadratic map
+each round so smooth curvature never accumulates), and least-squares fit
+the chart map ``f`` sending points to ``h`` times their labels.  The
+leading term of the fitted map is gauge-aligned against a reference action
+chart by :func:`gauge_alignment`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .models import ActionChart, Rect
 from .synth import SpectrumCloud, chi_inverse
@@ -82,15 +81,14 @@ def _gauss_reduce(b1, b2):
 # Points nearest the anchor that the basis is estimated from.  The basis only
 # has to be right near the anchor: labels grow outward from there and the
 # quadratic refit of each growth round absorbs the curvature further out.
-BASIS_SAMPLE = 200
-BASIS_NEIGHBORS = 12  # nearest neighbors of each sample point that give difference vectors
+BASIS_PATCH = 30
 
 
 def detect_basis(u, anchor):
     """Estimate the two shortest lattice vectors of the rescaled cloud ``u``.
 
-    Nearest-neighbor difference vectors of the ``BASIS_SAMPLE`` points
-    nearest the ``anchor`` (the labeling anchor, the rectangle's center) are
+    The pairwise difference vectors of the ``BASIS_PATCH`` points nearest
+    the ``anchor`` (the labeling anchor, the rectangle's center) are
     clustered by direction; the two densest independent directions give
     candidate vectors which are then Gauss-reduced.  Rejects clouds whose
     basis is too ill-conditioned to label reliably.
@@ -98,20 +96,20 @@ def detect_basis(u, anchor):
     n = len(u)
     if n < 25:
         raise DetectionError(f"insufficient points for basis detection ({n} < 25)")
-    if n > BASIS_SAMPLE:
+    if n > BASIS_PATCH:
         d = u - anchor
         d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-        # sorted, so the sample keeps cloud order whatever lies outside it
-        u = u[np.sort(np.argpartition(d2, BASIS_SAMPLE - 1)[:BASIS_SAMPLE])]
-    tree = cKDTree(u)
-    kq = min(BASIS_NEIGHBORS + 1, len(u))
-    _, idx = tree.query(u, k=kq)
-    diffs = (u[idx[:, 1:]] - u[:, None, :]).reshape(-1, 2)
+        # sorted, so the patch keeps cloud order whatever lies outside it
+        u = u[np.sort(np.argpartition(d2, BASIS_PATCH - 1)[:BASIS_PATCH])]
+    i, j = np.triu_indices(len(u), 1)
+    diffs = u[j] - u[i]
     flip = (diffs[:, 1] < 0) | ((diffs[:, 1] == 0) & (diffs[:, 0] < 0))
     np.negative(diffs, out=diffs, where=flip[:, None])  # into the upper half-plane
     lens = _row_norm(diffs)
     ang = np.mod(np.arctan2(diffs[:, 1], diffs[:, 0]), math.pi)
-    L0 = np.median(lens[:: kq - 1])  # first-neighbor distances
+    near = np.full((len(u), len(u)), np.inf)
+    near[i, j] = near[j, i] = lens
+    L0 = np.median(np.min(near, axis=1))  # nearest-neighbor distances in the patch
 
     short = (lens > 0.5 * L0) & (lens < 1.45 * L0)
     if not np.any(short):

@@ -11,10 +11,11 @@ Two 2-degree-of-freedom models are provided:
 A chart maps between the value plane ``a = (E, G)`` -- energy and torus
 average of the perturbation -- and local action variables ``xi``.  For the
 champagne model the radial action is computed by Gauss-Legendre quadrature
-with turning-point substitutions, splined once at well depth 1 and read for
-every depth by exact scaling, through a table of per-cell bicubics.  Each
-model's ``jet`` gives the chart derivatives analytically; frequencies and
-their derivatives are read off it.
+with turning-point substitutions, interpolated once at well depth 1 by a
+not-a-knot bicubic and read for every depth by exact scaling, through a
+table of its per-cell polynomials.  Each model's ``jet`` gives the chart
+derivatives analytically; frequencies and their derivatives are read off
+it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BSpline, RectBivariateSpline
-from scipy.spatial import cKDTree
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -338,25 +337,45 @@ def _radial_action_block(E, l, b, n):
     return out
 
 
-def _cell_table(tx, ty, c):
-    """Per-cell polynomials of a bicubic tensor-product spline ``(tx, ty, c)``.
+def _not_a_knot(x):
+    """Values to per-interval coefficients of the not-a-knot cubic
+    interpolating them at the nodes ``x``: ``T[i, p, a]`` is the coefficient
+    of ``(t - x[i])^p`` on ``[x[i], x[i+1]]`` per unit value at ``x[a]``.
 
-    Returns ``(xb, yb, C)``: the breakpoints in x and y, and
-    ``C[p, q, i, j]``, the coefficient of ``(x - xb[i])^p (y - yb[j])^q``
-    on cell ``[xb[i], xb[i+1]] x [yb[j], yb[j+1]]``, read off the Taylor
-    expansions of the B-spline bases at the left knots.
+    The slopes at the nodes solve the usual system: continuous second
+    derivatives at the interior nodes, a continuous third derivative at
+    ``x[1]`` and ``x[-2]``.  Each interval's Hermite cubic follows from its
+    two values and slopes.
     """
-    k = 3
-    xb, yb = tx[k:-k], ty[k:-k]
-    nx, ny = len(tx) - k - 1, len(ty) - k - 1
+    n, dx = len(x), np.diff(x)
+    eye = np.eye(n)
+    m = np.diff(eye, axis=0) / dx[:, None]  # secant slopes, per unit value
+    A, rhs = np.zeros((n, n)), np.empty((n, n))
+    r = np.arange(1, n - 1)
+    A[r, r - 1], A[r, r], A[r, r + 1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:, None] * m[:-1] + dx[:-1, None] * m[1:])
+    d = x[2] - x[0]
+    A[0, :2] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d
+    d = x[-1] - x[-3]
+    A[-1, -2:] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * m[-2] + (2.0 * d + dx[-1]) * dx[-2] * m[-1]) / d
+    s = np.linalg.solve(A, rhs)  # slopes, per unit value
+    h = dx[:, None]
+    c2, c3 = (3.0 * m - 2.0 * s[:-1] - s[1:]) / h, (s[:-1] + s[1:] - 2.0 * m) / (h * h)
+    return np.stack([eye[:-1], s[:-1], c2, c3], axis=1)
 
-    def taylor(t, brk, n):
-        # [cell, p, basis function]: p-th derivative at the left knot / p!
-        basis = BSpline(t, np.eye(n), k)
-        return np.stack([basis(brk[:-1], nu=p) / math.factorial(p) for p in range(k + 1)], axis=1)
 
-    C = np.einsum("ipa,ab,jqb->pqij", taylor(tx, xb, nx), c.reshape(nx, ny), taylor(ty, yb, ny), optimize=True)
-    return xb, yb, np.ascontiguousarray(C)
+def _cell_table(x, y, vals):
+    """Per-cell polynomials of the not-a-knot bicubic interpolating
+    ``vals[a, b]`` at ``(x[a], y[b])``, the function FITPACK fits with s = 0.
+
+    Returns ``(x, y, C)``: ``C[p, q, i, j]`` is the coefficient of
+    ``(x - x[i])^p (y - y[j])^q`` on cell ``[x[i], x[i+1]] x [y[j], y[j+1]]``.
+    The 2-d interpolant is the tensor product of the 1-d ones.
+    """
+    C = np.einsum("ipa,ab,jqb->pqij", _not_a_knot(x), vals, _not_a_knot(y), optimize=True)
+    return x, y, np.ascontiguousarray(C)
 
 
 def _cell_eval(table, x, y):
@@ -387,14 +406,14 @@ def _cell_eval(table, x, y):
 
 @functools.cache
 def _action_table():
-    """Cell table (see ``_cell_table``) of the bicubic spline of the well
-    depth 1 radial action ``I_r(E, |l|)`` on ``[-0.26, 0.95] x [0, 0.72]``."""
+    """Cell table (see ``_cell_table``) of the bicubic interpolant of the
+    well depth 1 radial action ``I_r(E, |l|)`` on ``[-0.26, 0.95] x [0, 0.72]``."""
     Es = np.linspace(-0.26, 0.95, 220)
     ls = np.linspace(0.0, 0.72, 160)
     gE, gl = np.meshgrid(Es, ls, indexing="ij")
     vals = _radial_action_quad(gE.ravel(), gl.ravel(), 1.0).reshape(gE.shape)
     vals[~np.isfinite(vals)] = 0.0  # below the boundary curve
-    return _cell_table(*RectBivariateSpline(Es, ls, vals, kx=3, ky=3).tck)
+    return _cell_table(Es, ls, vals)
 
 
 def _tabled(E, al):
@@ -426,7 +445,6 @@ class ChampagneModel(ModelSystem):
         self.singular_values = [("focus_focus_point", (0.0, 0.0)), ("minimum_energy_curve", None)]
         ls = self.b**1.5 * np.linspace(-0.8, 0.8, 600)  # boundary-curve samples
         self._curve = np.stack([self.min_energy(ls), ls], axis=-1)
-        self._curve_tree = cKDTree(self._curve)
 
     # -- critical set -----------------------------------------------------
 
@@ -446,12 +464,20 @@ class ChampagneModel(ModelSystem):
     def dist_to_singular(self, a):
         a = np.asarray(a, dtype=float)
         pts = a.reshape(-1, 2)
-        d = np.linalg.norm(pts, axis=-1)  # to the focus-focus value
-        # to the nearest boundary-curve sample; the tree takes finite points
-        # only, and the distance of any other point is its norm, nan or inf
-        fin = np.isfinite(d)
-        d[fin] = np.minimum(d[fin], self._curve_tree.query(pts[fin])[0])
-        return d.reshape(a.shape[:-1])
+        # squared distance to the nearest boundary-curve sample, for rows of
+        # points against all the samples
+        cx, cy = self._curve.T.copy()
+        d2 = np.empty(len(pts))
+        rows = BLOCK // len(cx)
+        for s in range(0, len(pts), rows):
+            dx = np.subtract.outer(pts[s : s + rows, 0], cx)
+            dy = np.subtract.outer(pts[s : s + rows, 1], cy)
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.min(dx, axis=1, out=d2[s : s + rows])
+        # and to the focus-focus value; a point that is not finite gets its norm, nan or inf
+        return np.minimum(np.linalg.norm(pts, axis=-1), np.sqrt(d2)).reshape(a.shape[:-1])
 
     def is_regular(self, a):
         a = np.asarray(a, dtype=float)
@@ -640,7 +666,7 @@ def action_coords(model: ModelSystem, c):
     S = 2.0 * math.pi * xi_c
     if isinstance(model, ChampagneModel):
         # direct quadrature for the action integrals (independent of the
-        # spline used by xi_of_c)
+        # table used by xi_of_c)
         xi2 = model.radial_action(cs[:, 0], cs[:, 1], n=140) + shear * np.maximum(cs[:, 1], 0.0)
         S = 2.0 * math.pi * np.stack([cs[:, 1], xi2], axis=-1)
     tau_c = S / (2.0 * math.pi) - xi_c

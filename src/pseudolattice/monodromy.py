@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .models import BLOCK, ModelSystem, Rect, _chart_radius, action_coords
 
@@ -118,15 +117,24 @@ class CocycleReport:
 def cocycle_check(atlas: PseudoChartAtlas) -> CocycleReport:
     """Verify ``M_ik = M_ij M_jk`` on every triple overlap, exactly.
 
-    Overlapping pairs are the centers a k-d tree finds within twice the
-    largest half-size that pass the exact rectangle test; each ordered pair
-    (i, j) is joined with the pairs (j, k).  Results are in (i, j, k) order.
+    Overlapping pairs are the centers within twice the largest half-size
+    of each other (in the L-infinity norm) that pass the exact rectangle
+    test; a sweep over the centers sorted on E finds the candidates.  Each
+    ordered pair (i, j) is joined with the pairs (j, k).  Results are in
+    (i, j, k) order.
     """
     n = len(atlas)
     # rounding can make rectangles that touch within an ulp overlap, so the
     # search radius has a margin and the exact test decides
     radius = 2.0 * np.max(atlas.half) * (1.0 + 1e-9)
-    ij = cKDTree(atlas.center).query_pairs(radius, p=np.inf, output_type="ndarray")
+    order = np.argsort(atlas.center[:, 0], kind="stable")
+    x = atlas.center[order, 0]
+    # the centers after each one in E order and within the radius of it in E
+    deg = np.searchsorted(x, x + radius, side="right") - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), deg)
+    second = np.arange(len(first)) + np.repeat(np.arange(1, n + 1) - (np.cumsum(deg) - deg), deg)
+    ij = order[np.stack([first, second], axis=1)]
+    ij = ij[np.max(np.abs(atlas.center[ij[:, 0]] - atlas.center[ij[:, 1]]), axis=1) <= radius]
     ij = ij[np.all(atlas.overlap(ij[:, 0], ij[:, 1])[1] > 0, axis=1)]
     ij = np.concatenate([ij, ij[:, ::-1]])
     i, j = ij[np.lexsort((ij[:, 1], ij[:, 0]))].T

@@ -219,6 +219,7 @@ _CHAMPAGNE = CHAMPAGNE_SYNTH.format(center="0.3 0.02")
         (_CHAMPAGNE, "name = champagne", "name = champagne\nwell_depth = inf", "well_depth"),
         (FLAT_SYNTH, "delta = 0.5", "delta = 0.5\nC0 = nan", "C0"),
         (FLAT_LOOP, "delta = 0.5", "delta = 0.5\nC0 = inf", "C0"),
+        (FLAT_SYNTH, "h = 1e-3", "h = 1e-3%", "h"),
     ],
     ids=[
         "C0-zero",
@@ -241,6 +242,7 @@ _CHAMPAGNE = CHAMPAGNE_SYNTH.format(center="0.3 0.02")
         "well_depth-inf",
         "C0-nan",
         "C0-inf",
+        "h-percent",
     ],
 )
 def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudolattice.detect import (
+    BASIS_PATCH,
     MAX_UNLABELED,
     RESIDUAL_LIMIT,
     DetectionError,
@@ -131,6 +132,17 @@ def test_basis_flat_cloud_matches_jacobian(flat_setup):
     k = np.linalg.solve(cols, got)
     assert np.allclose(k, np.rint(k), atol=0.01)  # integer combinations, 1% level
     assert abs(abs(np.linalg.det(k)) - 1.0) < 0.05  # same lattice
+
+
+@pytest.mark.parametrize("n", [25, 27, 29])
+def test_basis_small_cloud_is_its_own_patch(n):
+    # fewer points than BASIS_PATCH: the patch is the whole cloud, and every
+    # pair of its points gives a difference vector
+    u, anchor = _rescaled(_square_lattice_cloud(n=5, rows=6))
+    assert n < BASIS_PATCH == len(u)
+    b1, b2 = detect_basis(u[:n], anchor)
+    B = np.abs(np.column_stack([b1, b2]))
+    assert np.allclose(np.sort(B.ravel()), [0.0, 0.0, 1e-3, 1e-3], atol=1e-9)
 
 
 def test_basis_needs_points():

@@ -1,6 +1,7 @@
 """Every module-level import of the package modules is used, every
-module-level private function and class is used by the package itself, and
-every name the package exports resolves to the module it is imported from.
+module-level private function and class is used by the package itself,
+every name the package exports resolves to the module it is imported from,
+and importing the package loads no scipy module.
 
 ``__init__.py`` is skipped by the first check: it imports names to
 re-export them.
@@ -8,6 +9,8 @@ re-export them.
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,11 @@ def test_private_helpers_are_used_by_the_package():
                 referenced.add(node.attr)
     unused = [f"{path.name}:{name}" for path in MODULES for name in _private_definitions(path) if name not in referenced]
     assert unused == []
+
+
+def test_package_import_loads_no_scipy():
+    # numpy is the only dependency of the package; scipy's import alone took
+    # longer than the rest of a run's set-up
+    code = "import sys, pseudolattice; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

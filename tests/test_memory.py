@@ -4,9 +4,9 @@ NumPy reports its array buffers to ``tracemalloc``, so the traced peak is
 the peak of the kernel's temporaries.  The action quadrature and the margin
 sweep work in blocks of ``models.BLOCK`` elements (1 MB of float64), so their
 peak stays a few blocks however many points they are given;
-``dist_to_singular`` queries a k-d tree, whose temporaries are a few values
-per point; the cocycle check takes its chart pairs in blocks of
-``monodromy.PAIR_BLOCK``.
+``dist_to_singular`` compares rows of ``BLOCK // 600`` points with the 600
+boundary-curve samples, so its temporaries are two blocks; the cocycle
+check takes its chart pairs in blocks of ``monodromy.PAIR_BLOCK``.
 """
 
 import tracemalloc

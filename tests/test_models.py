@@ -154,13 +154,15 @@ def test_action_derivative_jump_across_cut():
 
 
 def test_cell_table_matches_fitpack():
-    # the per-cell polynomial table against FITPACK's own evaluation, for a
-    # smooth function on a non-square grid with non-uniform y spacing
+    # the per-cell polynomial table fitted to grid values against FITPACK's
+    # interpolating spline of the same values, for a smooth function on a
+    # non-square grid with non-uniform y spacing
     xs = np.linspace(-1.0, 2.0, 23)
     ys = 1.5 * np.linspace(0.0, 1.0, 15) ** 1.5
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    spl = RectBivariateSpline(xs, ys, np.sin(1.3 * gx + 0.7 * gy) + gx * gy**2, kx=3, ky=3)
-    table = _cell_table(*spl.tck)
+    vals = np.sin(1.3 * gx + 0.7 * gy) + gx * gy**2
+    spl = RectBivariateSpline(xs, ys, vals, kx=3, ky=3)
+    table = _cell_table(xs, ys, vals)
     xb, yb, _ = table
     rng = np.random.default_rng(5)
     kx, ky = np.meshgrid(xb, yb, indexing="ij")
@@ -230,13 +232,13 @@ def test_action_table_box_raises():
 
 
 def test_dist_to_singular_matches_pointwise():
-    # the k-d tree's nearest curve sample gives exactly the distance of a
-    # per-point loop over all the samples.  Most points lie near the boundary
-    # curve, which is then nearer than the focus-focus value; every tenth
-    # lies near that value.
+    # the row-block minimum over the curve samples gives exactly the distance
+    # of a per-point loop over all the samples, across three row blocks.  Most
+    # points lie near the boundary curve, which is then nearer than the
+    # focus-focus value; every tenth lies near that value.
     m = make_champagne_model(1.0)
     rng = np.random.default_rng(3)
-    size = 2 * (BLOCK // m._curve.size) + 17
+    size = 2 * (BLOCK // len(m._curve)) + 17
     pts = m._curve[rng.integers(0, len(m._curve), size)] + rng.normal(0.0, 0.02, (size, 2))
     pts[::10] = rng.uniform(-0.1, 0.1, (len(pts[::10]), 2))
     ref = [min(np.sqrt(np.sum(p * p)), np.min(np.sqrt(np.sum((p - m._curve) ** 2, axis=-1)))) for p in pts]

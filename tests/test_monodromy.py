@@ -181,8 +181,26 @@ def _random_atlas():
     return atlas
 
 
+def _tied_touching_atlas():
+    """18 linear charts whose centers share E in columns of three, on
+    rectangles that touch: half-sizes 0.05 or one ulp more at spacing 0.1,
+    so that rounding decides whether neighbors overlap, and a few of 0.08."""
+    rng = np.random.default_rng(4)
+    centers = np.array([(0.1 * k, 0.1 * m) for k in range(6) for m in range(3)])
+    atlas = _linear_atlas(centers, np.array(UNIMODULAR)[rng.integers(0, 4, len(centers))])
+    atlas.half = np.array([0.05, np.nextafter(0.05, 1.0), 0.08])[rng.integers(0, 3, centers.shape)]
+    i, j = np.triu_indices(len(atlas), 1)
+    half = atlas.overlap(i, j)[1]
+    assert np.any(atlas.center[i, 0] == atlas.center[j, 0])
+    assert np.any(np.all(half > 0, axis=1) & np.any(half < 1e-15, axis=1))  # overlap within an ulp
+    assert np.any(np.all(np.abs(half) < 1e-15, axis=1) & np.any(half <= 0, axis=1))  # touch, no overlap
+    return atlas
+
+
 @pytest.mark.parametrize(
-    "make_atlas", [_block_atlas, _split_chart_atlas, _random_atlas], ids=["clean", "corrupted", "unequal-halves"]
+    "make_atlas",
+    [_block_atlas, _split_chart_atlas, _random_atlas, _tied_touching_atlas],
+    ids=["clean", "corrupted", "unequal-halves", "tied-touching"],
 )
 def test_cocycle_matches_brute_force(make_atlas):
     atlas = make_atlas()
