@@ -82,6 +82,7 @@ def _gauss_reduce(b1, b2):
 # has to be right near the anchor: labels grow outward from there and the
 # quadratic refit of each growth round absorbs the curvature further out.
 BASIS_PATCH = 30
+PATCH_PAIRS = np.triu_indices(BASIS_PATCH, 1)  # built once; smaller clouds build their own
 
 
 def detect_basis(u, anchor):
@@ -101,7 +102,7 @@ def detect_basis(u, anchor):
         d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
         # sorted, so the patch keeps cloud order whatever lies outside it
         u = u[np.sort(np.argpartition(d2, BASIS_PATCH - 1)[:BASIS_PATCH])]
-    i, j = np.triu_indices(len(u), 1)
+    i, j = PATCH_PAIRS if len(u) == BASIS_PATCH else np.triu_indices(len(u), 1)
     diffs = u[j] - u[i]
     flip = (diffs[:, 1] < 0) | ((diffs[:, 1] == 0) & (diffs[:, 0] < 0))
     np.negative(diffs, out=diffs, where=flip[:, None])  # into the upper half-plane

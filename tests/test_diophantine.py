@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,14 +13,14 @@ from pseudolattice.diophantine import (
     good_margin,
     good_values,
 )
-from pseudolattice.models import BLOCK, GOLDEN, action_coords, make_champagne_model, make_flat_model
+from pseudolattice.models import BLOCK, GOLDEN, _frequencies_at, action_coords, make_champagne_model, make_flat_model
 from pseudolattice.monodromy import MonodromyError
 from pseudolattice.pipeline import _cover, _nearest_good, spectral_chart_at
 from pseudolattice.synth import SemiclassicalParams, good_rectangle
 
 
 def brute_margin(omega, params):
-    """Full O(k_max^2) sweep, the oracle for the reduced candidate sweep."""
+    """Full O(k_max^2) sweep, the oracle for the reduced sweep."""
     km = params.k_max
     k1, k2 = np.meshgrid(np.arange(-km, km + 1), np.arange(-km, km + 1), indexing="ij")
     k = np.stack([k1.ravel(), k2.ravel()], axis=-1).astype(float)
@@ -27,6 +28,53 @@ def brute_margin(omega, params):
     ok = (nk > 0) & (nk <= km)
     vals = np.abs(k[ok] @ np.asarray(omega)) * nk[ok] ** (1.0 + params.d)
     return float(vals.min())
+
+
+def sweep_margins(omegas, params):
+    """The O(k_max) reduced sweep, the oracle for the candidates of ``_margins``.
+
+    For finite nonzero rows: every swept value from 0 to ``k_max`` with the
+    two integers next to the resonance line, in chunks of ``BLOCK // 2n``
+    swept values; within a chunk ties go to the first ``k`` with the swept
+    value ascending and the lower solved integer first, across chunks to
+    the earlier chunk.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    n = omegas.shape[0]
+    km = params.k_max
+    power = 1.0 + params.d
+
+    best = np.full(n, np.inf)
+    best_k = np.zeros((n, 2), dtype=np.int64)
+    swap = np.abs(omegas[:, 1]) < np.abs(omegas[:, 0])
+    wa = np.where(swap, omegas[:, 1], omegas[:, 0])  # coefficient of the swept index
+    wb = np.where(swap, omegas[:, 0], omegas[:, 1])  # larger coefficient, solved index
+    ks = np.arange(0, km + 1, dtype=np.int64)
+    rows = np.arange(n)
+    chunk = max(1, BLOCK // (2 * n))
+    for start in range(0, km + 1, chunk):
+        kc = ks[start : start + chunk]
+        ratio = -(wa[:, None] * kc[None, :]) / wb[:, None]
+        kb = (np.floor(ratio)[..., None] + np.array([0.0, 1.0])).astype(np.int64)
+        val = (wa[:, None] * kc[None, :])[..., None] + wb[:, None, None] * kb
+        normk = np.sqrt(kc.astype(float)[None, :, None] ** 2 + kb.astype(float) ** 2)
+        inside = (normk > 0) & (normk <= km)
+        m = np.where(inside, np.abs(val) * normk**power, np.inf).reshape(n, -1)
+        idx = np.argmin(m, axis=1)
+        mv = m[rows, idx]
+        upd = mv < best
+        best = np.where(upd, mv, best)
+        best_k[upd, 0] = kc[idx // 2][upd]
+        best_k[upd, 1] = kb.reshape(n, -1)[rows, idx][upd]
+    best_k[swap] = best_k[swap, ::-1]  # kept as (swept, solved) until here
+    return best, best_k
+
+
+def assert_margins_are_the_sweeps(omegas, params):
+    margins, witness = _margins(omegas, params)
+    expected, expected_k = sweep_margins(omegas, params)
+    assert margins.tobytes() == expected.tobytes()
+    assert np.array_equal(witness, expected_k)
 
 
 def test_params_validation():
@@ -63,13 +111,11 @@ def test_margin_matches_brute_force():
         assert m == pytest.approx(brute_margin(w, params), rel=1e-12)
 
 
-def test_batched_margins_equal_per_row_margins():
-    # 2 000 rows sweep k in several chunks: resonant rows (margin exactly 0,
-    # attained by every multiple of a resonant k), both axes, near-resonant
-    # rows whose margin is attained at k = (j, 1) for every swept j with
-    # |k| <= k_max, so at every chunk seam, the same rows with their
-    # components exchanged (witness (1, j)), and generic rows
-    params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
+def _batch_rows():
+    """2 000 rows: resonant rows (margin exactly 0, attained by every
+    multiple of a resonant k), both axes, near-resonant rows whose margin is
+    attained at k = (j, 1) for every swept j with |k| <= k_max, the same
+    rows with their components exchanged (witness (1, j)), and generic rows."""
     rng = np.random.default_rng(12)
     omegas = rng.uniform(-2.0, 2.0, size=(2000, 2))
     omegas[:200] = 2.0 ** rng.integers(-2, 3, size=(200, 1)) * rng.integers(1, 8, size=(200, 2))
@@ -79,7 +125,16 @@ def test_batched_margins_equal_per_row_margins():
     j = np.arange(1, 500)
     omegas[240:739] = np.stack([np.ones(499), -j * (1.0 + 1e-9)], axis=-1)
     omegas[739:1238] = omegas[240:739, ::-1]  # the same rows, solved for the other component
-    assert params.k_max + 1 > BLOCK // len(omegas)  # more than one chunk
+    return omegas
+
+
+def test_batched_margins_equal_per_row_margins():
+    # the 1 238 resonant and near-resonant rows fall below the resolution
+    # bound of ``_margins``, so they are swept over every k, in several chunks
+    params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
+    omegas = _batch_rows()
+    j = np.arange(1, 500)
+    assert params.k_max + 1 > BLOCK // (2 * 1238)  # more than one chunk
     margins, witness = _margins(omegas, params)
     per_row = np.array([_margins(w[None], params)[0][0] for w in omegas])
     assert margins.tobytes() == per_row.tobytes()
@@ -92,6 +147,69 @@ def test_batched_margins_equal_per_row_margins():
     assert np.array_equal(witness[240:739], np.stack([j, np.ones(499)], axis=-1))
     assert np.array_equal(witness[739:1238], np.stack([np.ones(499), j], axis=-1))
     assert margins[739:1238].tobytes() == margins[240:739].tobytes()
+
+
+@pytest.mark.parametrize("k_max", [100, 500, 1000])
+@pytest.mark.parametrize("d", [1e-9, 0.5, 1.0, 3.0])
+def test_margins_equal_the_sweep_on_uniform_rows(d, k_max):
+    omegas = np.random.default_rng(int(k_max + 10 * d)).uniform(-2.0, 2.0, size=(500, 2))
+    assert_margins_are_the_sweeps(omegas, DiophantineParams(alpha=1e-3, d=d, k_max=k_max))
+
+
+def test_margins_equal_the_sweep_on_batch_rows():
+    assert_margins_are_the_sweeps(_batch_rows(), DiophantineParams(alpha=1e-3, d=1.0, k_max=500))
+
+
+def test_margins_equal_the_sweep_on_model_frequencies():
+    # the bad-set nodes of the champagne chart at (0.3, 0.15) (criterion 8),
+    # and the grid nodes of a chart of the flat model with frequency (1, 0.7)
+    params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
+    m = make_champagne_model(1.0)
+    chart = action_coords(m, np.array([0.3, 0.15]))
+    lo, hi = chart.domain.center - chart.domain.half, chart.domain.center + chart.domain.half
+    pts = lo + (hi - lo) * np.random.default_rng(0).random((10_000, 2))
+    assert_margins_are_the_sweeps(_frequencies_at(m, pts, chart.shear)[0], params)
+    flat = make_flat_model((1.0, 0.7), "xi_weighted")
+    chart = action_coords(flat, np.array([0.25, 0.15]))
+    omegas = _frequencies_at(flat, chart.domain.grid(8), chart.shear)[0]
+    assert_margins_are_the_sweeps(omegas, params)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9, -1e-9, 1e-15, 1e-12, 1e-6])
+def test_margins_equal_the_sweep_near_rationals(eps):
+    # ratios p/q + eps with q < 2000: the expansion ends at or beyond q, and
+    # the rows within rounding of p/q are swept in full
+    rng = np.random.default_rng(3)
+    q = rng.integers(1, 2000, size=300)
+    p = np.floor(rng.random(300) * (q + 1))
+    ratio = p / q + eps
+    omegas = np.stack([ratio, -np.ones(300)], axis=-1) * rng.uniform(0.5, 2.0, size=(300, 1))
+    omegas[::2] = omegas[::2, ::-1]  # both components swept
+    assert_margins_are_the_sweeps(omegas, DiophantineParams(alpha=1e-3, d=1.0, k_max=1000))
+
+
+def test_margins_equal_the_sweep_on_badly_approximable_and_small_ratios():
+    # subnormal ratios overflow the first partial quotient, without a warning
+    omegas = np.array([(1.0, GOLDEN), (-GOLDEN, 1.0), (1.0, math.sqrt(2.0)), (math.sqrt(2.0), -1.0), (1e-7, 1.0), (1.0, -1e-7), (1e-310, 1.0), (1.0, -5e-324)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (1e-9, 1.0):
+            assert_margins_are_the_sweeps(omegas, DiophantineParams(alpha=1e-3, d=d, k_max=10_000))
+
+
+def test_zero_and_non_finite_rows():
+    # a zero frequency is resonant with every k; one that is not finite
+    # gets nan, so that it fails every test
+    params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
+    omegas = np.array([(0.0, 0.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, GOLDEN)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margins, witness = _margins(omegas, params)
+        assert math.isnan(diophantine_margin((np.nan, 1.0), params)[0])
+    assert margins[0] == 0.0 and tuple(witness[0]) == (0, 1)
+    assert np.all(np.isnan(margins[1:4])) and np.all(witness[1:4] == 0)
+    assert not np.any(margins[1:4] >= params.alpha)
+    assert margins[4] == diophantine_margin((1.0, GOLDEN), params)[0] > 0.0
 
 
 def test_resonant_frequency_detected():

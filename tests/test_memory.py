@@ -1,8 +1,10 @@
 """Peak memory of the batch kernels, as traced by ``tracemalloc``.
 
 NumPy reports its array buffers to ``tracemalloc``, so the traced peak is
-the peak of the kernel's temporaries.  The action quadrature and the margin
-sweep work in blocks of ``models.BLOCK`` elements (1 MB of float64), so their
+the peak of the kernel's temporaries.  The action quadrature works in blocks
+of ``models.BLOCK`` elements (1 MB of float64), and the margins evaluate their
+continued-fraction candidates in row blocks of the same size and sweep the
+rows within rounding of a resonance ``BLOCK // 2n`` values at a time, so their
 peak stays a few blocks however many points they are given;
 ``dist_to_singular`` compares rows of ``BLOCK // 600`` points with the 600
 boundary-curve samples, so its temporaries are two blocks; the cocycle
