@@ -11,11 +11,11 @@ Two 2-degree-of-freedom models are provided:
 A chart maps between the value plane ``a = (E, G)`` -- energy and torus
 average of the perturbation -- and local action variables ``xi``.  For the
 champagne model the radial action is computed by Gauss-Legendre quadrature
-with turning-point substitutions, interpolated once at well depth 1 by a
-not-a-knot bicubic and read for every depth by exact scaling, through a
-table of its per-cell polynomials.  Each model's ``jet`` gives the chart
-derivatives analytically; frequencies and their derivatives are read off
-it.
+with turning-point substitutions, on a grid at well depth 1 that the package
+ships (``action_grid.npy``), interpolated by a not-a-knot bicubic and read
+for every depth by exact scaling, through a table of its per-cell
+polynomials.  Each model's ``jet`` gives the chart derivatives
+analytically; frequencies and their derivatives are read off it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -378,13 +379,19 @@ def _cell_table(x, y, vals):
     return x, y, np.ascontiguousarray(C)
 
 
-def _cell_eval(table, x, y):
-    """Value and partials up to order 2 of a tabled bicubic at ``(x, y)``.
+# (x order, y order) of the partials ``_cell_eval`` returns by default
+PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
-    Returns ``(f, f_x, f_y, f_xx, f_xy, f_yy)``, each with the broadcast
-    shape of ``x`` and ``y``.  Points outside the knot box are clamped to
-    it, as FITPACK does.  Every output element depends on its own point
-    only.
+
+def _cell_eval(table, x, y, partials=PARTIALS):
+    """Partials of a tabled bicubic at ``(x, y)``, one per ``(x order,
+    y order)`` pair of ``partials``: by default ``(f, f_x, f_y, f_xx, f_xy,
+    f_yy)``.
+
+    Each has the broadcast shape of ``x`` and ``y``.  Points outside the knot
+    box are clamped to it, as FITPACK does.  Every output element depends on
+    its own point only, and its bits do not depend on the other partials
+    asked for.
     """
     xb, yb, C = table
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -392,28 +399,62 @@ def _cell_eval(table, x, y):
     yf = np.minimum(np.maximum(y.ravel(), yb[0]), yb[-1])
     i = xb[1:-1].searchsorted(xf, "right")
     j = yb[1:-1].searchsorted(yf, "right")
-    c, u, v = C[:, :, i, j], xf - xb[i], yf - yb[j]
-    # Horner in y for each power of x: the polynomial in y and its first
-    # two y-derivatives; then Horner in x
+    # the cells' coefficients gathered point-last, so that every Horner step
+    # below runs over contiguous rows
+    c = np.take(C.reshape(16, -1), i * C.shape[3] + j, axis=1).reshape(4, 4, -1)
+    u, v = xf - xb[i], yf - yb[j]
+    # Horner in y for each power of x: the polynomial in y and its
+    # y-derivatives up to the highest y order asked for; then Horner in x,
+    # for each x order over the y orders within the highest total order
+    order, ny = max(p + q for p, q in partials), 1 + max(q for _, q in partials)
     c0, c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
-    g = np.stack([((c3 * v + c2) * v + c1) * v + c0, (3.0 * c3 * v + 2.0 * c2) * v + c1, 6.0 * c3 * v + 2.0 * c2])
-    g0, g1, g2, g3 = g[:, 0], g[:, 1], g[:, 2], g[:, 3]
-    f, f_y, f_yy = ((g3 * u + g2) * u + g1) * u + g0
-    f_x, f_xy = (3.0 * g3[:2] * u + 2.0 * g2[:2]) * u + g1[:2]
-    f_xx = 6.0 * g3[0] * u + 2.0 * g2[0]
-    return tuple(a.reshape(x.shape) for a in (f, f_x, f_y, f_xx, f_xy, f_yy))
+    g = [((c3 * v + c2) * v + c1) * v + c0]
+    if ny > 1:
+        g.append((3.0 * c3 * v + 2.0 * c2) * v + c1)
+    if ny > 2:
+        g.append(6.0 * c3 * v + 2.0 * c2)
+    g0, g1, g2, g3 = np.stack(g, axis=1)  # row q: the q-th y-derivative
+    f = {0: ((g3 * u + g2) * u + g1) * u + g0}
+    if order > 0:
+        f[1] = (3.0 * g3[:order] * u + 2.0 * g2[:order]) * u + g1[:order]
+    if order > 1:
+        f[2] = 6.0 * g3[:1] * u + 2.0 * g2[:1]
+    return tuple(f[p][q].reshape(x.shape) for p, q in partials)
+
+
+# The well depth 1 radial action on the table's grid, as ``action_grid``
+# computes it; the package ships the array so that no process integrates it.
+ACTION_GRID = Path(__file__).with_name("action_grid.npy")
+GRID_E = np.linspace(-0.26, 0.95, 220)
+GRID_L = np.linspace(0.0, 0.72, 160)
+
+
+def action_grid():
+    """The well depth 1 radial action ``I_r(E, |l|)`` on the grid
+    ``GRID_E x GRID_L`` by quadrature, 0 below the boundary curve.
+
+    The package reads this array from ``ACTION_GRID`` and never computes it.
+    After a change to the grid or the quadrature, regenerate the file with
+    ``python -c "from pseudolattice import models as m; m.np.save(m.ACTION_GRID, m.action_grid())"``.
+    """
+    gE, gl = np.meshgrid(GRID_E, GRID_L, indexing="ij")
+    vals = _radial_action_quad(gE.ravel(), gl.ravel(), 1.0).reshape(gE.shape)
+    vals[~np.isfinite(vals)] = 0.0
+    return vals
 
 
 @functools.cache
 def _action_table():
     """Cell table (see ``_cell_table``) of the bicubic interpolant of the
-    well depth 1 radial action ``I_r(E, |l|)`` on ``[-0.26, 0.95] x [0, 0.72]``."""
-    Es = np.linspace(-0.26, 0.95, 220)
-    ls = np.linspace(0.0, 0.72, 160)
-    gE, gl = np.meshgrid(Es, ls, indexing="ij")
-    vals = _radial_action_quad(gE.ravel(), gl.ravel(), 1.0).reshape(gE.shape)
-    vals[~np.isfinite(vals)] = 0.0  # below the boundary curve
-    return _cell_table(Es, ls, vals)
+    shipped action grid on ``[-0.26, 0.95] x [0, 0.72]``; raises
+    :class:`ModelError` naming the file if it is missing or malformed."""
+    try:
+        vals = np.load(ACTION_GRID, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ModelError(f"cannot read the action grid {ACTION_GRID}: {exc}") from exc
+    if vals.shape != (len(GRID_E), len(GRID_L)) or vals.dtype != np.float64:
+        raise ModelError(f"action grid {ACTION_GRID} holds {vals.dtype} {vals.shape}, not float64 {(len(GRID_E), len(GRID_L))}")
+    return _cell_table(GRID_E, GRID_L, vals)
 
 
 def _tabled(E, al):
@@ -493,19 +534,20 @@ class ChampagneModel(ModelSystem):
         out = _radial_action_quad(E, np.abs(l), self.b, n=n)
         return out if (np.ndim(E) or np.ndim(l)) else out[0]
 
-    def _action_jet(self, E, l):
-        """``I_r(E, |l|)`` and its partials as ``_cell_eval`` orders them:
-        ``r = sqrt(b) rho``, ``p_r = b p``, ``l = b^1.5 m`` give ``H_b = b^2 H_1``,
-        so ``I_r(E, l; b) = b^1.5 I_r(E / b^2, l / b^1.5; 1)`` (b = 1 table)."""
+    def _action_jet(self, E, l, partials=PARTIALS):
+        """``I_r(E, |l|)`` and its ``partials`` in ``(E, |l|)``, as ``_cell_eval``
+        gives them: ``r = sqrt(b) rho``, ``p_r = b p``, ``l = b^1.5 m`` give
+        ``H_b = b^2 H_1``, so ``I_r(E, l; b) = b^1.5 I_r(E / b^2, l / b^1.5; 1)``
+        (b = 1 table)."""
         b = self.b
         E, al = np.asarray(E, dtype=float) / b**2, np.abs(l) / b**1.5
-        out = _cell_eval(_tabled(E, al), E, al)
+        out = _cell_eval(_tabled(E, al), E, al, partials)
         # each E-derivative scales by b^-2, each l-derivative by b^-1.5
-        return tuple(f * b**p for f, p in zip(out, (1.5, -0.5, 0.0, -2.5, -2.0, -1.5)))
+        return tuple(f * b ** (1.5 - 2.0 * p - 1.5 * q) for f, (p, q) in zip(out, partials))
 
     def action_xi2(self, E, l, shear=0):
         """Table-backed xi_2(E, l)."""
-        return self._action_jet(E, l)[0] + shear * np.maximum(l, 0.0)
+        return self._action_jet(E, l, ((0, 0),))[0] + shear * np.maximum(l, 0.0)
 
     def xi_from_value(self, a, shear=0):
         a = np.asarray(a, dtype=float)
@@ -529,7 +571,7 @@ class ChampagneModel(ModelSystem):
         todo = np.arange(E.size)
         for _ in range(60):
             Et = E[todo]
-            f, df = _cell_eval(table, Et, al[todo])[:2]
+            f, df = _cell_eval(table, Et, al[todo], ((0, 0), (1, 0)))
             f = f - target[todo]
             step = np.clip(f / np.maximum(df, 1e-12), -0.2, 0.2)
             E[todo] = np.clip(Et - step, lo[todo], 0.95)
@@ -634,32 +676,45 @@ def _chart_radius(model: ModelSystem, c):
     return r if np.ndim(c) == 2 else float(r)
 
 
-def action_coords(model: ModelSystem, c):
-    """Local action charts at one regular value ``c``, shape ``(2,)``, or at
-    ``n``, shape ``(n, 2)`` (a list), built in one pass over all their grids.
+def _check_centers(cs, bad, what):
+    """Raise :class:`ModelError` naming the first center of ``cs`` flagged in ``bad``."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ModelError(f"center {i} at {tuple(cs[i].tolist())}: {what}")
+
+
+def _chart_domains(model: ModelSystem, cs):
+    """Radius and shear of the action charts at the centers ``cs``, shape
+    ``(n, 2)``, with each chart's 9 x 9 grid of values and its actions.
 
     Raises :class:`ModelError`, naming the first such center, if a center is
-    singular or too close to the critical-value set, or if its chart map
-    degenerates on the domain.
+    singular or too close to the critical-value set, or if its domain
+    touches that set or its chart map degenerates on the domain.
     """
-    cs = np.atleast_2d(np.asarray(c, dtype=float))
-
-    def check(bad, what):
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ModelError(f"center {i} at {tuple(cs[i].tolist())}: {what}")
-
-    check(~model.is_regular(cs), f"not a regular value of {model.name}")
+    _check_centers(cs, ~model.is_regular(cs), f"not a regular value of {model.name}")
     radius = _chart_radius(model, cs)
-    check(radius < 1e-4, "too close to the singular set")  # distance below 1e-3
+    _check_centers(cs, radius < 1e-4, "too close to the singular set")  # distance below 1e-3
     # a champagne domain that straddles the nonsmooth ray {l = 0, E > 0} of
     # the symmetric action branch uses the smooth continuation on l > 0
     shear = ((np.abs(cs[:, 1]) < radius) & (cs[:, 0] + radius > 0) & isinstance(model, ChampagneModel)).astype(int)
 
     grid_values = Rect(cs, np.stack([radius, radius], axis=-1)).grid(9)
-    check(~np.all(model.is_regular(grid_values), axis=1), "chart domain touches the singular set")
+    _check_centers(cs, ~np.all(model.is_regular(grid_values), axis=1), "chart domain touches the singular set")
     grid_xi, J, _ = model.jet(grid_values, shear=shear[:, None])
-    check(np.any(np.abs(np.linalg.det(J)) < 1e-10, axis=1), "chart map is degenerate on the requested domain")
+    _check_centers(cs, np.any(np.abs(np.linalg.det(J)) < 1e-10, axis=1), "chart map is degenerate on the requested domain")
+    return radius, shear, grid_values, grid_xi
+
+
+def action_coords(model: ModelSystem, c):
+    """Local action charts at one regular value ``c``, shape ``(2,)``, or at
+    ``n``, shape ``(n, 2)`` (a list), built in one pass over all their grids.
+
+    Raises :class:`ModelError`, naming the first such center, for the
+    reasons of ``_chart_domains`` or if the chart inversion fails on the
+    domain.
+    """
+    cs = np.atleast_2d(np.asarray(c, dtype=float))
+    radius, shear, grid_values, grid_xi = _chart_domains(model, cs)
     lo, hi = grid_xi.min(axis=1), grid_xi.max(axis=1)
 
     xi_c = model.xi_from_value(cs, shear=shear)
@@ -674,7 +729,7 @@ def action_coords(model: ModelSystem, c):
     # round-trip sanity on the grids
     err = np.max(np.abs(model.value_from_xi(grid_xi, shear=shear[:, None], seed_E=cs[:, :1]) - grid_values), axis=(1, 2))
     bad = err > 1e-6 * (1.0 + np.max(np.abs(grid_values), axis=(1, 2)))
-    check(bad, f"chart inversion failed to converge (max error {np.max(err[bad], initial=0.0):.2e})")
+    _check_centers(cs, bad, f"chart inversion failed to converge (max error {np.max(err[bad], initial=0.0):.2e})")
 
     charts = [
         ActionChart(model=model, c=cs[i], domain=Rect(cs[i], radius[[i, i]]), S=S[i], eta=np.asarray(model.maslov_eta),

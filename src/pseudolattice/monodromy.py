@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import BLOCK, ModelSystem, Rect, _chart_radius, action_coords
+from .models import BLOCK, ModelSystem, Rect, _chart_domains, _chart_radius
 
 
 class MonodromyError(ValueError):
@@ -258,11 +258,15 @@ def cover_loop(
 
 def action_atlas(model: ModelSystem, centers) -> PseudoChartAtlas:
     """Atlas of exact action charts at the given centers: each batch of
-    Jacobians is one ``jet`` call, with the shear of each point's chart."""
-    charts = action_coords(model, np.atleast_2d(np.asarray(centers, dtype=float)))
-    center, half = (np.array([getattr(ac.domain, f) for ac in charts]) for f in ("center", "half"))
-    shear = np.array([ac.shear for ac in charts])
-    return PseudoChartAtlas(center, half, lambda idx, pts: model.jet(pts, shear=shear[idx])[1])
+    Jacobians is one ``jet`` call, with the shear of each point's chart.
+
+    Only the domains and shears are built, with the checks they rest on
+    (``models._chart_domains``); the charts' action integrals and round trip
+    are not needed here.
+    """
+    center = np.array(centers, dtype=float, ndmin=2)
+    radius, shear = _chart_domains(model, center)[:2]
+    return PseudoChartAtlas(center, np.stack([radius, radius], axis=-1), lambda idx, pts: model.jet(pts, shear=shear[idx])[1])
 
 
 def classical_monodromy(model: ModelSystem, loop_vertices) -> MonodromyClass:

@@ -1,22 +1,29 @@
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
+from pseudolattice import models
 from pseudolattice.models import (
+    ACTION_GRID,
     BLOCK,
+    PARTIALS,
     ActionChart,
     AnglePolynomial,
     ModelError,
     ParameterError,
     Rect,
+    _action_table,
     _cell_eval,
     _cell_table,
     _radial_action_quad,
     _radial_roots,
     action_coords,
+    action_grid,
     chart_to_text,
     frequency,
     make_champagne_model,
@@ -174,6 +181,61 @@ def test_cell_table_matches_fitpack():
         assert np.max(np.abs(got - ref)) < 1e-12 * (1.0 + np.max(np.abs(ref))), (dx, dy)
     # the shape of the inputs is kept
     assert _cell_eval(table, x[:700].reshape(-1, 2), y[:700].reshape(-1, 2))[3].shape == (350, 2)
+
+
+def test_cell_eval_partials_are_the_full_evaluation():
+    # any subset of the partials, in any order, gets the bits of the default
+    # six; the Newton step of value_from_xi asks for (f, f_x) only
+    m = make_champagne_model(1.0)
+    rng = np.random.default_rng(9)
+    E, al = rng.uniform(-0.3, 1.0, 500), rng.uniform(-0.05, 0.8, 500)  # some clamped
+    table = _action_table()
+    full = dict(zip(PARTIALS, _cell_eval(table, E, al)))
+    for partials in [((0, 0),), ((0, 0), (1, 0)), ((1, 1),), ((0, 2), (2, 0)), PARTIALS[::-1]]:
+        got = _cell_eval(table, E.reshape(20, 25), al.reshape(20, 25), partials)
+        assert [g.shape for g in got] == [(20, 25)] * len(partials)
+        assert all(g.tobytes() == full[pq].tobytes() for g, pq in zip(got, partials)), partials
+    assert m.action_xi2(0.3 * E, 0.5 * al).tobytes() == m._action_jet(0.3 * E, 0.5 * al)[0].tobytes()
+
+
+def test_shipped_action_grid_is_the_quadrature():
+    # the grid the package ships is bit for bit what action_grid computes
+    shipped = np.load(ACTION_GRID, allow_pickle=False)
+    assert shipped.dtype == np.float64 and shipped.shape == (220, 160)
+    assert shipped.tobytes() == action_grid().tobytes()
+
+
+def test_action_table_runs_no_quadrature():
+    # in a fresh process, building the table only reads the shipped grid
+    code = (
+        "from pseudolattice import models\n"
+        "calls = []\n"
+        "quad = models._radial_action_quad\n"
+        "models._radial_action_quad = lambda *a, **k: calls.append(1) or quad(*a, **k)\n"
+        "models._action_table()\n"
+        "before = len(calls)\n"
+        "models.action_grid()\n"
+        "print(before, len(calls))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=ACTION_GRID.parents[1], capture_output=True, text=True, check=True)
+    before, after = map(int, out.stdout.split())
+    assert before == 0 and after > 0  # the counter does see the grid quadrature
+
+
+@pytest.mark.parametrize(
+    "content, why",
+    [(None, "cannot read"), (np.zeros((220, 159)), "holds float64 (220, 159)"),
+     (np.zeros((220, 160), dtype=np.float32), "holds float32"), (np.array([{}]), "cannot read")],
+    ids=["missing", "shape", "dtype", "pickled"],
+)
+def test_bad_action_grid_names_the_file(tmp_path, monkeypatch, content, why):
+    path = tmp_path / "action_grid.npy"
+    if content is not None:
+        np.save(path, content, allow_pickle=True)
+    monkeypatch.setattr(models, "ACTION_GRID", path)
+    with pytest.raises(ModelError) as err:
+        _action_table.__wrapped__()
+    assert str(path) in str(err.value) and why in str(err.value)
 
 
 def test_value_from_xi_pointwise_equals_batched():

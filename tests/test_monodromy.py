@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from pseudolattice.models import make_champagne_model, make_flat_model
+from pseudolattice.models import ModelError, action_coords, make_champagne_model, make_flat_model
 from pseudolattice.monodromy import (
     MonodromyClass,
     MonodromyError,
@@ -319,6 +321,32 @@ def test_classical_champagne_loop():
     assert [(t.i, t.j) for t in cls.edges] == [(k, (k + 1) % n) for k in range(n)]
     raw = np.linalg.multi_dot([t.M for t in cls.edges])
     assert np.array_equal(np.rint(np.linalg.inv(raw)).astype(np.int64).T, cls.product)
+
+
+def test_action_atlas_is_the_action_charts():
+    # the atlas builds only each chart's domain and shear, with the checks
+    # they rest on; they are those of the full charts, bit for bit
+    m = make_champagne_model(1.0)
+    centers = cover_loop(m, OCTAGON)
+    atlas, charts = action_atlas(m, centers), action_coords(m, centers)
+    for f in ("center", "half"):
+        assert getattr(atlas, f).tobytes() == np.array([getattr(ch.domain, f) for ch in charts]).tobytes(), f
+    shear = np.array([ch.shear for ch in charts])
+    assert 0 < shear.sum() < len(shear)
+    idx = np.arange(len(centers))[:, None]
+    assert atlas.jac(idx, centers[:, None]).tobytes() == m.jet(centers[:, None], shear=shear[:, None])[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [((0.0, 0.0), "not a regular value"), ((0.0005, 0.0), "too close to the singular set")],
+)
+def test_action_atlas_names_bad_center(bad, reason):
+    m = make_champagne_model(1.0)
+    centers = np.array([(0.3, 0.15), bad, (0.3, 0.0)])
+    for build in (action_atlas, action_coords):
+        with pytest.raises(ModelError, match=re.escape(f"center 1 at {bad}: ") + reason):
+            build(m, centers)
 
 
 def test_classical_champagne_contractible_loop():
