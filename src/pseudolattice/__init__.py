@@ -9,7 +9,7 @@ along loops in the value plane, validated against the classical monodromy
 of the action atlas.
 """
 
-from .averaging import q_infinity, time_average, torus_average
+from .averaging import time_average, torus_average
 from .detect import (
     DetectionError,
     HChart,
@@ -35,7 +35,6 @@ from .models import (
     Rect,
     action_coords,
     chart_to_text,
-    frequency,
     make_champagne_model,
     make_flat_model,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "detect_basis",
     "diophantine_margin",
     "fit_hchart",
-    "frequency",
     "gauge_alignment",
     "good_margin",
     "good_rectangle",
@@ -108,7 +106,6 @@ __all__ = [
     "make_champagne_model",
     "make_flat_model",
     "monodromy_report",
-    "q_infinity",
     "spectral_band",
     "spectral_chart_at",
     "spectral_monodromy",

@@ -3,16 +3,16 @@
 On a torus with actions ``xi`` the unperturbed flow is the linear angle flow
 ``x(t) = x0 + t * omega(xi)``, so time averages are plain quadratures of a
 quasi-periodic function -- no ODE integration is involved.  On tori whose
-frequency passes the non-resonance test the flow is ergodic and the time
-average converges to the torus average; the ``q_infinity`` interval is a
-finite-horizon surrogate for the set of attainable long-time averages.
+frequency passes the non-resonance test, the Diophantine tori that the
+good-value decision keeps, the flow is ergodic: every long-time average is
+the torus average.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .models import ActionChart, ModelSystem, frequency
+from .models import ActionChart, ModelError, ModelSystem, _frequencies_at
 
 DEFAULT_ANGLE_GRID = 64  # trapezoid rule is exact for harmonics below this degree
 
@@ -41,13 +41,16 @@ def time_average(
     """Symmetric time average of the perturbation along the angle flow.
 
     Composite Simpson quadrature of ``q(x0 + t*omega(xi), xi)`` over
-    ``[-T/2, T/2]`` with step at most ``2*pi / (50*|omega|)``.
+    ``[-T/2, T/2]`` with step at most ``2*pi / (50*|omega|)``.  Raises
+    :class:`ModelError` if ``xi`` is outside the chart's action box.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     xi = np.asarray(xi, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-    omega = frequency(chart, xi).omega
+    if not np.all(chart.xi_box.contains(np.atleast_2d(xi), margin=1e-9)):
+        raise ModelError("xi outside chart domain")
+    omega = _frequencies_at(chart.model, chart.phi(xi), chart.shear)[0]
     step = 2.0 * np.pi / (50.0 * max(np.linalg.norm(omega), 1e-12))
     m = int(np.ceil(T / step))
     m += m % 2  # Simpson needs an even interval count
@@ -58,27 +61,3 @@ def time_average(
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(np.sum(w * vals) * (T / m) / 3.0 / T)
-
-
-def _quasi_random_angles() -> np.ndarray:
-    # deterministic low-discrepancy sample of the torus (Kronecker sequence), 16 angles
-    i = np.arange(1, 17)
-    a1 = (i * 0.7548776662466927) % 1.0  # plastic-number rotations
-    a2 = (i * 0.5698402909980532) % 1.0
-    return 2.0 * np.pi * np.stack([a1, a2], axis=-1)
-
-
-def q_infinity(model: ModelSystem, chart: ActionChart, xi, T_list):
-    """Finite-horizon surrogate of the attainable-average interval at ``xi``.
-
-    Returns ``(lo, hi)``: the range of the longest-horizon time average over
-    a deterministic quasi-random sample of starting angles.  This is an
-    outer approximation of the infinite-time interval, which degenerates to
-    the torus average on ergodic (non-resonant) tori.
-    """
-    T_list = list(T_list)
-    if not T_list or any(b <= a for a, b in zip(T_list, T_list[1:])):
-        raise ValueError("T_list must be nonempty and increasing")
-    T_max = T_list[-1]
-    avgs = [time_average(model, chart, xi, x0, T_max) for x0 in _quasi_random_angles()]
-    return (float(np.min(avgs)), float(np.max(avgs)))

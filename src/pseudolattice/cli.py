@@ -23,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import plots
-from .detect import DetectionError, gauge_alignment
+from .detect import gauge_alignment
 from .diophantine import DiophantineParams, good_values
 from .models import (
-    ModelError,
     ModelSystem,
     ParameterError,
     action_coords,
@@ -37,7 +36,6 @@ from .models import (
 from .monodromy import (
     VERDICT_TEXT,
     MonodromyClass,
-    MonodromyError,
     classical_monodromy,
     cocycle_check,
     compare_monodromies,
@@ -293,8 +291,8 @@ def _run_verify_all(cfg: RunConfig, out: Path) -> int:
 
     # band containment on the first rectangle
     el0 = elements[0]
-    rect0, sym0 = el0.cloud.rectangle, NormalFormSymbol(el0.action_chart)
-    band = spectral_band(cfg.model, el0.action_chart, rect0.center[0], rect0.half[0], cfg.params, sym0)
+    rect0 = el0.cloud.rectangle
+    band = spectral_band(cfg.model, el0.action_chart, rect0.center[0], rect0.half[0], cfg.params)
     if not np.all((el0.cloud.points.imag >= band[0]) & (el0.cloud.points.imag <= band[1])):
         failures.append("eigenvalues escape the spectral band")
 
@@ -345,7 +343,7 @@ def main(argv=None) -> int:
         if cfg.mode == "monodromy":
             return _run_monodromy(cfg, out)
         return _run_verify_all(cfg, out)
-    except (ModelError, DetectionError, MonodromyError, ValueError) as exc:
+    except ValueError as exc:  # ModelError, DetectionError and MonodromyError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

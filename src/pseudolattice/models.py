@@ -567,14 +567,15 @@ class ChampagneModel(ModelSystem):
         E = np.array(np.broadcast_to(0.3 if seed_E is None else seed_E / b2, l.shape), dtype=float).ravel()
         l, target = np.ravel(l), np.ravel(target) / b32
         lo, al = self.min_energy(l) / b2 + 1e-6, np.abs(l) / b32
-        table = _tabled(lo, al)  # Newton keeps E in [lo, 0.95]
+        table = _tabled(lo, al)
+        top = table[0][-1]  # Newton keeps E in [lo, the table's last E knot]
         todo = np.arange(E.size)
         for _ in range(60):
             Et = E[todo]
             f, df = _cell_eval(table, Et, al[todo], ((0, 0), (1, 0)))
             f = f - target[todo]
             step = np.clip(f / np.maximum(df, 1e-12), -0.2, 0.2)
-            E[todo] = np.clip(Et - step, lo[todo], 0.95)
+            E[todo] = np.clip(Et - step, lo[todo], top)
             todo = todo[np.abs(f) >= 1e-14]
             if todo.size == 0:
                 break
@@ -623,16 +624,6 @@ def make_champagne_model(well_depth: float = 1.0) -> ChampagneModel:
 
 
 @dataclass
-class FrequencyData:
-    """Frequency, rotation number and perturbation-average gradient at xi."""
-
-    omega: np.ndarray
-    rho: float  # projective class of omega, as an angle in [0, pi)
-    d_avg_q: np.ndarray
-    omega_prime_norm: float
-
-
-@dataclass
 class ActionChart:
     """One local action-angle chart around a regular value ``c``.
 
@@ -664,9 +655,6 @@ class ActionChart:
     def d_xi(self, a):
         """Jacobian d(xi)/d(a), vectorized over value points."""
         return self.model.jet(a, shear=self.shear)[1]
-
-    def contains_xi(self, xi, margin: float = 0.0):
-        return self.xi_box.contains(xi, margin=margin)
 
 
 def _chart_radius(model: ModelSystem, c):
@@ -738,16 +726,6 @@ def action_coords(model: ModelSystem, c):
         for i in range(len(cs))
     ]
     return charts if np.ndim(c) == 2 else charts[0]
-
-
-def frequency(chart: ActionChart, xi) -> FrequencyData:
-    """Frequency data at ``xi`` in the chart's action coordinates."""
-    xi = np.asarray(xi, dtype=float)
-    if not np.all(chart.contains_xi(np.atleast_2d(xi), margin=1e-9)):
-        raise ModelError("xi outside chart domain")
-    omega, d_avg, sv = _frequencies_at(chart.model, chart.phi(xi), chart.shear)
-    rho = math.atan2(omega[1], omega[0]) % math.pi
-    return FrequencyData(omega=omega, rho=rho, d_avg_q=d_avg, omega_prime_norm=float(sv))
 
 
 def _frequencies_at(model: ModelSystem, a, shear=0):

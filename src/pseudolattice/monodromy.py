@@ -60,12 +60,16 @@ class TransitionMatrix:
 
 @dataclass
 class MonodromyClass:
+    """A loop's integer product; its normal form and invariants are read
+    off the product (see ``_normal_form``)."""
+
     loop: list
     product: np.ndarray  # 2x2 integer
-    normal_form: np.ndarray
-    invariants: tuple  # (trace, det)
-    parabolic_m: int | None = None  # |m| for (conjugates of) +-[[1,m],[0,1]]
     edges: list = field(default_factory=list)  # TransitionMatrix per loop edge
+
+    normal_form = property(lambda self: _normal_form(self.product)[0])
+    invariants = property(lambda self: _normal_form(self.product)[1])  # (trace, det)
+    parabolic_m = property(lambda self: _normal_form(self.product)[2])  # |m| for (conjugates of) +-[[1,m],[0,1]], else None
 
 
 ROUNDING_TOL = 0.1
@@ -194,8 +198,7 @@ def loop_monodromy(atlas: PseudoChartAtlas, loop) -> MonodromyClass:
     P = np.eye(2, dtype=np.int64)
     for t in edges:
         P = P @ t.M
-    nf, inv, m = _normal_form(P)
-    return MonodromyClass(loop=loop, product=P, normal_form=nf, invariants=inv, parabolic_m=m, edges=edges)
+    return MonodromyClass(loop=loop, product=P, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +286,7 @@ def classical_monodromy(model: ModelSystem, loop_vertices) -> MonodromyClass:
     (a, b), (c, d) = cls.product
     det = a * d - b * c  # +-1, so the integer inverse is exact
     P = det * np.array([[d, -c], [-b, a]], dtype=np.int64)
-    nf, invs, m = _normal_form(P)
-    return MonodromyClass(
-        loop=cls.loop, product=P, normal_form=nf, invariants=invs, parabolic_m=m, edges=cls.edges
-    )
+    return MonodromyClass(loop=cls.loop, product=P, edges=cls.edges)
 
 
 def compare_monodromies(spectral: MonodromyClass, classical: MonodromyClass) -> bool | None:
@@ -301,20 +301,19 @@ def compare_monodromies(spectral: MonodromyClass, classical: MonodromyClass) -> 
     ``[[0, 1], [1, 0]]``, told apart by the gcd of the entries of ``P - I``
     (2 and 1), a conjugacy invariant.  The hyperbolic classes and the other
     det -1 classes need more than (trace, det) and are left undecided.
+    Trace, det, |m| and that gcd do not change under transposition, so the
+    classes' own invariants are compared.
     """
-    A = np.asarray(spectral.product, dtype=np.int64)
-    B = np.asarray(classical.product, dtype=np.int64).T
-    _, inv_a, m_a = _normal_form(A)
-    _, inv_b, m_b = _normal_form(B)
-    if inv_a != inv_b:
+    if spectral.invariants != classical.invariants:
         return False
-    trace, det = inv_a
+    trace, det = spectral.invariants
     if (trace, det) == (0, -1):
         eye = np.eye(2, dtype=np.int64)
-        return bool(np.gcd.reduce((A - eye).ravel()) == np.gcd.reduce((B - eye).ravel()))
+        g_s, g_c = (np.gcd.reduce((c.product - eye).ravel()) for c in (spectral, classical))
+        return bool(g_s == g_c)
     if det != 1 or abs(trace) > 2:
         return None
-    return m_a == m_b
+    return spectral.parabolic_m == classical.parabolic_m
 
 
 VERDICT_TEXT = {True: "true", False: "false", None: "undecided"}

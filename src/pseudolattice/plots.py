@@ -104,34 +104,22 @@ def plot_residuals(hchart) -> str:
     return "\n".join(parts) + "\n"
 
 
-def plot_loop(vertices, centers=None, singular_points=None) -> str:
+def plot_loop(vertices, centers, singular_points) -> str:
     """Loop polygon in the value plane with chart centers and marked
-    singular values."""
-    vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-    all_x = [vertices[:, 0]]
-    all_y = [vertices[:, 1]]
-    if centers is not None:
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        all_x.append(centers[:, 0])
-        all_y.append(centers[:, 1])
-    if singular_points is not None and len(singular_points):
-        sp = np.atleast_2d(np.asarray(singular_points, dtype=float))
-        all_x.append(sp[:, 0])
-        all_y.append(sp[:, 1])
-    frame = _Frame(np.concatenate(all_x), np.concatenate(all_y))
+    singular values (``(n, 2)`` each; there may be no singular values)."""
+    vertices, centers, sp = (np.asarray(p, dtype=float).reshape(-1, 2) for p in (vertices, centers, singular_points))
+    frame = _Frame(*np.concatenate([vertices, centers, sp]).T)
     parts = _svg_open()
     ring = np.vstack([vertices, vertices[:1]])
     d = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (frame(v[0], v[1]) for v in ring))
     parts.append(f'<polyline points="{d}" fill="none" stroke="#808080" stroke-width="1.0"/>')
-    if centers is not None:
-        for c in centers:
-            px, py = frame(c[0], c[1])
-            parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="#2060a0"/>')
-    if singular_points is not None and len(singular_points):
-        for s in np.atleast_2d(np.asarray(singular_points, dtype=float)):
-            px, py = frame(s[0], s[1])
-            parts.append(
-                f'<rect x="{_fmt(px - 4)}" y="{_fmt(py - 4)}" width="8.000" height="8.000" fill="#c03030"/>'
-            )
+    for c in centers:
+        px, py = frame(c[0], c[1])
+        parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="#2060a0"/>')
+    for s in sp:
+        px, py = frame(s[0], s[1])
+        parts.append(
+            f'<rect x="{_fmt(px - 4)}" y="{_fmt(py - 4)}" width="8.000" height="8.000" fill="#c03030"/>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -19,6 +19,7 @@ import numpy as np
 from .models import BLOCK, ActionChart, ModelSystem, ParameterError, Rect
 
 RESOLUTION_GUARD = 10.0  # smallest allowed eps/h separation of scales
+BAND_GRID = 40  # leaves per axis of the action box that spectral_band sweeps
 
 
 @dataclass
@@ -293,24 +294,23 @@ def spectral_band(
     chart: ActionChart,
     E: float,
     delta_E: float,
-    params: SemiclassicalParams | None = None,
+    params: SemiclassicalParams,
     symbol: NormalFormSymbol | None = None,
-    n: int = 40,
 ):
     """Interval containing Im(mu) for eigenvalues with |Re(mu) - E| <= delta_E.
 
     The exact torus averages are swept over the energy leaves inside the
-    chart's action box on an n x n grid; the o(1) widening is taken from the
-    symbol's correction table (plus the noise amplitude) when available.
+    chart's action box on a ``BAND_GRID`` x ``BAND_GRID`` grid; the o(1)
+    widening is the noise amplitude ``h^noise_order``, plus the symbol's
+    correction bound when a symbol is given.
     """
-    xis = chart.xi_box.grid(n)
+    xis = chart.xi_box.grid(BAND_GRID)
     on_leaf = np.abs(chart.p(xis) - E) <= delta_E
     if not np.any(on_leaf):
         raise ValueError("no leaves intersect the requested energy window")
     avgs = model.q_symbol.mean(xis[on_leaf])
-
-    if params is None:  # dimensionless fallback: band in units of eps
-        return (float(avgs.min()), float(avgs.max()))
     eps = params.epsilon
-    margin = 0.0 if symbol is None else symbol.imag_correction_bound(eps, params.h) + params.h**params.noise_order
+    margin = params.h**params.noise_order
+    if symbol is not None:
+        margin = margin + symbol.imag_correction_bound(eps, params.h)
     return (float(eps * avgs.min() - margin), float(eps * avgs.max() + margin))

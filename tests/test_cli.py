@@ -337,15 +337,12 @@ def test_main_undecided_conjugacy_fails(tmp_path, capsys, monkeypatch, mode):
     import dataclasses
 
     import pseudolattice.cli as cli
-    from pseudolattice.monodromy import _normal_form
 
     def with_product(run, P):
-        nf, inv, m = _normal_form(np.array(P))
-
         def wrapped(*args, **kwargs):
             out = run(*args, **kwargs)
             cls = out[0] if isinstance(out, tuple) else out
-            cls = dataclasses.replace(cls, product=np.array(P), normal_form=nf, invariants=inv, parabolic_m=m)
+            cls = dataclasses.replace(cls, product=np.array(P))
             return (cls,) + out[1:] if isinstance(out, tuple) else cls
 
         return wrapped

@@ -8,6 +8,7 @@ import pytest
 from scipy.interpolate import RectBivariateSpline
 
 from pseudolattice import models
+from pseudolattice.averaging import time_average
 from pseudolattice.models import (
     ACTION_GRID,
     BLOCK,
@@ -20,12 +21,12 @@ from pseudolattice.models import (
     _action_table,
     _cell_eval,
     _cell_table,
+    _frequencies_at,
     _radial_action_quad,
     _radial_roots,
     action_coords,
     action_grid,
     chart_to_text,
-    frequency,
     make_champagne_model,
     make_flat_model,
 )
@@ -65,7 +66,8 @@ def test_flat_round_trip():
 def test_flat_omega_matches_analytic():
     m = make_flat_model((1.0, 0.7), "cos_x1")
     xi = np.array([0.15, -0.2])
-    w = frequency(action_coords(m, m.value_from_xi(xi)), xi).omega
+    chart = action_coords(m, m.value_from_xi(xi))
+    w = _frequencies_at(m, chart.phi(xi), chart.shear)[0]
     assert np.allclose(w, m.omega_star + xi, atol=1e-8)
 
 
@@ -433,10 +435,10 @@ def test_frequency_flat_analytic():
     m = make_flat_model((1.0, 0.7), "xi_weighted")
     chart = action_coords(m, np.array([0.25, 0.15]))
     xi = chart.xi_of_c(np.array([0.25, 0.15]))
-    fd = frequency(chart, xi)
-    assert np.allclose(fd.omega, m.omega_star + xi, atol=1e-7)
-    assert np.allclose(fd.d_avg_q, [0.0, 1.0], atol=1e-7)  # <q> = xi_2
-    assert 0.0 <= fd.rho < math.pi
+    omega, d_avg_q, omega_prime = _frequencies_at(m, chart.phi(xi), chart.shear)
+    assert np.allclose(omega, m.omega_star + xi, atol=1e-7)
+    assert np.allclose(d_avg_q, [0.0, 1.0], atol=1e-7)  # <q> = xi_2
+    assert omega_prime == pytest.approx(1.0)  # d omega/d xi is the identity
 
 
 @pytest.mark.parametrize(
@@ -488,10 +490,11 @@ def test_jet_matches_central_differences(factory, shear, values):
 
 
 def test_frequency_outside_chart_raises():
+    # the time average reads the frequency only inside the chart's action box
     m = make_flat_model((1.0, 0.7), "xi_weighted")
     chart = action_coords(m, np.array([0.25, 0.15]))
     with pytest.raises(ModelError):
-        frequency(chart, np.array([5.0, 5.0]))
+        time_average(m, chart, np.array([5.0, 5.0]), np.zeros(2), 10.0)
 
 
 def test_chart_serialization_round_trips_numbers():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -271,6 +272,20 @@ def test_loop_monodromy_product_and_reverse():
         assert rev.parabolic_m == fwd.parabolic_m
 
 
+@pytest.mark.parametrize("P", [[[1, 2], [0, 1]], [[-1, 0], [-3, -1]], [[2, 1], [1, 1]], [[0, 1], [1, 0]]])
+def test_class_reads_its_invariants_off_the_product(P):
+    # the loop's product is the identity; a class given another product
+    # reports that product's normal form
+    atlas = _grid_atlas(UNIMODULAR)
+    atlas.center[-1], atlas.half[-1] = (0.0, 0.0), (1.5, 0.3)
+    cls = loop_monodromy(atlas, [0, 1, 2, 3])
+    assert np.array_equal(cls.normal_form, np.eye(2)) and cls.parabolic_m == 0
+    cls = dataclasses.replace(cls, product=np.array(P, dtype=np.int64))
+    nf, inv, m = _normal_form(cls.product)
+    assert np.array_equal(cls.normal_form, nf)
+    assert (cls.invariants, cls.parabolic_m) == (inv, m)
+
+
 def test_loop_monodromy_empty_and_gap():
     atlas = _grid_atlas(UNIMODULAR, spacing=2.0)
     with pytest.raises(MonodromyError):
@@ -365,8 +380,7 @@ def test_classical_double_winding():
 
 def test_compare_monodromies_cases():
     def mk(P):
-        nf, inv, m = _normal_form(np.asarray(P, dtype=np.int64))
-        return MonodromyClass(loop=[0], product=np.asarray(P, np.int64), normal_form=nf, invariants=inv, parabolic_m=m)
+        return MonodromyClass(loop=[0], product=np.asarray(P, dtype=np.int64))
 
     ident = mk(np.eye(2, dtype=int))
     p1 = mk([[1, 1], [0, 1]])
@@ -411,10 +425,7 @@ def test_compare_monodromies_decided_classes_brute_force():
     trace = P[:, 0, 0] + P[:, 1, 1]
     P = P[((det == 1) & (np.abs(trace) <= 2)) | ((det == -1) & (trace == 0))]
     assert len(P) == 44 + 20
-    cls = []
-    for A in P:
-        nf, inv, m = _normal_form(A)
-        cls.append(MonodromyClass(loop=[0], product=A, normal_form=nf, invariants=inv, parabolic_m=m))
+    cls = [MonodromyClass(loop=[0], product=A) for A in P]
     for a, A in zip(cls, P):
         for b, B in zip(cls, P):
             verdict = compare_monodromies(a, b)

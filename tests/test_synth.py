@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pseudolattice.averaging import torus_average
-from pseudolattice.models import ParameterError, Rect, action_coords, frequency, make_champagne_model, make_flat_model
+from pseudolattice.models import ParameterError, Rect, _frequencies_at, action_coords, make_champagne_model, make_flat_model
 from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
@@ -131,7 +131,7 @@ def _brute_force_labels(chart, sym, rect, params):
     k1, k2 = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij")
     k = np.stack([k1.ravel(), k2.ravel()], axis=-1)
     xi = h * (k - chart.eta / 4.0) - chart.tau_c
-    ok = chart.contains_xi(xi, margin=5 * h)
+    ok = chart.xi_box.contains(xi, margin=5 * h)
     return k[ok][rect.contains(chi_inverse(sym(xi[ok], eps, h), eps))]
 
 
@@ -169,8 +169,7 @@ def test_cloud_spacing(flat_setup):
     cloud = _cloud(sym, a, noise=False)
     k = cloud.k_true
     mu = cloud.points
-    xi_a = chart.xi_of_c(a)
-    omega = frequency(chart, xi_a).omega
+    omega = _frequencies_at(m, chart.phi(chart.xi_of_c(a)), chart.shear)[0]
     # neighbors along the k1 direction on the same row
     order = np.lexsort((k[:, 0], k[:, 1]))
     ks, mus = k[order], mu[order]
@@ -239,13 +238,22 @@ def test_band_constant_q_degenerates():
 
 
 def test_band_xi_weighted_window(flat_setup):
-    # <q> = xi_2: leaves in the window map the band onto eps * (xi_2 range)
+    # <q> = xi_2: leaves in the window map the band onto eps * (xi_2 range),
+    # widened by the noise amplitude
     m, chart, a = flat_setup
-    lo, hi = spectral_band(m, chart, a[0], 0.005)
-    box = chart.xi_box
-    assert lo >= box.center[1] - box.half[1] - 1e-9
-    assert hi <= box.center[1] + box.half[1] + 1e-9
-    assert lo <= a[1] <= hi
+    lo, hi = spectral_band(m, chart, a[0], 0.005, PARAMS)
+    eps, noise, box = PARAMS.epsilon, PARAMS.h**PARAMS.noise_order, chart.xi_box
+    assert lo >= eps * (box.center[1] - box.half[1]) - noise - 1e-12
+    assert hi <= eps * (box.center[1] + box.half[1]) + noise + 1e-12
+    assert lo <= eps * a[1] <= hi
+
+
+def test_band_without_symbol_keeps_the_noise_margin(flat_setup, champ_setup):
+    # every cloud carries h^noise_order noise, symbol or not; a symbol with an
+    # empty table adds a zero correction bound
+    for m, chart, a in (flat_setup, champ_setup):
+        band = spectral_band(m, chart, a[0], 0.005, PARAMS)
+        assert band == spectral_band(m, chart, a[0], 0.005, PARAMS, NormalFormSymbol(chart, {}))
 
 
 def test_band_contains_all_points(flat_setup, champ_setup):
@@ -273,7 +281,7 @@ def test_band_matches_trapezoid_torus_averages(flat_setup, champ_setup):
 def test_band_empty_window_raises(flat_setup):
     m, chart, a = flat_setup
     with pytest.raises(ValueError):
-        spectral_band(m, chart, 99.0, 1e-4)
+        spectral_band(m, chart, 99.0, 1e-4, PARAMS)
 
 
 def test_to_text_with_and_without_labels(flat_setup):
