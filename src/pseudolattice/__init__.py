@@ -22,7 +22,6 @@ from .detect import (
 from .diophantine import (
     DiophantineParams,
     bad_measure_estimate,
-    diophantine_margin,
     good_margin,
     good_values,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "cover_loop",
     "default_higher_coeffs",
     "detect_basis",
-    "diophantine_margin",
     "fit_hchart",
     "gauge_alignment",
     "good_margin",

@@ -253,7 +253,7 @@ def _loop_monodromy(cfg: RunConfig, out: Path):
     classical = classical_monodromy(cfg.model, cfg.vertices)
     (out / "monodromy.txt").write_text(monodromy_report(cls, classical))
     centers = np.array([el.center for el in elements])
-    sing = [p for kind, p in getattr(cfg.model, "singular_values", []) if p is not None]
+    sing = [p for kind, p in cfg.model.singular_values if p is not None]
     (out / "loop.svg").write_text(plots.plot_loop(cfg.vertices, centers, sing))
     return cls, classical, atlas, elements, compare_monodromies(cls, classical)
 

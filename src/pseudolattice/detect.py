@@ -406,20 +406,6 @@ def gauge_alignment(hchart: HChart, chart: ActionChart) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def invert_leading(chart: ActionChart, target, tol: float = 1e-12, max_iter: int = 50):
-    """Solve ``phi(xi) = target`` by Newton iteration, seeded from the grid.
-
-    The Newton matrix ``(d phi/d xi)^-1`` is the chart's ``d xi/d a`` at
-    ``phi(xi)``.
-    """
-    target = np.asarray(target, dtype=float)
-    seeds = chart.grid_values
-    i = int(np.argmin(np.linalg.norm(seeds - target, axis=1)))
-    xi = chart.grid_xi[i].copy()
-    for _ in range(max_iter):
-        a = chart.phi(xi)
-        r = a - target
-        if np.max(np.abs(r)) < tol:
-            return xi
-        xi = xi - chart.d_xi(a) @ r
-    raise DetectionError(f"Newton inversion did not converge in {max_iter} iterations")
+def invert_leading(chart: ActionChart, target):
+    """The ``xi`` with ``phi(xi) = target``: the chart map ``xi_of_c`` at ``target``."""
+    return chart.xi_of_c(target)

@@ -31,23 +31,8 @@ class DiophantineParams:
             raise ParameterError("alpha", f"alpha = {self.alpha} must be positive")
         if not 0.0 < self.d < np.inf:
             raise ParameterError("d", f"d = {self.d} must be positive and finite")
-        if not self.k_max >= 100:
-            raise ParameterError("k_max", f"k_max = {self.k_max} must be at least 100")
-
-
-def diophantine_margin(omega, params: DiophantineParams):
-    """Worst margin ``min_k |<omega,k>| * |k|^(1+d)`` over the truncated sweep.
-
-    Returns ``(margin, k_witness)``; the frequency passes the test iff
-    ``margin >= alpha``.  The witness is the first ``k`` attaining the
-    margin in the order of the sweep (see ``_margins``).  A frequency that
-    is not finite gives a nan margin, which fails every test.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if np.all(omega == 0.0):
-        raise ValueError("omega must be nonzero")
-    margin, witness = _margins(omega[None, :], params)
-    return float(margin[0]), tuple(int(x) for x in witness[0])
+        if not 100 <= self.k_max < 2**24:  # the range where ``_margins`` is exact
+            raise ParameterError("k_max", f"k_max = {self.k_max} out of range [100, 2^24)")
 
 
 # A row whose smallest candidate |<omega, k>| is below this many units of
@@ -111,7 +96,9 @@ def _candidates(ratio, km):
 
 
 def _margins(omegas, params: DiophantineParams):
-    """Vectorized worst margins and witnesses for a batch of frequency vectors.
+    """Worst margins ``min_k |<omega,k>| * |k|^(1+d)`` over the truncated
+    sweep, and their witnesses ``k``, for a batch of frequency vectors; a
+    frequency passes the test iff its margin is ``>= alpha``.
 
     The sweep solves for the component with the larger coefficient ``wb``
     and runs the other, ``x``, from 0 to ``k_max``, taking the two integers
@@ -193,7 +180,7 @@ def good_margin(model: ModelSystem, a, params: DiophantineParams, shear=0) -> np
     """Good-value margin at value points ``a``, with shape ``a.shape[:-1]``.
 
     The smallest of the four clause quantities: the Diophantine margin of
-    the frequency (see ``diophantine_margin``), ``|d<q>/dxi|``, the smallest
+    the frequency (see ``_margins``), ``|d<q>/dxi|``, the smallest
     singular value of ``d omega/d xi`` and the distance to the critical
     values, read off the jet of the chart with ``shear`` (which may be per
     point).  A point is a good value at ``alpha`` iff its margin is

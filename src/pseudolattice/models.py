@@ -116,39 +116,22 @@ class AnglePolynomial:
 class ModelSystem:
     """Base class for integrable reference systems.
 
-    Subclasses provide the perturbation symbol, Maslov indices and the
-    geometry of the momentum-map critical set, plus closed-form (or
-    quadrature-backed) maps between the value plane and action variables and
-    the analytic derivatives of those maps.
+    Subclasses provide the perturbation symbol ``q_symbol``, the Maslov
+    indices ``maslov_eta`` and the critical values ``singular_values``, and
+    the methods ``dist_to_singular(a)``, ``is_regular(a)``,
+    ``xi_from_value(a, shear=0)``, ``value_from_xi(xi, shear=0,
+    seed_E=None)`` and ``jet(a, shear=0)``, vectorized over the leading
+    axes of ``a`` and ``xi``; ``shear`` and the Newton ``seed_E`` may be per
+    point.  ``jet`` returns ``(xi, dxi_da, hess)``: the actions ``xi(a)``,
+    the Jacobian ``d xi / d a`` with shape ``(..., 2, 2)``, and the Hessian
+    of ``p = E`` with respect to ``xi`` (the frequency derivative
+    ``d omega / d xi``), also ``(..., 2, 2)``.
     """
 
     name: str
     q_symbol: AnglePolynomial
     maslov_eta: np.ndarray
-
-    def dist_to_singular(self, a) -> np.ndarray:
-        raise NotImplementedError
-
-    def is_regular(self, a) -> np.ndarray:
-        raise NotImplementedError
-
-    def xi_from_value(self, a, shear=0):
-        raise NotImplementedError
-
-    def value_from_xi(self, xi, shear=0, seed_E=None):
-        raise NotImplementedError
-
-    def jet(self, a, shear=0):
-        """Chart jet at value points ``a`` (vectorized over leading axes).
-
-        ``shear`` here and below, and the Newton ``seed_E``, may be per point.
-
-        Returns ``(xi, dxi_da, hess)``: the actions ``xi(a)``, the Jacobian
-        ``d xi / d a`` with shape ``(..., 2, 2)``, and the Hessian of
-        ``p = E`` with respect to ``xi`` (the frequency derivative
-        ``d omega / d xi``), also ``(..., 2, 2)``.
-        """
-        raise NotImplementedError
+    singular_values: list
 
 
 class FlatModel(ModelSystem):
@@ -545,14 +528,11 @@ class ChampagneModel(ModelSystem):
         # each E-derivative scales by b^-2, each l-derivative by b^-1.5
         return tuple(f * b ** (1.5 - 2.0 * p - 1.5 * q) for f, (p, q) in zip(out, partials))
 
-    def action_xi2(self, E, l, shear=0):
-        """Table-backed xi_2(E, l)."""
-        return self._action_jet(E, l, ((0, 0),))[0] + shear * np.maximum(l, 0.0)
-
     def xi_from_value(self, a, shear=0):
+        """Table-backed ``xi = (l, I_r(E, |l|) + shear * max(l, 0))``."""
         a = np.asarray(a, dtype=float)
         E, l = a[..., 0], a[..., 1]
-        return np.stack([l, self.action_xi2(E, l, shear=shear)], axis=-1)
+        return np.stack([l, self._action_jet(E, l, ((0, 0),))[0] + shear * np.maximum(l, 0.0)], axis=-1)
 
     def value_from_xi(self, xi, shear=0, seed_E=None):
         """Invert the action map: solve I_r(E, l) = xi_2 for E (Newton).
@@ -648,9 +628,6 @@ class ActionChart:
 
     def phi(self, xi):
         return self.model.value_from_xi(xi, shear=self.shear, seed_E=self.c[0])
-
-    def p(self, xi):
-        return self.phi(xi)[..., 0]
 
     def d_xi(self, a):
         """Jacobian d(xi)/d(a), vectorized over value points."""

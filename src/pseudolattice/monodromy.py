@@ -170,6 +170,12 @@ def cocycle_check(atlas: PseudoChartAtlas) -> CocycleReport:
     return CocycleReport(pairs=[t for t in trans if t.i < t.j], triples_checked=checked, violations=violations)
 
 
+def _det(P) -> int:
+    """Exact determinant of a 2 x 2 integer matrix, in Python integers."""
+    (a, b), (c, d) = (map(int, row) for row in P)
+    return a * d - b * c
+
+
 def _normal_form(P: np.ndarray):
     """Canonical representative and invariants of the GL(2,Z) class of P.
 
@@ -179,8 +185,7 @@ def _normal_form(P: np.ndarray):
     classes are reported by (trace, det) with P itself as the representative.
     """
     P = np.asarray(P, dtype=np.int64)
-    tr = int(P[0, 0] + P[1, 1])
-    det = int(round(float(np.linalg.det(P))))
+    tr, det = int(P[0, 0]) + int(P[1, 1]), _det(P)
     if det == 1 and abs(tr) == 2:
         s = tr // 2
         m = int(np.gcd.reduce(np.abs(P - s * np.eye(2, dtype=np.int64)).ravel()))
@@ -284,7 +289,7 @@ def classical_monodromy(model: ModelSystem, loop_vertices) -> MonodromyClass:
     centers = cover_loop(model, loop_vertices)
     cls = loop_monodromy(action_atlas(model, centers), range(len(centers)))
     (a, b), (c, d) = cls.product
-    det = a * d - b * c  # +-1, so the integer inverse is exact
+    det = _det(cls.product)  # +-1, so the integer inverse is exact
     P = det * np.array([[d, -c], [-b, a]], dtype=np.int64)
     return MonodromyClass(loop=cls.loop, product=P, edges=cls.edges)
 
@@ -329,10 +334,7 @@ def _fmt_mat(M) -> str:
     return f"[[{M[0,0]}, {M[0,1]}], [{M[1,0]}, {M[1,1]}]]"
 
 
-def monodromy_report(
-    spectral: MonodromyClass,
-    classical: MonodromyClass | None = None,
-) -> str:
+def monodromy_report(spectral: MonodromyClass, classical: MonodromyClass) -> str:
     """Structured-text report: loop, per-edge transitions, product, verdict."""
     lines = ["[monodromy]", f"loop = {' '.join(str(i) for i in spectral.loop)}"]
     if spectral.edges:
@@ -348,14 +350,10 @@ def monodromy_report(
         f"trace = {spectral.invariants[0]}",
         f"det = {spectral.invariants[1]}",
         f"parabolic_m = {spectral.parabolic_m}",
+        "[classical]",
+        f"product = {_fmt_mat(classical.product)}",
+        f"normal_form = {_fmt_mat(classical.normal_form)}",
+        f"parabolic_m = {classical.parabolic_m}",
+        f"conjugate = {VERDICT_TEXT[compare_monodromies(spectral, classical)]}",
     ]
-    if classical is not None:
-        verdict = compare_monodromies(spectral, classical)
-        lines += [
-            "[classical]",
-            f"product = {_fmt_mat(classical.product)}",
-            f"normal_form = {_fmt_mat(classical.normal_form)}",
-            f"parabolic_m = {classical.parabolic_m}",
-            f"conjugate = {VERDICT_TEXT[verdict]}",
-        ]
     return "\n".join(lines) + "\n"

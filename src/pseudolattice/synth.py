@@ -40,8 +40,8 @@ class SemiclassicalParams:
             raise ParameterError("delta", f"delta = {self.delta} out of range (0, 1)")
         if not self.noise_order >= 1:
             raise ParameterError("noise_order", f"noise_order = {self.noise_order} must be positive")
-        if not self.seed >= 0:
-            raise ParameterError("seed", f"seed = {self.seed} must be a non-negative integer")
+        if not 0 <= self.seed < 2**64:  # the first word of the noise generator's seed
+            raise ParameterError("seed", f"seed = {self.seed} must be a non-negative integer below 2^64")
         if not 1.0 <= self.C0 < np.inf:
             raise ParameterError("C0", f"C0 = {self.C0} out of range [1, inf)")
         if not self.epsilon / self.h >= RESOLUTION_GUARD:
@@ -120,7 +120,8 @@ def _validate_coeffs(table: dict):
 
 @dataclass
 class NormalFormSymbol:
-    """Polynomial symbol with leading term ``p(xi) + i*eps*<q>(xi)``."""
+    """Polynomial symbol with leading term ``p(xi) + i*eps*<q>(xi)``, which
+    is ``chi(phi(xi), eps)``, and the higher corrections of ``correction``."""
 
     chart: ActionChart
     higher_coeffs: dict = field(default_factory=dict)
@@ -134,10 +135,6 @@ class NormalFormSymbol:
         for (a1, a2, j, k), c in self.higher_coeffs.items():
             out = out + c * xi[..., 0] ** a1 * xi[..., 1] ** a2 * eps**j * h**k
         return out
-
-    def __call__(self, xi, eps: float, h: float) -> np.ndarray:
-        a = self.chart.phi(np.asarray(xi, dtype=float))
-        return a[..., 0] + 1j * eps * a[..., 1] + self.correction(xi, eps, h)
 
     def imag_correction_bound(self, eps: float, h: float) -> float:
         """Upper bound on |corrections|, so on |Im| and |Re|, over the chart's action box."""
@@ -258,8 +255,8 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
 def synth_spectrum(symbol, rectangle, params: SemiclassicalParams, noise: bool = True):
     """Enumerate the quantization lattice and keep points in the rectangle.
 
-    ``xi_k = h*(k - eta/4) - tau_c``; ``mu_k = symbol(xi_k)`` plus seeded
-    uniform complex noise of magnitude ``h^noise_order``.
+    ``xi_k = h*(k - eta/4) - tau_c``; ``mu_k`` is the symbol at ``xi_k``
+    plus seeded uniform complex noise of magnitude ``h^noise_order``.
 
     ``symbol`` and ``rectangle`` may be lists over the charts of one model,
     giving a list of clouds; each block of ``_candidates`` is inverted in one
@@ -275,7 +272,7 @@ def synth_spectrum(symbol, rectangle, params: SemiclassicalParams, noise: bool =
         vals = symbols[0].chart.model.value_from_xi(xi, *shear_seed[rect_of].T)  # per-point shear and seed_E
         for i, k, xi_k, a_k in zip(idx, *(np.split(x, np.searchsorted(rect_of, idx[1:])) for x in (labels, xi, vals))):
             sym, rect = symbols[i], rects[i]
-            mu = a_k[:, 0] + 1j * eps * a_k[:, 1] + sym.correction(xi_k, eps, h)  # sym(xi_k, eps, h) at the values a_k
+            mu = chi(a_k, eps) + sym.correction(xi_k, eps, h)
             keep = rect.contains(chi_inverse(mu, eps))
             # labels run k1-major, k2-minor: the canonical order for the noise
             k, mu = k[keep], mu[keep]
@@ -305,7 +302,7 @@ def spectral_band(
     correction bound when a symbol is given.
     """
     xis = chart.xi_box.grid(BAND_GRID)
-    on_leaf = np.abs(chart.p(xis) - E) <= delta_E
+    on_leaf = np.abs(chart.phi(xis)[..., 0] - E) <= delta_E
     if not np.any(on_leaf):
         raise ValueError("no leaves intersect the requested energy window")
     avgs = model.q_symbol.mean(xis[on_leaf])

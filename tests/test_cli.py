@@ -220,6 +220,8 @@ _CHAMPAGNE = CHAMPAGNE_SYNTH.format(center="0.3 0.02")
         (FLAT_SYNTH, "delta = 0.5", "delta = 0.5\nC0 = nan", "C0"),
         (FLAT_LOOP, "delta = 0.5", "delta = 0.5\nC0 = inf", "C0"),
         (FLAT_SYNTH, "h = 1e-3", "h = 1e-3%", "h"),
+        (FLAT_SYNTH, "seed = 7", "seed = 18446744073709551616", "seed"),
+        (FLAT_SYNTH, "[run]", "[diophantine]\nk_max = 16777216\n\n[run]", "k_max"),
     ],
     ids=[
         "C0-zero",
@@ -243,6 +245,8 @@ _CHAMPAGNE = CHAMPAGNE_SYNTH.format(center="0.3 0.02")
         "C0-nan",
         "C0-inf",
         "h-percent",
+        "seed-2^64",
+        "k_max-2^24",
     ],
 )
 def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):
@@ -284,6 +288,16 @@ def test_main_negative_seed_option_exit_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", path, "--out", str(out), "--seed", "-3"]) == 2
     assert "error: --seed: seed = -3 must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_seed_option_past_64_bits_exit_2(tmp_path, capsys):
+    # the noise generator takes a 64-bit seed; a larger one used to end in an
+    # OverflowError traceback from np.uint64
+    path = _write(tmp_path, FLAT_SYNTH)
+    out = tmp_path / "o"
+    assert main(["run", path, "--out", str(out), "--seed", str(2**64)]) == 2
+    assert f"error: --seed: seed = {2**64} must be a non-negative integer below 2^64" in capsys.readouterr().err
     assert not out.exists()
 
 

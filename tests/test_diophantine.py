@@ -9,7 +9,6 @@ from pseudolattice.diophantine import (
     DiophantineParams,
     _margins,
     bad_measure_estimate,
-    diophantine_margin,
     good_margin,
     good_values,
 )
@@ -17,6 +16,12 @@ from pseudolattice.models import BLOCK, GOLDEN, _frequencies_at, action_coords, 
 from pseudolattice.monodromy import MonodromyError
 from pseudolattice.pipeline import _cover, _nearest_good, spectral_chart_at
 from pseudolattice.synth import SemiclassicalParams, good_rectangle
+
+
+def margin_of(omega, params):
+    """The ``_margins`` margin and witness of one frequency."""
+    margin, witness = _margins(np.asarray(omega, dtype=float)[None, :], params)
+    return float(margin[0]), tuple(int(x) for x in witness[0])
 
 
 def brute_margin(omega, params):
@@ -84,6 +89,10 @@ def test_params_validation():
         DiophantineParams(alpha=0.1, d=-1.0)
     with pytest.raises(ValueError):
         DiophantineParams(alpha=0.1, k_max=10)
+    with pytest.raises(ValueError, match="^k_max = ") as exc:
+        DiophantineParams(alpha=0.1, k_max=2**24)  # past the range where _margins is exact
+    assert exc.value.key == "k_max"
+    assert DiophantineParams(alpha=0.1, k_max=2**24 - 1).k_max == 2**24 - 1
 
 
 @pytest.mark.parametrize(
@@ -205,35 +214,30 @@ def test_zero_and_non_finite_rows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         margins, witness = _margins(omegas, params)
-        assert math.isnan(diophantine_margin((np.nan, 1.0), params)[0])
+        assert math.isnan(margin_of((np.nan, 1.0), params)[0])
     assert margins[0] == 0.0 and tuple(witness[0]) == (0, 1)
     assert np.all(np.isnan(margins[1:4])) and np.all(witness[1:4] == 0)
     assert not np.any(margins[1:4] >= params.alpha)
-    assert margins[4] == diophantine_margin((1.0, GOLDEN), params)[0] > 0.0
+    assert margins[4] == margin_of((1.0, GOLDEN), params)[0] > 0.0
 
 
 def test_resonant_frequency_detected():
     params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
-    margin, k = diophantine_margin((1.0, 2.0), params)
+    margin, k = margin_of((1.0, 2.0), params)
     assert margin == pytest.approx(0.0, abs=1e-12)
     assert abs(k[0] * 1.0 + k[1] * 2.0) < 1e-12
-    margin_axis, k_axis = diophantine_margin((0.0, 1.0), params)
+    margin_axis, k_axis = margin_of((0.0, 1.0), params)
     assert margin_axis == 0.0 and k_axis == (1, 0)
-    margin_axis, k_axis = diophantine_margin((1.0, 0.0), params)
+    margin_axis, k_axis = margin_of((1.0, 0.0), params)
     assert margin_axis == 0.0 and k_axis == (0, 1)
 
 
 def test_golden_ratio_is_diophantine():
     params = DiophantineParams(alpha=0.5, d=1.0, k_max=10_000)
-    margin, _ = diophantine_margin((1.0, GOLDEN), params)
+    margin, _ = margin_of((1.0, GOLDEN), params)
     assert margin == pytest.approx(1.0, abs=1e-12)  # minimized at k = (1, 0)
     assert margin >= params.alpha
-    assert diophantine_margin((1.0, 0.5), params)[0] < params.alpha
-
-
-def test_zero_frequency_rejected():
-    with pytest.raises(ValueError):
-        diophantine_margin((0.0, 0.0), DiophantineParams(alpha=0.1))
+    assert margin_of((1.0, 0.5), params)[0] < params.alpha
 
 
 def test_good_values_flat_chart():

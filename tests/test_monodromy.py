@@ -257,6 +257,16 @@ def test_normal_form_non_parabolic():
     assert np.array_equal(nf, P)
 
 
+def test_invariants_are_exact_for_large_entries():
+    # the det 1 Fibonacci product [[F41, F40], [F40, F39]] has 27-bit
+    # entries; its determinant in floating point reads 0
+    F = [0, 1]
+    while len(F) < 42:
+        F.append(F[-1] + F[-2])
+    P = np.array([[F[41], F[40]], [F[40], F[39]]], dtype=np.int64)
+    assert MonodromyClass(loop=[0], product=P).invariants == (F[41] + F[39], 1)
+
+
 def test_loop_monodromy_product_and_reverse():
     atlas = _grid_atlas(UNIMODULAR)
     # fold the row into a cycle by making the last chart overlap the first

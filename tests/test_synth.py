@@ -8,6 +8,7 @@ from pseudolattice.models import ParameterError, Rect, _frequencies_at, action_c
 from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
+    chi,
     chi_inverse,
     default_higher_coeffs,
     good_rectangle,
@@ -16,6 +17,11 @@ from pseudolattice.synth import (
 )
 
 PARAMS = SemiclassicalParams(h=1e-3, delta=0.5, noise_order=3, seed=42)
+
+
+def _symbol(sym, xi, eps, h):
+    """The full symbol at the actions ``xi``: the leading term ``chi(phi(xi))`` plus the corrections."""
+    return chi(sym.chart.phi(xi), eps) + sym.correction(xi, eps, h)
 
 
 def _cloud(sym, a, params=PARAMS, noise=True):
@@ -60,11 +66,12 @@ def test_params_validation():
         ({"h": 0.1, "delta": 0.9}, "delta"),  # eps/h = h^(delta - 1) = 1.26
         ({"h": 1e-3, "delta": 0.5, "noise_order": 0}, "noise_order"),
         ({"h": 1e-3, "delta": 0.5, "seed": -1}, "seed"),
+        ({"h": 1e-3, "delta": 0.5, "seed": 2**64}, "seed"),  # np.uint64 overflows in the noise seed
         ({"h": 1e-3, "delta": 0.5, "C0": float("nan")}, "C0"),
         ({"h": 1e-3, "delta": 0.5, "C0": 0.5}, "C0"),
         ({"h": 1e-3, "delta": 0.5, "C0": float("inf")}, "C0"),
     ],
-    ids=["h-nan", "delta-nan", "scales-not-separated", "noise_order-zero", "seed-negative", "C0-nan", "C0-half", "C0-inf"],
+    ids=["h-nan", "delta-nan", "scales-not-separated", "noise_order-zero", "seed-negative", "seed-2^64", "C0-nan", "C0-half", "C0-inf"],
 )
 def test_params_errors_name_their_key(kwargs, key):
     with pytest.raises(ValueError, match=key) as exc:
@@ -117,7 +124,7 @@ def test_symbol_real_at_eps_zero(flat_setup):
     _, chart, _ = flat_setup
     sym = NormalFormSymbol(chart, default_higher_coeffs())
     xi = chart.grid_xi[:5]
-    vals = sym(xi, 0.0, PARAMS.h)
+    vals = _symbol(sym, xi, 0.0, PARAMS.h)
     assert np.max(np.abs(vals.imag)) == 0.0
 
 
@@ -132,7 +139,7 @@ def _brute_force_labels(chart, sym, rect, params):
     k = np.stack([k1.ravel(), k2.ravel()], axis=-1)
     xi = h * (k - chart.eta / 4.0) - chart.tau_c
     ok = chart.xi_box.contains(xi, margin=5 * h)
-    return k[ok][rect.contains(chi_inverse(sym(xi[ok], eps, h), eps))]
+    return k[ok][rect.contains(chi_inverse(_symbol(sym, xi[ok], eps, h), eps))]
 
 
 def test_exact_cloud_count_matches_brute_force(flat_setup, champ_setup):
@@ -270,7 +277,7 @@ def test_band_matches_trapezoid_torus_averages(flat_setup, champ_setup):
         sym = NormalFormSymbol(chart, default_higher_coeffs())
         hw = PARAMS.h**PARAMS.delta / 2.0
         xis = chart.xi_box.grid(40)
-        on_leaf = np.abs(chart.p(xis) - a[0]) <= hw
+        on_leaf = np.abs(chart.phi(xis)[..., 0] - a[0]) <= hw
         avgs = np.array([torus_average(m, chart, xi) for xi in xis[on_leaf]])
         margin = sym.imag_correction_bound(PARAMS.epsilon, PARAMS.h) + PARAMS.h**PARAMS.noise_order
         lo, hi = spectral_band(m, chart, a[0], hw, PARAMS, sym)
