@@ -5,11 +5,13 @@ rescaled by ``chi^{-1}`` into the value plane, where the rectangle lives;
 :func:`fit_hchart` rescales the cloud once and every step works on the
 rescaled points.  Detection proceeds in three steps: estimate a local
 lattice basis from the difference vectors of the points around an anchor,
-unwind integer labels outward from that anchor (refitting a quadratic map
-each round so smooth curvature never accumulates), and least-squares fit
-the chart map ``f`` sending points to ``h`` times their labels.  The
-leading term of the fitted map is gauge-aligned against a reference action
-chart by :func:`gauge_alignment`.
+label the points near the anchor by rounding in that basis and the rest of
+the cloud by two predictions of a quadratic map fitted to the labels so far
+(so smooth curvature never accumulates), and least-squares fit the chart
+map ``f`` sending points to ``h`` times their labels.  The predictions and
+the chart fit share one feature matrix.  The leading term of the fitted map
+is gauge-aligned against a reference action chart by
+:func:`gauge_alignment`.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ def _gauss_reduce(b1, b2):
 
 
 # Points nearest the anchor that the basis is estimated from.  The basis only
-# has to be right near the anchor: labels grow outward from there and the
-# quadratic refit of each growth round absorbs the curvature further out.
+# has to be right near the anchor: it seeds the labels there, and the
+# quadratic predictions absorb the curvature further out.
 BASIS_PATCH = 30
 PATCH_PAIRS = np.triu_indices(BASIS_PATCH, 1)  # built once; smaller clouds build their own
 
@@ -164,96 +166,59 @@ MAX_UNLABELED = 0.01  # largest fraction of a cloud left without a label
 RESIDUAL_LIMIT = 0.05  # largest chart-fit residual, in units of h
 
 
-def label_lattice(u, basis, anchor):
-    """Integer labels of the rescaled cloud ``u`` by breadth-first unwinding
-    from the point nearest ``anchor``; returns ``(labels, labeled)``, the
-    ``(n, 2)`` labels (undefined where not labeled) and the labeled mask.
+def _near_integer(k):
+    """The rows of ``k`` rounded, and which lie within 0.25 of them in both coordinates."""
+    kr = np.rint(k)
+    r = np.abs(k - kr)
+    return kr, np.maximum(r[:, 0], r[:, 1]) <= 0.25
 
-    A quadratic map from rescaled points to label space is refit on every
-    growth round, so the acceptance test for a new point always uses the
-    locally correct basis.  Conflicts (a refit that disagrees with an
-    already-assigned label) reject the rectangle.
 
-    Each round takes the points within a radius of the first labeled point,
-    so with the cloud sorted by that distance its points are a prefix.  The
-    refit solves normal equations accumulated over the newly labeled points;
-    only the labels reach the chart fit, which makes its own least squares.
+def label_lattice(u, basis, anchor, X=None):
+    """Integer labels of the rescaled cloud ``u``, counted from the point
+    ``u0`` nearest ``anchor``; returns ``(labels, labeled)``, the ``(n, 2)``
+    labels (0 where not labeled) and the labeled mask.
+
+    The seed rounds the points within 4.5 basis lengths of ``u0`` in the
+    basis, where chart curvature is negligible.  Two predictions follow:
+    each fits a quadratic map to the labeled points, checks it against their
+    labels and labels every point it sends near an integer.  ``X`` holds the
+    :func:`_features` of ``u`` in any rescaled coordinates, so the chart fit
+    can share them (by default, about ``anchor`` by half the cloud's extent).
     """
     n = len(u)
-    b1, b2 = basis
-    Binv = np.linalg.inv(np.column_stack([b1, b2]))
+    u0 = u[np.argmin(_row_norm(u - anchor))]
+    near = np.flatnonzero(_row_norm(u - u0) <= 4.5 * max(map(np.linalg.norm, basis)))
+    kr, ok = _near_integer((u[near] - u0) @ np.linalg.inv(np.column_stack(basis)).T)
+    labels, labeled = np.zeros((n, 2)), np.zeros(n, dtype=bool)
+    labels[near[ok]], labeled[near[ok]] = kr[ok], True
+    if np.count_nonzero(labeled) >= 8:
+        if X is None:
+            X = _features((u - anchor) / (np.maximum(np.ptp(u, axis=0), 1e-300) / 2.0))
+        for _ in range(2):
+            Xl, kl = X[labeled], labels[labeled]
+            XtX = Xl.T @ Xl
+            if len(kl) >= 12 and np.linalg.cond(XtX) < 1e8:
+                # far inside full rank: least squares would find rank 6 here
+                C = np.linalg.solve(XtX, Xl.T @ kl)
+            else:
+                C, _, rank, _ = np.linalg.lstsq(Xl, kl, rcond=None)
+                if rank < X.shape[1] and len(kl) >= 12:
+                    raise DetectionError("labeling fit is rank deficient")
+            kr, ok = _near_integer(X @ C)
+            if np.any(kr[labeled] != kl):
+                raise DetectionError("label conflict: refit disagrees with assigned labels")
+            new = ok & ~labeled
+            labels[new], labeled[new] = kr[new], True
 
-    i0 = int(np.argmin(_row_norm(u - anchor)))
-    u0 = u[i0]
-    d0 = _row_norm(u - u0)
-    order = np.argsort(d0)
-    d0, us = d0[order], u[order]
-
-    labels = np.zeros((n, 2), dtype=np.int64)
-    labeled = np.zeros(n, dtype=bool)
-    labeled[0] = True  # u0, or an exact copy of it, which the seed labels 0 too
-
-    # seed: direct rounding in the constant basis close to the anchor,
-    # where chart curvature is negligible
-    seed_r = 4.5 * max(np.linalg.norm(b1), np.linalg.norm(b2))
-    kf = (us[: np.searchsorted(d0, seed_r, side="right")] - u0) @ Binv.T
-    kr = np.rint(kf)
-    r = np.abs(kf - kr)
-    new = np.flatnonzero(np.maximum(r[:, 0], r[:, 1]) <= 0.25)
-    knew = kr[new]
-    labels[new] = knew
-    labeled[new] = True
-
-    # grow outward, refitting the quadratic map each round
-    scale = np.maximum([np.ptp(u[:, 0]), np.ptp(u[:, 1])], 1e-300) / 2.0
-    X = _features((us - u0) / scale)
-    XtX, Xtk = np.zeros((6, 6)), np.zeros((6, 2))
-    count, last = int(labeled.sum()), int(np.flatnonzero(labeled)[-1])
-    for _ in range(200):
-        # the points labeled last round (the seed, in the first) join the normal equations
-        Xn = X[new]
-        XtX += Xn.T @ Xn
-        Xtk += Xn.T @ knew
-        if count < 8:
-            break
-        if count >= 12 and np.linalg.cond(XtX) < 1e8:
-            # far inside full rank: least squares would find rank 6 here
-            C = np.linalg.solve(XtX, Xtk)
-        else:
-            C, _, rank, _ = np.linalg.lstsq(X[labeled], labels[labeled].astype(float), rcond=None)
-            if rank < X.shape[1] and count >= 12:
-                raise DetectionError("labeling fit is rank deficient")
-        r_max = 1.6 * d0[last] + seed_r
-        m = np.searchsorted(d0, r_max, side="right")
-        pred = X[:m] @ C
-        # consistency on already-labeled points, all of which lie in the prefix
-        done = labeled[:m]
-        if np.any(np.rint(pred[done]) != labels[:m][done]):
-            raise DetectionError("label conflict: refit disagrees with assigned labels")
-        cand = np.flatnonzero(~done)
-        if not cand.size:
-            break
-        kr = np.rint(pred[cand])
-        r = np.abs(pred[cand] - kr)
-        ok = np.maximum(r[:, 0], r[:, 1]) <= 0.25
-        if not np.any(ok):
-            break
-        new, knew = cand[ok], kr[ok]
-        labels[new] = knew
-        labeled[new] = True
-        count, last = count + len(new), max(last, int(new[-1]))
-
-    if count < n:
-        frac = 1.0 - count / n
-        if frac > MAX_UNLABELED:
-            raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {MAX_UNLABELED}")
+    frac = 1.0 - np.count_nonzero(labeled) / n
+    if frac > MAX_UNLABELED:
+        raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {MAX_UNLABELED}")
+    labels = labels.astype(np.int64)
     # injectivity: one int64 key per label (labels are far below 2^31)
     key = np.sort(((labels[:, 0] << 32) + labels[:, 1])[labeled])
     if np.any(key[1:] == key[:-1]):
         raise DetectionError("label conflict: duplicate integer labels")
-    out_labels, out_labeled = np.empty_like(labels), np.empty_like(labeled)
-    out_labels[order], out_labeled[order] = labels, labeled
-    return out_labels, out_labeled
+    return labels, labeled
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +316,13 @@ def fit_hchart(cloud: SpectrumCloud) -> HChart:
     rect = cloud.rectangle
     u = chi_inverse(cloud.points, eps)
     basis = detect_basis(u, rect.center)
-    labels, m = label_lattice(u, basis, rect.center)
+    X = _features((u - rect.center) / rect.half)  # shared by labeling and fit
+    labels, m = label_lattice(u, basis, rect.center, X)
+    labeled_fraction = float(np.mean(m))
+    if labeled_fraction < 1.0:
+        u, labels, X = u[m], labels[m], X[m]
 
-    X = _features((u[m] - rect.center) / rect.half)
-    target = h * labels[m].astype(float)
+    target = h * labels.astype(float)
     C, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)
     if rank < X.shape[1]:
         raise DetectionError("chart fit is rank deficient")
@@ -372,13 +340,13 @@ def fit_hchart(cloud: SpectrumCloud) -> HChart:
         rectangle=rect,
         h=h,
         epsilon=eps,
-        u=u[m],
-        labels=labels[m],
+        u=u,
+        labels=labels,
         residuals=residuals,
         basis=basis,
         coeffs=C,
         affine=affine,
-        labeled_fraction=float(np.mean(m)),
+        labeled_fraction=labeled_fraction,
     )
 
 

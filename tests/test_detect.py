@@ -21,7 +21,9 @@ from pseudolattice.detect import (
     invert_leading,
     label_lattice,
 )
+from pseudolattice.diophantine import DiophantineParams
 from pseudolattice.models import Rect, action_coords, make_champagne_model, make_flat_model
+from pseudolattice.pipeline import _cover, spectral_chart_at
 from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
@@ -242,7 +244,7 @@ def test_label_conflict_detected_negative_labels(flat_cloud):
 def _label_lattice_reference(u, basis, anchor):
     """``label_lattice`` as first written: a full least-squares refit and a
     prediction over every point per growth round, and a lexsort for
-    distinct labels.  Kept as the reference the sorted-prefix growth must match."""
+    distinct labels.  Kept as the reference the seed and two predictions must match."""
     n = len(u)
     b1, b2 = basis
     Binv = np.linalg.inv(np.column_stack([b1, b2]))
@@ -308,6 +310,7 @@ def _assert_labels_match_reference(u, basis, anchor):
     if isinstance(want, str):
         assert got == want
     else:
+        assert not isinstance(got, str), got
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     return want
 
@@ -376,16 +379,67 @@ def test_fit_hchart_accepts_and_reports(flat_cloud, flat_setup):
     assert np.max(np.linalg.norm(pred - hc.h * hc.labels, axis=1)) <= 0.05 * hc.h
 
 
+def _cubic_lattice(amplitude, h=1e-3):
+    """A 25 x 25 square lattice under a smooth cubic deformation of the given
+    amplitude in units of ``h``: the cloud, its rescaled points and anchor."""
+    cloud = _square_lattice_cloud(h=h, n=25)
+    u, anchor = _rescaled(cloud)
+    u = u + amplitude * h * ((u - anchor) / (12.5 * h))[:, ::-1] ** 3
+    return SpectrumCloud(chi(u, cloud.params.epsilon), None, cloud.params, cloud.rectangle), u, anchor
+
+
+@pytest.mark.parametrize("amplitude", [0.05, 0.3])
+def test_label_lattice_matches_reference_cubic_lattice(amplitude):
+    # a fit to the seed alone, predicting once, leaves 4 % of this cloud
+    # unlabeled at amplitude 0.3; the second prediction labels it in full
+    _, u, anchor = _cubic_lattice(amplitude)
+    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), anchor)
+    assert np.all(labeled)
+
+
+def test_fit_hchart_partial_labeling():
+    # points at the centers of five lattice cells stay unlabeled (5 of 630,
+    # under MAX_UNLABELED); the fit is least squares over the labeled points
+    h = 1e-3
+    cloud = _square_lattice_cloud(h=h, n=25)
+    u, anchor = _rescaled(cloud)
+    u = np.concatenate([u, u[:5] + 0.5 * h])
+    partial = SpectrumCloud(chi(u, cloud.params.epsilon), None, cloud.params, cloud.rectangle)
+    hc = fit_hchart(partial)
+    u, rect = chi_inverse(partial.points, cloud.params.epsilon), cloud.rectangle
+    labels, m = label_lattice(u, detect_basis(u, anchor), anchor)
+    assert np.count_nonzero(~m) == 5 and hc.labeled_fraction == float(np.mean(m)) == 625 / 630
+    X = _features((u[m] - rect.center) / rect.half)
+    target = h * labels[m].astype(float)
+    C = np.linalg.lstsq(X, target, rcond=None)[0]
+    assert hc.u.tobytes() == u[m].tobytes()
+    assert hc.labels.tobytes() == labels[m].tobytes()
+    assert hc.coeffs.tobytes() == C.tobytes()
+    assert hc.residuals.tobytes() == (_row_norm(X @ C - target) / h).tobytes()
+
+
+def test_label_lattice_matches_reference_on_a_loop(flat_setup):
+    # every cloud of the acceptance flat square at seed 0: the labels the
+    # chart fits use, and label_lattice's own, are the reference's
+    model = flat_setup[0]
+    params = SemiclassicalParams(h=1e-3, delta=0.5, noise_order=3, seed=0)
+    dio = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
+    loop = np.array([(0.30, 0.10), (0.42, 0.10), (0.42, 0.22), (0.30, 0.22)])
+    elements = spectral_chart_at(model, _cover(model, loop, params), params, dio)
+    assert len(elements) == 76
+    for el in elements:
+        u, anchor = _rescaled(el.cloud)
+        labels, labeled = _assert_labels_match_reference(u, el.hchart.basis, anchor)
+        assert np.all(labeled) and el.hchart.labeled_fraction == 1.0
+        assert np.array_equal(el.hchart.labels, labels)
+
+
 @pytest.mark.parametrize("amplitude, accepted", [(0.05, True), (0.3, False)])
 def test_fit_hchart_residual_limit(amplitude, accepted):
     # a smooth cubic deformation of the square lattice that still labels in
     # full; a quadratic chart leaves about 0.45 of its amplitude as residual
-    h = 1e-3
-    cloud = _square_lattice_cloud(h=h, n=25)
-    u, anchor = _rescaled(cloud)
-    u = u + amplitude * h * ((u - anchor) / (12.5 * h))[:, ::-1] ** 3
+    deformed, u, anchor = _cubic_lattice(amplitude)
     assert np.all(label_lattice(u, detect_basis(u, anchor), anchor)[1])
-    deformed = SpectrumCloud(chi(u, cloud.params.epsilon), None, cloud.params, cloud.rectangle)
     if accepted:
         assert fit_hchart(deformed).max_residual() <= RESIDUAL_LIMIT
     else:
