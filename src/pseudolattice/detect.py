@@ -173,27 +173,31 @@ def _near_integer(k):
     return kr, np.maximum(r[:, 0], r[:, 1]) <= 0.25
 
 
-def label_lattice(u, basis, anchor, X=None):
+def label_lattice(u, basis, rect: Rect):
     """Integer labels of the rescaled cloud ``u``, counted from the point
-    ``u0`` nearest ``anchor``; returns ``(labels, labeled)``, the ``(n, 2)``
-    labels (0 where not labeled) and the labeled mask.
+    ``u0`` nearest the center of ``rect``; returns ``(labels, labeled, X)``,
+    the ``(n, 2)`` labels (0 where not labeled), the labeled mask and the
+    :func:`_features` of ``u`` centered and scaled by ``rect``, which the
+    chart fit reuses.
 
     The seed rounds the points within 4.5 basis lengths of ``u0`` in the
     basis, where chart curvature is negligible.  Two predictions follow:
     each fits a quadratic map to the labeled points, checks it against their
-    labels and labels every point it sends near an integer.  ``X`` holds the
-    :func:`_features` of ``u`` in any rescaled coordinates, so the chart fit
-    can share them (by default, about ``anchor`` by half the cloud's extent).
+    labels and labels every point it sends near an integer.  This gives the
+    labels of a region grown round by round on every cloud whose chart
+    passes ``RESIDUAL_LIMIT`` that was checked, up to 199 lattice spacings
+    in half-width.  A cloud too curved for a quadratic chart can lose labels
+    that growth would find; where that was seen, growth's chart failed the
+    residual limit too.
     """
     n = len(u)
-    u0 = u[np.argmin(_row_norm(u - anchor))]
+    u0 = u[np.argmin(_row_norm(u - rect.center))]
     near = np.flatnonzero(_row_norm(u - u0) <= 4.5 * max(map(np.linalg.norm, basis)))
     kr, ok = _near_integer((u[near] - u0) @ np.linalg.inv(np.column_stack(basis)).T)
     labels, labeled = np.zeros((n, 2)), np.zeros(n, dtype=bool)
     labels[near[ok]], labeled[near[ok]] = kr[ok], True
+    X = _features((u - rect.center) / rect.half)
     if np.count_nonzero(labeled) >= 8:
-        if X is None:
-            X = _features((u - anchor) / (np.maximum(np.ptp(u, axis=0), 1e-300) / 2.0))
         for _ in range(2):
             Xl, kl = X[labeled], labels[labeled]
             XtX = Xl.T @ Xl
@@ -218,7 +222,7 @@ def label_lattice(u, basis, anchor, X=None):
     key = np.sort(((labels[:, 0] << 32) + labels[:, 1])[labeled])
     if np.any(key[1:] == key[:-1]):
         raise DetectionError("label conflict: duplicate integer labels")
-    return labels, labeled
+    return labels, labeled, X
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +320,8 @@ def fit_hchart(cloud: SpectrumCloud) -> HChart:
     rect = cloud.rectangle
     u = chi_inverse(cloud.points, eps)
     basis = detect_basis(u, rect.center)
-    X = _features((u - rect.center) / rect.half)  # shared by labeling and fit
-    labels, m = label_lattice(u, basis, rect.center, X)
-    labeled_fraction = float(np.mean(m))
-    if labeled_fraction < 1.0:
-        u, labels, X = u[m], labels[m], X[m]
+    labels, m, X = label_lattice(u, basis, rect)
+    u, labels, X = u[m], labels[m], X[m]
 
     target = h * labels.astype(float)
     C, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)
@@ -346,7 +347,7 @@ def fit_hchart(cloud: SpectrumCloud) -> HChart:
         basis=basis,
         coeffs=C,
         affine=affine,
-        labeled_fraction=labeled_fraction,
+        labeled_fraction=float(np.mean(m)),
     )
 
 

@@ -362,20 +362,6 @@ def _cell_table(x, y, vals):
     return x, y, np.ascontiguousarray(C)
 
 
-def _cell_index(knots, x):
-    """``knots[1:-1].searchsorted(x, "right")`` for ``x`` clamped to the
-    knots: the cell of the mean knot spacing, moved one knot at a time until
-    it holds ``x``.  On a uniform grid that takes at most one move."""
-    last = len(knots) - 2
-    # fmin sends NaN to the last cell, where searchsorted puts it
-    i = np.fmin((x - knots[0]) * ((last + 1) / (knots[-1] - knots[0])), last).astype(np.intp)
-    while True:
-        down, up = (x < knots[i]) & (i > 0), (x >= knots[i + 1]) & (i < last)
-        if not (down.any() or up.any()):
-            return i
-        i = i - down + up
-
-
 # (x order, y order) of the partials ``_cell_eval`` returns by default
 PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
@@ -394,7 +380,8 @@ def _cell_eval(table, x, y, partials=PARTIALS):
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     xf = np.minimum(np.maximum(x.ravel(), xb[0]), xb[-1])
     yf = np.minimum(np.maximum(y.ravel(), yb[0]), yb[-1])
-    i, j = _cell_index(xb, xf), _cell_index(yb, yf)
+    i = xb[1:-1].searchsorted(xf, "right")
+    j = yb[1:-1].searchsorted(yf, "right")
     # the cells' coefficients gathered point-last, so that every Horner step
     # below runs over contiguous rows
     c = np.take(C.reshape(16, -1), i * C.shape[3] + j, axis=1).reshape(4, 4, -1)

@@ -184,7 +184,7 @@ def test_basis_ignores_points_far_from_anchor(flat_cloud):
 def test_labels_perfect_lattice_zero_residual():
     cloud = _square_lattice_cloud()
     u, anchor = _rescaled(cloud)
-    _, labeled = label_lattice(u, detect_basis(u, anchor), anchor)
+    _, labeled, _ = label_lattice(u, detect_basis(u, anchor), cloud.rectangle)
     assert np.all(labeled)
     assert np.max(fit_hchart(cloud).residuals) < 1e-9
 
@@ -203,7 +203,7 @@ def _gauge_between(k_a, k_b):
 
 def test_labels_match_k_true_up_to_gauge(flat_cloud):
     u, anchor = _rescaled(flat_cloud)
-    labels, labeled = label_lattice(u, detect_basis(u, anchor), anchor)
+    labels, labeled, _ = label_lattice(u, detect_basis(u, anchor), flat_cloud.rectangle)
     assert np.all(labeled)
     M, c, exact = _gauge_between(flat_cloud.k_true, labels)
     assert exact
@@ -213,8 +213,9 @@ def test_labels_match_k_true_up_to_gauge(flat_cloud):
 def test_label_gauge_freedom_between_anchors(flat_cloud):
     u, anchor = _rescaled(flat_cloud)
     basis = detect_basis(u, anchor)
-    labels1, _ = label_lattice(u, basis, anchor)
-    labels2, _ = label_lattice(u, basis, anchor + [0.6 * flat_cloud.rectangle.half[0], 0.0])
+    rect = flat_cloud.rectangle
+    labels1 = label_lattice(u, basis, rect)[0]
+    labels2 = label_lattice(u, basis, Rect(anchor + [0.6 * rect.half[0], 0.0], rect.half))[0]
     M, c, exact = _gauge_between(labels1, labels2)
     assert exact
 
@@ -226,19 +227,19 @@ def test_label_conflict_detected(flat_cloud):
     # position so any consistent labeling must assign duplicate labels
     u[-1] = u[0] + [1e-9, 0.0]
     with pytest.raises(DetectionError, match="duplicate integer labels"):
-        label_lattice(u, basis, anchor)
+        label_lattice(u, basis, flat_cloud.rectangle)
 
 
 def test_label_conflict_detected_negative_labels(flat_cloud):
     # the duplicated label is negative on both axes relative to the anchor
     u, anchor = _rescaled(flat_cloud)
     basis = detect_basis(u, anchor)
-    k, _ = label_lattice(u, basis, anchor)
+    k = label_lattice(u, basis, flat_cloud.rectangle)[0]
     neg = np.flatnonzero((k[:, 0] < 0) & (k[:, 1] < 0))
     i, j = neg[np.argmin(k[neg].sum(axis=1))], neg[np.argmax(k[neg].sum(axis=1))]
     u[j] = u[i] + [1e-9, 0.0]
     with pytest.raises(DetectionError, match="duplicate integer labels"):
-        label_lattice(u, basis, anchor)
+        label_lattice(u, basis, flat_cloud.rectangle)
 
 
 def _label_lattice_reference(u, basis, anchor):
@@ -296,17 +297,17 @@ def _label_lattice_reference(u, basis, anchor):
     return labels, labeled
 
 
-def _label_outcome(label, u, basis, anchor):
+def _label_outcome(label, *args):
     """``(labels, labeled)``, or the message of the ``DetectionError`` raised."""
     try:
-        return label(u, basis, anchor)
+        return label(*args)[:2]
     except DetectionError as exc:
         return str(exc)
 
 
-def _assert_labels_match_reference(u, basis, anchor):
-    got = _label_outcome(label_lattice, u, basis, anchor)
-    want = _label_outcome(_label_lattice_reference, u, basis, anchor)
+def _assert_labels_match_reference(u, basis, rect):
+    got = _label_outcome(label_lattice, u, basis, rect)
+    want = _label_outcome(_label_lattice_reference, u, basis, rect.center)
     if isinstance(want, str):
         assert got == want
     else:
@@ -321,7 +322,7 @@ def test_label_lattice_matches_reference_fine_flat_cloud(flat_setup):
     cloud = _cloud(NormalFormSymbol(chart, default_higher_coeffs()), a, params)
     assert len(cloud) > 3000
     u, anchor = _rescaled(cloud)
-    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), anchor)
+    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), cloud.rectangle)
     assert np.all(labeled)
 
 
@@ -329,8 +330,21 @@ def test_label_lattice_matches_reference_champagne_cloud(champ_setup):
     _, chart, a = champ_setup
     cloud = _cloud(NormalFormSymbol(chart, default_higher_coeffs()), a)
     u, anchor = _rescaled(cloud)
-    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), anchor)
+    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), cloud.rectangle)
     assert np.all(labeled)
+
+
+def test_label_lattice_matches_reference_wide_cloud(champ_setup):
+    # the widest champagne rectangle whose chart passes the residual limit
+    # at h = 1e-4: 199 lattice spacings in half-width, 65 516 points
+    _, chart, a = champ_setup
+    params = SemiclassicalParams(h=1e-4, delta=0.35, noise_order=3, seed=42)
+    cloud = _cloud(NormalFormSymbol(chart, default_higher_coeffs()), a, params)
+    assert round(cloud.rectangle.half[0] / params.h) == 199
+    u, anchor = _rescaled(cloud)
+    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), cloud.rectangle)
+    assert np.all(labeled)
+    assert fit_hchart(cloud).max_residual() <= RESIDUAL_LIMIT
 
 
 def test_label_lattice_matches_reference_failures(flat_cloud):
@@ -338,18 +352,19 @@ def test_label_lattice_matches_reference_failures(flat_cloud):
     u, anchor = _rescaled(flat_cloud)
     basis = detect_basis(u, anchor)
     u[-1] = u[0] + [1e-9, 0.0]
-    assert _assert_labels_match_reference(u, basis, anchor) == "label conflict: duplicate integer labels"
+    assert _assert_labels_match_reference(u, basis, flat_cloud.rectangle) == "label conflict: duplicate integer labels"
     # off-lattice points: the centers of 12 cells of a square lattice stay unlabeled
     h = 1e-3
-    u, anchor = _rescaled(_square_lattice_cloud())
+    square = _square_lattice_cloud()
+    u = _rescaled(square)[0]
     u = np.concatenate([u, u[:12] + 0.5 * h])
-    msg = _assert_labels_match_reference(u, (np.array([h, 0.0]), np.array([0.0, h])), anchor)
+    msg = _assert_labels_match_reference(u, (np.array([h, 0.0]), np.array([0.0, h])), square.rectangle)
     assert msg == f"unlabeled fraction {12 / len(u):.3f} exceeds {MAX_UNLABELED}"
     # 41 points on a diagonal line, collinear up to rounding: the seed's nine
     # points leave the refit underdetermined, the first growth round reaches 21
     b1 = np.array([h, h])
     line = np.array([0.3, 0.15]) + np.arange(-20, 21)[:, None] * b1
-    msg = _assert_labels_match_reference(line, (b1, np.array([-h, h])), line[20])
+    msg = _assert_labels_match_reference(line, (b1, np.array([-h, h])), Rect(line[20], square.rectangle.half))
     assert msg == "labeling fit is rank deficient"
 
 
@@ -379,24 +394,6 @@ def test_fit_hchart_accepts_and_reports(flat_cloud, flat_setup):
     assert np.max(np.linalg.norm(pred - hc.h * hc.labels, axis=1)) <= 0.05 * hc.h
 
 
-def _cubic_lattice(amplitude, h=1e-3):
-    """A 25 x 25 square lattice under a smooth cubic deformation of the given
-    amplitude in units of ``h``: the cloud, its rescaled points and anchor."""
-    cloud = _square_lattice_cloud(h=h, n=25)
-    u, anchor = _rescaled(cloud)
-    u = u + amplitude * h * ((u - anchor) / (12.5 * h))[:, ::-1] ** 3
-    return SpectrumCloud(chi(u, cloud.params.epsilon), None, cloud.params, cloud.rectangle), u, anchor
-
-
-@pytest.mark.parametrize("amplitude", [0.05, 0.3])
-def test_label_lattice_matches_reference_cubic_lattice(amplitude):
-    # a fit to the seed alone, predicting once, leaves 4 % of this cloud
-    # unlabeled at amplitude 0.3; the second prediction labels it in full
-    _, u, anchor = _cubic_lattice(amplitude)
-    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), anchor)
-    assert np.all(labeled)
-
-
 def test_fit_hchart_partial_labeling():
     # points at the centers of five lattice cells stay unlabeled (5 of 630,
     # under MAX_UNLABELED); the fit is least squares over the labeled points
@@ -407,7 +404,7 @@ def test_fit_hchart_partial_labeling():
     partial = SpectrumCloud(chi(u, cloud.params.epsilon), None, cloud.params, cloud.rectangle)
     hc = fit_hchart(partial)
     u, rect = chi_inverse(partial.points, cloud.params.epsilon), cloud.rectangle
-    labels, m = label_lattice(u, detect_basis(u, anchor), anchor)
+    labels, m, _ = label_lattice(u, detect_basis(u, anchor), rect)
     assert np.count_nonzero(~m) == 5 and hc.labeled_fraction == float(np.mean(m)) == 625 / 630
     X = _features((u[m] - rect.center) / rect.half)
     target = h * labels[m].astype(float)
@@ -428,8 +425,8 @@ def test_label_lattice_matches_reference_on_a_loop(flat_setup):
     elements = spectral_chart_at(model, _cover(model, loop, params), params, dio)
     assert len(elements) == 76
     for el in elements:
-        u, anchor = _rescaled(el.cloud)
-        labels, labeled = _assert_labels_match_reference(u, el.hchart.basis, anchor)
+        u = _rescaled(el.cloud)[0]
+        labels, labeled = _assert_labels_match_reference(u, el.hchart.basis, el.cloud.rectangle)
         assert np.all(labeled) and el.hchart.labeled_fraction == 1.0
         assert np.array_equal(el.hchart.labels, labels)
 
@@ -437,9 +434,16 @@ def test_label_lattice_matches_reference_on_a_loop(flat_setup):
 @pytest.mark.parametrize("amplitude, accepted", [(0.05, True), (0.3, False)])
 def test_fit_hchart_residual_limit(amplitude, accepted):
     # a smooth cubic deformation of the square lattice that still labels in
-    # full; a quadratic chart leaves about 0.45 of its amplitude as residual
-    deformed, u, anchor = _cubic_lattice(amplitude)
-    assert np.all(label_lattice(u, detect_basis(u, anchor), anchor)[1])
+    # full, as growth labels it; a quadratic chart leaves about 0.45 of its
+    # amplitude as residual.  A fit to the seed alone, predicting once,
+    # leaves 4 % of the cloud unlabeled at amplitude 0.3
+    h = 1e-3
+    cloud = _square_lattice_cloud(h=h, n=25)
+    u, anchor = _rescaled(cloud)
+    u = u + amplitude * h * ((u - anchor) / (12.5 * h))[:, ::-1] ** 3
+    deformed = SpectrumCloud(chi(u, cloud.params.epsilon), None, cloud.params, cloud.rectangle)
+    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), cloud.rectangle)
+    assert np.all(labeled)
     if accepted:
         assert fit_hchart(deformed).max_residual() <= RESIDUAL_LIMIT
     else:

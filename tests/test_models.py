@@ -12,8 +12,6 @@ from pseudolattice.averaging import time_average
 from pseudolattice.models import (
     ACTION_GRID,
     BLOCK,
-    GRID_E,
-    GRID_L,
     PARTIALS,
     ActionChart,
     AnglePolynomial,
@@ -22,7 +20,6 @@ from pseudolattice.models import (
     Rect,
     _action_table,
     _cell_eval,
-    _cell_index,
     _cell_table,
     _frequencies_at,
     _radial_action_quad,
@@ -191,26 +188,6 @@ def test_cell_table_matches_fitpack():
         assert np.max(np.abs(got - ref)) < 1e-12 * (1.0 + np.max(np.abs(ref))), (dx, dy)
     # the shape of the inputs is kept
     assert _cell_eval(table, x[:700].reshape(-1, 2), y[:700].reshape(-1, 2))[3].shape == (350, 2)
-
-
-@pytest.mark.parametrize(
-    "knots", [GRID_E, GRID_L, 1.5 * np.linspace(0.0, 1.0, 15) ** 1.5], ids=["GRID_E", "GRID_L", "non-uniform"]
-)
-def test_cell_index_is_searchsorted(knots):
-    # random points, every knot, one ulp either side of each knot, points
-    # clamped to both ends and NaN, which both send to the last cell
-    rng = np.random.default_rng(11)
-    x = np.concatenate(
-        [
-            rng.uniform(knots[0], knots[-1], 20000),
-            knots,
-            np.nextafter(knots, -np.inf),
-            np.nextafter(knots, np.inf),
-            [knots[0] - 1.0, knots[-1] + 1.0, np.nan],
-        ]
-    )
-    xf = np.minimum(np.maximum(x, knots[0]), knots[-1])
-    assert np.array_equal(_cell_index(knots, xf), knots[1:-1].searchsorted(xf, "right"))
 
 
 def test_cell_eval_partials_are_the_full_evaluation():
