@@ -23,7 +23,6 @@ from .diophantine import (
     DiophantineParams,
     bad_measure_estimate,
     good_margin,
-    good_values,
 )
 from .models import (
     ActionChart,
@@ -97,7 +96,6 @@ __all__ = [
     "gauge_alignment",
     "good_margin",
     "good_rectangle",
-    "good_values",
     "invert_leading",
     "label_lattice",
     "loop_monodromy",

@@ -24,11 +24,10 @@ import numpy as np
 
 from . import plots
 from .detect import gauge_alignment
-from .diophantine import DiophantineParams, good_values
+from .diophantine import DiophantineParams
 from .models import (
     ModelSystem,
     ParameterError,
-    action_coords,
     chart_to_text,
     make_champagne_model,
     make_flat_model,
@@ -41,8 +40,8 @@ from .monodromy import (
     compare_monodromies,
     monodromy_report,
 )
-from .pipeline import spectral_chart_at, spectral_monodromy
-from .synth import NormalFormSymbol, SemiclassicalParams, good_rectangle, spectral_band, synth_spectrum
+from .pipeline import _spectral_clouds, spectral_chart_at, spectral_monodromy
+from .synth import SemiclassicalParams, spectral_band
 
 MODES = ("synth", "detect", "monodromy", "verify-all")
 
@@ -213,17 +212,21 @@ def _output_dir(out_arg: str | None, mode: str) -> Path:
     return d
 
 
+def _moved(cfg: RunConfig, cloud) -> str:
+    """The summary's note of the good value a cloud was built at, when that
+    is not the config's center."""
+    a = cloud.rectangle.center
+    if np.array_equal(a, cfg.center):
+        return ""
+    return f" at good value ({a[0]:.6g}, {a[1]:.6g}), {np.linalg.norm(a - cfg.center):.3g} from the center"
+
+
 def _run_synth(cfg: RunConfig, out: Path) -> int:
-    chart = action_coords(cfg.model, cfg.center)
-    if not good_values(cfg.model, chart, cfg.dio, cfg.center[None])[0]:
-        print(f"error: center {tuple(cfg.center.tolist())} is not a good value", file=sys.stderr)
-        return 1
-    rect = good_rectangle(cfg.center, cfg.params, chart.domain.half[0])  # the rectangle detect mode builds
-    cloud = synth_spectrum(NormalFormSymbol(chart), rect, cfg.params)
+    (chart,), (cloud,) = _spectral_clouds(cfg.model, cfg.center[None], cfg.params, cfg.dio)
     (out / "spectrum.tsv").write_text(cloud.to_text())
     (out / "chart.txt").write_text(chart_to_text(chart))
     (out / "spectrum.svg").write_text(plots.plot_spectrum(cloud))
-    print(f"synthesized {len(cloud)} eigenvalues -> {out}")
+    print(f"synthesized {len(cloud)} eigenvalues{_moved(cfg, cloud)} -> {out}")
     return 0
 
 
@@ -240,7 +243,7 @@ def _run_detect(cfg: RunConfig, out: Path) -> int:
     (out / "residuals.svg").write_text(plots.plot_residuals(hc))
     print(
         f"detected lattice: {len(hc.labels)} labeled points, "
-        f"max residual {hc.max_residual():.4f} h, fraction {hc.labeled_fraction:.4f} -> {out}"
+        f"max residual {hc.max_residual():.4f} h, fraction {hc.labeled_fraction:.4f}{_moved(cfg, el.cloud)} -> {out}"
     )
     return 0
 

@@ -142,7 +142,6 @@ def detect_basis(u, anchor):
 
 
 def _features(t):
-    t = np.atleast_2d(t)
     x, y = t[:, 0], t[:, 1]
     X = np.empty((len(t), 6))
     X[:, 0] = 1.0
@@ -246,15 +245,8 @@ class HChart:
     labeled_fraction: float = 1.0
 
     def f(self, u) -> np.ndarray:
-        """Fitted chart map: rescaled point -> approximately h * Z^2."""
-        u = np.asarray(u, dtype=float)
-        t = (np.atleast_2d(u) - self.rectangle.center) / self.rectangle.half
-        out = _features(t) @ self.coeffs
-        return out if u.ndim > 1 else out[0]
-
-    def df(self, u) -> np.ndarray:
-        t = (np.asarray(u, dtype=float) - self.rectangle.center) / self.rectangle.half
-        return _feature_jac(self.coeffs, t, self.rectangle.half)
+        """Fitted chart map: ``(n, 2)`` rescaled points -> approximately h * Z^2."""
+        return _features((u - self.rectangle.center) / self.rectangle.half) @ self.coeffs
 
     # leading-term views ---------------------------------------------------
 
@@ -264,30 +256,6 @@ class HChart:
         integer label basis ``M`` and offset ``c`` of :func:`gauge_alignment`
         removed."""
         return self.f(u) @ np.linalg.inv(M).T - self.h * (c + np.asarray(eta, dtype=float) / 4.0)
-
-    def f_inverse(self, target, tol: float = 1e-13, max_iter: int = 60) -> np.ndarray:
-        """Invert the fitted quadratic map by Newton iteration.
-
-        Converged when the residual is below ``tol * h`` or the Newton step is
-        within 16 ulps of ``u``: at fine ``h`` the residual of the nearest
-        representable ``u`` can exceed ``tol * h``.  Raises
-        :class:`DetectionError` if neither happens within ``max_iter`` steps.
-        """
-        target = np.asarray(target, dtype=float)
-        tgt = np.atleast_2d(target)
-        u = np.tile(self.rectangle.center, (tgt.shape[0], 1))
-        for _ in range(max_iter):
-            r = self.f(u) - tgt
-            err = np.max(np.abs(r))
-            if err < tol * self.h:
-                break
-            step = np.linalg.solve(self.df(u), r[..., None])[..., 0]
-            u = u - step
-            if np.max(np.abs(step)) <= 16 * np.spacing(np.max(np.abs(u))):
-                break
-        else:
-            raise DetectionError(f"chart inversion did not converge in {max_iter} iterations (max residual {err / self.h:.3g} h)")
-        return u if target.ndim > 1 else u[0]
 
     def max_residual(self) -> float:
         return float(np.max(self.residuals)) if len(self.residuals) else 0.0

@@ -195,17 +195,6 @@ def good_margin(model: ModelSystem, a, params: DiophantineParams, shear=0) -> np
     return np.min(np.stack(clauses), axis=0)
 
 
-def good_values(model: ModelSystem, chart: ActionChart, params: DiophantineParams, points) -> np.ndarray:
-    """Mask of the good values among the ``(n, 2)`` ``points``, which must lie
-    in the chart domain (``chart.domain.grid(n)`` gives an n x n grid)."""
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        raise ValueError("no points to decide")
-    if not np.all(chart.domain.contains(points, margin=1e-9)):
-        raise ValueError("points must lie inside the chart domain")
-    return good_margin(model, points, params, chart.shear) >= params.alpha
-
-
 def bad_measure_estimate(
     model: ModelSystem,
     chart: ActionChart,

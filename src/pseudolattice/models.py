@@ -143,7 +143,6 @@ class FlatModel(ModelSystem):
             raise ParameterError("omega_star", f"omega_star = {' '.join(map(str, omega_star))} must be finite and nonzero")
         self.name = "flat"
         self.omega_star = omega_star
-        self.q_choice = q_choice
         self.q_symbol = _flat_q(q_choice)
         self.maslov_eta = np.array([0, 0])
         self.singular_values = []  # empty critical-value set

@@ -37,12 +37,26 @@ def _nearest_good(model: ModelSystem, c, shear: int, dio: DiophantineParams, sea
     return cands[good[0]]
 
 
+def _spectral_clouds(model: ModelSystem, cs, params: SemiclassicalParams, dio: DiophantineParams, higher_coeffs=None):
+    """The action charts and synthesized clouds at an ``(n, 2)`` array of
+    centers: each cloud fills the good rectangle at its center if that is a
+    good value, else at the nearest good node."""
+    charts = action_coords(model, cs)
+    ok = good_margin(model, cs, dio, np.array([ac.shear for ac in charts])) >= dio.alpha
+    rects = [good_rectangle(cc, params, ac.domain.half[0]) for cc, ac in zip(cs, charts)]
+    for i in np.flatnonzero(~ok):
+        a = _nearest_good(model, cs[i], charts[i].shear, dio, search_radius=0.25 * rects[i].half[0])
+        rects[i] = good_rectangle(a, params, charts[i].domain.half[0])
+    syms = [NormalFormSymbol(ac, dict(higher_coeffs or {})) for ac in charts]
+    return charts, synth_spectrum(syms, rects, params)
+
+
 @dataclass
 class SpectralChart:
-    """Everything produced for one covering element."""
+    """Everything produced for one covering element; its good value is
+    ``cloud.rectangle.center``."""
 
     center: np.ndarray
-    a: np.ndarray  # good value actually used
     action_chart: ActionChart
     cloud: SpectrumCloud
     hchart: HChart
@@ -58,15 +72,7 @@ def spectral_chart_at(
     """Synthesize and blind-detect the spectrum of the good rectangle at one
     center ``c``, or at each of an ``(n, 2)`` array of centers (a list)."""
     cs = np.atleast_2d(np.asarray(c, dtype=float))
-    charts = action_coords(model, cs)
-    # each center is its own good value if good, else the nearest good node
-    ok = good_margin(model, cs, dio, np.array([ac.shear for ac in charts])) >= dio.alpha
-    rects = [good_rectangle(cc, params, ac.domain.half[0]) for cc, ac in zip(cs, charts)]
-    for i in np.flatnonzero(~ok):
-        a = _nearest_good(model, cs[i], charts[i].shear, dio, search_radius=0.25 * rects[i].half[0])
-        rects[i] = good_rectangle(a, params, charts[i].domain.half[0])
-    syms = [NormalFormSymbol(ac, dict(higher_coeffs or {})) for ac in charts]
-    clouds = synth_spectrum(syms, rects, params)
+    charts, clouds = _spectral_clouds(model, cs, params, dio, higher_coeffs)
     elements = []
     for i, (cc, ac, cloud) in enumerate(zip(cs, charts, clouds)):
         try:
@@ -76,7 +82,7 @@ def spectral_chart_at(
             err = DetectionError(f"rectangle {i} at ({E:.6g}, {G:.6g}): {exc}")
             err.index = i
             raise err from exc
-        elements.append(SpectralChart(cc, cloud.rectangle.center, ac, cloud, hc))
+        elements.append(SpectralChart(cc, ac, cloud, hc))
     return elements if np.ndim(c) == 2 else elements[0]
 
 
@@ -89,7 +95,7 @@ def _cover(model: ModelSystem, vertices, params: SemiclassicalParams, spacing_fa
 
 def _spectral_atlas(elements) -> PseudoChartAtlas:
     """Atlas of the fitted charts of ``spectral_chart_at`` elements, each on
-    its good rectangle; the Jacobians are ``HChart.df`` on stacked fits."""
+    its good rectangle; the Jacobians are ``_feature_jac`` of the stacked fits."""
     center, half = (np.array([getattr(el.hchart.rectangle, f) for el in elements]) for f in ("center", "half"))
     coeffs = np.array([el.hchart.coeffs for el in elements])
     return PseudoChartAtlas(

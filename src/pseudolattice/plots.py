@@ -46,9 +46,9 @@ class _Frame:
 def plot_spectrum(cloud, hchart=None) -> str:
     """Cloud of eigenvalues, optionally with fitted lattice lines.
 
-    Grid lines are level sets of the fitted integer coordinates, one per
-    integer value in the label range of each component; the samples of all
-    lines are inverted in one call.
+    Each lattice line joins the labeled points that share one value of one
+    label, in order along the other label: one line per label value on
+    each axis.
     """
     if len(cloud) == 0:
         raise ValueError("empty cloud")
@@ -57,21 +57,14 @@ def plot_spectrum(cloud, hchart=None) -> str:
     parts = _svg_open()
 
     if hchart is not None:
-        eps = hchart.epsilon
-        lo = hchart.labels.min(axis=0)
-        hi = hchart.labels.max(axis=0)
-        lines = []
+        px, py = frame(hchart.u[:, 0], hchart.epsilon * hchart.u[:, 1])
+        xy = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px.tolist(), py.tolist())]
+        k = hchart.labels
         for axis in (0, 1):
-            other = 1 - axis
-            for k in range(int(lo[axis]), int(hi[axis]) + 1):
-                kk = np.empty((24, 2))
-                kk[:, axis] = k
-                kk[:, other] = np.linspace(lo[other], hi[other], 24)
-                lines.append(kk)
-        for us in hchart.f_inverse(hchart.h * np.concatenate(lines)).reshape(len(lines), 24, 2):
-            pts = [frame(u[0], eps * u[1]) for u in us]
-            d = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
-            parts.append(f'<polyline points="{d}" fill="none" stroke="#bbccee" stroke-width="0.6"/>')
+            order = np.lexsort((k[:, 1 - axis], k[:, axis]))  # by this label, then along the other
+            for line in np.split(order, np.flatnonzero(np.diff(k[order, axis])) + 1):
+                d = " ".join(xy[i] for i in line.tolist())
+                parts.append(f'<polyline points="{d}" fill="none" stroke="#bbccee" stroke-width="0.6"/>')
 
     for z in mu:
         px, py = frame(z.real, z.imag)

@@ -145,15 +145,22 @@ center = {center}
 """
 
 
-@pytest.mark.parametrize("center", ["0.3 0.02", "0.1 0.01"])
-def test_main_synth_matches_detect_spectrum(tmp_path, center):
-    # at (0.1, 0.01) the chart radius caps the rectangle: synth mode must
-    # build the capped rectangle that detect mode builds
+@pytest.mark.parametrize("center", ["0.3 0.02", "0.1 0.01", "0.44 0.165"])
+def test_main_synth_matches_detect_spectrum(tmp_path, capsys, center):
+    # at (0.1, 0.01) the chart radius caps the rectangle, and (0.44, 0.165)
+    # is not a good value: synth mode must build the rectangle that detect
+    # mode builds
     synth = _write(tmp_path, CHAMPAGNE_SYNTH.format(center=center))
     detect = _write(tmp_path, CHAMPAGNE_SYNTH.format(center=center).replace("mode = synth", "mode = detect"), "d.ini")
     assert main(["run", synth, "--out", str(tmp_path / "s")]) == 0
     assert main(["run", detect, "--out", str(tmp_path / "d")]) == 0
     assert (tmp_path / "s" / "spectrum.tsv").read_bytes() == (tmp_path / "d" / "spectrum.tsv").read_bytes()
+    # both summaries name the good value used when it is not the center
+    run = parse_config(detect)
+    a = spectral_chart_at(run.model, run.center, run.params, run.dio).cloud.rectangle.center
+    note = f" at good value ({a[0]:.6g}, {a[1]:.6g}), {np.linalg.norm(a - run.center):.3g} from the center -> "
+    summaries = capsys.readouterr().out.splitlines()
+    assert [note in line for line in summaries] == [center == "0.44 0.165"] * 2
 
 
 def test_main_detect_mode(tmp_path, capsys):

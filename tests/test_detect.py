@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pseudolattice.detect import (
 from pseudolattice.diophantine import DiophantineParams
 from pseudolattice.models import Rect, action_coords, make_champagne_model, make_flat_model
 from pseudolattice.pipeline import _cover, spectral_chart_at
+from pseudolattice.plots import _Frame, plot_spectrum
 from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
@@ -511,28 +513,25 @@ def test_exact_cloud_oracle_chart_is_machine_precision(flat_setup):
     )
 
 
-def test_f_inverse_round_trip(flat_cloud, flat_setup):
-    _, _, a = flat_setup
-    hc = fit_hchart(flat_cloud)
-    u0 = np.array([a[0] + 0.004, a[1] - 0.003])
-    t = hc.f(u0)
-    assert np.max(np.abs(hc.f_inverse(t) - u0)) < 1e-10
-
-
-def test_f_inverse_unconverged_raises(flat_cloud, flat_setup):
-    _, _, a = flat_setup
-    hc = fit_hchart(flat_cloud)
-    t = hc.f(np.array([a[0] + 0.004, a[1] - 0.003]))
-    with pytest.raises(DetectionError, match="did not converge in 1 iterations"):
-        hc.f_inverse(t, max_iter=1)
-
-
-def test_f_inverse_stops_at_rounding_floor(flat_cloud, flat_setup):
-    # no residual is below tol = 0: Newton stops once its step is rounding noise
-    _, _, a = flat_setup
-    hc = fit_hchart(flat_cloud)
-    u0 = np.array([a[0] + 0.004, a[1] - 0.003])
-    assert np.max(np.abs(hc.f_inverse(hc.f(u0), tol=0.0) - u0)) < 1e-10
+def test_spectrum_plot_draws_one_lattice_line_per_label_value(flat_setup, champ_setup):
+    # each polyline joins the frame images of the labeled points with one
+    # value of one label, in order along the other label
+    for m, chart, a in (flat_setup, champ_setup):
+        cloud = _cloud(NormalFormSymbol(chart, default_higher_coeffs()), a)
+        hc = fit_hchart(cloud)
+        svg = plot_spectrum(cloud, hc)
+        drawn = re.findall(r'<polyline points="([^"]*)"', svg)
+        px, py = _Frame(cloud.points.real, cloud.points.imag)(hc.u[:, 0], hc.epsilon * hc.u[:, 1])
+        expected = []
+        for axis in (0, 1):
+            values = np.unique(hc.labels[:, axis])
+            assert len(values) > 10
+            for v in values:
+                on = np.flatnonzero(hc.labels[:, axis] == v)
+                on = on[np.argsort(hc.labels[on, 1 - axis])]
+                expected.append(" ".join(f"{px[i]:.3f},{py[i]:.3f}" for i in on))
+        assert drawn == expected
+        assert svg.count("<circle") == len(cloud)
 
 
 def test_hchart_serialization(flat_cloud):

@@ -10,7 +10,6 @@ from pseudolattice.diophantine import (
     _margins,
     bad_measure_estimate,
     good_margin,
-    good_values,
 )
 from pseudolattice.models import BLOCK, GOLDEN, _frequencies_at, action_coords, make_champagne_model, make_flat_model
 from pseudolattice.monodromy import MonodromyError
@@ -244,24 +243,16 @@ def test_good_values_flat_chart():
     m = make_flat_model((1.0, GOLDEN), "xi_weighted")
     chart = action_coords(m, np.array([0.25, 0.15]))
     params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
-    good = good_values(m, chart, params, chart.domain.grid(8))
+    good = good_margin(m, chart.domain.grid(8), params, chart.shear) >= params.alpha
     assert good.shape == (64,) and good.dtype == bool
     assert np.mean(good) > 0.9
-
-
-def test_good_values_rejects_outside_grid():
-    m = make_flat_model((1.0, GOLDEN), "xi_weighted")
-    chart = action_coords(m, np.array([0.25, 0.15]))
-    params = DiophantineParams(alpha=1e-3, k_max=500)
-    with pytest.raises(ValueError):
-        good_values(m, chart, params, np.array([[5.0, 5.0]]))
 
 
 def test_is_good_value_champagne():
     m = make_champagne_model(1.0)
     chart = action_coords(m, np.array([0.3, 0.15]))
     params = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
-    assert good_values(m, chart, params, [(0.3, 0.15)])[0]
+    assert good_margin(m, np.array([0.3, 0.15]), params, chart.shear) >= params.alpha
 
 
 def _clauses(model, chart, pts, params):
@@ -301,7 +292,7 @@ def test_good_margin_is_the_conjunction_of_the_four_clauses(model, center, shear
         assert np.array_equal(margin >= alpha, expected)
     for alpha in (1e-3, float(np.median(values))):
         expected = np.logical_and.reduce([q >= alpha for q in clauses])
-        assert np.array_equal(good_values(model, chart, DiophantineParams(alpha=alpha, d=1.0, k_max=500), pts), expected)
+        assert np.array_equal(margin >= alpha, expected)
 
 
 def test_good_margin_shape_follows_the_points():
@@ -330,9 +321,7 @@ def test_batched_decision_equals_per_center_decision():
     batched = good_margin(m, centers, dio, shear)
     single = np.array([good_margin(m, c[None], dio, ch.shear)[0] for c, ch in zip(centers, charts)])
     assert batched.tobytes() == single.tobytes()
-    per_center = np.array([good_values(m, ch, dio, c[None])[0] for c, ch in zip(centers, charts)])
-    assert np.array_equal(batched >= dio.alpha, per_center)
-    assert 0 < np.sum(~per_center) < 341  # some centers need the fallback search
+    assert 0 < np.sum(batched < dio.alpha) < 341  # some centers need the fallback search
 
 
 def _nearest_good_one_at_a_time(model, chart, c, dio, search_radius):
@@ -340,7 +329,7 @@ def _nearest_good_one_at_a_time(model, chart, c, dio, search_radius):
     offs = search_radius * np.array([-1.0, -0.5, 0.5, 1.0])
     cands = np.stack(np.meshgrid(c[0] + offs, c[1] + offs, indexing="ij"), axis=-1).reshape(-1, 2)
     for a in cands[np.argsort(np.linalg.norm(cands - c, axis=1))]:
-        if good_values(model, chart, dio, a[None])[0]:
+        if good_margin(model, a, dio, chart.shear) >= dio.alpha:
             return a
     return None
 
@@ -361,7 +350,7 @@ def test_fallback_returns_the_nearest_good_node():
         nearest.append(_nearest_good(m, centers[i], charts[i].shear, dio, 0.25 * hw))
         assert nearest[-1].tobytes() == expected.tobytes()
     # the spectral chart at such a center is built on that node
-    assert spectral_chart_at(m, centers[bad[0]], params, dio).a.tobytes() == nearest[0].tobytes()
+    assert spectral_chart_at(m, centers[bad[0]], params, dio).cloud.rectangle.center.tobytes() == nearest[0].tobytes()
 
 
 def test_no_good_value_raises_naming_the_center():

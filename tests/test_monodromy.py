@@ -476,7 +476,7 @@ def test_spectral_atlas_domains_are_the_good_rectangles(small_spectral_loop):
     assert len(atlas) == len(elements) > 4
     for center, half, el in zip(atlas.center, atlas.half, elements):
         assert el.cloud.rectangle is el.hchart.rectangle
-        assert center.tobytes() == el.a.tobytes() == el.cloud.rectangle.center.tobytes()
+        assert center.tobytes() == el.cloud.rectangle.center.tobytes()
         assert half.tobytes() == el.cloud.rectangle.half.tobytes()
 
 
