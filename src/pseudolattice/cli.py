@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import plots
-from .detect import gauge_alignment
+from .detect import fit_hchart, gauge_alignment
 from .diophantine import DiophantineParams
 from .models import (
     ModelSystem,
@@ -222,9 +222,9 @@ def _moved(cfg: RunConfig, cloud) -> str:
 
 
 def _run_synth(cfg: RunConfig, out: Path) -> int:
-    (chart,), (cloud,) = _spectral_clouds(cfg.model, cfg.center[None], cfg.params, cfg.dio)
+    (sym,), (cloud,) = _spectral_clouds(cfg.model, cfg.center[None], cfg.params, cfg.dio)
     (out / "spectrum.tsv").write_text(cloud.to_text())
-    (out / "chart.txt").write_text(chart_to_text(chart))
+    (out / "chart.txt").write_text(chart_to_text(sym.chart))
     (out / "spectrum.svg").write_text(plots.plot_spectrum(cloud))
     print(f"synthesized {len(cloud)} eigenvalues{_moved(cfg, cloud)} -> {out}")
     return 0
@@ -232,18 +232,19 @@ def _run_synth(cfg: RunConfig, out: Path) -> int:
 
 def _run_detect(cfg: RunConfig, out: Path) -> int:
     el = spectral_chart_at(cfg.model, cfg.center, cfg.params, cfg.dio)
-    hc, ac = el.hchart, el.action_chart
+    cloud, ac = el.cloud, el.action_chart
+    hc = fit_hchart(cloud.without_labels())  # el.hchart, from the cloud at hand
     M, c = gauge_alignment(hc, ac)
     # criterion 2's quantity at the labeled points: the leading term against the ground truth
     err = np.max(np.abs(hc.f_tilde0(hc.u, M, c, ac.eta) - (ac.tau_c + ac.xi_of_c(hc.u)))) / hc.h
     gauge = f"[gauge]\ngauge_M = {M.tolist()}\ngauge_c = {int(c[0])} {int(c[1])}\nleading_term_error = {float(err)!r}\n"
-    (out / "spectrum.tsv").write_text(el.cloud.to_text())
+    (out / "spectrum.tsv").write_text(cloud.to_text())
     (out / "hchart.txt").write_text(hc.to_text() + gauge)
-    (out / "spectrum.svg").write_text(plots.plot_spectrum(el.cloud, hc))
+    (out / "spectrum.svg").write_text(plots.plot_spectrum(cloud, hc))
     (out / "residuals.svg").write_text(plots.plot_residuals(hc))
     print(
         f"detected lattice: {len(hc.labels)} labeled points, "
-        f"max residual {hc.max_residual():.4f} h, fraction {hc.labeled_fraction:.4f}{_moved(cfg, el.cloud)} -> {out}"
+        f"max residual {hc.max_residual():.4f} h, fraction {hc.labeled_fraction:.4f}{_moved(cfg, cloud)} -> {out}"
     )
     return 0
 
@@ -292,19 +293,20 @@ def _run_verify_all(cfg: RunConfig, out: Path) -> int:
         i, j, k = cocycle.violations[0][:3]
         failures.append(f"cocycle violated on {len(cocycle.violations)} triple(s), first at charts ({i}, {j}, {k})")
 
-    # band containment on the first rectangle
+    # band containment on the first rectangle; its cloud and fit are made again
     el0 = elements[0]
-    rect0 = el0.cloud.rectangle
+    cloud0, rect0 = el0.cloud, el0.rectangle
+    hc0 = fit_hchart(cloud0.without_labels())  # el0.hchart, from the cloud at hand
     band = spectral_band(cfg.model, el0.action_chart, rect0.center[0], rect0.half[0], cfg.params)
-    if not np.all((el0.cloud.points.imag >= band[0]) & (el0.cloud.points.imag <= band[1])):
+    if not np.all((cloud0.points.imag >= band[0]) & (cloud0.points.imag <= band[1])):
         failures.append("eigenvalues escape the spectral band")
 
-    (out / "spectrum.tsv").write_text(el0.cloud.to_text())
-    (out / "spectrum.svg").write_text(plots.plot_spectrum(el0.cloud, el0.hchart))
-    (out / "residuals.svg").write_text(plots.plot_residuals(el0.hchart))
+    (out / "spectrum.tsv").write_text(cloud0.to_text())
+    (out / "spectrum.svg").write_text(plots.plot_spectrum(cloud0, hc0))
+    (out / "residuals.svg").write_text(plots.plot_residuals(hc0))
 
-    worst = max(el.hchart.max_residual() for el in elements)
-    frac = min(el.hchart.labeled_fraction for el in elements)
+    worst = max(el.max_residual for el in elements)
+    frac = min(el.labeled_fraction for el in elements)
     print(
         f"verify-all over {len(elements)} charts: max residual {worst:.4f} h, "
         f"min labeled fraction {frac:.4f}; conjugate: {VERDICT_TEXT[verdict]}; "

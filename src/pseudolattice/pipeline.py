@@ -15,12 +15,13 @@ import numpy as np
 
 from .detect import DetectionError, HChart, _feature_jac, fit_hchart
 from .diophantine import DiophantineParams, good_margin
-from .models import ActionChart, ModelSystem, _chart_radius, action_coords
+from .models import ActionChart, ModelSystem, Rect, _chart_radius, action_coords
 from .monodromy import MonodromyError, PseudoChartAtlas, cover_loop, loop_monodromy
 from .synth import (
     NormalFormSymbol,
     SemiclassicalParams,
     SpectrumCloud,
+    _synth_clouds,
     good_rectangle,
     synth_spectrum,
 )
@@ -38,28 +39,50 @@ def _nearest_good(model: ModelSystem, c, shear: int, dio: DiophantineParams, sea
 
 
 def _spectral_clouds(model: ModelSystem, cs, params: SemiclassicalParams, dio: DiophantineParams, higher_coeffs=None):
-    """The action charts and synthesized clouds at an ``(n, 2)`` array of
-    centers: each cloud fills the good rectangle at its center if that is a
-    good value, else at the nearest good node."""
+    """The normal-form symbols on the action charts at an ``(n, 2)`` array of
+    centers, and a generator of their clouds in order, made one synthesis
+    block at a time: each cloud fills the good rectangle at its center if
+    that is a good value, else at the nearest good node."""
     charts = action_coords(model, cs)
     ok = good_margin(model, cs, dio, np.array([ac.shear for ac in charts])) >= dio.alpha
     rects = [good_rectangle(cc, params, ac.domain.half[0]) for cc, ac in zip(cs, charts)]
     for i in np.flatnonzero(~ok):
         a = _nearest_good(model, cs[i], charts[i].shear, dio, search_radius=0.25 * rects[i].half[0])
         rects[i] = good_rectangle(a, params, charts[i].domain.half[0])
-    syms = [NormalFormSymbol(ac, dict(higher_coeffs or {})) for ac in charts]
-    return charts, synth_spectrum(syms, rects, params)
+    coeffs = dict(higher_coeffs or {})
+    syms = [NormalFormSymbol(ac, coeffs) for ac in charts]
+    return syms, _synth_clouds(syms, rects, params)
 
 
 @dataclass
 class SpectralChart:
-    """Everything produced for one covering element; its good value is
-    ``cloud.rectangle.center``."""
+    """What a loop reads of one covering element: its good rectangle,
+    centered on the good value, its symbol on the action chart, and the
+    fitted chart map without its per-point arrays.  ``cloud`` and ``hchart``
+    are made again on each access: a cloud is seeded by its rectangle, so
+    the symbol and the rectangle give it bit for bit."""
 
     center: np.ndarray
-    action_chart: ActionChart
-    cloud: SpectrumCloud
-    hchart: HChart
+    symbol: NormalFormSymbol
+    params: SemiclassicalParams
+    rectangle: Rect
+    coeffs: np.ndarray  # the fit's, as in HChart
+    affine: np.ndarray
+    basis: tuple
+    max_residual: float  # in units of h
+    labeled_fraction: float
+
+    @property
+    def action_chart(self) -> ActionChart:
+        return self.symbol.chart
+
+    @property
+    def cloud(self) -> SpectrumCloud:
+        return synth_spectrum(self.symbol, self.rectangle, self.params)
+
+    @property
+    def hchart(self) -> HChart:
+        return fit_hchart(self.cloud.without_labels())
 
 
 def spectral_chart_at(
@@ -70,11 +93,15 @@ def spectral_chart_at(
     higher_coeffs: dict | None = None,
 ):
     """Synthesize and blind-detect the spectrum of the good rectangle at one
-    center ``c``, or at each of an ``(n, 2)`` array of centers (a list)."""
+    center ``c``, or at each of an ``(n, 2)`` array of centers (a list).
+
+    Each cloud is fitted once its synthesis block is made, then dropped: a
+    detection failure is raised before any later block is made, naming the
+    first failing rectangle in order."""
     cs = np.atleast_2d(np.asarray(c, dtype=float))
-    charts, clouds = _spectral_clouds(model, cs, params, dio, higher_coeffs)
+    syms, clouds = _spectral_clouds(model, cs, params, dio, higher_coeffs)
     elements = []
-    for i, (cc, ac, cloud) in enumerate(zip(cs, charts, clouds)):
+    for i, (cc, sym, cloud) in enumerate(zip(cs, syms, clouds)):
         try:
             hc = fit_hchart(cloud.without_labels())
         except DetectionError as exc:
@@ -82,7 +109,9 @@ def spectral_chart_at(
             err = DetectionError(f"rectangle {i} at ({E:.6g}, {G:.6g}): {exc}")
             err.index = i
             raise err from exc
-        elements.append(SpectralChart(cc, ac, cloud, hc))
+        elements.append(
+            SpectralChart(cc, sym, params, cloud.rectangle, hc.coeffs, hc.affine, hc.basis, hc.max_residual(), hc.labeled_fraction)
+        )
     return elements if np.ndim(c) == 2 else elements[0]
 
 
@@ -96,8 +125,8 @@ def _cover(model: ModelSystem, vertices, params: SemiclassicalParams, spacing_fa
 def _spectral_atlas(elements) -> PseudoChartAtlas:
     """Atlas of the fitted charts of ``spectral_chart_at`` elements, each on
     its good rectangle; the Jacobians are ``_feature_jac`` of the stacked fits."""
-    center, half = (np.array([getattr(el.hchart.rectangle, f) for el in elements]) for f in ("center", "half"))
-    coeffs = np.array([el.hchart.coeffs for el in elements])
+    center, half = (np.array([getattr(el.rectangle, f) for el in elements]) for f in ("center", "half"))
+    coeffs = np.array([el.coeffs for el in elements])
     return PseudoChartAtlas(
         center, half, lambda idx, pts: _feature_jac(coeffs[idx], (pts - center[idx]) / half[idx], half[idx])
     )

@@ -252,24 +252,16 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
         yield idx, k[inside], xi_k[inside], rect_of[inside]
 
 
-def synth_spectrum(symbol, rectangle, params: SemiclassicalParams, noise: bool = True):
-    """Enumerate the quantization lattice and keep points in the rectangle.
-
-    ``xi_k = h*(k - eta/4) - tau_c``; ``mu_k`` is the symbol at ``xi_k``
-    plus seeded uniform complex noise of magnitude ``h^noise_order``.
-
-    ``symbol`` and ``rectangle`` may be lists over the charts of one model,
-    giving a list of clouds; each block of ``_candidates`` is inverted in one
-    call.
-    """
-    many = isinstance(symbol, list)
-    symbols, rects = (symbol, rectangle) if many else ([symbol], [rectangle])
+def _synth_clouds(symbols, rects, params: SemiclassicalParams, noise: bool = True):
+    """The clouds of the rectangles ``rects`` in order, made one block of
+    ``_candidates`` at a time, so that only one block's arrays are alive.
+    A block's clouds are all made before the first is handed on: fitting
+    each as it was made slowed the octagon's synthesis by 20 %."""
     h, eps = params.h, params.epsilon
-
     shear_seed = np.array([(sym.chart.shear, sym.chart.c[0]) for sym in symbols])
-    clouds = []
     for idx, labels, xi, rect_of in _candidates(symbols, rects, params):
         vals = symbols[0].chart.model.value_from_xi(xi, *shear_seed[rect_of].T)  # per-point shear and seed_E
+        block = []
         for i, k, xi_k, a_k in zip(idx, *(np.split(x, np.searchsorted(rect_of, idx[1:])) for x in (labels, xi, vals))):
             sym, rect = symbols[i], rects[i]
             mu = chi(a_k, eps) + sym.correction(xi_k, eps, h)
@@ -282,7 +274,23 @@ def synth_spectrum(symbol, rectangle, params: SemiclassicalParams, noise: bool =
                 mu = mu + amp * (rng.uniform(-1, 1, len(mu)) + 1j * rng.uniform(-1, 1, len(mu)))
                 keep = rect.contains(chi_inverse(mu, eps))
                 k, mu = k[keep], mu[keep]
-            clouds.append(SpectrumCloud(points=mu, k_true=k, params=params, rectangle=rect))
+            block.append(SpectrumCloud(points=mu, k_true=k, params=params, rectangle=rect))
+        yield from block
+
+
+def synth_spectrum(symbol, rectangle, params: SemiclassicalParams, noise: bool = True):
+    """Enumerate the quantization lattice and keep points in the rectangle.
+
+    ``xi_k = h*(k - eta/4) - tau_c``; ``mu_k`` is the symbol at ``xi_k``
+    plus seeded uniform complex noise of magnitude ``h^noise_order``.
+
+    ``symbol`` and ``rectangle`` may be lists over the charts of one model,
+    giving a list of clouds; each block of ``_candidates`` is inverted in one
+    call.  A rectangle's cloud is the same, bit for bit, alone or in a list.
+    """
+    many = isinstance(symbol, list)
+    symbols, rects = (symbol, rectangle) if many else ([symbol], [rectangle])
+    clouds = list(_synth_clouds(symbols, rects, params, noise))
     return clouds if many else clouds[0]
 
 

@@ -417,20 +417,81 @@ def test_fit_hchart_partial_labeling():
     assert hc.residuals.tobytes() == (_row_norm(X @ C - target) / h).tobytes()
 
 
-def test_label_lattice_matches_reference_on_a_loop(flat_setup):
-    # every cloud of the acceptance flat square at seed 0: the labels the
-    # chart fits use, and label_lattice's own, are the reference's
+@pytest.fixture(scope="module")
+def flat_square_loop(flat_setup):
+    """The acceptance flat square at seed 0: its params, centers and 76
+    elements, and each element's cloud and fit, made again from it."""
     model = flat_setup[0]
     params = SemiclassicalParams(h=1e-3, delta=0.5, noise_order=3, seed=0)
     dio = DiophantineParams(alpha=1e-3, d=1.0, k_max=500)
-    loop = np.array([(0.30, 0.10), (0.42, 0.10), (0.42, 0.22), (0.30, 0.22)])
-    elements = spectral_chart_at(model, _cover(model, loop, params), params, dio)
+    centers = _cover(model, np.array([(0.30, 0.10), (0.42, 0.10), (0.42, 0.22), (0.30, 0.22)]), params)
+    elements = spectral_chart_at(model, centers, params, dio)
+    return params, dio, centers, elements, [(el.cloud, el.hchart) for el in elements]
+
+
+def test_label_lattice_matches_reference_on_a_loop(flat_square_loop):
+    # every cloud of the acceptance flat square at seed 0: the labels the
+    # chart fits use, and label_lattice's own, are the reference's
+    *_, elements, rebuilt = flat_square_loop
     assert len(elements) == 76
-    for el in elements:
-        u = _rescaled(el.cloud)[0]
-        labels, labeled = _assert_labels_match_reference(u, el.hchart.basis, el.cloud.rectangle)
-        assert np.all(labeled) and el.hchart.labeled_fraction == 1.0
-        assert np.array_equal(el.hchart.labels, labels)
+    for cloud, hc in rebuilt:
+        labels, labeled = _assert_labels_match_reference(_rescaled(cloud)[0], hc.basis, cloud.rectangle)
+        assert np.all(labeled) and hc.labeled_fraction == 1.0
+        assert np.array_equal(hc.labels, labels)
+
+
+def test_rebuilt_clouds_and_fits_equal_the_batch(flat_square_loop):
+    # an element keeps no per-point array: its cloud and fit are made again
+    # from its symbol and rectangle, and must be the loop's, bit for bit
+    params, _, _, elements, rebuilt = flat_square_loop
+    batch = synth_spectrum([el.symbol for el in elements], [el.rectangle for el in elements], params)
+    for el, (cloud, hc), row in zip(elements, rebuilt, batch):
+        ref = fit_hchart(row.without_labels())
+        assert cloud.points.tobytes() == row.points.tobytes()
+        assert cloud.k_true.tobytes() == row.k_true.tobytes()
+        for f in ("u", "labels", "residuals", "coeffs"):
+            assert getattr(hc, f).tobytes() == getattr(ref, f).tobytes()
+        assert cloud.rectangle is hc.rectangle is el.rectangle
+        # the kept fields are the fit's
+        assert el.coeffs.tobytes() == ref.coeffs.tobytes() and el.affine.tobytes() == ref.affine.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(el.basis, ref.basis))
+        assert (el.max_residual, el.labeled_fraction) == (ref.max_residual(), ref.labeled_fraction)
+
+
+def test_detection_error_in_a_later_block_names_the_first_failing_rectangle(flat_setup, flat_square_loop, monkeypatch):
+    # clouds are fitted as their synthesis block is made: a failure in a
+    # later block names the first failing rectangle in loop order, and no
+    # block after it is synthesized
+    import pseudolattice.pipeline as pipeline
+    import pseudolattice.synth as synth
+
+    params, dio, centers, elements, _ = flat_square_loop
+    candidates = synth._candidates
+    starts = [int(idx[0]) for idx, *_ in candidates([el.symbol for el in elements], [el.rectangle for el in elements], params)]
+    assert len(starts) >= 4
+    first = starts[2] + 1  # in the third block, after its first rectangle
+    failing = {first, first + 1, starts[-1]}
+    blocks, fit, rects = [], pipeline.fit_hchart, []
+
+    def recorded(*args):
+        for block in candidates(*args):
+            blocks.append(block[0])
+            yield block
+
+    def fit_failing(cloud):
+        rects.append(cloud.rectangle)
+        if len(rects) - 1 in failing:
+            raise DetectionError("planted failure")
+        return fit(cloud)
+
+    monkeypatch.setattr(synth, "_candidates", recorded)
+    monkeypatch.setattr(pipeline, "fit_hchart", fit_failing)
+    with pytest.raises(DetectionError) as exc:
+        pipeline.spectral_chart_at(flat_setup[0], centers, params, dio)
+    E, G = rects[first].center
+    assert exc.value.index == first == len(rects) - 1
+    assert str(exc.value) == f"rectangle {first} at ({E:.6g}, {G:.6g}): planted failure"
+    assert len(blocks) == 3
 
 
 @pytest.mark.parametrize("amplitude, accepted", [(0.05, True), (0.3, False)])

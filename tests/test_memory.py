@@ -12,6 +12,12 @@ they are given;
 ``dist_to_singular`` compares rows of ``BLOCK // 600`` points with the 600
 boundary-curve samples, so its temporaries are two blocks; the cocycle
 check takes its chart pairs in blocks of ``monodromy.PAIR_BLOCK``.
+
+A spectral loop synthesizes its clouds one block of whole rectangles
+(about ``BLOCK // 16`` labels) at a time and fits each cloud as its block
+is made, so its peak is set by one block and not by the loop's point
+count; the elements it returns keep no per-point array, only each fit's
+coefficients, basis and summary, so they hold a few kB per chart.
 """
 
 import tracemalloc
@@ -20,8 +26,10 @@ import numpy as np
 import pytest
 
 from pseudolattice.diophantine import DiophantineParams, _margins
-from pseudolattice.models import action_grid, make_champagne_model
+from pseudolattice.models import action_grid, make_champagne_model, make_flat_model
 from pseudolattice.monodromy import action_atlas, cocycle_check, cover_loop
+from pseudolattice.pipeline import spectral_monodromy
+from pseudolattice.synth import SemiclassicalParams
 
 
 def traced_peak_mb(f):
@@ -56,3 +64,20 @@ def test_cocycle_check_peak_memory():
     octagon = [(0.15 + 0.3 * np.cos(np.pi * t / 4), 0.3 * np.sin(np.pi * t / 4)) for t in range(8)]
     atlas = action_atlas(m, cover_loop(m, octagon))
     assert traced_peak_mb(lambda: cocycle_check(atlas)) < 3.0
+
+
+def test_spectral_loop_peak_and_retained_memory():
+    # the flat square at h = 2.5e-4: 152 charts of about 3,300 points each
+    square = np.array([(0.30, 0.10), (0.42, 0.10), (0.42, 0.22), (0.30, 0.22)])
+    params = SemiclassicalParams(h=2.5e-4, delta=0.5, seed=0)
+    tracemalloc.start()
+    try:
+        out = spectral_monodromy(make_flat_model((1.0, 0.7)), square, params, DiophantineParams(alpha=1e-3, k_max=500))
+        held, peak = tracemalloc.get_traced_memory()
+        assert len(out[2]) == 152
+        del out
+        retained = (held - tracemalloc.get_traced_memory()[0]) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 10.0
+    assert retained < 2.0
