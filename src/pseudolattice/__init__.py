@@ -64,49 +64,5 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionChart",
-    "ChampagneModel",
-    "DetectionError",
-    "DiophantineParams",
-    "FlatModel",
-    "HChart",
-    "ModelError",
-    "MonodromyClass",
-    "MonodromyError",
-    "NormalFormSymbol",
-    "ParameterError",
-    "PseudoChartAtlas",
-    "Rect",
-    "SemiclassicalParams",
-    "SpectrumCloud",
-    "TransitionMatrix",
-    "action_coords",
-    "bad_measure_estimate",
-    "chart_to_text",
-    "chi",
-    "chi_inverse",
-    "classical_monodromy",
-    "cocycle_check",
-    "compare_monodromies",
-    "cover_loop",
-    "default_higher_coeffs",
-    "detect_basis",
-    "fit_hchart",
-    "gauge_alignment",
-    "good_margin",
-    "good_rectangle",
-    "invert_leading",
-    "label_lattice",
-    "loop_monodromy",
-    "make_champagne_model",
-    "make_flat_model",
-    "monodromy_report",
-    "spectral_band",
-    "spectral_chart_at",
-    "spectral_monodromy",
-    "synth_spectrum",
-    "time_average",
-    "torus_average",
-    "transition_matrix",
-]
+# every name imported above from a module of the package
+__all__ = [name for name, obj in globals().items() if getattr(obj, "__module__", "").startswith(f"{__name__}.")]

@@ -17,14 +17,15 @@ from .models import ActionChart, ModelError, ModelSystem, _frequencies_at
 DEFAULT_ANGLE_GRID = 64  # trapezoid rule is exact for harmonics below this degree
 
 
-def torus_average(model: ModelSystem, chart: ActionChart, xi, n: int = DEFAULT_ANGLE_GRID) -> float:
+def torus_average(model: ModelSystem, chart: ActionChart, xi) -> float:
     """Average of the perturbation over the angle torus at ``xi``.
 
-    Tensor-product trapezoid rule on an n x n periodic grid; spectrally
-    accurate for the trigonometric-polynomial symbols used by the models.
+    Tensor-product trapezoid rule on a ``DEFAULT_ANGLE_GRID`` x
+    ``DEFAULT_ANGLE_GRID`` periodic grid; spectrally accurate for the
+    trigonometric-polynomial symbols used by the models.
     """
     xi = np.asarray(xi, dtype=float)
-    ang = 2.0 * np.pi * np.arange(n) / n
+    ang = 2.0 * np.pi * np.arange(DEFAULT_ANGLE_GRID) / DEFAULT_ANGLE_GRID
     gx, gy = np.meshgrid(ang, ang, indexing="ij")
     x = np.stack([gx.ravel(), gy.ravel()], axis=-1)
     vals = model.q_symbol(x, xi)

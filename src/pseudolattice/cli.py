@@ -3,10 +3,11 @@
 Usage: ``pseudolattice run config.ini [--out DIR] [--seed N]``.
 
 Configs are INI-style structured text with [model], [semiclassical],
-[diophantine], [loop] and [run] sections.  Artifacts (spectrum tables,
-chart files, monodromy reports, SVG plots) are written to a timestamped
-output directory, or directly to ``--out`` when given.  Exit status: 0 on
-success, 1 when a pipeline check fails, 2 for config errors.
+[diophantine], [loop] and [run] sections; any other section or key is a
+config error.  Artifacts (spectrum tables, chart files, monodromy reports,
+SVG plots) are written to a timestamped output directory, or directly to
+``--out`` when given.  Exit status: 0 on success, 1 when a pipeline check
+fails, 2 for config errors.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import plots
-from .detect import fit_hchart, gauge_alignment
+from .detect import gauge_alignment
 from .diophantine import DiophantineParams
 from .models import (
     ModelSystem,
@@ -62,15 +63,18 @@ class RunConfig:
     vertices: np.ndarray | None = None
 
 
-def _line_of(path: str, section: str, key: str) -> int | None:
-    """Line number of ``key`` inside ``[section]`` of the config file."""
+def _line_of(path: str, section: str, key: str | None = None) -> int | None:
+    """Line number of ``key`` inside ``[section]`` of the config file, or of
+    the section's header."""
     current = None
     try:
         for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
             text = line.strip()
             if text.startswith("[") and text.endswith("]"):
                 current = text[1:-1].strip().lower()
-            elif current == section.lower():
+                if key is None and current == section.lower():
+                    return n
+            elif current == section.lower() and key is not None:
                 if re.split("[=:]", text, maxsplit=1)[0].strip().lower() == key.lower():
                     return n
     except OSError:
@@ -119,6 +123,39 @@ def _parse_pair(raw: str) -> np.ndarray:
     return pair
 
 
+def _q_choice(raw: str) -> str:
+    if raw != "xi_weighted":
+        raise ValueError("only xi_weighted is supported: the flat model's value plane takes G = xi_2, its torus average")
+    return raw
+
+
+# the casts of each section's keys; a model's keys are its constructor's
+MODELS = {
+    "flat": (make_flat_model, {"omega_star": _parse_pair, "q_choice": _q_choice}),
+    "champagne": (make_champagne_model, {"well_depth": float}),
+}
+SEMICLASSICAL = {"h": float, "delta": float, "noise_order": int, "seed": int, "C0": float}
+DIOPHANTINE = {"alpha": float, "d": float, "k_max": int}
+
+
+def _check_keys(own, path: str, keys: dict):
+    """Raise :class:`ConfigError` at the first section of ``own`` (a parser
+    without a default section, so that each section holds its own keys)
+    that ``keys`` does not name, or at the first key its section does not
+    take; a ``[DEFAULT]`` key must be taken by some section."""
+    keys = dict(keys, DEFAULT=[k for ks in keys.values() for k in ks])
+    for section in own.sections():
+        if section not in keys:
+            raise ConfigError(f"unknown section [{section}] (expected {', '.join(keys)})", lineno=_line_of(path, section))
+        known = [k.lower() for k in keys[section]]  # as configparser stores them
+        for key in own.options(section):
+            if key not in known:
+                raise ConfigError(
+                    f"unknown key '{key}' in section [{section}] (expected one of {', '.join(keys[section])})",
+                    lineno=_line_of(path, section, key),
+                )
+
+
 def _parse_vertices(cp, path: str) -> np.ndarray | None:
     """The ``[loop]`` vertex rows, or None; a bad row is reported by its
     index, at its own line."""
@@ -146,9 +183,12 @@ def _parse_vertices(cp, path: str) -> np.ndarray | None:
 
 def parse_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None)
+    # each section with its own keys only: no header names the empty section
+    own = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path) as fh:
-            cp.read_file(fh, source=path)
+        for parser in (cp, own):
+            with open(path) as fh:
+                parser.read_file(fh, source=path)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except configparser.Error as exc:
@@ -160,20 +200,20 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"missing section [{section}]")
 
     name = _get(cp, path, "model", "name", str, required=True)
-    if name == "flat":
-        model = _build(cp, path, "model", make_flat_model, omega_star=_parse_pair, q_choice=str)
-    elif name == "champagne":
-        model = _build(cp, path, "model", make_champagne_model, well_depth=float)
-    else:
+    if name not in MODELS:
         raise ConfigError(
             f"unknown model '{name}' (expected flat or champagne)",
             lineno=_line_of(path, "model", "name"),
         )
+    make, casts = MODELS[name]
+    _check_keys(own, path, {
+        "model": ["name", *casts], "semiclassical": SEMICLASSICAL, "diophantine": DIOPHANTINE,
+        "run": ["mode", "center"], "loop": ["vertices"],
+    })
 
-    params = _build(
-        cp, path, "semiclassical", SemiclassicalParams, h=float, delta=float, noise_order=int, seed=int, C0=float
-    )
-    dio = _build(cp, path, "diophantine", DiophantineParams, alpha=float, d=float, k_max=int)
+    model = _build(cp, path, "model", make, **casts)
+    params = _build(cp, path, "semiclassical", SemiclassicalParams, **SEMICLASSICAL)
+    dio = _build(cp, path, "diophantine", DiophantineParams, **DIOPHANTINE)
 
     mode = _get(cp, path, "run", "mode", str, required=True)
     if mode not in MODES:
@@ -232,8 +272,7 @@ def _run_synth(cfg: RunConfig, out: Path) -> int:
 
 def _run_detect(cfg: RunConfig, out: Path) -> int:
     el = spectral_chart_at(cfg.model, cfg.center, cfg.params, cfg.dio)
-    cloud, ac = el.cloud, el.action_chart
-    hc = fit_hchart(cloud.without_labels())  # el.hchart, from the cloud at hand
+    cloud, hc, ac = el.cloud, el.hchart, el.action_chart
     M, c = gauge_alignment(hc, ac)
     # criterion 2's quantity at the labeled points: the leading term against the ground truth
     err = np.max(np.abs(hc.f_tilde0(hc.u, M, c, ac.eta) - (ac.tau_c + ac.xi_of_c(hc.u)))) / hc.h
@@ -256,7 +295,7 @@ def _loop_monodromy(cfg: RunConfig, out: Path):
     cls, atlas, elements = spectral_monodromy(cfg.model, cfg.vertices, cfg.params, cfg.dio)
     classical = classical_monodromy(cfg.model, cfg.vertices)
     (out / "monodromy.txt").write_text(monodromy_report(cls, classical))
-    centers = np.array([el.center for el in elements])
+    centers = np.array([el.action_chart.c for el in elements])
     sing = [p for kind, p in cfg.model.singular_values if p is not None]
     (out / "loop.svg").write_text(plots.plot_loop(cfg.vertices, centers, sing))
     return cls, classical, atlas, elements, compare_monodromies(cls, classical)
@@ -295,8 +334,7 @@ def _run_verify_all(cfg: RunConfig, out: Path) -> int:
 
     # band containment on the first rectangle; its cloud and fit are made again
     el0 = elements[0]
-    cloud0, rect0 = el0.cloud, el0.rectangle
-    hc0 = fit_hchart(cloud0.without_labels())  # el0.hchart, from the cloud at hand
+    cloud0, hc0, rect0 = el0.cloud, el0.hchart, el0.rectangle
     band = spectral_band(cfg.model, el0.action_chart, rect0.center[0], rect0.half[0], cfg.params)
     if not np.all((cloud0.points.imag >= band[0]) & (cloud0.points.imag <= band[1])):
         failures.append("eigenvalues escape the spectral band")

@@ -199,14 +199,9 @@ def label_lattice(u, basis, rect: Rect):
     if np.count_nonzero(labeled) >= 8:
         for _ in range(2):
             Xl, kl = X[labeled], labels[labeled]
-            XtX = Xl.T @ Xl
-            if len(kl) >= 12 and np.linalg.cond(XtX) < 1e8:
-                # far inside full rank: least squares would find rank 6 here
-                C = np.linalg.solve(XtX, Xl.T @ kl)
-            else:
-                C, _, rank, _ = np.linalg.lstsq(Xl, kl, rcond=None)
-                if rank < X.shape[1] and len(kl) >= 12:
-                    raise DetectionError("labeling fit is rank deficient")
+            C, _, rank, _ = np.linalg.lstsq(Xl.T @ Xl, Xl.T @ kl, rcond=None)  # the normal equations
+            if rank < X.shape[1] and len(kl) >= 12:
+                raise DetectionError("labeling fit is rank deficient")
             kr, ok = _near_integer(X @ C)
             if np.any(kr[labeled] != kl):
                 raise DetectionError("label conflict: refit disagrees with assigned labels")

@@ -511,11 +511,6 @@ class ChampagneModel(ModelSystem):
 
     # -- actions ----------------------------------------------------------
 
-    def radial_action(self, E, l, n: int = 100):
-        """Radial action by direct quadrature (symmetric in l)."""
-        out = _radial_action_quad(E, np.abs(l), self.b, n=n)
-        return out if (np.ndim(E) or np.ndim(l)) else out[0]
-
     def _action_jet(self, E, l, partials=PARTIALS):
         """``I_r(E, |l|)`` and its ``partials`` in ``(E, |l|)``, as ``_cell_eval``
         gives them: ``r = sqrt(b) rho``, ``p_r = b p``, ``l = b^1.5 m`` give
@@ -686,7 +681,7 @@ def action_coords(model: ModelSystem, c):
     if isinstance(model, ChampagneModel):
         # direct quadrature for the action integrals (independent of the
         # table used by xi_of_c)
-        xi2 = model.radial_action(cs[:, 0], cs[:, 1], n=140) + shear * np.maximum(cs[:, 1], 0.0)
+        xi2 = _radial_action_quad(cs[:, 0], np.abs(cs[:, 1]), model.b, n=140) + shear * np.maximum(cs[:, 1], 0.0)
         S = 2.0 * math.pi * np.stack([cs[:, 1], xi2], axis=-1)
     tau_c = S / (2.0 * math.pi) - xi_c
 

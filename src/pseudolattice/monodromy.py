@@ -76,16 +76,16 @@ ROUNDING_TOL = 0.1
 PAIR_BLOCK = BLOCK // 512  # chart pairs per block: a pair's 9 jet samples take ~440 elements
 
 
-def transition_matrix(atlas: PseudoChartAtlas, i, j):
-    """Integer differential of ``f_i o f_j^{-1}`` on a 3 x 3 grid of the
-    overlap, for charts ``i`` and ``j``, or for index arrays (then a list).
+def transition_matrix(atlas: PseudoChartAtlas, i, j) -> list:
+    """Integer differentials of ``f_i o f_j^{-1}`` on a 3 x 3 grid of the
+    overlap, for the pairs of the index arrays ``i`` and ``j``.
 
     ``J_i J_j^{-1}`` is averaged over the samples before rounding; the
     pre-rounding matrix and its distance to the integer matrix are recorded.
     A pair with ``i == j`` is the exact identity.  The first pair that does
     not overlap, round or have det +-1 raises :class:`MonodromyError`.
     """
-    ii, jj = (np.atleast_1d(np.asarray(x, dtype=np.int64)) for x in (i, j))
+    ii, jj = (np.asarray(x, dtype=np.int64) for x in (i, j))
     pre = np.broadcast_to(np.eye(2), ii.shape + (2, 2)).copy()
     sel = np.flatnonzero(ii != jj)
     for s in range(0, sel.size, PAIR_BLOCK):
@@ -103,8 +103,7 @@ def transition_matrix(atlas: PseudoChartAtlas, i, j):
         if err[k] > ROUNDING_TOL:
             raise MonodromyError(f"transition {ii[k]}->{jj[k]} not integral: rounding error {err[k]:.3f} > {ROUNDING_TOL}")
         raise MonodromyError(f"transition {ii[k]}->{jj[k]} has det {det[k]}, expected +-1")
-    out = [TransitionMatrix(int(a), int(b), m, p, float(e)) for a, b, m, p, e in zip(ii, jj, M, pre, err)]
-    return out if np.ndim(i) else out[0]
+    return [TransitionMatrix(int(a), int(b), m, p, float(e)) for a, b, m, p, e in zip(ii, jj, M, pre, err)]
 
 
 @dataclass
@@ -211,11 +210,13 @@ def loop_monodromy(atlas: PseudoChartAtlas, loop) -> MonodromyClass:
 # ---------------------------------------------------------------------------
 
 
+MAX_CHARTS = 4000  # a covering with more centers raises MonodromyError
+
+
 def cover_loop(
     model: ModelSystem,
     vertices,
     spacing_factor: float = 0.4,
-    max_charts: int = 4000,
     radius_fn=None,
 ):
     """Chart centers along a polygonal loop, spaced by a fraction of the
@@ -254,7 +255,7 @@ def cover_loop(
         if s >= total:
             break
         centers.append(point_at(s))
-        if len(centers) > max_charts:
+        if len(centers) > MAX_CHARTS:
             raise MonodromyError("loop covering exceeds the chart budget")
     # drop a final center that crowds the starting chart
     if len(centers) > 2:

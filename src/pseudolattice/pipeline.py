@@ -9,6 +9,7 @@ loop monodromy can be computed exactly as for the classical action atlas.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +60,14 @@ class SpectralChart:
     """What a loop reads of one covering element: its good rectangle,
     centered on the good value, its symbol on the action chart, and the
     fitted chart map without its per-point arrays.  ``cloud`` and ``hchart``
-    are made again on each access: a cloud is seeded by its rectangle, so
-    the symbol and the rectangle give it bit for bit."""
+    are made again on first access and then kept: a cloud is seeded by its
+    rectangle, so the symbol and the rectangle give it bit for bit."""
 
-    center: np.ndarray
     symbol: NormalFormSymbol
     params: SemiclassicalParams
     rectangle: Rect
     coeffs: np.ndarray  # the fit's, as in HChart
     affine: np.ndarray
-    basis: tuple
     max_residual: float  # in units of h
     labeled_fraction: float
 
@@ -76,11 +75,11 @@ class SpectralChart:
     def action_chart(self) -> ActionChart:
         return self.symbol.chart
 
-    @property
+    @functools.cached_property
     def cloud(self) -> SpectrumCloud:
         return synth_spectrum(self.symbol, self.rectangle, self.params)
 
-    @property
+    @functools.cached_property
     def hchart(self) -> HChart:
         return fit_hchart(self.cloud.without_labels())
 
@@ -101,7 +100,7 @@ def spectral_chart_at(
     cs = np.atleast_2d(np.asarray(c, dtype=float))
     syms, clouds = _spectral_clouds(model, cs, params, dio, higher_coeffs)
     elements = []
-    for i, (cc, sym, cloud) in enumerate(zip(cs, syms, clouds)):
+    for i, (sym, cloud) in enumerate(zip(syms, clouds)):
         try:
             hc = fit_hchart(cloud.without_labels())
         except DetectionError as exc:
@@ -110,7 +109,7 @@ def spectral_chart_at(
             err.index = i
             raise err from exc
         elements.append(
-            SpectralChart(cc, sym, params, cloud.rectangle, hc.coeffs, hc.affine, hc.basis, hc.max_residual(), hc.labeled_fraction)
+            SpectralChart(sym, params, cloud.rectangle, hc.coeffs, hc.affine, hc.max_residual(), hc.labeled_fraction)
         )
     return elements if np.ndim(c) == 2 else elements[0]
 

@@ -17,11 +17,11 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _svg_open(width=WIDTH, height=HEIGHT) -> list:
+def _svg_open() -> list:
+    w, h = int(WIDTH), int(HEIGHT)
     return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" height="{int(height)}" '
-        f'viewBox="0 0 {int(width)} {int(height)}">',
-        f'<rect x="0" y="0" width="{int(width)}" height="{int(height)}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
     ]
 
 

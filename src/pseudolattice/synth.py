@@ -80,7 +80,7 @@ def good_rectangle(a, params: SemiclassicalParams, chart_radius: float) -> Rect:
     return Rect(np.array(a, dtype=float), (hw, hw))
 
 
-def default_higher_coeffs(scale: float = 0.02) -> dict:
+def default_higher_coeffs() -> dict:
     """Deterministic table of correction coefficients C_{(a1,a2),j,k}.
 
     Keys are ``(a1, a2, j, k)`` with ``a1+a2+j+k <= 3`` and either ``j >= 2``
@@ -99,7 +99,7 @@ def default_higher_coeffs(scale: float = 0.02) -> dict:
                     if j < 2 and k < 1:
                         continue
                     idx += 1
-                    mag = scale * (0.5 + 0.5 * np.cos(1.7 * idx))
+                    mag = 0.02 * (0.5 + 0.5 * np.cos(1.7 * idx))
                     if j == 0:
                         table[(a1, a2, j, k)] = complex(mag, 0.0)
                     else:
@@ -252,7 +252,7 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
         yield idx, k[inside], xi_k[inside], rect_of[inside]
 
 
-def _synth_clouds(symbols, rects, params: SemiclassicalParams, noise: bool = True):
+def _synth_clouds(symbols, rects, params: SemiclassicalParams):
     """The clouds of the rectangles ``rects`` in order, made one block of
     ``_candidates`` at a time, so that only one block's arrays are alive.
     A block's clouds are all made before the first is handed on: fitting
@@ -268,7 +268,7 @@ def _synth_clouds(symbols, rects, params: SemiclassicalParams, noise: bool = Tru
             keep = rect.contains(chi_inverse(mu, eps))
             # labels run k1-major, k2-minor: the canonical order for the noise
             k, mu = k[keep], mu[keep]
-            if noise and len(mu) > 0:
+            if len(mu) > 0:
                 rng = np.random.default_rng(_rect_seed(params, rect))
                 amp = h**params.noise_order
                 mu = mu + amp * (rng.uniform(-1, 1, len(mu)) + 1j * rng.uniform(-1, 1, len(mu)))
@@ -278,20 +278,15 @@ def _synth_clouds(symbols, rects, params: SemiclassicalParams, noise: bool = Tru
         yield from block
 
 
-def synth_spectrum(symbol, rectangle, params: SemiclassicalParams, noise: bool = True):
+def synth_spectrum(symbol, rectangle, params: SemiclassicalParams):
     """Enumerate the quantization lattice and keep points in the rectangle.
 
     ``xi_k = h*(k - eta/4) - tau_c``; ``mu_k`` is the symbol at ``xi_k``
-    plus seeded uniform complex noise of magnitude ``h^noise_order``.
-
-    ``symbol`` and ``rectangle`` may be lists over the charts of one model,
-    giving a list of clouds; each block of ``_candidates`` is inverted in one
-    call.  A rectangle's cloud is the same, bit for bit, alone or in a list.
+    plus seeded uniform complex noise of magnitude ``h^noise_order``.  A
+    rectangle's cloud is the same, bit for bit, alone or in a loop's block.
     """
-    many = isinstance(symbol, list)
-    symbols, rects = (symbol, rectangle) if many else ([symbol], [rectangle])
-    clouds = list(_synth_clouds(symbols, rects, params, noise))
-    return clouds if many else clouds[0]
+    (cloud,) = _synth_clouds([symbol], [rectangle], params)
+    return cloud
 
 
 def spectral_band(

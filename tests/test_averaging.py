@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pseudolattice import averaging
 from pseudolattice.averaging import time_average, torus_average
 from pseudolattice.models import GOLDEN, action_coords, make_flat_model
 
@@ -29,11 +30,12 @@ def test_torus_average_xi_weighted():
     assert torus_average(m, ch, np.array([0.2, 0.5])) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_torus_average_grid_refinement():
+def test_torus_average_grid_refinement(monkeypatch):
     m = make_flat_model((1.0, 0.7), "xi_weighted")
     ch = action_coords(m, m.value_from_xi(np.array([0.2, 0.3])))
-    a = torus_average(m, ch, np.array([0.2, 0.3]), n=64)
-    b = torus_average(m, ch, np.array([0.2, 0.3]), n=128)
+    a = torus_average(m, ch, np.array([0.2, 0.3]))
+    monkeypatch.setattr(averaging, "DEFAULT_ANGLE_GRID", 2 * averaging.DEFAULT_ANGLE_GRID)
+    b = torus_average(m, ch, np.array([0.2, 0.3]))
     assert abs(a - b) < 1e-12
 
 

@@ -215,6 +215,8 @@ _CHAMPAGNE = CHAMPAGNE_SYNTH.format(center="0.3 0.02")
         (FLAT_SYNTH, "delta = 0.5", "delta = 0.5\nnoise_order = 0", "noise_order"),
         (_CHAMPAGNE, "name = champagne", "name = champagne\nwell_depth = -1", "well_depth"),
         (FLAT_SYNTH, "q_choice = xi_weighted", "q_choice = bogus", "q_choice"),
+        (FLAT_SYNTH, "q_choice = xi_weighted", "q_choice = cos_x1", "q_choice"),
+        (FLAT_SYNTH, "q_choice = xi_weighted", "q_choice = const3", "q_choice"),
         (_CHAMPAGNE, "name = champagne", "name = champagne\nwell_depth = nan", "well_depth"),
         (FLAT_SYNTH, "omega_star = 1.0 0.7", "omega_star = nan 1", "omega_star"),
         (FLAT_LOOP, "    0.42 0.10", "    nan 0.10", "vertices"),
@@ -240,6 +242,8 @@ _CHAMPAGNE = CHAMPAGNE_SYNTH.format(center="0.3 0.02")
         "noise_order-zero",
         "well_depth-negative",
         "q_choice-unknown",
+        "q_choice-cos_x1",
+        "q_choice-const3",
         "well_depth-nan",
         "omega_star-nan",
         "vertex-nan",
@@ -271,6 +275,34 @@ def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):
         line = row
     assert f"{path}:{line}:" in err
     assert key in err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (FLAT_SYNTH.replace("seed = 7", "seed = 7\nnoise_ordr = 1"), "noise_ordr = 1"),
+        (FLAT_SYNTH.replace("[run]", "[diophantin]\nalpha = 5\n\n[run]"), "[diophantin]"),
+        (FLAT_SYNTH.replace("q_choice = xi_weighted", "well_depth = 2"), "well_depth = 2"),
+        (FLAT_SYNTH.replace("center = 0.25 0.15", "center = 0.25 0.15\nvertices = 0 0"), "vertices = 0 0"),
+        ("[DEFAULT]\nnoise_ordr = 1\n\n" + FLAT_SYNTH, "noise_ordr = 1"),
+    ],
+    ids=["key-misspelled", "section-misspelled", "key-of-the-other-model", "key-of-another-section", "default-key-unknown"],
+)
+def test_main_unknown_key_or_section_exit_2(tmp_path, capsys, text, line):
+    # a key or section that no constructor takes would be ignored: it is
+    # rejected at its line before any run
+    path = _write(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{text.splitlines().index(line) + 1}: unknown " in err
+    assert not out.exists()
+
+
+def test_parse_config_default_section_keys(tmp_path):
+    # a [DEFAULT] key that some section takes reaches that section
+    cfg = parse_config(_write(tmp_path, "[DEFAULT]\nseed = 3\n\n" + FLAT_SYNTH.replace("seed = 7\n", "")))
+    assert cfg.params.seed == 3
 
 
 def test_readme_config_runs_at_the_constructor_defaults(tmp_path):

@@ -3,8 +3,9 @@ module-level private function and class is used by the package itself,
 every name the package exports resolves to the module it is imported from,
 every public function and class, and every public field, method and
 ``__init__`` attribute of a class, is reached by the package, the acceptance
-suite or the benchmark (or is allowlisted with a reason), and importing the
-package loads no scipy module.
+suite or the benchmark, and each defaulted parameter of a function or method
+is passed by one of their calls (or is allowlisted with a reason), and
+importing the package loads no scipy module.
 
 ``__init__.py`` is skipped by the first check: it imports names to
 re-export them.
@@ -12,6 +13,7 @@ re-export them.
 
 import ast
 import importlib
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +182,69 @@ def test_class_members_are_read():
     assert unread == []
     stale = [m for m in MEMBER_ALLOWLIST if m not in members or m.split(".")[1] in read]
     assert stale == []
+
+
+def _defaulted_parameters(path: Path) -> list:
+    """``(call name, position, name, label)`` for each defaulted parameter of
+    each function and method of ``path``; ``position`` counts from the
+    first argument a call passes (after ``self``), and is None for a
+    keyword-only parameter.  ``Cls(...)`` calls ``Cls.__init__``."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                skip = int(cls is not None)  # self
+                name = cls if child.name == "__init__" else child.name
+                label = f"{path.name}:{cls + '.' if cls else ''}{child.name}"
+                first = len(positional) - len(a.defaults)
+                found.extend((name, k - skip, arg.arg, f"{label}({arg.arg})") for k, arg in enumerate(positional) if k >= first)
+                found.extend((name, None, arg.arg, f"{label}({arg.arg})") for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def _calls(paths) -> dict:
+    """For each called name (a function or an attribute), the positional
+    argument count (unbounded with ``*args``) and keyword names of each of
+    its calls in ``paths``; ``**kwargs`` passes every keyword."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = getattr(node.func, "id", None) or node.func.attr
+                npos = math.inf if any(isinstance(x, ast.Starred) for x in node.args) else len(node.args)
+                keys = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((npos, keys, None in keys))
+    return calls
+
+
+# defaulted parameters that no run, no acceptance criterion and no benchmark
+# passes, kept for a stated reason
+PARAMETER_ALLOWLIST = {}
+
+
+def test_parameters_are_passed():
+    # a default that every reaching call leaves in place is a second way to
+    # run the code that only the unit tests take; calls match by name, as
+    # the member check does
+    calls = _calls(REACHING)
+    passed = {
+        label: any((pos is not None and npos > pos) or arg in keys or star for npos, keys, star in calls.get(name, []))
+        for path in MODULES
+        for name, pos, arg, label in _defaulted_parameters(path)
+    }
+    assert [label for label, ok in passed.items() if not ok and label not in PARAMETER_ALLOWLIST] == []
+    # an allowlist entry is stale once its parameter is gone or a run passes it
+    assert [label for label in PARAMETER_ALLOWLIST if passed.get(label, True)] == []
 
 
 def test_package_import_loads_no_scipy():

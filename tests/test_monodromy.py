@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from pseudolattice import monodromy
 from pseudolattice.models import ModelError, action_coords, make_champagne_model, make_flat_model
 from pseudolattice.monodromy import (
     MonodromyClass,
@@ -20,6 +21,12 @@ from pseudolattice.monodromy import (
     monodromy_report,
     transition_matrix,
 )
+
+
+def _transition(atlas, i, j):
+    """The transition of the one pair ``(i, j)``."""
+    (t,) = transition_matrix(atlas, [i], [j])
+    return t
 
 
 def _linear_atlas(centers, mats, half=0.3):
@@ -48,7 +55,7 @@ UNIMODULAR = [
 
 def test_self_transition_is_identity():
     atlas = _grid_atlas(UNIMODULAR[:2])
-    t = transition_matrix(atlas, 0, 0)
+    t = _transition(atlas, 0, 0)
     assert np.array_equal(t.M, np.eye(2, dtype=np.int64))
     assert t.rounding_error == 0.0
     # and within a batch of other pairs
@@ -61,14 +68,14 @@ def test_self_transition_is_identity():
 def test_transition_antisymmetry():
     atlas = _grid_atlas(UNIMODULAR)
     for i in range(3):
-        a = transition_matrix(atlas, i, i + 1).M
-        b = transition_matrix(atlas, i + 1, i).M
+        a = _transition(atlas, i, i + 1).M
+        b = _transition(atlas, i + 1, i).M
         assert np.array_equal(a @ b, np.eye(2, dtype=np.int64))
 
 
 def test_transition_exact_for_linear_charts():
     atlas = _grid_atlas(UNIMODULAR)
-    t = transition_matrix(atlas, 0, 1)
+    t = _transition(atlas, 0, 1)
     expected = np.rint(UNIMODULAR[0] @ np.linalg.inv(UNIMODULAR[1])).astype(np.int64)
     assert np.array_equal(t.M, expected)
     assert t.rounding_error < 1e-12
@@ -77,20 +84,20 @@ def test_transition_exact_for_linear_charts():
 def test_transition_requires_overlap():
     atlas = _grid_atlas(UNIMODULAR, spacing=2.0)
     with pytest.raises(MonodromyError):
-        transition_matrix(atlas, 0, 1)
+        _transition(atlas, 0, 1)
 
 
 def test_transition_rejects_non_integral():
     bad = np.array([[1.4, 0.0], [0.0, 1.0]])
     atlas = _grid_atlas([np.eye(2), bad])
     with pytest.raises(MonodromyError):
-        transition_matrix(atlas, 0, 1)
+        _transition(atlas, 0, 1)
 
 
 def test_transition_rejects_bad_determinant():
     atlas = _grid_atlas([np.eye(2), 0.5 * np.eye(2)])
     with pytest.raises(MonodromyError):
-        transition_matrix(atlas, 0, 1)
+        _transition(atlas, 0, 1)
 
 
 def _block_atlas():
@@ -146,7 +153,7 @@ def _cocycle_check_brute_force(atlas):
     for i in range(n):
         for j in range(n):
             if i != j and np.all(atlas.overlap(i, j)[1] > 0):
-                t = transition_matrix(atlas, i, j)
+                t = _transition(atlas, i, j)
                 trans[(i, j)] = t.M
                 if i < j:
                     pairs.append(t)
@@ -304,7 +311,7 @@ def test_loop_monodromy_empty_and_gap():
         loop_monodromy(atlas, [0, 1])
 
 
-def test_cover_loop_spacing_and_budget():
+def test_cover_loop_spacing_and_budget(monkeypatch):
     m = make_flat_model((1.0, 0.7), "xi_weighted")
     verts = [(0.3, 0.1), (0.5, 0.1), (0.5, 0.3), (0.3, 0.3)]
     centers = cover_loop(m, verts)
@@ -314,8 +321,9 @@ def test_cover_loop_spacing_and_budget():
 
     for a, b in zip(centers[:-1], centers[1:]):
         assert np.linalg.norm(b - a) <= 0.4 * _chart_radius(m, a) + 1e-9
-    with pytest.raises(MonodromyError):
-        cover_loop(m, verts, max_charts=3)
+    monkeypatch.setattr(monodromy, "MAX_CHARTS", 3)
+    with pytest.raises(MonodromyError, match="chart budget"):
+        cover_loop(m, verts)
 
 
 def test_classical_flat_loop_is_identity():
@@ -490,7 +498,7 @@ def test_batched_transitions_equal_per_pair_transitions(small_spectral_loop, loo
     i = np.arange(len(atlas))
     j = np.roll(i, -1)
     batch = transition_matrix(atlas, np.concatenate([i, j]), np.concatenate([j, i]))
-    single = [transition_matrix(atlas, a, b) for a, b in zip(np.concatenate([i, j]), np.concatenate([j, i]))]
+    single = [_transition(atlas, a, b) for a, b in zip(np.concatenate([i, j]), np.concatenate([j, i]))]
     assert [(t.i, t.j) for t in batch] == [(t.i, t.j) for t in single]
     assert all(a.M.tobytes() == b.M.tobytes() and a.pre_round.tobytes() == b.pre_round.tobytes() for a, b in zip(batch, single))
     assert [t.rounding_error for t in batch] == [t.rounding_error for t in single]

@@ -24,9 +24,12 @@ def _symbol(sym, xi, eps, h):
     return chi(sym.chart.phi(xi), eps) + sym.correction(xi, eps, h)
 
 
-def _cloud(sym, a, params=PARAMS, noise=True):
+CLEAN = replace(PARAMS, noise_order=400)  # h^400 underflows to 0: clouds without noise
+
+
+def _cloud(sym, a, params=PARAMS):
     """The cloud of the good rectangle at ``a`` in the symbol's chart."""
-    return synth_spectrum(sym, good_rectangle(a, params, sym.chart.domain.half[0]), params, noise=noise)
+    return synth_spectrum(sym, good_rectangle(a, params, sym.chart.domain.half[0]), params)
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +155,10 @@ def test_exact_cloud_count_matches_brute_force(flat_setup, champ_setup):
     sheared = (m, action_coords(m, np.array([0.3, 0.0])), np.array([0.3, 0.0]))
     assert sheared[1].shear == 1
     for _, chart, a in (flat_setup, sheared, champ_setup):
-        for coeffs in ({}, default_higher_coeffs(), default_higher_coeffs(1.0)):
+        fifty = {key: 50 * c for key, c in default_higher_coeffs().items()}
+    for coeffs in ({}, default_higher_coeffs(), fifty):
             sym = NormalFormSymbol(chart, coeffs)
-            cloud = _cloud(sym, a, noise=False)
+            cloud = _cloud(sym, a, CLEAN)
             assert len(cloud) > 100
             assert np.array_equal(cloud.k_true, _brute_force_labels(chart, sym, cloud.rectangle, PARAMS))
 
@@ -163,7 +167,7 @@ def test_exact_cloud_oracle_labeling(flat_setup):
     # applying the exact leading-term inverse recovers h*(k - eta/4) - tau_c
     m, chart, a = flat_setup
     sym = NormalFormSymbol(chart, {})
-    cloud = _cloud(sym, a, noise=False)
+    cloud = _cloud(sym, a, CLEAN)
     u = np.stack([cloud.points.real, cloud.points.imag / PARAMS.epsilon], axis=-1)
     kf = chart.xi_of_c(u) / PARAMS.h + chart.eta / 4.0 + chart.tau_c / PARAMS.h
     assert np.max(np.abs(kf - cloud.k_true)) < 1e-9  # 1e-12 relative to k ~ O(1e3)
@@ -173,7 +177,7 @@ def test_cloud_spacing(flat_setup):
     # horizontal gaps ~ h * dp/dxi1, vertical gaps ~ eps*h * d<q>/dxi2
     m, chart, a = flat_setup
     sym = NormalFormSymbol(chart, {})
-    cloud = _cloud(sym, a, noise=False)
+    cloud = _cloud(sym, a, CLEAN)
     k = cloud.k_true
     mu = cloud.points
     omega = _frequencies_at(m, chart.phi(chart.xi_of_c(a)), chart.shear)[0]
@@ -214,8 +218,8 @@ def test_cloud_determinism(champ_setup):
 def test_noise_magnitude(champ_setup):
     m, chart, a = champ_setup
     sym = NormalFormSymbol(chart, {})
-    clean = _cloud(sym, a, noise=False)
-    noisy = _cloud(sym, a, noise=True)
+    clean = _cloud(sym, a, CLEAN)
+    noisy = _cloud(sym, a)
     # same lattice points, perturbed by at most sqrt(2) h^3 each
     common = set(map(tuple, clean.k_true)) & set(map(tuple, noisy.k_true))
     assert len(common) >= len(clean) - 2  # boundary points may drop out
