@@ -199,7 +199,10 @@ def label_lattice(u, basis, rect: Rect):
     if np.count_nonzero(labeled) >= 8:
         for _ in range(2):
             Xl, kl = X[labeled], labels[labeled]
-            C, _, rank, _ = np.linalg.lstsq(Xl.T @ Xl, Xl.T @ kl, rcond=None)  # the normal equations
+            # the normal equations square cond(Xl); the seed's fit is the worst
+            # conditioned, its points within 4.5 spacings of the center in
+            # features scaled by the rectangle: cond(XtX) ~ 1e7 at 199 spacings
+            C, _, rank, _ = np.linalg.lstsq(Xl.T @ Xl, Xl.T @ kl, rcond=None)
             if rank < X.shape[1] and len(kl) >= 12:
                 raise DetectionError("labeling fit is rank deficient")
             kr, ok = _near_integer(X @ C)

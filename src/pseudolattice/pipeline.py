@@ -61,7 +61,9 @@ class SpectralChart:
     centered on the good value, its symbol on the action chart, and the
     fitted chart map without its per-point arrays.  ``cloud`` and ``hchart``
     are made again on first access and then kept: a cloud is seeded by its
-    rectangle, so the symbol and the rectangle give it bit for bit."""
+    rectangle, so the symbol and the rectangle give it bit for bit.  Reading
+    either keeps that element's per-point arrays for the element's life, so a
+    caller that reads them over a whole loop holds every cloud of it."""
 
     symbol: NormalFormSymbol
     params: SemiclassicalParams

@@ -349,9 +349,16 @@ def test_label_lattice_matches_reference_wide_cloud(champ_setup):
     cloud = _cloud(NormalFormSymbol(chart, default_higher_coeffs()), a, params)
     assert round(cloud.rectangle.half[0] / params.h) == 199
     u, anchor = _rescaled(cloud)
-    _, labeled = _assert_labels_match_reference(u, detect_basis(u, anchor), cloud.rectangle)
+    basis = detect_basis(u, anchor)
+    _, labeled = _assert_labels_match_reference(u, basis, cloud.rectangle)
     assert np.all(labeled)
     assert fit_hchart(cloud).max_residual() <= RESIDUAL_LIMIT
+    # label_lattice solves the normal equations; its worst-conditioned fit,
+    # the seed's, stays well within double precision on this widest cloud
+    X = label_lattice(u, basis, cloud.rectangle)[2]
+    u0 = u[np.argmin(_row_norm(u - cloud.rectangle.center))]
+    seed = X[_row_norm(u - u0) <= 4.5 * max(map(np.linalg.norm, basis))]
+    assert np.linalg.cond(seed.T @ seed) < 1e8
 
 
 def test_label_lattice_matches_reference_failures(flat_cloud):

@@ -154,9 +154,9 @@ def test_exact_cloud_count_matches_brute_force(flat_setup, champ_setup):
     m = make_champagne_model(1.0)
     sheared = (m, action_coords(m, np.array([0.3, 0.0])), np.array([0.3, 0.0]))
     assert sheared[1].shear == 1
+    fifty = {key: 50 * c for key, c in default_higher_coeffs().items()}
     for _, chart, a in (flat_setup, sheared, champ_setup):
-        fifty = {key: 50 * c for key, c in default_higher_coeffs().items()}
-    for coeffs in ({}, default_higher_coeffs(), fifty):
+        for coeffs in ({}, default_higher_coeffs(), fifty):
             sym = NormalFormSymbol(chart, coeffs)
             cloud = _cloud(sym, a, CLEAN)
             assert len(cloud) > 100
