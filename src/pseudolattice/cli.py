@@ -387,7 +387,8 @@ def main(argv=None) -> int:
             return _run_monodromy(cfg, out)
         return _run_verify_all(cfg, out)
     except ValueError as exc:  # ModelError, DetectionError and MonodromyError among them
-        print(f"error: {exc}", file=sys.stderr)
+        reason = getattr(exc, "reason", None)
+        print(f"error: {f'[{reason}] ' if reason else ''}{exc}", file=sys.stderr)
         return 1
 
 

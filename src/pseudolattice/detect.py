@@ -28,10 +28,16 @@ from .synth import SpectrumCloud, chi_inverse
 class DetectionError(ValueError):
     """Raised when a cloud fails lattice detection or labeling.
 
-    ``index`` is the position of the failing rectangle in a batch of them.
+    ``reason`` is its code: ``too_few_points``, ``ill_conditioned_basis``,
+    ``label_conflict``, ``unlabeled_fraction`` or ``residual``.  ``index`` is
+    the position of the failing rectangle in a batch of them.
     """
 
     index: int | None = None
+
+    def __init__(self, msg: str, reason: str):
+        super().__init__(msg)
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +64,7 @@ def _direction_peak(vs, ang):
     dist = np.abs(np.mod(ang - theta + math.pi / 2, math.pi) - math.pi / 2)
     members = vs[dist < max(0.15, 1.5 * math.pi / nb)]
     if len(members) == 0:
-        raise DetectionError("degenerate cloud: no difference cluster found")
+        raise DetectionError("degenerate cloud: no difference cluster found", "ill_conditioned_basis")
     # average with consistent orientation along the peak direction
     direction = np.array([math.cos(theta), math.sin(theta)])
     members = members * np.sign(members @ direction)[:, None]
@@ -98,10 +104,10 @@ def detect_basis(u, anchor):
     """
     n = len(u)
     if n < 25:
-        raise DetectionError(f"insufficient points for basis detection ({n} < 25)")
+        raise DetectionError(f"insufficient points for basis detection ({n} < 25)", "too_few_points")
     if n > BASIS_PATCH:
-        d = u - anchor
-        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        d0, d1 = u[:, 0] - anchor[0], u[:, 1] - anchor[1]
+        d2 = d0 * d0 + d1 * d1
         # sorted, so the patch keeps cloud order whatever lies outside it
         u = u[np.sort(np.argpartition(d2, BASIS_PATCH - 1)[:BASIS_PATCH])]
     i, j = PATCH_PAIRS if len(u) == BASIS_PATCH else np.triu_indices(len(u), 1)
@@ -116,7 +122,7 @@ def detect_basis(u, anchor):
 
     short = (lens > 0.5 * L0) & (lens < 1.45 * L0)
     if not np.any(short):
-        raise DetectionError("degenerate cloud: no short difference vectors")
+        raise DetectionError("degenerate cloud: no short difference vectors", "ill_conditioned_basis")
     b1 = _direction_peak(diffs[short], ang[short])
 
     # second direction: strip everything collinear with b1, then take the
@@ -125,14 +131,14 @@ def detect_basis(u, anchor):
     away = np.abs(np.mod(ang - theta1 + math.pi / 2, math.pi) - math.pi / 2) > 0.35
     rest = away & (lens < 4.0 * L0)
     if not np.any(rest):
-        raise DetectionError("degenerate cloud: only one difference direction")
+        raise DetectionError("degenerate cloud: only one difference direction", "ill_conditioned_basis")
     rest &= lens < 1.45 * np.min(lens[rest])
     b2 = _direction_peak(diffs[rest], ang[rest])
 
     b1, b2 = _gauss_reduce(b1, b2)
     B = np.column_stack([b1, b2])
     if abs(np.linalg.det(B)) < 1e-300 or np.linalg.cond(B) > 50.0:
-        raise DetectionError("lattice basis rejected: condition number > 50")
+        raise DetectionError("lattice basis rejected: condition number > 50", "ill_conditioned_basis")
     return b1, b2
 
 
@@ -189,36 +195,38 @@ def label_lattice(u, basis, rect: Rect):
     that growth would find; where that was seen, growth's chart failed the
     residual limit too.
     """
-    n = len(u)
-    u0 = u[np.argmin(_row_norm(u - rect.center))]
-    near = np.flatnonzero(_row_norm(u - u0) <= 4.5 * max(map(np.linalg.norm, basis)))
+    n, x, y = len(u), u[:, 0], u[:, 1]
+    dx, dy = x - rect.center[0], y - rect.center[1]
+    u0 = u[np.argmin(np.sqrt(dx * dx + dy * dy))]
+    ex, ey = x - u0[0], y - u0[1]
+    near = np.flatnonzero(np.sqrt(ex * ex + ey * ey) <= 4.5 * max(map(np.linalg.norm, basis)))
     kr, ok = _near_integer((u[near] - u0) @ np.linalg.inv(np.column_stack(basis)).T)
     labels, labeled = np.zeros((n, 2)), np.zeros(n, dtype=bool)
     labels[near[ok]], labeled[near[ok]] = kr[ok], True
-    X = _features((u - rect.center) / rect.half)
+    X = _features(np.stack([dx / rect.half[0], dy / rect.half[1]], axis=-1))
     if np.count_nonzero(labeled) >= 8:
         for _ in range(2):
-            Xl, kl = X[labeled], labels[labeled]
+            Xl, kl = X.compress(labeled, axis=0), labels.compress(labeled, axis=0)
             # the normal equations square cond(Xl); the seed's fit is the worst
             # conditioned, its points within 4.5 spacings of the center in
             # features scaled by the rectangle: cond(XtX) ~ 1e7 at 199 spacings
             C, _, rank, _ = np.linalg.lstsq(Xl.T @ Xl, Xl.T @ kl, rcond=None)
             if rank < X.shape[1] and len(kl) >= 12:
-                raise DetectionError("labeling fit is rank deficient")
+                raise DetectionError("labeling fit is rank deficient", "too_few_points")
             kr, ok = _near_integer(X @ C)
-            if np.any(kr[labeled] != kl):
-                raise DetectionError("label conflict: refit disagrees with assigned labels")
+            if np.any(kr.compress(labeled, axis=0) != kl):
+                raise DetectionError("label conflict: refit disagrees with assigned labels", "label_conflict")
             new = ok & ~labeled
             labels[new], labeled[new] = kr[new], True
 
     frac = 1.0 - np.count_nonzero(labeled) / n
     if frac > MAX_UNLABELED:
-        raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {MAX_UNLABELED}")
+        raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {MAX_UNLABELED}", "unlabeled_fraction")
     labels = labels.astype(np.int64)
     # injectivity: one int64 key per label (labels are far below 2^31)
     key = np.sort(((labels[:, 0] << 32) + labels[:, 1])[labeled])
     if np.any(key[1:] == key[:-1]):
-        raise DetectionError("label conflict: duplicate integer labels")
+        raise DetectionError("label conflict: duplicate integer labels", "label_conflict")
     return labels, labeled, X
 
 
@@ -287,21 +295,21 @@ def fit_hchart(cloud: SpectrumCloud) -> HChart:
     u = chi_inverse(cloud.points, eps)
     basis = detect_basis(u, rect.center)
     labels, m, X = label_lattice(u, basis, rect)
-    u, labels, X = u[m], labels[m], X[m]
+    u, labels, X = (a.compress(m, axis=0) for a in (u, labels, X))
 
     target = h * labels.astype(float)
     C, _, rank, _ = np.linalg.lstsq(X, target, rcond=None)
     if rank < X.shape[1]:
-        raise DetectionError("chart fit is rank deficient")
+        raise DetectionError("chart fit is rank deficient", "too_few_points")
     residuals = _row_norm(X @ C - target) / h
     if np.max(residuals) > RESIDUAL_LIMIT:
         raise DetectionError(
-            f"chart rejected: max residual {np.max(residuals):.4f} > {RESIDUAL_LIMIT} (units of h)"
+            f"chart rejected: max residual {np.max(residuals):.4f} > {RESIDUAL_LIMIT} (units of h)", "residual"
         )
 
     affine = _feature_jac(C, np.zeros(2), rect.half)
     if abs(np.linalg.det(affine)) < 1e-300:
-        raise DetectionError("fitted chart is not a local diffeomorphism")
+        raise DetectionError("fitted chart is not a local diffeomorphism", "residual")
 
     return HChart(
         rectangle=rect,
@@ -330,7 +338,7 @@ def gauge_alignment(hchart: HChart, chart: ActionChart) -> tuple:
     J = chart.d_xi(hchart.rectangle.center)  # Jacobian of the ground-truth leading term
     M = np.rint(hchart.affine @ np.linalg.inv(J)).astype(np.int64)
     if abs(round(float(np.linalg.det(M)))) != 1:
-        raise DetectionError("gauge alignment failed: non-unimodular label basis")
+        raise DetectionError("gauge alignment failed: non-unimodular label basis", "label_conflict")
     diff = hchart.f(hchart.u) @ np.linalg.inv(M).T - (chart.tau_c + chart.xi_of_c(hchart.u))
     c = np.rint(np.mean(diff, axis=0) / hchart.h - np.asarray(chart.eta, dtype=float) / 4.0).astype(np.int64)
     return M, c

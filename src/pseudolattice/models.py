@@ -64,9 +64,9 @@ class Rect:
         self.half = np.asarray(self.half, dtype=float)
 
     def contains(self, pts, margin: float = 0.0) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        d = np.abs(pts - self.center) - (self.half + margin)
-        return np.all(d <= 0.0, axis=-1)
+        pts, c, w = np.asarray(pts, dtype=float), self.center, self.half + margin
+        x, y = (np.abs(pts[..., j] - c[..., j]) - w[..., j] <= 0.0 for j in (0, 1))
+        return x & y
 
     def grid(self, n: int) -> np.ndarray:
         """The n x n grid of each rectangle (x major): ``(..., n * n, 2)``."""
@@ -171,8 +171,8 @@ class FlatModel(ModelSystem):
 
     def value_from_xi(self, xi, shear=0, seed_E=None):
         xi = np.asarray(xi, dtype=float)
-        p = xi @ self.omega_star + 0.5 * np.sum(xi * xi, axis=-1)
-        return np.stack([p, xi[..., 1]], axis=-1)
+        x0, x1 = xi[..., 0], xi[..., 1]
+        return np.stack([xi @ self.omega_star + 0.5 * (x0 * x0 + x1 * x1), x1], axis=-1)
 
     def jet(self, a, shear=0):
         # omega = omega_star + xi and d<q>/dxi = (0, 1), so d xi/d a is the

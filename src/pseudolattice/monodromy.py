@@ -21,7 +21,11 @@ from .models import BLOCK, ModelSystem, Rect, _chart_domains, _chart_radius
 
 
 class MonodromyError(ValueError):
-    """Raised for inconsistent transitions or broken coverings."""
+    """Raised for inconsistent transitions or broken coverings.  A failure at
+    one rectangle of a loop carries its ``reason`` code and its ``index``."""
+
+    reason: str | None = None
+    index: int | None = None
 
 
 OVERLAP_SHRINK = 0.05  # keeps the transition samples inside both domains

@@ -28,15 +28,13 @@ from .synth import (
 )
 
 
-def _nearest_good(model: ModelSystem, c, shear: int, dio: DiophantineParams, search_radius: float) -> np.ndarray:
-    """The nearest good node of a 4 x 4 grid around a center that is not good."""
+def _nearest_good(model: ModelSystem, c, shear: int, dio: DiophantineParams, search_radius: float) -> np.ndarray | None:
+    """The nearest good node of a 4 x 4 grid around a center that is not good, or None."""
     offs = search_radius * np.array([-1.0, -0.5, 0.5, 1.0])
     cands = np.stack(np.meshgrid(c[0] + offs, c[1] + offs, indexing="ij"), axis=-1).reshape(-1, 2)
     cands = cands[np.argsort(np.linalg.norm(cands - c, axis=1))]
     good = np.flatnonzero(good_margin(model, cands, dio, shear) >= dio.alpha)
-    if good.size == 0:
-        raise MonodromyError(f"no good value found near {tuple(c.tolist())}")
-    return cands[good[0]]
+    return cands[good[0]] if good.size else None
 
 
 def _spectral_clouds(model: ModelSystem, cs, params: SemiclassicalParams, dio: DiophantineParams, higher_coeffs=None):
@@ -49,6 +47,10 @@ def _spectral_clouds(model: ModelSystem, cs, params: SemiclassicalParams, dio: D
     rects = [good_rectangle(cc, params, ac.domain.half[0]) for cc, ac in zip(cs, charts)]
     for i in np.flatnonzero(~ok):
         a = _nearest_good(model, cs[i], charts[i].shear, dio, search_radius=0.25 * rects[i].half[0])
+        if a is None:
+            err = MonodromyError(f"rectangle {i}: no good value found near {tuple(cs[i].tolist())}")
+            err.reason, err.index = "no_good_value", int(i)
+            raise err
         rects[i] = good_rectangle(a, params, charts[i].domain.half[0])
     coeffs = dict(higher_coeffs or {})
     syms = [NormalFormSymbol(ac, coeffs) for ac in charts]
@@ -107,7 +109,7 @@ def spectral_chart_at(
             hc = fit_hchart(cloud.without_labels())
         except DetectionError as exc:
             E, G = cloud.rectangle.center
-            err = DetectionError(f"rectangle {i} at ({E:.6g}, {G:.6g}): {exc}")
+            err = DetectionError(f"rectangle {i} at ({E:.6g}, {G:.6g}): {exc}", exc.reason)
             err.index = i
             raise err from exc
         elements.append(

@@ -129,9 +129,9 @@ class NormalFormSymbol:
     def __post_init__(self):
         _validate_coeffs(self.higher_coeffs)
 
-    def correction(self, xi, eps: float, h: float) -> np.ndarray:
+    def correction(self, xi, eps: float, h: float):
         xi = np.asarray(xi, dtype=float)
-        out = np.zeros(xi.shape[:-1], dtype=complex)
+        out = 0.0  # an empty table allocates nothing; the sum is complex from its first term
         for (a1, a2, j, k), c in self.higher_coeffs.items():
             out = out + c * xi[..., 0] ** a1 * xi[..., 1] ** a2 * eps**j * h**k
         return out
@@ -245,11 +245,12 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
     for b in np.unique(block):
         idx = np.flatnonzero(block == b)
         sel = (r >= idx[0]) & (r <= idx[-1])
-        k = np.stack([np.repeat(k1[sel], n[sel]), _ranges(lo[sel], n[sel])], axis=-1)
+        k = np.repeat(k1[sel], n[sel]), _ranges(lo[sel], n[sel])
         rect_of = np.repeat(r[sel], n[sel])
-        xi_k = h * (k - charts[0].eta / 4.0) - tau_c[rect_of]
-        inside = Rect(box[0][rect_of], box[1][rect_of]).contains(xi_k, margin=2.0 * h)
-        yield idx, k[inside], xi_k[inside], rect_of[inside]
+        xi_k = np.stack([h * (k[j] - charts[0].eta[j] / 4.0) - tau_c[:, j].take(rect_of) for j in (0, 1)], axis=-1)
+        inside = Rect(box[0].take(rect_of, axis=0), box[1].take(rect_of, axis=0)).contains(xi_k, margin=2.0 * h)
+        k, xi_k = np.stack(k, axis=-1).compress(inside, axis=0), xi_k.compress(inside, axis=0)
+        yield idx, k, xi_k, rect_of.compress(inside)
 
 
 def _synth_clouds(symbols, rects, params: SemiclassicalParams):
@@ -267,13 +268,13 @@ def _synth_clouds(symbols, rects, params: SemiclassicalParams):
             mu = chi(a_k, eps) + sym.correction(xi_k, eps, h)
             keep = rect.contains(chi_inverse(mu, eps))
             # labels run k1-major, k2-minor: the canonical order for the noise
-            k, mu = k[keep], mu[keep]
+            k, mu = k.compress(keep, axis=0), mu.compress(keep)
             if len(mu) > 0:
                 rng = np.random.default_rng(_rect_seed(params, rect))
                 amp = h**params.noise_order
                 mu = mu + amp * (rng.uniform(-1, 1, len(mu)) + 1j * rng.uniform(-1, 1, len(mu)))
                 keep = rect.contains(chi_inverse(mu, eps))
-                k, mu = k[keep], mu[keep]
+                k, mu = k.compress(keep, axis=0), mu.compress(keep)
             block.append(SpectrumCloud(points=mu, k_true=k, params=params, rectangle=rect))
         yield from block
 

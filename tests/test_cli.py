@@ -461,9 +461,18 @@ vertices =
 
 
 def test_main_chart_fit_error_names_rectangle(tmp_path, capsys):
-    # noise of order h buries the lattice: the error names the rectangle it came from
+    # noise of order h buries the lattice: the error gives its reason code and
+    # the rectangle it came from, and no output file is written
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, OCTAGON_NOISY), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: rectangle \d+ at \(\S+, \S+\): unlabeled fraction \S+ exceeds 0.01\n", err)
+    assert re.fullmatch(r"error: \[unlabeled_fraction\] rectangle 0 at \(\S+, \S+\): unlabeled fraction \S+ exceeds 0.01\n", err)
+    assert list(out.iterdir()) == []
 
+
+
+def test_main_no_good_value_gives_reason(tmp_path, capsys):
+    # no value is 10 away from a resonance: the fallback search finds no good node
+    cfg = _write(tmp_path, FLAT_SYNTH.replace("[run]", "[diophantine]\nalpha = 10\n\n[run]"))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: [no_good_value] rectangle 0: no good value found near (0.25, 0.15)\n"

@@ -156,14 +156,16 @@ def test_basis_small_cloud_is_its_own_patch(n):
 
 def test_basis_needs_points():
     cloud = _square_lattice_cloud(n=3)
-    with pytest.raises(DetectionError):
+    with pytest.raises(DetectionError) as exc:
         detect_basis(*_rescaled(cloud))
+    assert exc.value.reason == "too_few_points"
 
 
 def test_basis_rejects_collinear_cloud():
     cloud = _square_lattice_cloud(n=60, rows=1)
-    with pytest.raises(DetectionError, match="only one difference direction"):
+    with pytest.raises(DetectionError, match="only one difference direction") as exc:
         detect_basis(*_rescaled(cloud))
+    assert exc.value.reason == "ill_conditioned_basis"
 
 
 def test_basis_rejects_anisotropic_lattice():
@@ -233,8 +235,9 @@ def test_label_conflict_detected(flat_cloud):
     # corrupt the geometry: collapse two distant points onto nearly the same
     # position so any consistent labeling must assign duplicate labels
     u[-1] = u[0] + [1e-9, 0.0]
-    with pytest.raises(DetectionError, match="duplicate integer labels"):
+    with pytest.raises(DetectionError, match="duplicate integer labels") as exc:
         label_lattice(u, basis, flat_cloud.rectangle)
+    assert exc.value.reason == "label_conflict"
 
 
 def test_label_conflict_detected_negative_labels(flat_cloud):
@@ -276,11 +279,11 @@ def _label_lattice_reference(u, basis, anchor):
             break
         C, _, rank, _ = np.linalg.lstsq(X[labeled], labels[labeled].astype(float), rcond=None)
         if rank < X.shape[1] and labeled.sum() >= 12:
-            raise DetectionError("labeling fit is rank deficient")
+            raise DetectionError("labeling fit is rank deficient", "too_few_points")
         pred = X @ C
         back = np.rint(pred[labeled]).astype(np.int64)
         if np.any(back != labels[labeled]):
-            raise DetectionError("label conflict: refit disagrees with assigned labels")
+            raise DetectionError("label conflict: refit disagrees with assigned labels", "label_conflict")
         r_max = 1.6 * np.max(d0[labeled]) + seed_r
         cand = ~labeled & (d0 <= r_max)
         if not np.any(cand):
@@ -296,11 +299,11 @@ def _label_lattice_reference(u, basis, anchor):
     if labeled.sum() < n:
         frac = 1.0 - labeled.sum() / n
         if frac > MAX_UNLABELED:
-            raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {MAX_UNLABELED}")
+            raise DetectionError(f"unlabeled fraction {frac:.3f} exceeds {MAX_UNLABELED}", "unlabeled_fraction")
     k = labels[labeled]
     k = k[np.lexsort((k[:, 1], k[:, 0]))]
     if np.any(np.all(k[1:] == k[:-1], axis=1)):
-        raise DetectionError("label conflict: duplicate integer labels")
+        raise DetectionError("label conflict: duplicate integer labels", "label_conflict")
     return labels, labeled
 
 
@@ -309,7 +312,7 @@ def _label_outcome(label, *args):
     try:
         return label(*args)[:2]
     except DetectionError as exc:
-        return str(exc)
+        return f"[{exc.reason}] {exc}"
 
 
 def _assert_labels_match_reference(u, basis, rect):
@@ -366,24 +369,25 @@ def test_label_lattice_matches_reference_failures(flat_cloud):
     u, anchor = _rescaled(flat_cloud)
     basis = detect_basis(u, anchor)
     u[-1] = u[0] + [1e-9, 0.0]
-    assert _assert_labels_match_reference(u, basis, flat_cloud.rectangle) == "label conflict: duplicate integer labels"
+    assert _assert_labels_match_reference(u, basis, flat_cloud.rectangle) == "[label_conflict] label conflict: duplicate integer labels"
     # off-lattice points: the centers of 12 cells of a square lattice stay unlabeled
     h = 1e-3
     square = _square_lattice_cloud()
     u = _rescaled(square)[0]
     u = np.concatenate([u, u[:12] + 0.5 * h])
     msg = _assert_labels_match_reference(u, (np.array([h, 0.0]), np.array([0.0, h])), square.rectangle)
-    assert msg == f"unlabeled fraction {12 / len(u):.3f} exceeds {MAX_UNLABELED}"
+    assert msg == f"[unlabeled_fraction] unlabeled fraction {12 / len(u):.3f} exceeds {MAX_UNLABELED}"
     # 41 points on a diagonal line, collinear up to rounding: the seed's nine
     # points leave the refit underdetermined, the first growth round reaches 21
     b1 = np.array([h, h])
     line = np.array([0.3, 0.15]) + np.arange(-20, 21)[:, None] * b1
     msg = _assert_labels_match_reference(line, (b1, np.array([-h, h])), Rect(line[20], square.rectangle.half))
-    assert msg == "labeling fit is rank deficient"
+    assert msg == "[too_few_points] labeling fit is rank deficient"
 
 
 def test_column_kernels_equal_axis_reductions():
-    # label_lattice, detect_basis and fit_hchart reduce (n, 2) arrays column by column
+    # the per-point kernels of synthesis and detection work on (n, 2) arrays
+    # column by column, and gather rows with compress
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4000, 2)) * 10.0 ** rng.integers(-9, 3, size=(4000, 2))
     assert np.array_equal(_row_norm(x), np.linalg.norm(x, axis=1))
@@ -393,6 +397,16 @@ def test_column_kernels_equal_axis_reductions():
     t = x[:, 0], x[:, 1]
     stacked = np.stack([np.ones_like(t[0]), t[0], t[1], t[0] * t[0], t[0] * t[1], t[1] * t[1]], axis=-1)
     assert np.array_equal(_features(x), stacked)
+    # the flat model's value sums the two squares, as synthesis computes it
+    m = make_flat_model((1.0, 0.7))
+    p = x @ m.omega_star + 0.5 * np.sum(x * x, axis=-1)
+    assert m.value_from_xi(x).tobytes() == np.stack([p, x[:, 1]], axis=-1).tobytes()
+    # compress gathers the same C-ordered rows as boolean indexing
+    for mask in (np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=bool), rng.random(len(x)) < 0.5):
+        for a in (x, stacked, chi(x, 0.03), np.rint(x).astype(np.int64)):
+            got, want = a.compress(mask, axis=0), a[mask]
+            assert got.flags.c_contiguous and (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_fit_hchart_accepts_and_reports(flat_cloud, flat_setup):
@@ -494,7 +508,7 @@ def test_detection_error_in_a_later_block_names_the_first_failing_rectangle(flat
     def fit_failing(cloud):
         rects.append(cloud.rectangle)
         if len(rects) - 1 in failing:
-            raise DetectionError("planted failure")
+            raise DetectionError("planted failure", "residual")
         return fit(cloud)
 
     monkeypatch.setattr(synth, "_candidates", recorded)
@@ -523,8 +537,9 @@ def test_fit_hchart_residual_limit(amplitude, accepted):
     if accepted:
         assert fit_hchart(deformed).max_residual() <= RESIDUAL_LIMIT
     else:
-        with pytest.raises(DetectionError, match=r"^chart rejected: max residual 0\.\d{4} > 0\.05 \(units of h\)$"):
+        with pytest.raises(DetectionError, match=r"^chart rejected: max residual 0\.\d{4} > 0\.05 \(units of h\)$") as exc:
             fit_hchart(deformed)
+        assert exc.value.reason == "residual"
 
 
 def test_fit_hchart_large_cloud(flat_setup):

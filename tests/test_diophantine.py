@@ -358,8 +358,9 @@ def test_no_good_value_raises_naming_the_center():
     m = make_champagne_model(1.0)
     dio = DiophantineParams(alpha=10.0, d=1.0, k_max=500)
     params = SemiclassicalParams(h=1e-3, delta=0.5)
-    with pytest.raises(MonodromyError, match=re.escape("no good value found near (0.3, 0.15)")):
+    with pytest.raises(MonodromyError, match=re.escape("rectangle 0: no good value found near (0.3, 0.15)")) as exc:
         spectral_chart_at(m, np.array([0.3, 0.15]), params, dio)
+    assert (exc.value.reason, exc.value.index) == ("no_good_value", 0)
 
 
 def test_bad_measure_monotone_and_small():

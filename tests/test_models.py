@@ -50,6 +50,42 @@ def test_rect_contains_and_grid():
     assert np.all(r.contains(g, margin=1e-12))
 
 
+def _edge_points(c, w, margin, rng):
+    """49 points: on each edge and corner of the rectangle grown by
+    ``margin``, the same moved one ulp along each axis, NaN points and
+    random points around it."""
+    e = c + np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, 1], [1, -1], [-1, -1]]) * (w + margin)
+    moved = [np.nextafter(e, e + d) for d in ([-1, 0], [1, 0], [0, -1], [0, 1])]
+    nan = c + np.array([[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]])
+    return np.concatenate([e, *moved, nan, c + (w + margin) * rng.uniform(-2, 2, (6, 2))])
+
+
+@pytest.mark.parametrize("margin", [0.0, 2.0**-6])
+def test_rect_contains_equals_axis_reduction(margin):
+    # contains tests one coordinate column at a time; it equals the reduction
+    # over the coordinate axis bit for bit in the pipeline's three calling shapes
+    def reference(c, w, pts):
+        return np.all(np.abs(pts - c) - (w + margin) <= 0, axis=-1)
+
+    rng = np.random.default_rng(11)
+    # a dyadic rectangle, whose edges are exact, and good rectangles at h = 1e-3 and 2.5e-4
+    c = np.array([[0.25, -0.5], [0.3, 0.15], [0.36, 0.16]])
+    w = np.array([[0.125, 0.0625], [0.5 * 1e-3**0.5, 0.5 * 1e-3**0.5], [0.5 * 2.5e-4**0.5, 0.5 * 2.5e-4**0.5]])
+    pts = np.array([_edge_points(ci, wi, margin, rng) for ci, wi in zip(c, w)])
+    exact = Rect(c[0], w[0]).contains(pts[0], margin=margin)
+    assert exact[:8].all() and not exact[8:40].all() and not exact[40:43].any()
+    for ci, wi, p in zip(c, w, pts):  # one rectangle against (n, 2) points
+        got = Rect(ci, wi).contains(p, margin=margin)
+        assert got.shape == (49,) and got.tobytes() == reference(ci, wi, p).tobytes()
+    # (N, 1, 2) domains against (N, 49, 2) samples, as _candidates tests them
+    got = Rect(c[:, None], w[:, None]).contains(pts, margin=margin)
+    assert got.shape == (3, 49) and got.tobytes() == reference(c[:, None], w[:, None], pts).tobytes()
+    # per-point centers against (n, 2) points, as the action-box test
+    cc, ww = np.repeat(c, 49, axis=0), np.repeat(w, 49, axis=0)
+    got = Rect(cc, ww).contains(pts.reshape(-1, 2), margin=margin)
+    assert got.shape == (147,) and got.tobytes() == reference(cc, ww, pts.reshape(-1, 2)).tobytes()
+
+
 def test_angle_polynomial_mean_and_eval():
     q = AnglePolynomial([((0, 0), 2.0), ((1, 0), 0.5), ((1, 2), 0.25)])
     xi = np.array([0.1, 0.2])

@@ -515,7 +515,7 @@ def test_spectral_chart_error_names_rectangle(monkeypatch):
     def fit_failing_third(cloud, **kwargs):
         fits.append(cloud)
         if len(fits) == 3:
-            raise DetectionError("planted failure")
+            raise DetectionError("planted failure", "residual")
         return fit(cloud, **kwargs)
 
     monkeypatch.setattr(pipeline, "fit_hchart", fit_failing_third)
@@ -525,6 +525,6 @@ def test_spectral_chart_error_names_rectangle(monkeypatch):
         pipeline.spectral_chart_at(make_flat_model((1.0, 0.7)), centers, params, DiophantineParams(alpha=1e-3, k_max=500))
     E, G = fits[2].rectangle.center
     assert str(exc.value) == f"rectangle 2 at ({E:.6g}, {G:.6g}): planted failure"
-    assert exc.value.index == 2
+    assert exc.value.index == 2 and exc.value.reason == "residual"
     assert str(exc.value.__cause__) == "planted failure"
 
