@@ -39,6 +39,7 @@ class DiophantineParams:
 # |wb| * k_max^2 may have its minimum decided by rounding; see ``_margins``.
 RESOLUTION = 64 * np.finfo(float).eps
 CF_STEPS = 64  # the denominators grow at least like Fibonacci numbers: F_64 > 2^43
+TWIST_SLACK = 32 * np.finfo(float).eps  # rounding allowance of the twist bound; see good_margin
 
 
 def _sweep(wa, wb, x, km, power):
@@ -181,18 +182,36 @@ def good_margin(model: ModelSystem, a, params: DiophantineParams, shear=0) -> np
 
     The smallest of the four clause quantities: the Diophantine margin of
     the frequency (see ``_margins``), ``|d<q>/dxi|``, the smallest
-    singular value of ``d omega/d xi`` and the distance to the critical
+    singular value of ``H = d omega/d xi`` and the distance to the critical
     values, read off the jet of the chart with ``shear`` (which may be per
     point).  A point is a good value at ``alpha`` iff its margin is
     ``>= params.alpha``: on the tori that pass the non-resonance test the
     flow is ergodic, so the admissible vertical position reduces to the
     torus average itself.
+
+    The SVD is taken only where the twist can be the minimum.  For 2 x 2
+    ``H``, ``s_min = |det H| / s_max >= |det H| / ||H||_F``.  With ``u =
+    eps/2``, the computed ``det H`` is off by at most ``2u (|h00 h11| +
+    |h01 h10|) <= u ||H||_F^2``, ``||H||_F`` by a relative ``3u`` and the
+    quotient by ``u``, so the computed bound exceeds ``s_min`` by at most
+    ``5.1u ||H||_F`` (where no product underflows); LAPACK's ``s_min`` is
+    off by a small multiple of ``eps ||H||_2``.  Where the bound less
+    ``TWIST_SLACK ||H||_F`` (``32 eps``, covering both) exceeds the other
+    clauses' minimum, so does LAPACK's ``s_min``.  Elsewhere, nan clauses
+    and zero or non-finite ``H`` among them, the SVD is taken, so every
+    margin is the four-clause minimum bit for bit.
     """
     a = np.asarray(a, dtype=float)
-    omegas, d_avg, wprime = _frequencies_at(model, a, shear)
-    margins, _ = _margins(omegas.reshape(-1, 2), params)
-    clauses = (margins.reshape(a.shape[:-1]), np.linalg.norm(d_avg, axis=-1), wprime, model.dist_to_singular(a))
-    return np.min(np.stack(clauses), axis=0)
+    omegas, d_avg, hess = _frequencies_at(model, a, shear)
+    first = np.minimum(_margins(omegas.reshape(-1, 2), params)[0], np.linalg.norm(d_avg, axis=-1).ravel())
+    dist = model.dist_to_singular(a).ravel()
+    margin, h = np.minimum(first, dist), hess.reshape(-1, 4)
+    fro = np.sqrt(np.sum(h * h, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = np.flatnonzero(~(np.abs(h[:, 0] * h[:, 3] - h[:, 1] * h[:, 2]) / fro - TWIST_SLACK * fro > margin))
+    twist = np.linalg.svd(hess.reshape(-1, 2, 2)[need], compute_uv=False)[:, -1]
+    margin[need] = np.minimum(np.minimum(first[need], twist), dist[need])  # in the clauses' order, for nan's sign
+    return margin.reshape(a.shape[:-1])
 
 
 def bad_measure_estimate(

@@ -35,10 +35,14 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # works in blocks of this size, which keeps its temporaries in the
 # cache and bounds peak memory; no result depends on the block it is in.
 BLOCK = 2**17
+CURVE_RUN = 30  # consecutive boundary-curve samples per box of the distance search
 
 
 class ModelError(ValueError):
-    """Raised for invalid model parameters or values outside the model range."""
+    """Raised for invalid model parameters or values outside the model range; ``index`` names a failing center."""
+
+    reason: str | None = None
+    index: int | None = None
 
 
 class ParameterError(ModelError):
@@ -468,6 +472,12 @@ class ChampagneModel(ModelSystem):
         self.singular_values = [("focus_focus_point", (0.0, 0.0)), ("minimum_energy_curve", None)]
         ls = self.b**1.5 * np.linspace(-0.8, 0.8, 600)  # boundary-curve samples
         self._curve = np.stack([self.min_energy(ls), ls], axis=-1)
+        # (coordinate, box) bounds of each run of CURVE_RUN samples, then of
+        # the run middles and the focus-focus value as boxes of one point
+        self._runs = self._curve.reshape(-1, CURVE_RUN, 2).transpose(0, 2, 1).copy()  # (run, coordinate, sample)
+        ends = np.concatenate([self._runs[:, :, CURVE_RUN // 2], [(0.0, 0.0)]])
+        self._box_lo = np.concatenate([self._runs.min(axis=2), ends]).T.copy()
+        self._box_hi = np.concatenate([self._runs.max(axis=2), ends]).T.copy()
 
     # -- critical set -----------------------------------------------------
 
@@ -485,22 +495,30 @@ class ChampagneModel(ModelSystem):
         return 0.5 * l * l / u + u * u - b * u
 
     def dist_to_singular(self, a):
+        """Distance to the focus-focus value or the nearest boundary-curve
+        sample, the bits of a loop over all the samples: the squared
+        distance to a run's box (to the point clamped into it) rounds to at
+        most any of its samples', as rounding is monotone, so only the runs
+        whose box is no farther than a run middle or the focus-focus value
+        (``<=``: on a run middle both are 0) are scanned, with the loop's
+        ``dx*dx + dy*dy``.  A point that is not finite gets nan or inf."""
         a = np.asarray(a, dtype=float)
         pts = a.reshape(-1, 2)
-        # squared distance to the nearest boundary-curve sample, for rows of
-        # points against all the samples
-        cx, cy = self._curve.T.copy()
+        nruns = len(self._runs)
         d2 = np.empty(len(pts))
-        rows = BLOCK // len(cx)
+        rows = BLOCK // len(self._curve)  # a row scans all the samples at most
         for s in range(0, len(pts), rows):
-            dx = np.subtract.outer(pts[s : s + rows, 0], cx)
-            dy = np.subtract.outer(pts[s : s + rows, 1], cy)
-            dx *= dx
-            dy *= dy
-            dx += dy
-            np.min(dx, axis=1, out=d2[s : s + rows])
-        # and to the focus-focus value; a point that is not finite gets its norm, nan or inf
-        return np.minimum(np.linalg.norm(pts, axis=-1), np.sqrt(d2)).reshape(a.shape[:-1])
+            p, d2s = pts[s : s + rows, :, None], d2[s : s + rows]
+            g = p - np.minimum(np.maximum(p, self._box_lo), self._box_hi)
+            g *= g
+            g = g[:, 0] + g[:, 1]
+            d2s[:] = g[:, -1]  # px*px + py*py, the focus-focus term
+            r, k = np.nonzero(g[:, :nruns] <= np.minimum.reduce(g[:, nruns:], axis=1, keepdims=True))
+            dk = self._runs[k]
+            dk -= p[r]
+            dk *= dk
+            np.minimum.at(d2s, r, np.minimum.reduce(dk[:, 0] + dk[:, 1], axis=1))
+        return np.sqrt(d2).reshape(a.shape[:-1])
 
     def is_regular(self, a):
         a = np.asarray(a, dtype=float)
@@ -635,11 +653,13 @@ def _chart_radius(model: ModelSystem, c):
     return r if np.ndim(c) == 2 else float(r)
 
 
-def _check_centers(cs, bad, what):
-    """Raise :class:`ModelError` naming the first center of ``cs`` flagged in ``bad``."""
+def _check_centers(cs, bad, what, reason=None):
+    """Raise :class:`ModelError` naming the first center of ``cs`` flagged in ``bad`` (its ``index``) and ``reason``."""
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ModelError(f"center {i} at {tuple(cs[i].tolist())}: {what}")
+        err = ModelError(f"center {i} at {tuple(cs[i].tolist())}: {what}")
+        err.reason, err.index = reason, i
+        raise err
 
 
 def _chart_domains(model: ModelSystem, cs):
@@ -670,7 +690,7 @@ def action_coords(model: ModelSystem, c):
 
     Raises :class:`ModelError`, naming the first such center, for the
     reasons of ``_chart_domains`` or if the chart inversion fails on the
-    domain.
+    domain (``reason`` ``chart_inversion``).
     """
     cs = np.atleast_2d(np.asarray(c, dtype=float))
     radius, shear, grid_values, grid_xi = _chart_domains(model, cs)
@@ -688,7 +708,7 @@ def action_coords(model: ModelSystem, c):
     # round-trip sanity on the grids
     err = np.max(np.abs(model.value_from_xi(grid_xi, shear=shear[:, None], seed_E=cs[:, :1]) - grid_values), axis=(1, 2))
     bad = err > 1e-6 * (1.0 + np.max(np.abs(grid_values), axis=(1, 2)))
-    _check_centers(cs, bad, f"chart inversion failed to converge (max error {np.max(err[bad], initial=0.0):.2e})")
+    _check_centers(cs, bad, f"chart inversion failed to converge (max error {np.max(err[bad], initial=0.0):.2e})", "chart_inversion")
 
     charts = [
         ActionChart(model=model, c=cs[i], domain=Rect(cs[i], radius[[i, i]]), S=S[i], eta=np.asarray(model.maslov_eta),
@@ -700,12 +720,11 @@ def action_coords(model: ModelSystem, c):
 
 
 def _frequencies_at(model: ModelSystem, a, shear=0):
-    """Frequency, ``d<q>/dxi`` and the smallest singular value of
-    ``d omega/d xi`` at value points ``a``, from the jet of the chart with
-    ``shear`` (which may be per point)."""
+    """Frequency, ``d<q>/dxi`` and ``d omega/d xi`` at value points ``a``,
+    from the jet of the chart with ``shear`` (which may be per point)."""
     _, J, hess = model.jet(a, shear=shear)
     dphi = np.linalg.inv(J)
-    return dphi[..., 0, :], dphi[..., 1, :], np.linalg.svd(hess, compute_uv=False)[..., -1]
+    return dphi[..., 0, :], dphi[..., 1, :], hess
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .models import BLOCK, ModelSystem, Rect, _chart_domains, _chart_radius
 
 class MonodromyError(ValueError):
     """Raised for inconsistent transitions or broken coverings.  A failure at
-    one rectangle of a loop carries its ``reason`` code and its ``index``."""
+    one rectangle or edge of a loop carries its ``reason`` code and ``index``."""
 
     reason: str | None = None
     index: int | None = None
@@ -87,7 +87,8 @@ def transition_matrix(atlas: PseudoChartAtlas, i, j) -> list:
     ``J_i J_j^{-1}`` is averaged over the samples before rounding; the
     pre-rounding matrix and its distance to the integer matrix are recorded.
     A pair with ``i == j`` is the exact identity.  The first pair that does
-    not overlap, round or have det +-1 raises :class:`MonodromyError`.
+    not overlap, round or have det +-1 raises :class:`MonodromyError`, the
+    last two with reason ``non_integral`` and the pair's position as index.
     """
     ii, jj = (np.asarray(x, dtype=np.int64) for x in (i, j))
     pre = np.broadcast_to(np.eye(2), ii.shape + (2, 2)).copy()
@@ -104,9 +105,10 @@ def transition_matrix(atlas: PseudoChartAtlas, i, j) -> list:
     err = np.max(np.abs(pre - M), axis=(1, 2))
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     for k in np.flatnonzero((err > ROUNDING_TOL) | (np.abs(det) != 1))[:1]:  # the first failing pair
-        if err[k] > ROUNDING_TOL:
-            raise MonodromyError(f"transition {ii[k]}->{jj[k]} not integral: rounding error {err[k]:.3f} > {ROUNDING_TOL}")
-        raise MonodromyError(f"transition {ii[k]}->{jj[k]} has det {det[k]}, expected +-1")
+        what = f"not integral: rounding error {err[k]:.3f} > {ROUNDING_TOL}" if err[k] > ROUNDING_TOL else f"has det {det[k]}, expected +-1"
+        exc = MonodromyError(f"transition {ii[k]}->{jj[k]} {what}")
+        exc.reason, exc.index = "non_integral", int(k)
+        raise exc
     return [TransitionMatrix(int(a), int(b), m, p, float(e)) for a, b, m, p, e in zip(ii, jj, M, pre, err)]
 
 

@@ -169,6 +169,7 @@ def _attributes_read(paths) -> set:
 MEMBER_ALLOWLIST = {
     "DetectionError.index": "the failing rectangle of a batch, for the planned run records (ROADMAP.md)",
     "MonodromyError.index": "the rectangle with no good value near it, for the planned run records (ROADMAP.md)",
+    "ModelError.index": "the chart center that failed, for the planned run records (ROADMAP.md)",
     "TransitionMatrix.pre_round": "the transition's rounding error, for the planned run records (ROADMAP.md)",
     "CocycleReport.pairs": "the tests compare the sweep's pairs with a brute-force search",
 }

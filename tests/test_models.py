@@ -12,6 +12,7 @@ from pseudolattice.averaging import time_average
 from pseudolattice.models import (
     ACTION_GRID,
     BLOCK,
+    CURVE_RUN,
     PARTIALS,
     ActionChart,
     AnglePolynomial,
@@ -349,6 +350,52 @@ def test_dist_to_singular_matches_pointwise():
     assert np.array_equal(m.dist_to_singular(pts), ref)
 
 
+def _dist_pointwise(m, pts):
+    """Per point, as one row: its norm and the nearest of all the boundary-curve
+    samples by ``dx*dx + dy*dy``, with one square root."""
+    out = []
+    for p in pts:
+        d = p - m._curve
+        out.append(np.minimum(np.linalg.norm(p[None], axis=-1), np.sqrt(np.min(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))[0])
+    return np.array(out)
+
+
+def _ulps(x):
+    """``x`` and the floats one ulp either side of it, along the first axis."""
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+@pytest.mark.parametrize("depth", [1.0, 0.5, 2.0])
+def test_pruned_distance_equals_the_full_scan_where_bounds_tie(depth):
+    # the pruned search gives the bits of the scan over all 600 samples on
+    # the points where its bounds are tight or tie, and one ulp either side:
+    # every sample (a point on a run middle has box distance and upper bound
+    # both 0, so only "<=" keeps that run), the edges, corners and centers of
+    # each run's box, points equidistant from the samples that end and start
+    # adjacent runs, and halved samples, which are as far from the
+    # focus-focus value as from their sample
+    m = make_champagne_model(depth)
+    runs = m._curve.reshape(-1, CURVE_RUN, 2)
+    lo, hi = runs.min(axis=1), runs.max(axis=1)
+    boxes = []
+    for r in range(len(runs)):
+        xs, ys = (_ulps(np.array([lo[r, i], 0.5 * (lo[r, i] + hi[r, i]), hi[r, i]])) for i in (0, 1))
+        boxes.append(np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2))
+    last, first = runs[:-1, -1], runs[1:, 0]
+    normal = (first - last)[:, ::-1] * (1.0, -1.0)
+    between = [0.5 * (last + first) + t * normal for t in (0.0, 0.5, 3.0, -3.0)]
+    special = np.array([(np.nan, 0.0), (0.0, np.nan), (-np.nan, 0.2), (np.nan, np.inf), (np.inf, 0.0), (-np.inf, 1.0),
+                        (np.inf, -np.inf), (1e300, 0.0), (0.0, -1e300), (1e300, 1e300)])
+    pts = np.concatenate(boxes + [_ulps(np.concatenate(between + [m._curve, 0.5 * m._curve])), special])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, ref = m.dist_to_singular(pts), _dist_pointwise(m, pts)
+    assert got.tobytes() == ref.tobytes()
+    assert np.sum(np.isnan(got)) == 4 and np.sum(np.isinf(got)) == 6
+    # some halved samples, near the vertex, tie the two distances exactly
+    half = 0.5 * m._curve
+    assert np.any(np.linalg.norm(half, axis=-1) == np.sqrt(np.min(np.sum((half[:, None] - m._curve) ** 2, axis=-1), axis=1)))
+
+
 @pytest.mark.parametrize("model", [make_champagne_model(1.0), make_flat_model((1.0, 0.7), "xi_weighted")], ids=["champagne", "flat"])
 @pytest.mark.parametrize("shape", [(2,), (1, 2), (7, 2), (3, 5, 2)])
 def test_dist_to_singular_shape_follows_the_points(model, shape):
@@ -458,8 +505,26 @@ def test_action_coords_batch_equals_single_centers():
 )
 def test_action_coords_batch_names_bad_center(bad, reason):
     centers = np.array([(0.3, 0.15), bad, (0.3, 0.0)])
-    with pytest.raises(ModelError, match=re.escape(f"center 1 at {bad}: ") + reason):
+    with pytest.raises(ModelError, match=re.escape(f"center 1 at {bad}: ") + reason) as err:
         action_coords(make_champagne_model(1.0), centers)
+    assert (err.value.reason, err.value.index) == (None, 1)
+
+
+def test_chart_inversion_failure_gives_its_reason_and_center(monkeypatch):
+    # an inversion that misses the grid of the second center by 1e-3
+    m = make_champagne_model(1.0)
+    invert = m.value_from_xi
+
+    def off_at_center_1(xi, shear=0, seed_E=None):
+        a = invert(xi, shear, seed_E)
+        if a.ndim == 3:
+            a[1] += 1e-3
+        return a
+
+    monkeypatch.setattr(m, "value_from_xi", off_at_center_1)
+    with pytest.raises(ModelError, match=re.escape("center 1 at (0.3, 0.0): chart inversion failed")) as err:
+        action_coords(m, np.array([(0.3, 0.15), (0.3, 0.0), (0.35, 0.1)]))
+    assert (err.value.reason, err.value.index) == ("chart_inversion", 1)
 
 
 def test_sheared_chart_is_smooth_across_cut():
@@ -478,7 +543,7 @@ def test_frequency_flat_analytic():
     omega, d_avg_q, omega_prime = _frequencies_at(m, chart.phi(xi), chart.shear)
     assert np.allclose(omega, m.omega_star + xi, atol=1e-7)
     assert np.allclose(d_avg_q, [0.0, 1.0], atol=1e-7)  # <q> = xi_2
-    assert omega_prime == pytest.approx(1.0)  # d omega/d xi is the identity
+    assert np.linalg.svd(omega_prime, compute_uv=False)[-1] == pytest.approx(1.0)  # d omega/d xi is the identity
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,16 @@ def test_transition_rejects_bad_determinant():
         _transition(atlas, 0, 1)
 
 
+def test_failing_transition_gives_its_reason_and_pair():
+    # constant Jacobians whose transition from chart 1 does not round, or
+    # rounds to det 4: the first failing pair is named by its position
+    for mat, what in ((np.diag([1.4, 1.0]), "not integral"), (0.5 * np.eye(2), "has det 4")):
+        atlas = _grid_atlas([np.eye(2), np.eye(2), mat])
+        with pytest.raises(MonodromyError, match=f"transition 1->2 {what}") as err:
+            transition_matrix(atlas, [0, 1, 1, 2], [1, 0, 2, 1])
+        assert (err.value.reason, err.value.index) == ("non_integral", 2)
+
+
 def _block_atlas():
     """2x3 block of overlapping squares, all charts sharing one linear map."""
     centers = [(0.35 * i, 0.35 * j) for i in range(3) for j in range(2)]
