@@ -275,7 +275,7 @@ def _run_detect(cfg: RunConfig, out: Path) -> int:
     cloud, hc, ac = el.cloud, el.hchart, el.action_chart
     M, c = gauge_alignment(hc, ac)
     # criterion 2's quantity at the labeled points: the leading term against the ground truth
-    err = np.max(np.abs(hc.f_tilde0(hc.u, M, c, ac.eta) - (ac.tau_c + ac.xi_of_c(hc.u)))) / hc.h
+    err = np.max(np.abs(hc.f_tilde0(hc.u, M, c, ac.eta) - ac.xi_of_c(hc.u))) / hc.h
     gauge = f"[gauge]\ngauge_M = {M.tolist()}\ngauge_c = {int(c[0])} {int(c[1])}\nleading_term_error = {float(err)!r}\n"
     (out / "spectrum.tsv").write_text(cloud.to_text())
     (out / "hchart.txt").write_text(hc.to_text() + gauge)

@@ -257,10 +257,10 @@ class HChart:
     # leading-term views ---------------------------------------------------
 
     def f_tilde0(self, u, M, c, eta) -> np.ndarray:
-        """Leading-term estimate of the chart map, targeting ``tau_c + phi^{-1}``
-        of a reference chart with Maslov indices ``eta``: the fit with the
-        integer label basis ``M`` and offset ``c`` of :func:`gauge_alignment`
-        removed."""
+        """Leading-term estimate of the chart map, targeting ``phi^{-1}`` (the
+        offset ``tau_c`` is zero) of a reference chart with Maslov indices
+        ``eta``: the fit with the integer label basis ``M`` and offset ``c``
+        of :func:`gauge_alignment` removed."""
         return self.f(u) @ np.linalg.inv(M).T - self.h * (c + np.asarray(eta, dtype=float) / 4.0)
 
     def max_residual(self) -> float:
@@ -328,7 +328,7 @@ def fit_hchart(cloud: SpectrumCloud) -> HChart:
 def gauge_alignment(hchart: HChart, chart: ActionChart) -> tuple:
     """Integer label basis ``M`` and offset ``c`` between a fitted chart and
     the action chart of its rectangle: to leading order ``hchart.f`` is
-    ``M (tau_c + phi^{-1} + h (c + eta/4))``, which :meth:`HChart.f_tilde0`
+    ``M (phi^{-1} + h (c + eta/4))``, which :meth:`HChart.f_tilde0`
     undoes.
 
     ``M`` rounds the fit's affine part against the action chart's Jacobian
@@ -339,7 +339,7 @@ def gauge_alignment(hchart: HChart, chart: ActionChart) -> tuple:
     M = np.rint(hchart.affine @ np.linalg.inv(J)).astype(np.int64)
     if abs(round(float(np.linalg.det(M)))) != 1:
         raise DetectionError("gauge alignment failed: non-unimodular label basis", "label_conflict")
-    diff = hchart.f(hchart.u) @ np.linalg.inv(M).T - (chart.tau_c + chart.xi_of_c(hchart.u))
+    diff = hchart.f(hchart.u) @ np.linalg.inv(M).T - chart.xi_of_c(hchart.u)
     c = np.rint(np.mean(diff, axis=0) / hchart.h - np.asarray(chart.eta, dtype=float) / 4.0).astype(np.int64)
     return M, c
 

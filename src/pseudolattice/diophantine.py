@@ -198,20 +198,26 @@ def good_margin(model: ModelSystem, a, params: DiophantineParams, shear=0) -> np
     off by a small multiple of ``eps ||H||_2``.  Where the bound less
     ``TWIST_SLACK ||H||_F`` (``32 eps``, covering both) exceeds the other
     clauses' minimum, so does LAPACK's ``s_min``.  Elsewhere, nan clauses
-    and zero or non-finite ``H`` among them, the SVD is taken, so every
-    margin is the four-clause minimum bit for bit.
+    and zero ``H`` among them, the SVD is taken, so every margin is the
+    four-clause minimum bit for bit; a non-finite ``H``, on which the SVD
+    raises, has a nan twist.  A point that is not finite has a nan margin.
     """
     a = np.asarray(a, dtype=float)
+    out = np.full(a.shape[:-1], np.nan)
+    ok = np.all(np.isfinite(a), axis=-1)
+    a, shear = a[ok], np.broadcast_to(shear, ok.shape)[ok]
     omegas, d_avg, hess = _frequencies_at(model, a, shear)
-    first = np.minimum(_margins(omegas.reshape(-1, 2), params)[0], np.linalg.norm(d_avg, axis=-1).ravel())
-    dist = model.dist_to_singular(a).ravel()
+    first = np.minimum(_margins(omegas, params)[0], np.linalg.norm(d_avg, axis=-1))
+    dist = model.dist_to_singular(a)
     margin, h = np.minimum(first, dist), hess.reshape(-1, 4)
     fro = np.sqrt(np.sum(h * h, axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         need = np.flatnonzero(~(np.abs(h[:, 0] * h[:, 3] - h[:, 1] * h[:, 2]) / fro - TWIST_SLACK * fro > margin))
-    twist = np.linalg.svd(hess.reshape(-1, 2, 2)[need], compute_uv=False)[:, -1]
+    twist, fin = np.full(len(need), np.nan), np.isfinite(fro[need])
+    twist[fin] = np.linalg.svd(hess[need[fin]], compute_uv=False)[:, -1]
     margin[need] = np.minimum(np.minimum(first[need], twist), dist[need])  # in the clauses' order, for nan's sign
-    return margin.reshape(a.shape[:-1])
+    out[ok] = margin
+    return out
 
 
 def bad_measure_estimate(

@@ -10,12 +10,13 @@ Two 2-degree-of-freedom models are provided:
 
 A chart maps between the value plane ``a = (E, G)`` -- energy and torus
 average of the perturbation -- and local action variables ``xi``.  For the
-champagne model the radial action is computed by Gauss-Legendre quadrature
-with turning-point substitutions, on a grid at well depth 1 that the package
-ships (``action_grid.npy``), interpolated by a not-a-knot bicubic and read
-for every depth by exact scaling, through a table of its per-cell
-polynomials.  Each model's ``jet`` gives the chart derivatives
-analytically; frequencies and their derivatives are read off it.
+champagne model the radial action is read from a grid at well depth 1 that
+the package ships (``action_grid.npy``, made by quadrature outside the
+package), interpolated by a not-a-knot bicubic and read for every depth by
+exact scaling, through a table of its per-cell polynomials.  Both models'
+actions are exact global ones, so no chart carries an offset ``tau_c``.
+Each model's ``jet`` gives the chart derivatives analytically; frequencies
+and their derivatives are read off it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -36,6 +36,7 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # cache and bounds peak memory; no result depends on the block it is in.
 BLOCK = 2**17
 CURVE_RUN = 30  # consecutive boundary-curve samples per box of the distance search
+MIN_RADIUS = 1e-4  # smallest chart radius: a center closer than 1e-3 to the singular set is refused
 
 
 class ModelError(ValueError):
@@ -211,118 +212,6 @@ def make_flat_model(omega_star, q_choice: str = "xi_weighted") -> FlatModel:
 # champagne-bottle model
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _gauss_legendre(n: int):
-    x, w = leggauss(n)
-    # map from (-1, 1) to (0, pi/2)
-    return 0.25 * math.pi * (x + 1.0), 0.25 * math.pi * w
-
-
-def _radial_roots(E, l, b):
-    """Roots of u^3 - b u^2 - E u + l^2/2 (u = r^2), sorted ascending.
-
-    Returns (u3, um, up): for regular values u3 <= 0 <= um < up and the
-    motion takes place on [um, up].  NaN triple where no real motion exists.
-    """
-    E = np.asarray(E, dtype=float)
-    l = np.asarray(l, dtype=float)
-    E, l = np.broadcast_arrays(E, l)
-    a2, a1, a0 = -b * np.ones_like(E), -E, 0.5 * l * l
-    # depressed cubic t^3 + p t + q, u = t - a2/3
-    p = a1 - a2 * a2 / 3.0
-    q = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
-    disc = -(4.0 * p**3 + 27.0 * q * q)
-    roots = np.full(E.shape + (3,), np.nan)
-    ok = disc > 0
-    if np.any(ok):
-        pm = p[ok]
-        qm = q[ok]
-        m = 2.0 * np.sqrt(-pm / 3.0)
-        arg = np.clip(3.0 * qm / (pm * m), -1.0, 1.0)
-        theta = np.arccos(arg) / 3.0
-        shift = -a2[ok] / 3.0
-        for k in range(3):
-            roots[ok, k] = m * np.cos(theta - 2.0 * math.pi * k / 3.0) + shift
-    roots = np.sort(roots, axis=-1)
-    # l == 0, E > 0: double structure u=0 is a root; treat analytically
-    deg = (np.abs(l) < 1e-14) & (E > 0)
-    if np.any(deg):
-        up = 0.5 * (b + np.sqrt(b * b + 4.0 * E[deg]))
-        u3 = 0.5 * (b - np.sqrt(b * b + 4.0 * E[deg]))  # negative for E > 0
-        roots[deg, 0] = u3
-        roots[deg, 1] = 0.0
-        roots[deg, 2] = up
-    return roots[..., 0], roots[..., 1], roots[..., 2]
-
-
-def _radial_action_quad(E, l, b, n: int = 100):
-    """Radial action I_r = (1/pi) * integral of p_r dr between turning radii.
-
-    Vectorized Gauss-Legendre quadrature.  A ``sin^2`` substitution removes
-    the square-root turning-point singularities; when the inner turning
-    radius is small relative to the outer one (near the focus-focus cut) a
-    ``cosh`` substitution resolves the inner boundary layer.  Points are
-    taken in blocks of ``BLOCK // n`` and the weighted sums are ``einsum``
-    reductions, so a point gets the same bits in any batch.
-    """
-    E = np.atleast_1d(np.asarray(E, dtype=float))
-    l = np.atleast_1d(np.asarray(l, dtype=float))
-    E, l = np.broadcast_arrays(E, l)
-    out = np.empty(E.shape)
-    rows = BLOCK // n
-    for s in range(0, E.size, rows):
-        out.flat[s : s + rows] = _radial_action_block(E.flat[s : s + rows], l.flat[s : s + rows], b, n)
-    return out
-
-
-def _radial_action_block(E, l, b, n):
-    """``_radial_action_quad`` on one block of 1-d ``E``, ``l``."""
-    u3, um, up = _radial_roots(E, l, b)
-    out = np.full(E.shape, np.nan)
-    good = np.isfinite(up) & (up > um) & (um >= -1e-12)
-    if not np.any(good):
-        return out
-    u3g, umg, upg = u3[good], np.maximum(um[good], 0.0), up[good]
-    rm, rp = np.sqrt(umg), np.sqrt(upg)
-    theta, w = _gauss_legendre(n)
-    vals = np.empty(rm.shape)
-
-    # rm == 0 takes the sin^2 branch: its integrand is then regular at the origin
-    layer = (rm > 1e-300) & (rm < 0.05 * rp)
-    if np.any(layer):
-        rmL, rpL, u3L = rm[layer], rp[layer], u3g[layer]
-        # cosh substitution r = rm*cosh(T sin(phi))
-        T = np.arccosh(rpL / rmL)
-        t = T[:, None] * np.sin(theta)[None, :]
-        r = rmL[:, None] * np.cosh(t)
-        u = r * r
-        # rp - r = rm*(cosh T - cosh t), in a cancellation-free form
-        dtop = rmL[:, None] * 2.0 * np.sinh(0.5 * (T[:, None] + t)) * np.sinh(0.5 * (T[:, None] - t))
-        integ = (
-            np.sqrt(2.0 * (u - u3L[:, None]) * dtop * (rpL[:, None] + r))
-            * (rmL[:, None] * np.sinh(t)) ** 2
-            * (T[:, None] * np.cos(theta)[None, :])
-            / r
-        )
-        vals[layer] = np.einsum("ij,j->i", integ, w) / math.pi
-    if np.any(~layer):
-        rmS, rpS, u3S = rm[~layer], rp[~layer], u3g[~layer]
-        s, c = np.sin(theta), np.cos(theta)
-        r = rmS[:, None] + (rpS[:, None] - rmS[:, None]) * (s * s)[None, :]
-        u = r * r
-        # exact factorizations: u-um=(r-rm)(r+rm), up-u=(rp-r)(rp+r)
-        amp = (rpS - rmS)[:, None] * (s * c)[None, :]
-        pr_dr = (
-            np.sqrt(2.0 * (u - u3S[:, None]) * (r + rmS[:, None]) * (rpS[:, None] + r))
-            * amp
-            / r
-            * 2.0
-            * amp
-        )
-        vals[~layer] = np.einsum("ij,j->i", pr_dr, w) / math.pi
-    out[good] = vals
-    return out
-
 
 def _not_a_knot(x):
     """Values to per-interval coefficients of the not-a-knot cubic
@@ -408,25 +297,11 @@ def _cell_eval(table, x, y, partials=PARTIALS):
     return tuple(f[p][q].reshape(x.shape) for p, q in partials)
 
 
-# The well depth 1 radial action on the table's grid, as ``action_grid``
-# computes it; the package ships the array so that no process integrates it.
+# The well depth 1 radial action on the table's grid, by quadrature (0 below
+# the boundary curve); the package ships the array and never integrates it.
 ACTION_GRID = Path(__file__).with_name("action_grid.npy")
 GRID_E = np.linspace(-0.26, 0.95, 220)
 GRID_L = np.linspace(0.0, 0.72, 160)
-
-
-def action_grid():
-    """The well depth 1 radial action ``I_r(E, |l|)`` on the grid
-    ``GRID_E x GRID_L`` by quadrature, 0 below the boundary curve.
-
-    The package reads this array from ``ACTION_GRID`` and never computes it.
-    After a change to the grid or the quadrature, regenerate the file with
-    ``python -c "from pseudolattice import models as m; m.np.save(m.ACTION_GRID, m.action_grid())"``.
-    """
-    gE, gl = np.meshgrid(GRID_E, GRID_L, indexing="ij")
-    vals = _radial_action_quad(gE.ravel(), gl.ravel(), 1.0).reshape(gE.shape)
-    vals[~np.isfinite(vals)] = 0.0
-    return vals
 
 
 @functools.cache
@@ -620,20 +495,22 @@ class ActionChart:
     """One local action-angle chart around a regular value ``c``.
 
     ``xi_of_c`` maps values ``a=(E, G)`` to actions; ``phi`` is its inverse.
-    ``S`` holds the action integrals of the fundamental cycles at ``c`` and
-    ``tau_c = S/(2 pi) - xi_c`` (constant over the chart).
     """
 
     model: ModelSystem
     c: np.ndarray
     domain: Rect
-    S: np.ndarray
     eta: np.ndarray
-    tau_c: np.ndarray
     shear: int = 0
     grid_xi: np.ndarray = field(default=None, repr=False)
     grid_values: np.ndarray = field(default=None, repr=False)
     xi_box: Rect = field(default=None, repr=False)
+
+    @property
+    def tau_c(self) -> np.ndarray:
+        """``S/(2 pi) - xi_c`` for the action integrals ``S`` of the
+        fundamental cycles at ``c``: zero, as both models' actions are exact."""
+        return np.zeros(2)
 
     def xi_of_c(self, a):
         return self.model.xi_from_value(a, shear=self.shear)
@@ -672,7 +549,7 @@ def _chart_domains(model: ModelSystem, cs):
     """
     _check_centers(cs, ~model.is_regular(cs), f"not a regular value of {model.name}")
     radius = _chart_radius(model, cs)
-    _check_centers(cs, radius < 1e-4, "too close to the singular set")  # distance below 1e-3
+    _check_centers(cs, radius < MIN_RADIUS, "too close to the singular set")
     # a champagne domain that straddles the nonsmooth ray {l = 0, E > 0} of
     # the symmetric action branch uses the smooth continuation on l > 0
     shear = ((np.abs(cs[:, 1]) < radius) & (cs[:, 0] + radius > 0) & isinstance(model, ChampagneModel)).astype(int)
@@ -695,24 +572,14 @@ def action_coords(model: ModelSystem, c):
     cs = np.atleast_2d(np.asarray(c, dtype=float))
     radius, shear, grid_values, grid_xi = _chart_domains(model, cs)
     lo, hi = grid_xi.min(axis=1), grid_xi.max(axis=1)
-
-    xi_c = model.xi_from_value(cs, shear=shear)
-    S = 2.0 * math.pi * xi_c
-    if isinstance(model, ChampagneModel):
-        # direct quadrature for the action integrals (independent of the
-        # table used by xi_of_c)
-        xi2 = _radial_action_quad(cs[:, 0], np.abs(cs[:, 1]), model.b, n=140) + shear * np.maximum(cs[:, 1], 0.0)
-        S = 2.0 * math.pi * np.stack([cs[:, 1], xi2], axis=-1)
-    tau_c = S / (2.0 * math.pi) - xi_c
-
     # round-trip sanity on the grids
     err = np.max(np.abs(model.value_from_xi(grid_xi, shear=shear[:, None], seed_E=cs[:, :1]) - grid_values), axis=(1, 2))
     bad = err > 1e-6 * (1.0 + np.max(np.abs(grid_values), axis=(1, 2)))
     _check_centers(cs, bad, f"chart inversion failed to converge (max error {np.max(err[bad], initial=0.0):.2e})", "chart_inversion")
 
     charts = [
-        ActionChart(model=model, c=cs[i], domain=Rect(cs[i], radius[[i, i]]), S=S[i], eta=np.asarray(model.maslov_eta),
-                    tau_c=tau_c[i], shear=int(shear[i]), grid_xi=grid_xi[i], grid_values=grid_values[i],
+        ActionChart(model=model, c=cs[i], domain=Rect(cs[i], radius[[i, i]]), eta=np.asarray(model.maslov_eta),
+                    shear=int(shear[i]), grid_xi=grid_xi[i], grid_values=grid_values[i],
                     xi_box=Rect(0.5 * (lo[i] + hi[i]), 0.5 * (hi[i] - lo[i]) + 1e-12))
         for i in range(len(cs))
     ]
@@ -733,12 +600,14 @@ def _frequencies_at(model: ModelSystem, a, shear=0):
 
 
 def chart_to_text(chart: ActionChart) -> str:
-    """Serialize a chart to the structured-text format used by the CLI."""
+    """Serialize a chart to the structured-text format used by the CLI; ``S``
+    is ``2 pi xi_c``, the action integrals of the fundamental cycles."""
+    S = 2.0 * math.pi * chart.xi_of_c(chart.c)
     lines = [
         "[action-chart]",
         f"model = {chart.model.name}",
         f"c = {float(chart.c[0])!r} {float(chart.c[1])!r}",
-        f"S = {float(chart.S[0])!r} {float(chart.S[1])!r}",
+        f"S = {float(S[0])!r} {float(S[1])!r}",
         f"eta = {int(chart.eta[0])} {int(chart.eta[1])}",
         f"tau_c = {float(chart.tau_c[0])!r} {float(chart.tau_c[1])!r}",
         f"shear = {chart.shear}",

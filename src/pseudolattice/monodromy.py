@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import BLOCK, ModelSystem, Rect, _chart_domains, _chart_radius
+from .models import BLOCK, MIN_RADIUS, ModelSystem, Rect, _chart_domains, _chart_radius
 
 
 class MonodromyError(ValueError):
@@ -219,6 +219,12 @@ def loop_monodromy(atlas: PseudoChartAtlas, loop) -> MonodromyClass:
 MAX_CHARTS = 4000  # a covering with more centers raises MonodromyError
 
 
+def _cover_error(reason: str, message: str) -> MonodromyError:
+    exc = MonodromyError(message)
+    exc.reason = reason
+    return exc
+
+
 def cover_loop(
     model: ModelSystem,
     vertices,
@@ -228,22 +234,31 @@ def cover_loop(
     """Chart centers along a polygonal loop, spaced by a fraction of the
     local chart radius (which shrinks near the critical-value set).
 
-    ``radius_fn`` overrides the default chart-radius rule; the spectral
-    pipeline passes the rectangle half-width so consecutive rectangles
-    overlap.
+    ``radius_fn(c, r)`` maps a center and its chart radius ``r`` to the
+    spacing radius instead; the spectral pipeline passes the rectangle
+    half-width so consecutive rectangles overlap.  Raises
+    :class:`MonodromyError` with reason ``bad_loop`` for fewer than two
+    vertices or zero length, ``singular_set`` where the loop comes within
+    the distance at which ``models._chart_domains`` refuses a center, and
+    ``chart_budget`` for more than ``MAX_CHARTS`` centers.
     """
-    if radius_fn is None:
-        radius_fn = lambda c: _chart_radius(model, c)
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     if len(vertices) < 2:
-        raise MonodromyError("loop needs at least 2 vertices")
+        raise _cover_error("bad_loop", "loop needs at least 2 vertices")
     pts = np.vstack([vertices, vertices[:1]])
     seg = np.diff(pts, axis=0)
     seglen = np.linalg.norm(seg, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seglen)])
     total = cum[-1]
     if total == 0:
-        raise MonodromyError("degenerate loop of zero length")
+        raise _cover_error("bad_loop", "degenerate loop of zero length")
+
+    def radius(c):
+        r = _chart_radius(model, c)
+        if r < MIN_RADIUS:  # the radius is 0.1 of the distance
+            E, G = c
+            raise _cover_error("singular_set", f"loop passes within {10 * MIN_RADIUS:g} of the singular set at ({E:.6g}, {G:.6g})")
+        return r if radius_fn is None else radius_fn(c, r)
 
     def point_at(s):
         i = int(np.searchsorted(cum, s, side="right")) - 1
@@ -254,18 +269,15 @@ def cover_loop(
     centers = [point_at(0.0)]
     s = 0.0
     while True:
-        r = radius_fn(centers[-1])
-        if r <= 0:
-            raise MonodromyError("loop touches the singular set")
-        s += spacing_factor * r
+        s += spacing_factor * radius(centers[-1])
         if s >= total:
             break
         centers.append(point_at(s))
         if len(centers) > MAX_CHARTS:
-            raise MonodromyError("loop covering exceeds the chart budget")
+            raise _cover_error("chart_budget", f"loop covering exceeds the chart budget of {MAX_CHARTS} centers")
     # drop a final center that crowds the starting chart
     if len(centers) > 2:
-        r0 = radius_fn(centers[0])
+        r0 = radius(centers[0])
         if np.linalg.norm(centers[-1] - centers[0]) < 0.25 * spacing_factor * r0:
             centers.pop()
     return np.array(centers)

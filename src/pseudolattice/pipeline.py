@@ -16,7 +16,7 @@ import numpy as np
 
 from .detect import DetectionError, HChart, _feature_jac, fit_hchart
 from .diophantine import DiophantineParams, good_margin
-from .models import ActionChart, ModelSystem, Rect, _chart_radius, action_coords
+from .models import ActionChart, ModelSystem, Rect, action_coords
 from .monodromy import MonodromyError, PseudoChartAtlas, cover_loop, loop_monodromy
 from .synth import (
     NormalFormSymbol,
@@ -121,7 +121,7 @@ def spectral_chart_at(
 def _cover(model: ModelSystem, vertices, params: SemiclassicalParams, spacing_factor: float = 0.4) -> np.ndarray:
     """Chart centers along a loop, spaced by a fraction of the half-width of
     the good rectangle at each, so consecutive rectangles overlap."""
-    radius = lambda c: good_rectangle(c, params, _chart_radius(model, c)).half[0]
+    radius = lambda c, r: good_rectangle(c, params, r).half[0]
     return cover_loop(model, vertices, spacing_factor=spacing_factor, radius_fn=radius)
 
 

@@ -2,8 +2,9 @@
 
 In a local action chart the eigenvalues near a good value form a deformed
 lattice: ``mu_k = P(xi_k)`` with ``xi_k = h*(k - eta/4) - tau_c`` for integer
-vectors ``k``, where ``P`` has leading term ``p(xi) + i*eps*<q>(xi)`` plus a
-finite table of higher corrections and a seeded ``O(h^N)`` perturbation.
+vectors ``k``, where ``tau_c = 0`` as both models' actions are exact, and
+``P`` has leading term ``p(xi) + i*eps*<q>(xi)`` plus a finite table of
+higher corrections and a seeded ``O(h^N)`` perturbation.
 The cloud is restricted to the good rectangle: a square of half-size
 ``h^delta/C0`` (capped to fit the chart) around the chosen value in the
 value plane, which ``chi`` carries onto a window of aspect ratio ``eps``,
@@ -213,13 +214,13 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
     dom = Rect(*(np.array([getattr(c.domain, f) for c in charts])[:, None] for f in ("center", "half")))
     if not np.all(dom.contains(ares, margin=1e-12)):
         raise ValueError("chart domain too small to cover the rectangle preimage")
-    shear, tau_c = np.array([c.shear for c in charts]), np.array([c.tau_c for c in charts])
+    shear = np.array([c.shear for c in charts])
     xis, J, hess = charts[0].model.jet(ares, shear=shear[:, None])
     # the grown preimages' half-sizes in the value plane; sample 24 is the center
     slack = np.array([sym.imag_correction_bound(eps, h) for sym in symbols]) + h**params.noise_order
     reach = half + slack[:, None] * np.array([1.0, 1.0 / eps])
     # the samples' integer box, dilated by 2 and by as far as the slack moves a label
-    kf = xis / h + charts[0].eta / 4.0 + tau_c[:, None] / h
+    kf = xis / h + charts[0].eta / 4.0
     grow = 2 + np.ceil(np.einsum("nij,nj->ni", np.abs(J[:, 24]), reach - half) / h).astype(int)
     kmin, kmax = np.floor(kf.min(axis=1)).astype(int) - grow, np.ceil(kf.max(axis=1)).astype(int) + grow
     radius = np.max(np.linalg.norm(xis - xis[:, 24:25], axis=-1), axis=1) * np.max(reach / half, axis=1)
@@ -247,7 +248,7 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
         sel = (r >= idx[0]) & (r <= idx[-1])
         k = np.repeat(k1[sel], n[sel]), _ranges(lo[sel], n[sel])
         rect_of = np.repeat(r[sel], n[sel])
-        xi_k = np.stack([h * (k[j] - charts[0].eta[j] / 4.0) - tau_c[:, j].take(rect_of) for j in (0, 1)], axis=-1)
+        xi_k = np.stack([h * (k[j] - charts[0].eta[j] / 4.0) for j in (0, 1)], axis=-1)
         inside = Rect(box[0].take(rect_of, axis=0), box[1].take(rect_of, axis=0)).contains(xi_k, margin=2.0 * h)
         k, xi_k = np.stack(k, axis=-1).compress(inside, axis=0), xi_k.compress(inside, axis=0)
         yield idx, k, xi_k, rect_of.compress(inside)
@@ -282,7 +283,7 @@ def _synth_clouds(symbols, rects, params: SemiclassicalParams):
 def synth_spectrum(symbol, rectangle, params: SemiclassicalParams):
     """Enumerate the quantization lattice and keep points in the rectangle.
 
-    ``xi_k = h*(k - eta/4) - tau_c``; ``mu_k`` is the symbol at ``xi_k``
+    ``xi_k = h*(k - eta/4)`` (``tau_c = 0``); ``mu_k`` is the symbol at ``xi_k``
     plus seeded uniform complex noise of magnitude ``h^noise_order``.  A
     rectangle's cloud is the same, bit for bit, alone or in a loop's block.
     """

@@ -471,6 +471,20 @@ def test_main_chart_fit_error_names_rectangle(tmp_path, capsys):
 
 
 
+def test_main_loop_through_the_focus_focus_value_names_it(tmp_path, capsys):
+    # the cover shrinks toward the value geometrically and would never end:
+    # it stops where a chart center would be refused, and says why
+    verts = "".join(f"    {x} {y}\n" for x, y in [(-0.1, -0.1), (0.1, -0.1), (0.1, 0.1), (-0.1, 0.1), (0, 0)])
+    text = OCTAGON_NOISY.replace("noise_order = 1", "noise_order = 3")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text[: text.index("vertices =\n") + 11] + verts), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \[singular_set\] loop passes within 0.001 of the singular set at \((\S+), (\S+)\)\n", err)
+    E, G = map(float, re.findall(r"\((\S+), (\S+)\)", err)[0])
+    assert 0.0 < math.hypot(E, G) < 1e-3
+    assert list(out.iterdir()) == []
+
+
 def test_main_no_good_value_gives_reason(tmp_path, capsys):
     # no value is 10 away from a resonance: the fallback search finds no good node
     cfg = _write(tmp_path, FLAT_SYNTH.replace("[run]", "[diophantine]\nalpha = 10\n\n[run]"))

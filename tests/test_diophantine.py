@@ -11,7 +11,7 @@ from pseudolattice.diophantine import (
     bad_measure_estimate,
     good_margin,
 )
-from pseudolattice.models import BLOCK, GOLDEN, _frequencies_at, action_coords, make_champagne_model, make_flat_model
+from pseudolattice.models import BLOCK, GOLDEN, Rect, _frequencies_at, action_coords, make_champagne_model, make_flat_model
 from pseudolattice.monodromy import MonodromyError
 from pseudolattice.pipeline import _cover, _nearest_good, spectral_chart_at
 from pseudolattice.synth import SemiclassicalParams, good_rectangle
@@ -346,6 +346,34 @@ def test_good_margin_keeps_nan_clauses_and_flat_ties(monkeypatch):
     clauses = _clauses(flat, 0, pts, params)
     assert np.all(clauses[1] == 1.0) and np.all(np.abs(clauses[2] - 1.0) < 1e-15)
     assert good_margin(flat, pts, params).tobytes() == np.minimum.reduce(clauses).tobytes()
+
+
+@pytest.mark.parametrize("shear", [0, 1])
+@pytest.mark.parametrize("model", [make_champagne_model(1.0), make_flat_model((1.0, 0.7))], ids=["champagne", "flat"])
+def test_good_margin_of_non_finite_points_is_nan(monkeypatch, model, shear):
+    # a nan or infinite coordinate gives a nan margin and leaves the finite
+    # rows' bits alone; a nan Hessian gives a nan margin and no SVD error
+    params = DiophantineParams(alpha=1e-3, k_max=500)
+    finite = Rect([0.3, 0.05], [0.02, 0.02]).grid(4)
+    bad = [[np.nan, 0.05], [0.3, np.nan], [np.inf, 0.05], [-np.inf, 0.05], [0.3, np.inf], [0.3, -np.inf], [np.nan, np.inf]]
+    pts = np.insert(finite, [0, 3, 3, 7, 10, 16, 16], bad, axis=0)
+    ok = np.all(np.isfinite(pts), axis=1)
+    margin = good_margin(model, pts, params, shear)
+    assert np.all(np.isnan(margin[~ok]))
+    assert margin[ok].tobytes() == good_margin(model, finite, params, shear).tobytes()
+    per_point = np.full(len(pts), shear)
+    assert good_margin(model, pts, params, per_point).tobytes() == margin.tobytes()
+    jet = model.jet
+
+    def nan_hessian(a, shear=0):
+        xi, J, hess = jet(a, shear)
+        hess = np.array(hess)
+        hess[::3, 0, 1] = np.nan
+        return xi, J, hess
+
+    monkeypatch.setattr(model, "jet", nan_hessian)
+    margin = good_margin(model, finite, params, shear)
+    assert np.array_equal(np.isnan(margin), np.arange(len(finite)) % 3 == 0)
 
 
 def test_good_margin_shape_follows_the_points():

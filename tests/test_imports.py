@@ -4,8 +4,9 @@ every name the package exports resolves to the module it is imported from,
 every public function and class, and every public field, method and
 ``__init__`` attribute of a class, is reached by the package, the acceptance
 suite or the benchmark, and each defaulted parameter of a function or method
-is passed by one of their calls (or is allowlisted with a reason), and
-importing the package loads no scipy module.
+is passed by one of their calls (or is allowlisted with a reason),
+importing the package loads no scipy module, and building the action table
+loads no quadrature.
 
 ``__init__.py`` is skipped by the first check: it imports names to
 re-export them.
@@ -106,9 +107,7 @@ def test_private_helpers_are_used_by_the_package():
 
 # public names that no run, no acceptance criterion and no benchmark reaches,
 # kept for a stated reason
-PUBLIC_ALLOWLIST = {
-    "action_grid": "regenerates the shipped action grid",
-}
+PUBLIC_ALLOWLIST = {}
 
 
 def test_public_surface_is_reached():
@@ -255,3 +254,22 @@ def test_package_import_loads_no_scipy():
     code = "import sys, pseudolattice; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_action_table_loads_no_quadrature():
+    # the package reads the shipped action grid and never integrates it: in a
+    # fresh process, importing it and building the table loads neither the
+    # test helper that computes the grid nor numpy.polynomial; the helper's
+    # import, which loads both, shows that the check can see them
+    code = (
+        "import sys\n"
+        f"sys.path.append({str(ROOT / 'tests')!r})\n"
+        "import pseudolattice.models as m\n"
+        "m._action_table()\n"
+        "loaded = lambda: [n in sys.modules for n in ('radial_action', 'numpy.polynomial')]\n"
+        "before = loaded()\n"
+        "import radial_action\n"
+        "print(before, loaded())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[False, False] [True, True]"

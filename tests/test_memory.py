@@ -1,14 +1,14 @@
 """Peak memory of the batch kernels, as traced by ``tracemalloc``.
 
 NumPy reports its array buffers to ``tracemalloc``, so the traced peak is
-the peak of the kernel's temporaries.  The action quadrature works in blocks
-of ``models.BLOCK`` elements (1 MB of float64); its largest use is
-``models.action_grid``, the 35 200 grid nodes that the package ships for
-the action table (the table itself only reads the file).  The margins
-evaluate their continued-fraction candidates in row blocks of the same
-size and sweep the rows within rounding of a resonance ``BLOCK // 2n``
-values at a time, so their peak stays a few blocks however many points
-they are given;
+the peak of the kernel's temporaries.  The action quadrature of the test
+helper ``radial_action`` works in blocks of ``models.BLOCK`` elements (1 MB
+of float64); its largest use is ``action_grid``, the 35 200 grid nodes of
+the file that the package ships for the action table (the package only
+reads the file).  The margins evaluate their continued-fraction candidates
+in row blocks of the same size and sweep the rows within rounding of a
+resonance ``BLOCK // 2n`` values at a time, so their peak stays a few
+blocks however many points they are given;
 ``dist_to_singular`` bounds rows of ``BLOCK // 600`` points against the
 boxes of its 20 runs of curve samples and scans only the runs that can
 hold the nearest sample, at most all 600 samples a row, so its
@@ -27,9 +27,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from radial_action import action_grid
 
 from pseudolattice.diophantine import DiophantineParams, _margins
-from pseudolattice.models import action_grid, make_champagne_model, make_flat_model
+from pseudolattice.models import make_champagne_model, make_flat_model
 from pseudolattice.monodromy import action_atlas, cocycle_check, cover_loop
 from pseudolattice.pipeline import spectral_monodromy
 from pseudolattice.synth import SemiclassicalParams

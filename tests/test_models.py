@@ -1,10 +1,9 @@
 import math
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from radial_action import _radial_action_quad, _radial_roots, action_grid
 from scipy.interpolate import RectBivariateSpline
 
 from pseudolattice import models
@@ -23,10 +22,7 @@ from pseudolattice.models import (
     _cell_eval,
     _cell_table,
     _frequencies_at,
-    _radial_action_quad,
-    _radial_roots,
     action_coords,
-    action_grid,
     chart_to_text,
     make_champagne_model,
     make_flat_model,
@@ -248,23 +244,6 @@ def test_shipped_action_grid_is_the_quadrature():
     assert shipped.tobytes() == action_grid().tobytes()
 
 
-def test_action_table_runs_no_quadrature():
-    # in a fresh process, building the table only reads the shipped grid
-    code = (
-        "from pseudolattice import models\n"
-        "calls = []\n"
-        "quad = models._radial_action_quad\n"
-        "models._radial_action_quad = lambda *a, **k: calls.append(1) or quad(*a, **k)\n"
-        "models._action_table()\n"
-        "before = len(calls)\n"
-        "models.action_grid()\n"
-        "print(before, len(calls))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], cwd=ACTION_GRID.parents[1], capture_output=True, text=True, check=True)
-    before, after = map(int, out.stdout.split())
-    assert before == 0 and after > 0  # the counter does see the grid quadrature
-
-
 @pytest.mark.parametrize(
     "content, why",
     [(None, "cannot read"), (np.zeros((220, 159)), "holds float64 (220, 159)"),
@@ -460,7 +439,20 @@ def test_chart_tau_c_vanishes():
         (make_champagne_model(1.0), (0.3, 0.15)),
     ]:
         chart = action_coords(model, np.array(c))
-        assert np.max(np.abs(chart.tau_c)) < 1e-7
+        assert np.array_equal(chart.tau_c, [0.0, 0.0])
+
+
+def test_table_is_the_quadrature_at_the_octagon_centers():
+    # tau_c = 0 rests on the table's xi_2 being the action integral S_2/2pi:
+    # at every center of the classical (211) and spectral (341) octagon
+    # covers it is the n = 140 quadrature within 1e-8 (2.5e-9 measured)
+    m = make_champagne_model(1.0)
+    octagon = [(0.15 + 0.3 * math.cos(math.pi * t / 4), 0.3 * math.sin(math.pi * t / 4)) for t in range(8)]
+    spectral = _cover(m, octagon, SemiclassicalParams(h=1e-3, delta=0.5))
+    for centers, n in ((cover_loop(m, octagon), 211), (spectral, 341)):
+        assert len(centers) == n
+        quad = _radial_action_quad(centers[:, 0], np.abs(centers[:, 1]), 1.0, n=140)
+        assert np.max(np.abs(_xi2(m, centers[:, 0], centers[:, 1]) - quad)) < 1e-8
 
 
 def test_chart_shear_detection():
@@ -492,7 +484,7 @@ def test_action_coords_batch_equals_single_centers():
         for c, batched in zip(centers, charts):
             single = action_coords(m, c)
             assert single.shear == batched.shear
-            for f in ("c", "grid_xi", "grid_values", "S", "tau_c"):
+            for f in ("c", "grid_xi", "grid_values", "tau_c"):
                 assert getattr(single, f).tobytes() == getattr(batched, f).tobytes(), f
             for f in ("domain", "xi_box"):
                 r1, r2 = getattr(single, f), getattr(batched, f)

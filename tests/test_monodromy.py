@@ -352,6 +352,26 @@ OCTAGON = [
 ]
 
 
+@pytest.mark.parametrize(
+    "vertices, reason, message",
+    [([(0.3, 0.1)], "bad_loop", "loop needs at least 2 vertices"),
+     ([(0.3, 0.1), (0.3, 0.1)], "bad_loop", "degenerate loop of zero length"),
+     (OCTAGON, "chart_budget", "loop covering exceeds the chart budget of 100 centers"),
+     ([(0.1, 0.1), (0.0, 0.0), (0.1, -0.1)], "singular_set", "loop passes within 0.001 of the singular set at "),
+     ([(0.0, 0.0), (0.1, 0.1)], "singular_set", "loop passes within 0.001 of the singular set at (0, 0)")],
+    ids=["one-vertex", "zero-length", "budget", "through-the-value", "from-the-value"],
+)
+def test_cover_loop_failure_gives_its_reason(monkeypatch, vertices, reason, message):
+    # the octagon needs 211 charts: a budget of 100 is overflowed well away
+    # from the singular set; a loop through the focus-focus value stops
+    # within the default budget, where a chart there would be refused
+    if reason == "chart_budget":
+        monkeypatch.setattr(monodromy, "MAX_CHARTS", 100)
+    with pytest.raises(MonodromyError, match=re.escape(message)) as err:
+        cover_loop(make_champagne_model(1.0), vertices)
+    assert err.value.reason == reason
+
+
 def test_classical_champagne_loop():
     m = make_champagne_model(1.0)
     cls = classical_monodromy(m, OCTAGON)
