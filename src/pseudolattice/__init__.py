@@ -30,6 +30,7 @@ from .models import (
     FlatModel,
     ModelError,
     ParameterError,
+    PipelineError,
     Rect,
     action_coords,
     chart_to_text,

@@ -21,23 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ActionChart, Rect
+from .models import ActionChart, PipelineError, Rect
 from .synth import SpectrumCloud, chi_inverse
 
 
-class DetectionError(ValueError):
+class DetectionError(PipelineError):
     """Raised when a cloud fails lattice detection or labeling.
 
     ``reason`` is its code: ``too_few_points``, ``ill_conditioned_basis``,
     ``label_conflict``, ``unlabeled_fraction`` or ``residual``.  ``index`` is
     the position of the failing rectangle in a batch of them.
     """
-
-    index: int | None = None
-
-    def __init__(self, msg: str, reason: str):
-        super().__init__(msg)
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,18 @@ CURVE_RUN = 30  # consecutive boundary-curve samples per box of the distance sea
 MIN_RADIUS = 1e-4  # smallest chart radius: a center closer than 1e-3 to the singular set is refused
 
 
-class ModelError(ValueError):
-    """Raised for invalid model parameters or values outside the model range; ``index`` names a failing center."""
+class PipelineError(ValueError):
+    """A failure of the pipeline: ``reason`` is its code (None for a failure
+    that has none) and ``index`` the position of the failing center,
+    rectangle or edge in its batch (None outside one)."""
 
-    reason: str | None = None
-    index: int | None = None
+    def __init__(self, message: str, reason: str | None = None, index: int | None = None):
+        super().__init__(message)
+        self.reason, self.index = reason, index
+
+
+class ModelError(PipelineError):
+    """Raised for invalid model parameters or values outside the model range; ``index`` names a failing center."""
 
 
 class ParameterError(ModelError):
@@ -194,12 +201,8 @@ class FlatModel(ModelSystem):
 def _flat_q(q_choice: str) -> AnglePolynomial:
     if q_choice == "cos_x1":
         return AnglePolynomial([((1, 0), 1.0)])
-    if q_choice == "cos_x2":
-        return AnglePolynomial([((0, 1), 1.0)])
     if q_choice == "xi_weighted":
         return AnglePolynomial([((0, 0), lambda xi: xi[..., 1]), ((1, 0), 0.1)])
-    if q_choice == "const3":
-        return AnglePolynomial([((0, 0), 3.0)])
     raise ParameterError("q_choice", f"unknown q_choice {q_choice!r}")
 
 
@@ -319,10 +322,10 @@ def _action_table():
 
 
 def _tabled(E, al):
-    """The action table; raises :class:`ModelError` unless the b = 1 points ``(E, |l|)`` lie in its box."""
+    """The action table; raises :class:`ModelError` (``out_of_table``) unless the b = 1 points ``(E, |l|)`` lie in its box."""
     xb, yb, _ = table = _action_table()
     if np.any((E < xb[0]) | (E > xb[-1]) | (al > yb[-1])):
-        raise ModelError(f"value outside the tabled range {xb[0]:g} b^2 <= E <= {xb[-1]:g} b^2, |l| <= {yb[-1]:g} b^1.5")
+        raise ModelError(f"value outside the tabled range {xb[0]:g} b^2 <= E <= {xb[-1]:g} b^2, |l| <= {yb[-1]:g} b^1.5", "out_of_table")
     return table
 
 
@@ -502,8 +505,6 @@ class ActionChart:
     domain: Rect
     eta: np.ndarray
     shear: int = 0
-    grid_xi: np.ndarray = field(default=None, repr=False)
-    grid_values: np.ndarray = field(default=None, repr=False)
     xi_box: Rect = field(default=None, repr=False)
 
     @property
@@ -534,9 +535,7 @@ def _check_centers(cs, bad, what, reason=None):
     """Raise :class:`ModelError` naming the first center of ``cs`` flagged in ``bad`` (its ``index``) and ``reason``."""
     if np.any(bad):
         i = int(np.argmax(bad))
-        err = ModelError(f"center {i} at {tuple(cs[i].tolist())}: {what}")
-        err.reason, err.index = reason, i
-        raise err
+        raise ModelError(f"center {i} at {tuple(cs[i].tolist())}: {what}", reason, i)
 
 
 def _chart_domains(model: ModelSystem, cs):
@@ -579,8 +578,7 @@ def action_coords(model: ModelSystem, c):
 
     charts = [
         ActionChart(model=model, c=cs[i], domain=Rect(cs[i], radius[[i, i]]), eta=np.asarray(model.maslov_eta),
-                    shear=int(shear[i]), grid_xi=grid_xi[i], grid_values=grid_values[i],
-                    xi_box=Rect(0.5 * (lo[i] + hi[i]), 0.5 * (hi[i] - lo[i]) + 1e-12))
+                    shear=int(shear[i]), xi_box=Rect(0.5 * (lo[i] + hi[i]), 0.5 * (hi[i] - lo[i]) + 1e-12))
         for i in range(len(cs))
     ]
     return charts if np.ndim(c) == 2 else charts[0]
@@ -601,8 +599,10 @@ def _frequencies_at(model: ModelSystem, a, shear=0):
 
 def chart_to_text(chart: ActionChart) -> str:
     """Serialize a chart to the structured-text format used by the CLI; ``S``
-    is ``2 pi xi_c``, the action integrals of the fundamental cycles."""
+    is ``2 pi xi_c``, the action integrals of the fundamental cycles, and the
+    grid is the 9 x 9 grid of the domain with its actions."""
     S = 2.0 * math.pi * chart.xi_of_c(chart.c)
+    grid = chart.domain.grid(9)
     lines = [
         "[action-chart]",
         f"model = {chart.model.name}",
@@ -614,6 +614,6 @@ def chart_to_text(chart: ActionChart) -> str:
         "[grid]",
         "# xi1\txi2\tE\tG",
     ]
-    for xi, a in zip(chart.grid_xi, chart.grid_values):
+    for xi, a in zip(chart.xi_of_c(grid), grid):
         lines.append(f"{float(xi[0])!r}\t{float(xi[1])!r}\t{float(a[0])!r}\t{float(a[1])!r}")
     return "\n".join(lines) + "\n"

@@ -17,15 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import BLOCK, MIN_RADIUS, ModelSystem, Rect, _chart_domains, _chart_radius
+from .models import BLOCK, MIN_RADIUS, ModelSystem, PipelineError, Rect, _chart_domains, _chart_radius
 
 
-class MonodromyError(ValueError):
+class MonodromyError(PipelineError):
     """Raised for inconsistent transitions or broken coverings.  A failure at
     one rectangle or edge of a loop carries its ``reason`` code and ``index``."""
-
-    reason: str | None = None
-    index: int | None = None
 
 
 OVERLAP_SHRINK = 0.05  # keeps the transition samples inside both domains
@@ -106,9 +103,7 @@ def transition_matrix(atlas: PseudoChartAtlas, i, j) -> list:
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     for k in np.flatnonzero((err > ROUNDING_TOL) | (np.abs(det) != 1))[:1]:  # the first failing pair
         what = f"not integral: rounding error {err[k]:.3f} > {ROUNDING_TOL}" if err[k] > ROUNDING_TOL else f"has det {det[k]}, expected +-1"
-        exc = MonodromyError(f"transition {ii[k]}->{jj[k]} {what}")
-        exc.reason, exc.index = "non_integral", int(k)
-        raise exc
+        raise MonodromyError(f"transition {ii[k]}->{jj[k]} {what}", "non_integral", int(k))
     return [TransitionMatrix(int(a), int(b), m, p, float(e)) for a, b, m, p, e in zip(ii, jj, M, pre, err)]
 
 
@@ -219,12 +214,6 @@ def loop_monodromy(atlas: PseudoChartAtlas, loop) -> MonodromyClass:
 MAX_CHARTS = 4000  # a covering with more centers raises MonodromyError
 
 
-def _cover_error(reason: str, message: str) -> MonodromyError:
-    exc = MonodromyError(message)
-    exc.reason = reason
-    return exc
-
-
 def cover_loop(
     model: ModelSystem,
     vertices,
@@ -244,20 +233,20 @@ def cover_loop(
     """
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     if len(vertices) < 2:
-        raise _cover_error("bad_loop", "loop needs at least 2 vertices")
+        raise MonodromyError("loop needs at least 2 vertices", "bad_loop")
     pts = np.vstack([vertices, vertices[:1]])
     seg = np.diff(pts, axis=0)
     seglen = np.linalg.norm(seg, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seglen)])
     total = cum[-1]
     if total == 0:
-        raise _cover_error("bad_loop", "degenerate loop of zero length")
+        raise MonodromyError("degenerate loop of zero length", "bad_loop")
 
     def radius(c):
         r = _chart_radius(model, c)
         if r < MIN_RADIUS:  # the radius is 0.1 of the distance
             E, G = c
-            raise _cover_error("singular_set", f"loop passes within {10 * MIN_RADIUS:g} of the singular set at ({E:.6g}, {G:.6g})")
+            raise MonodromyError(f"loop passes within {10 * MIN_RADIUS:g} of the singular set at ({E:.6g}, {G:.6g})", "singular_set")
         return r if radius_fn is None else radius_fn(c, r)
 
     def point_at(s):
@@ -274,7 +263,7 @@ def cover_loop(
             break
         centers.append(point_at(s))
         if len(centers) > MAX_CHARTS:
-            raise _cover_error("chart_budget", f"loop covering exceeds the chart budget of {MAX_CHARTS} centers")
+            raise MonodromyError(f"loop covering exceeds the chart budget of {MAX_CHARTS} centers", "chart_budget")
     # drop a final center that crowds the starting chart
     if len(centers) > 2:
         r0 = radius(centers[0])

@@ -48,9 +48,7 @@ def _spectral_clouds(model: ModelSystem, cs, params: SemiclassicalParams, dio: D
     for i in np.flatnonzero(~ok):
         a = _nearest_good(model, cs[i], charts[i].shear, dio, search_radius=0.25 * rects[i].half[0])
         if a is None:
-            err = MonodromyError(f"rectangle {i}: no good value found near {tuple(cs[i].tolist())}")
-            err.reason, err.index = "no_good_value", int(i)
-            raise err
+            raise MonodromyError(f"rectangle {i}: no good value found near {tuple(cs[i].tolist())}", "no_good_value", int(i))
         rects[i] = good_rectangle(a, params, charts[i].domain.half[0])
     coeffs = dict(higher_coeffs or {})
     syms = [NormalFormSymbol(ac, coeffs) for ac in charts]
@@ -109,9 +107,7 @@ def spectral_chart_at(
             hc = fit_hchart(cloud.without_labels())
         except DetectionError as exc:
             E, G = cloud.rectangle.center
-            err = DetectionError(f"rectangle {i} at ({E:.6g}, {G:.6g}): {exc}", exc.reason)
-            err.index = i
-            raise err from exc
+            raise DetectionError(f"rectangle {i} at ({E:.6g}, {G:.6g}): {exc}", exc.reason, i) from exc
         elements.append(
             SpectralChart(sym, params, cloud.rectangle, hc.coeffs, hc.affine, hc.max_residual(), hc.labeled_fraction)
         )

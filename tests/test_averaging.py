@@ -5,22 +5,28 @@ import pytest
 
 from pseudolattice import averaging
 from pseudolattice.averaging import time_average, torus_average
-from pseudolattice.models import GOLDEN, action_coords, make_flat_model
+from pseudolattice.models import GOLDEN, AnglePolynomial, action_coords, make_flat_model
+
+COS_X1 = AnglePolynomial([((1, 0), 1.0)])
+COS_X2 = AnglePolynomial([((0, 1), 1.0)])
+CONST3 = AnglePolynomial([((0, 0), 3.0)])
 
 
-def _chart_at_origin(q_choice, omega_star=(1.0, GOLDEN)):
-    m = make_flat_model(omega_star, q_choice)
+def _chart_at_origin(q_symbol, omega_star=(1.0, GOLDEN)):
+    # the flat model's charts do not depend on its symbol
+    m = make_flat_model(omega_star)
+    m.q_symbol = q_symbol
     c = m.value_from_xi(np.zeros(2))
     return m, action_coords(m, c)
 
 
 def test_torus_average_zero_mean_harmonic():
-    m, ch = _chart_at_origin("cos_x1")
+    m, ch = _chart_at_origin(COS_X1)
     assert torus_average(m, ch, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_torus_average_constant():
-    m, ch = _chart_at_origin("const3")
+    m, ch = _chart_at_origin(CONST3)
     assert torus_average(m, ch, np.zeros(2)) == 3.0
 
 
@@ -40,13 +46,13 @@ def test_torus_average_grid_refinement(monkeypatch):
 
 
 def test_time_average_constant():
-    m, ch = _chart_at_origin("const3")
+    m, ch = _chart_at_origin(CONST3)
     assert time_average(m, ch, np.zeros(2), (0.4, 1.0), 57.3) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_time_average_single_harmonic_closed_form():
     # along the flow cos(x1 + t*w1) averages to (2/(T w1)) sin(T w1/2) cos(x1)
-    m, ch = _chart_at_origin("cos_x1")
+    m, ch = _chart_at_origin(COS_X1)
     for T in (100.0, 317.0):
         got = time_average(m, ch, np.zeros(2), (0.0, 0.0), T)
         assert got == pytest.approx(2.0 * math.sin(T / 2.0) / T, abs=1e-8)
@@ -54,20 +60,20 @@ def test_time_average_single_harmonic_closed_form():
 
 def test_time_average_frozen_resonant_angle():
     # omega ~ (1, 0): x2 never moves, so q = cos(x2) stays at its initial value
-    m, ch = _chart_at_origin("cos_x2", omega_star=(1.0, 1e-9))
+    m, ch = _chart_at_origin(COS_X2, omega_star=(1.0, 1e-9))
     got = time_average(m, ch, np.zeros(2), (0.0, math.pi / 3), 400.0)
     assert got == pytest.approx(0.5, abs=1e-6)
 
 
 def test_time_average_rejects_nonpositive_T():
-    m, ch = _chart_at_origin("cos_x1")
+    m, ch = _chart_at_origin(COS_X1)
     with pytest.raises(ValueError):
         time_average(m, ch, np.zeros(2), (0.0, 0.0), 0.0)
 
 
 def test_ergodic_decay_golden_torus():
     # |<q>_T - <q>| <= C/T with C stable under doubling T
-    m, ch = _chart_at_origin("cos_x1")
+    m, ch = _chart_at_origin(COS_X1)
     xi = np.zeros(2)
     Cs = []
     for T in (100.0, 1000.0, 10_000.0):
@@ -79,7 +85,7 @@ def test_ergodic_decay_golden_torus():
 def test_time_averages_bracket_torus_average():
     # on the golden torus the time averages from starting angles around the
     # circle lie on both sides of the torus average and close to it
-    m, ch = _chart_at_origin("cos_x1")
+    m, ch = _chart_at_origin(COS_X1)
     xi = np.zeros(2)
     avg = torus_average(m, ch, xi)
     assert avg == pytest.approx(0.0, abs=1e-12)

@@ -485,6 +485,17 @@ def test_main_loop_through_the_focus_focus_value_names_it(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_main_loop_outside_the_action_table_gives_reason(tmp_path, capsys):
+    # the loop crosses E = 0.95 b^2, the top of the shipped action table
+    verts = "".join(f"    {x} {y}\n" for x, y in [(0.6, 0), (1.1, 0), (1.1, 0.2), (0.6, 0.2)])
+    text = OCTAGON_NOISY.replace("noise_order = 1", "noise_order = 3")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text[: text.index("vertices =\n") + 11] + verts), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [out_of_table] value outside the tabled range -0.26 b^2 <= E <= 0.95 b^2, |l| <= 0.72 b^1.5\n"
+    assert list(out.iterdir()) == []
+
+
 def test_main_no_good_value_gives_reason(tmp_path, capsys):
     # no value is 10 away from a resonance: the fallback search finds no good node
     cfg = _write(tmp_path, FLAT_SYNTH.replace("[run]", "[diophantine]\nalpha = 10\n\n[run]"))

@@ -4,9 +4,10 @@ every name the package exports resolves to the module it is imported from,
 every public function and class, and every public field, method and
 ``__init__`` attribute of a class, is reached by the package, the acceptance
 suite or the benchmark, and each defaulted parameter of a function or method
-is passed by one of their calls (or is allowlisted with a reason),
-importing the package loads no scipy module, and building the action table
-loads no quadrature.
+is passed by one of their calls (or is allowlisted with a reason), a call
+of a class counting as a call of the ``__init__`` it inherits, every reason
+code the package raises is named in the README, importing the package loads
+no scipy module, and building the action table loads no quadrature.
 
 ``__init__.py`` is skipped by the first check: it imports names to
 re-export them.
@@ -15,6 +16,7 @@ re-export them.
 import ast
 import importlib
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,9 +168,7 @@ def _attributes_read(paths) -> set:
 # public class members that no run, no acceptance criterion and no benchmark
 # reads, kept for a stated reason
 MEMBER_ALLOWLIST = {
-    "DetectionError.index": "the failing rectangle of a batch, for the planned run records (ROADMAP.md)",
-    "MonodromyError.index": "the rectangle with no good value near it, for the planned run records (ROADMAP.md)",
-    "ModelError.index": "the chart center that failed, for the planned run records (ROADMAP.md)",
+    "PipelineError.index": "the failing center, rectangle or edge of a batch, for the planned run records (ROADMAP.md)",
     "TransitionMatrix.pre_round": "the transition's rounding error, for the planned run records (ROADMAP.md)",
     "CocycleReport.pairs": "the tests compare the sweep's pairs with a brute-force search",
 }
@@ -213,6 +213,27 @@ def _defaulted_parameters(path: Path) -> list:
     return found
 
 
+def _classes(paths) -> dict:
+    """For each module-level class of ``paths``, its base names and whether
+    it defines ``__init__``."""
+    classes = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                own = any(isinstance(n, ast.FunctionDef) and n.name == "__init__" for n in node.body)
+                classes[node.name] = ([b.id for b in node.bases if isinstance(b, ast.Name)], own)
+    return classes
+
+
+def _init_owner(classes: dict, name: str) -> str:
+    """The name under which ``_defaulted_parameters`` lists the ``__init__``
+    that a call ``name(...)`` runs: a class without its own inherits its
+    first base's."""
+    while name in classes and not classes[name][1] and classes[name][0]:
+        name = classes[name][0][0]
+    return name
+
+
 def _calls(paths) -> dict:
     """For each called name (a function or an attribute), the positional
     argument count (unbounded with ``*args``) and keyword names of each of
@@ -233,19 +254,80 @@ def _calls(paths) -> dict:
 PARAMETER_ALLOWLIST = {}
 
 
-def test_parameters_are_passed():
-    # a default that every reaching call leaves in place is a second way to
-    # run the code that only the unit tests take; calls match by name, as
-    # the member check does
-    calls = _calls(REACHING)
-    passed = {
+def _passed(modules, reaching) -> dict:
+    """For each defaulted parameter of ``modules``, whether a call in
+    ``reaching`` passes it; calls match by name, as the member check does,
+    and a call of a class runs the ``__init__`` it inherits."""
+    classes = _classes(modules)
+    calls = {}
+    for name, found in _calls(reaching).items():
+        calls.setdefault(_init_owner(classes, name), []).extend(found)
+    return {
         label: any((pos is not None and npos > pos) or arg in keys or star for npos, keys, star in calls.get(name, []))
-        for path in MODULES
+        for path in modules
         for name, pos, arg, label in _defaulted_parameters(path)
     }
+
+
+def test_parameters_are_passed():
+    # a default that every reaching call leaves in place is a second way to
+    # run the code that only the unit tests take
+    passed = _passed(MODULES, REACHING)
     assert [label for label, ok in passed.items() if not ok and label not in PARAMETER_ALLOWLIST] == []
     # an allowlist entry is stale once its parameter is gone or a run passes it
     assert [label for label in PARAMETER_ALLOWLIST if passed.get(label, True)] == []
+
+
+def test_parameter_check_follows_inherited_init(tmp_path):
+    # no call names PipelineError, yet its subclasses' calls pass its reason
+    # and index; a default that none of them passes is still found
+    planted = tmp_path / "models.py"
+    source = (PACKAGE / "models.py").read_text()
+    planted.write_text(source.replace("index: int | None = None)", "index: int | None = None, extra=None)"))
+    modules = [planted if p.name == "models.py" else p for p in MODULES]
+    reaching = [planted if p == PACKAGE / "models.py" else p for p in REACHING]
+    passed = _passed(modules, reaching)
+    assert passed["models.py:PipelineError.__init__(reason)"] and passed["models.py:PipelineError.__init__(index)"]
+    assert [label for label, ok in passed.items() if not ok] == ["models.py:PipelineError.__init__(extra)"]
+
+
+def _reason_codes(paths) -> set:
+    """Every string literal that a call in ``paths`` passes as the defaulted
+    ``reason`` parameter of a function or ``__init__`` of ``paths``, by
+    position or by keyword."""
+    classes = _classes(paths)
+    position = {name: pos for path in paths for name, pos, arg, _ in _defaulted_parameters(path) if arg == "reason"}
+    codes = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                pos = position.get(_init_owner(classes, getattr(node.func, "id", None) or node.func.attr))
+                if pos is None:
+                    continue
+                args = [*node.args[pos : pos + 1], *(k.value for k in node.keywords if k.arg == "reason")]
+                codes |= {a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)}
+    return codes
+
+
+def _undocumented(paths) -> list:
+    """The reason codes of ``paths`` that the README names nowhere as
+    `` `code` `` or ``[code]``."""
+    readme = (ROOT / "README.md").read_text()
+    return sorted(code for code in _reason_codes(paths) if not re.search(rf"[`\[]{code}[`\]]", readme))
+
+
+def test_reason_codes_are_documented(tmp_path):
+    # every reason code a failure of the package can carry is named in the
+    # README; planted codes, passed in each way, show the check sees them
+    assert {"out_of_table", "chart_inversion", "non_integral", "residual"} <= _reason_codes(MODULES)
+    assert _undocumented(MODULES) == []
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        'ModelError("a", "planted_positional")\n'
+        'DetectionError("b", reason="planted_keyword")\n'
+        '_check_centers(cs, bad, "c", "planted_center")\n'
+    )
+    assert _undocumented([*MODULES, planted]) == ["planted_center", "planted_keyword", "planted_positional"]
 
 
 def test_package_import_loads_no_scipy():

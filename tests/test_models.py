@@ -473,7 +473,9 @@ def test_chart_rejects_singular_center():
 
 def test_action_coords_batch_equals_single_centers():
     # one pass over many centers builds each chart bit for bit as its own
-    # n = 1 call does: the classical and the spectral octagon covers
+    # n = 1 call does, and the grid that chart.txt makes again from a chart's
+    # domain is the grid the pass checked: the classical and the spectral
+    # octagon covers
     m = make_champagne_model(1.0)
     octagon = [(0.15 + 0.3 * math.cos(math.pi * t / 4), 0.3 * math.sin(math.pi * t / 4)) for t in range(8)]
     params = SemiclassicalParams(h=1e-3, delta=0.5)
@@ -481,10 +483,13 @@ def test_action_coords_batch_equals_single_centers():
     for centers in (cover_loop(m, octagon), spectral):
         charts = action_coords(m, centers)
         assert len(charts) == len(centers) and sum(ch.shear for ch in charts) > 0
-        for c, batched in zip(centers, charts):
+        grid_values, grid_xi = models._chart_domains(m, centers)[2:]
+        for c, batched, values, xi in zip(centers, charts, grid_values, grid_xi):
+            grid = batched.domain.grid(9)
+            assert grid.tobytes() == values.tobytes() and batched.xi_of_c(grid).tobytes() == xi.tobytes()
             single = action_coords(m, c)
             assert single.shear == batched.shear
-            for f in ("c", "grid_xi", "grid_values", "tau_c"):
+            for f in ("c", "tau_c"):
                 assert getattr(single, f).tobytes() == getattr(batched, f).tobytes(), f
             for f in ("domain", "xi_box"):
                 r1, r2 = getattr(single, f), getattr(batched, f)

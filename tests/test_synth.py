@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from pseudolattice.averaging import torus_average
-from pseudolattice.models import ParameterError, Rect, _frequencies_at, action_coords, make_champagne_model, make_flat_model
+from pseudolattice.models import (
+    AnglePolynomial,
+    ParameterError,
+    Rect,
+    _frequencies_at,
+    action_coords,
+    make_champagne_model,
+    make_flat_model,
+)
 from pseudolattice.synth import (
     NormalFormSymbol,
     SemiclassicalParams,
@@ -126,7 +134,7 @@ def test_coefficient_table_validation(flat_setup):
 def test_symbol_real_at_eps_zero(flat_setup):
     _, chart, _ = flat_setup
     sym = NormalFormSymbol(chart, default_higher_coeffs())
-    xi = chart.grid_xi[:5]
+    xi = chart.xi_of_c(chart.domain.grid(9))[:5]
     vals = _symbol(sym, xi, 0.0, PARAMS.h)
     assert np.max(np.abs(vals.imag)) == 0.0
 
@@ -239,7 +247,8 @@ def test_rectangle_must_fit_chart(champ_setup):
 
 
 def test_band_constant_q_degenerates():
-    m = make_flat_model((1.0, 0.7), "const3")
+    m = make_flat_model((1.0, 0.7))
+    m.q_symbol = AnglePolynomial([((0, 0), 3.0)])
     chart = action_coords(m, m.value_from_xi(np.array([0.2, 0.1])))
     lo, hi = spectral_band(m, chart, chart.c[0], 0.01, PARAMS, NormalFormSymbol(chart, {}))
     c = 3.0 * PARAMS.epsilon
