@@ -29,6 +29,7 @@ from .diophantine import DiophantineParams
 from .models import (
     ModelSystem,
     ParameterError,
+    PipelineError,
     chart_to_text,
     make_champagne_model,
     make_flat_model,
@@ -302,14 +303,13 @@ def _loop_monodromy(cfg: RunConfig, out: Path):
 
 
 def _verdict_failures(spectral: MonodromyClass, verdict: bool | None) -> list:
-    """The failure message for a verdict other than true, as a list."""
+    """The failure for a verdict other than true, as a list of one
+    :class:`PipelineError` with its reason code."""
     if verdict is None:
         trace, det = spectral.invariants
-        return [
-            f"conjugacy undecided for trace {trace}, det {det}: "
-            "only the det 1, |trace| <= 2 and the det -1, trace 0 classes are decided"
-        ]
-    return [] if verdict else ["spectral class not conjugate to transposed classical class"]
+        msg = f"conjugacy undecided for trace {trace}, det {det}: only the det 1, |trace| <= 2 and the det -1, trace 0 classes are decided"
+        return [PipelineError(msg, "undecided")]
+    return [] if verdict else [PipelineError("spectral class not conjugate to transposed classical class", "not_conjugate")]
 
 
 def _run_monodromy(cfg: RunConfig, out: Path) -> int:
@@ -319,8 +319,8 @@ def _run_monodromy(cfg: RunConfig, out: Path) -> int:
         f"classical m = {classical.parabolic_m}, conjugate: {VERDICT_TEXT[verdict]} -> {out}"
     )
     failures = _verdict_failures(cls, verdict)
-    for msg in failures:
-        print(f"  FAIL: {msg}", file=sys.stderr)
+    for exc in failures:
+        print(f"  FAIL: [{exc.reason}] {exc}", file=sys.stderr)
     return 0 if not failures else 1
 
 
@@ -330,14 +330,14 @@ def _run_verify_all(cfg: RunConfig, out: Path) -> int:
     cocycle = cocycle_check(atlas)
     if not cocycle.ok:
         i, j, k = cocycle.violations[0][:3]
-        failures.append(f"cocycle violated on {len(cocycle.violations)} triple(s), first at charts ({i}, {j}, {k})")
+        failures.append(PipelineError(f"cocycle violated on {len(cocycle.violations)} triple(s), first at charts ({i}, {j}, {k})", "cocycle"))
 
     # band containment on the first rectangle; its cloud and fit are made again
     el0 = elements[0]
     cloud0, hc0, rect0 = el0.cloud, el0.hchart, el0.rectangle
     band = spectral_band(cfg.model, el0.action_chart, rect0.center[0], rect0.half[0], cfg.params)
     if not np.all((cloud0.points.imag >= band[0]) & (cloud0.points.imag <= band[1])):
-        failures.append("eigenvalues escape the spectral band")
+        failures.append(PipelineError("eigenvalues escape the spectral band", "band"))
 
     (out / "spectrum.tsv").write_text(cloud0.to_text())
     (out / "spectrum.svg").write_text(plots.plot_spectrum(cloud0, hc0))
@@ -350,8 +350,8 @@ def _run_verify_all(cfg: RunConfig, out: Path) -> int:
         f"min labeled fraction {frac:.4f}; conjugate: {VERDICT_TEXT[verdict]}; "
         f"cocycle: {cocycle.triples_checked} triples; {len(failures)} failure(s) -> {out}"
     )
-    for msg in failures:
-        print(f"  FAIL: {msg}", file=sys.stderr)
+    for exc in failures:
+        print(f"  FAIL: [{exc.reason}] {exc}", file=sys.stderr)
     return 0 if not failures else 1
 
 

@@ -305,6 +305,7 @@ def _cell_eval(table, x, y, partials=PARTIALS):
 ACTION_GRID = Path(__file__).with_name("action_grid.npy")
 GRID_E = np.linspace(-0.26, 0.95, 220)
 GRID_L = np.linspace(0.0, 0.72, 160)
+OFF_TABLE = f"value outside the tabled range {GRID_E[0]:g} b^2 <= E <= {GRID_E[-1]:g} b^2, |l| <= {GRID_L[-1]:g} b^1.5"
 
 
 @functools.cache
@@ -321,11 +322,16 @@ def _action_table():
     return _cell_table(GRID_E, GRID_L, vals)
 
 
+def _off_table(E, al):
+    """Where the b = 1 points ``(E, |l|)`` lie outside the action table's box."""
+    return (E < GRID_E[0]) | (E > GRID_E[-1]) | (al > GRID_L[-1])
+
+
 def _tabled(E, al):
     """The action table; raises :class:`ModelError` (``out_of_table``) unless the b = 1 points ``(E, |l|)`` lie in its box."""
-    xb, yb, _ = table = _action_table()
-    if np.any((E < xb[0]) | (E > xb[-1]) | (al > yb[-1])):
-        raise ModelError(f"value outside the tabled range {xb[0]:g} b^2 <= E <= {xb[-1]:g} b^2, |l| <= {yb[-1]:g} b^1.5", "out_of_table")
+    table = _action_table()
+    if np.any(_off_table(E, al)):
+        raise ModelError(OFF_TABLE, "out_of_table")
     return table
 
 
@@ -407,22 +413,21 @@ class ChampagneModel(ModelSystem):
 
     # -- actions ----------------------------------------------------------
 
-    def _action_jet(self, E, l, partials=PARTIALS):
-        """``I_r(E, |l|)`` and its ``partials`` in ``(E, |l|)``, as ``_cell_eval``
+    def _action_jet(self, E, l):
+        """``I_r(E, |l|)`` and its ``PARTIALS`` in ``(E, |l|)``, as ``_cell_eval``
         gives them: ``r = sqrt(b) rho``, ``p_r = b p``, ``l = b^1.5 m`` give
         ``H_b = b^2 H_1``, so ``I_r(E, l; b) = b^1.5 I_r(E / b^2, l / b^1.5; 1)``
         (b = 1 table)."""
         b = self.b
         E, al = np.asarray(E, dtype=float) / b**2, np.abs(l) / b**1.5
-        out = _cell_eval(_tabled(E, al), E, al, partials)
+        out = _cell_eval(_tabled(E, al), E, al)
         # each E-derivative scales by b^-2, each l-derivative by b^-1.5
-        return tuple(f * b ** (1.5 - 2.0 * p - 1.5 * q) for f, (p, q) in zip(out, partials))
+        return tuple(f * b ** (1.5 - 2.0 * p - 1.5 * q) for f, (p, q) in zip(out, PARTIALS))
 
     def xi_from_value(self, a, shear=0):
-        """Table-backed ``xi = (l, I_r(E, |l|) + shear * max(l, 0))``."""
-        a = np.asarray(a, dtype=float)
-        E, l = a[..., 0], a[..., 1]
-        return np.stack([l, self._action_jet(E, l, ((0, 0),))[0] + shear * np.maximum(l, 0.0)], axis=-1)
+        """Table-backed ``xi = (l, I_r(E, |l|) + shear * max(l, 0))``: the
+        actions of ``jet``, whose partials do not change their bits."""
+        return self.jet(a, shear)[0]
 
     def value_from_xi(self, xi, shear=0, seed_E=None):
         """Invert the action map: solve I_r(E, l) = xi_2 for E (Newton).
@@ -543,8 +548,8 @@ def _chart_domains(model: ModelSystem, cs):
     ``(n, 2)``, with each chart's 9 x 9 grid of values and its actions.
 
     Raises :class:`ModelError`, naming the first such center, if a center is
-    singular or too close to the critical-value set, or if its domain
-    touches that set or its chart map degenerates on the domain.
+    singular or too close to the critical-value set, or if its domain touches
+    that set, leaves the action table (``out_of_table``) or degenerates the chart map.
     """
     _check_centers(cs, ~model.is_regular(cs), f"not a regular value of {model.name}")
     radius = _chart_radius(model, cs)
@@ -555,6 +560,9 @@ def _chart_domains(model: ModelSystem, cs):
 
     grid_values = Rect(cs, np.stack([radius, radius], axis=-1)).grid(9)
     _check_centers(cs, ~np.all(model.is_regular(grid_values), axis=1), "chart domain touches the singular set")
+    if isinstance(model, ChampagneModel):  # the jet's table, per center: E and |l| as _action_jet scales them
+        off = _off_table(grid_values[..., 0] / model.b**2, np.abs(grid_values[..., 1]) / model.b**1.5)
+        _check_centers(cs, np.any(off, axis=1), OFF_TABLE, "out_of_table")
     grid_xi, J, _ = model.jet(grid_values, shear=shear[:, None])
     _check_centers(cs, np.any(np.abs(np.linalg.det(J)) < 1e-10, axis=1), "chart map is degenerate on the requested domain")
     return radius, shear, grid_values, grid_xi

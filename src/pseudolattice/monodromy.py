@@ -13,7 +13,7 @@ trivializations) and serves as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +64,8 @@ class MonodromyClass:
     """A loop's integer product; its normal form and invariants are read
     off the product (see ``_normal_form``)."""
 
-    loop: list
     product: np.ndarray  # 2x2 integer
-    edges: list = field(default_factory=list)  # TransitionMatrix per loop edge
+    edges: list  # TransitionMatrix per loop edge, k -> k + 1 (mod n)
 
     normal_form = property(lambda self: _normal_form(self.product)[0])
     invariants = property(lambda self: _normal_form(self.product)[1])  # (trace, det)
@@ -193,17 +192,17 @@ def _normal_form(P: np.ndarray):
     return P, (tr, det), None
 
 
-def loop_monodromy(atlas: PseudoChartAtlas, loop) -> MonodromyClass:
-    """Ordered product of transitions along a cyclic chart sequence."""
-    loop = [int(i) for i in loop]
-    if len(loop) < 1:
-        raise MonodromyError("empty loop")
-    closed = loop + [loop[0]] if loop[-1] != loop[0] else loop
-    edges = transition_matrix(atlas, closed[:-1], closed[1:])
+def loop_monodromy(atlas: PseudoChartAtlas) -> MonodromyClass:
+    """Ordered product of the transitions around the atlas, in its chart
+    order: the edges are chart k -> k + 1 (mod n)."""
+    if len(atlas) < 1:
+        raise MonodromyError("empty atlas")
+    k = np.arange(len(atlas))
+    edges = transition_matrix(atlas, k, np.roll(k, -1))
     P = np.eye(2, dtype=np.int64)
     for t in edges:
         P = P @ t.M
-    return MonodromyClass(loop=loop, product=P, edges=edges)
+    return MonodromyClass(P, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +294,11 @@ def classical_monodromy(model: ModelSystem, loop_vertices) -> MonodromyClass:
     action-map transitions ``M_t``.
     """
     centers = cover_loop(model, loop_vertices)
-    cls = loop_monodromy(action_atlas(model, centers), range(len(centers)))
+    cls = loop_monodromy(action_atlas(model, centers))
     (a, b), (c, d) = cls.product
     det = _det(cls.product)  # +-1, so the integer inverse is exact
     P = det * np.array([[d, -c], [-b, a]], dtype=np.int64)
-    return MonodromyClass(loop=cls.loop, product=P, edges=cls.edges)
+    return MonodromyClass(P, cls.edges)
 
 
 def compare_monodromies(spectral: MonodromyClass, classical: MonodromyClass) -> bool | None:
@@ -344,13 +343,8 @@ def _fmt_mat(M) -> str:
 
 def monodromy_report(spectral: MonodromyClass, classical: MonodromyClass) -> str:
     """Structured-text report: loop, per-edge transitions, product, verdict."""
-    lines = ["[monodromy]", f"loop = {' '.join(str(i) for i in spectral.loop)}"]
-    if spectral.edges:
-        lines.append("[transitions]")
-        for t in spectral.edges:
-            lines.append(
-                f"{t.i} -> {t.j}: M = {_fmt_mat(t.M)}  rounding_error = {t.rounding_error:.3e}"
-            )
+    lines = ["[monodromy]", f"loop = {' '.join(str(t.i) for t in spectral.edges)}", "[transitions]"]
+    lines += [f"{t.i} -> {t.j}: M = {_fmt_mat(t.M)}  rounding_error = {t.rounding_error:.3e}" for t in spectral.edges]
     lines += [
         "[class]",
         f"product = {_fmt_mat(spectral.product)}",

@@ -150,4 +150,4 @@ def spectral_monodromy(
     centers = _cover(model, vertices, params, spacing_factor)
     elements = spectral_chart_at(model, centers, params, dio)
     atlas = _spectral_atlas(elements)
-    return loop_monodromy(atlas, range(len(atlas))), atlas, elements
+    return loop_monodromy(atlas), atlas, elements

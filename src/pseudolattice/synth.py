@@ -13,6 +13,7 @@ that of the deformed lattice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,42 +82,32 @@ def good_rectangle(a, params: SemiclassicalParams, chart_radius: float) -> Rect:
     return Rect(np.array(a, dtype=float), (hw, hw))
 
 
+def _coeff_error(key, c) -> str | None:
+    """Why the correction coefficient ``c`` cannot sit at ``key = (a1, a2, j,
+    k)``, or None: the total degree is at most 3, ``j >= 2`` or ``k >= 1``
+    (so the leading term in the separated-scale regime stays exactly
+    ``p + i*eps*<q>``), and an entry with ``j == 0`` is real, so that the
+    unperturbed symbol is real-valued."""
+    a1, a2, j, k = key
+    if min(key) < 0 or a1 + a2 + j + k > 3:
+        return f"coefficient index {key} out of range (total degree <= 3)"
+    if j < 2 and k < 1:
+        return f"coefficient {key} would pollute the leading term (need j>=2 or k>=1)"
+    if j == 0 and abs(complex(c).imag) > 0:
+        return f"coefficient {key} must be real (symbol is real at eps=0)"
+    return None
+
+
 def default_higher_coeffs() -> dict:
-    """Deterministic table of correction coefficients C_{(a1,a2),j,k}.
-
-    Keys are ``(a1, a2, j, k)`` with ``a1+a2+j+k <= 3`` and either ``j >= 2``
-    or ``k >= 1`` (so the leading term in the separated-scale regime stays
-    exactly ``p + i*eps*<q>``); entries with ``j == 0`` are real so the
-    unperturbed symbol is real-valued.
-    """
+    """Deterministic table of correction coefficients C_{(a1,a2),j,k}: every
+    key that ``_coeff_error`` accepts, with entries real where ``j == 0``."""
     table = {}
-    idx = 0
-    for a1 in range(4):
-        for a2 in range(4):
-            for j in range(4):
-                for k in range(4):
-                    if a1 + a2 + j + k > 3:
-                        continue
-                    if j < 2 and k < 1:
-                        continue
-                    idx += 1
-                    mag = 0.02 * (0.5 + 0.5 * np.cos(1.7 * idx))
-                    if j == 0:
-                        table[(a1, a2, j, k)] = complex(mag, 0.0)
-                    else:
-                        table[(a1, a2, j, k)] = mag * np.exp(0.9j * idx)
+    for key in itertools.product(range(4), repeat=4):
+        if _coeff_error(key, 0.0) is None:
+            idx = len(table) + 1
+            mag = 0.02 * (0.5 + 0.5 * np.cos(1.7 * idx))
+            table[key] = complex(mag, 0.0) if key[2] == 0 else mag * np.exp(0.9j * idx)
     return table
-
-
-def _validate_coeffs(table: dict):
-    for key, c in table.items():
-        a1, a2, j, k = key
-        if min(key) < 0 or a1 + a2 + j + k > 3:
-            raise ValueError(f"coefficient index {key} out of range (total degree <= 3)")
-        if j < 2 and k < 1:
-            raise ValueError(f"coefficient {key} would pollute the leading term (need j>=2 or k>=1)")
-        if j == 0 and abs(complex(c).imag) > 0:
-            raise ValueError(f"coefficient {key} must be real (symbol is real at eps=0)")
 
 
 @dataclass
@@ -128,7 +119,9 @@ class NormalFormSymbol:
     higher_coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _validate_coeffs(self.higher_coeffs)
+        for key, c in self.higher_coeffs.items():
+            if (msg := _coeff_error(key, c)) is not None:
+                raise ValueError(msg)
 
     def correction(self, xi, eps: float, h: float):
         xi = np.asarray(xi, dtype=float)
@@ -245,7 +238,7 @@ def _candidates(symbols, rects, params: SemiclassicalParams):
     block = np.cumsum(np.bincount(r, weights=n, minlength=len(rects))) // (BLOCK // 16)
     for b in np.unique(block):
         idx = np.flatnonzero(block == b)
-        sel = (r >= idx[0]) & (r <= idx[-1])
+        sel = slice(*np.searchsorted(r, [idx[0], idx[-1] + 1]))  # r is sorted
         k = np.repeat(k1[sel], n[sel]), _ranges(lo[sel], n[sel])
         rect_of = np.repeat(r[sel], n[sel])
         xi_k = np.stack([h * (k[j] - charts[0].eta[j] / 4.0) for j in (0, 1)], axis=-1)

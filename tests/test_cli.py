@@ -384,38 +384,56 @@ def test_parse_config_diophantine_defaults(tmp_path):
     assert (cfg.dio.alpha, cfg.dio.d, cfg.dio.k_max) == (1e-3, 1.0, 1000)
 
 
+def _with_product(run, P):
+    """``run`` with the product of the class it returns (alone or first) replaced by ``P``."""
+
+    def wrapped(*args, **kwargs):
+        out = run(*args, **kwargs)
+        cls = out[0] if isinstance(out, tuple) else out
+        cls = dataclasses.replace(cls, product=np.array(P))
+        return (cls,) + out[1:] if isinstance(out, tuple) else cls
+
+    return wrapped
+
+
 @pytest.mark.parametrize("mode", ["monodromy", "verify-all"])
 def test_main_undecided_conjugacy_fails(tmp_path, capsys, monkeypatch, mode):
     # hyperbolic trace 3 products: equal (trace, det), conjugacy not decided
-    import dataclasses
-
     import pseudolattice.cli as cli
 
-    def with_product(run, P):
-        def wrapped(*args, **kwargs):
-            out = run(*args, **kwargs)
-            cls = out[0] if isinstance(out, tuple) else out
-            cls = dataclasses.replace(cls, product=np.array(P))
-            return (cls,) + out[1:] if isinstance(out, tuple) else cls
-
-        return wrapped
-
-    monkeypatch.setattr(cli, "spectral_monodromy", with_product(cli.spectral_monodromy, [[2, 1], [1, 1]]))
-    monkeypatch.setattr(cli, "classical_monodromy", with_product(cli.classical_monodromy, [[1, 1], [1, 2]]))
+    monkeypatch.setattr(cli, "spectral_monodromy", _with_product(cli.spectral_monodromy, [[2, 1], [1, 1]]))
+    monkeypatch.setattr(cli, "classical_monodromy", _with_product(cli.classical_monodromy, [[1, 1], [1, 2]]))
     cfg = _write(tmp_path, FLAT_LOOP.replace("mode = monodromy", f"mode = {mode}"))
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 1
     assert "conjugate = undecided" in (out / "monodromy.txt").read_text()
     captured = capsys.readouterr()
     assert "conjugate: undecided" in captured.out
-    assert "FAIL: conjugacy undecided for trace 3, det 1" in captured.err
+    assert captured.err == (
+        "  FAIL: [undecided] conjugacy undecided for trace 3, det 1: "
+        "only the det 1, |trace| <= 2 and the det -1, trace 0 classes are decided\n"
+    )
+
+
+@pytest.mark.parametrize("mode", ["monodromy", "verify-all"])
+def test_main_not_conjugate_fails(tmp_path, capsys, monkeypatch, mode):
+    # the flat loop's spectral class is the identity; a parabolic classical
+    # class has the same (trace, det) and another |m|
+    import pseudolattice.cli as cli
+
+    monkeypatch.setattr(cli, "classical_monodromy", _with_product(cli.classical_monodromy, [[1, 1], [0, 1]]))
+    cfg = _write(tmp_path, FLAT_LOOP.replace("mode = monodromy", f"mode = {mode}"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    assert "conjugate = false" in (out / "monodromy.txt").read_text()
+    captured = capsys.readouterr()
+    assert "conjugate: false" in captured.out
+    assert captured.err == "  FAIL: [not_conjugate] spectral class not conjugate to transposed classical class\n"
 
 
 def test_main_verify_all_fails_on_a_cocycle_violation(tmp_path, capsys, monkeypatch):
     # verify-all checks the cocycle of the spectral atlas it used; a
     # violation is a failure naming the first triple
-    import dataclasses
-
     import pseudolattice.cli as cli
 
     check, reports = cli.cocycle_check, []
@@ -432,8 +450,26 @@ def test_main_verify_all_fails_on_a_cocycle_violation(tmp_path, capsys, monkeypa
     assert len(reports) == 1 and reports[0].ok and reports[0].triples_checked > 0
     captured = capsys.readouterr()
     assert f"conjugate: true; cocycle: {reports[0].triples_checked} triples; 1 failure(s)" in captured.out
-    assert captured.err == "  FAIL: cocycle violated on 1 triple(s), first at charts (3, 4, 5)\n"
+    assert captured.err == "  FAIL: [cocycle] cocycle violated on 1 triple(s), first at charts (3, 4, 5)\n"
     assert "conjugate = true" in (out / "monodromy.txt").read_text()
+
+
+def test_main_verify_all_fails_on_eigenvalues_outside_the_band(tmp_path, capsys, monkeypatch):
+    # a band above the real one holds none of the first rectangle's eigenvalues
+    import pseudolattice.cli as cli
+
+    band = cli.spectral_band
+
+    def band_above(*args):
+        hi = band(*args)[1]
+        return hi + 1.0, hi + 2.0
+
+    monkeypatch.setattr(cli, "spectral_band", band_above)
+    cfg = _write(tmp_path, FLAT_LOOP.replace("mode = monodromy", "mode = verify-all"))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "conjugate: true; cocycle: " in captured.out and "; 1 failure(s)" in captured.out
+    assert captured.err == "  FAIL: [band] eigenvalues escape the spectral band\n"
 
 
 OCTAGON_NOISY = f"""\
@@ -486,14 +522,25 @@ def test_main_loop_through_the_focus_focus_value_names_it(tmp_path, capsys):
 
 
 def test_main_loop_outside_the_action_table_gives_reason(tmp_path, capsys):
-    # the loop crosses E = 0.95 b^2, the top of the shipped action table
+    # the loop crosses E = 0.95 b^2, the top of the shipped action table: the
+    # first of its centers whose chart grid leaves the table is named
+    from pseudolattice.models import ModelError
+    from pseudolattice.pipeline import spectral_monodromy
+
     verts = "".join(f"    {x} {y}\n" for x, y in [(0.6, 0), (1.1, 0), (1.1, 0.2), (0.6, 0.2)])
     text = OCTAGON_NOISY.replace("noise_order = 1", "noise_order = 3")
-    out = tmp_path / "out"
-    assert main(["run", _write(tmp_path, text[: text.index("vertices =\n") + 11] + verts), "--out", str(out)]) == 1
+    cfg, out = _write(tmp_path, text[: text.index("vertices =\n") + 11] + verts), tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: [out_of_table] value outside the tabled range -0.26 b^2 <= E <= 0.95 b^2, |l| <= 0.72 b^1.5\n"
+    assert err == (
+        "error: [out_of_table] center 42 at (0.865631323454144, 0.0): "
+        "value outside the tabled range -0.26 b^2 <= E <= 0.95 b^2, |l| <= 0.72 b^1.5\n"
+    )
     assert list(out.iterdir()) == []
+    c = parse_config(cfg)
+    with pytest.raises(ModelError) as exc:
+        spectral_monodromy(c.model, c.vertices, c.params, c.dio)
+    assert (exc.value.reason, exc.value.index) == ("out_of_table", 42)
 
 
 def test_main_no_good_value_gives_reason(tmp_path, capsys):

@@ -318,16 +318,20 @@ def _undocumented(paths) -> list:
 
 def test_reason_codes_are_documented(tmp_path):
     # every reason code a failure of the package can carry is named in the
-    # README; planted codes, passed in each way, show the check sees them
-    assert {"out_of_table", "chart_inversion", "non_integral", "residual"} <= _reason_codes(MODULES)
+    # README, the codes of the CLI's loop-check FAIL lines among them;
+    # planted codes, passed in each way, show the check sees them
+    codes = _reason_codes(MODULES)
+    assert {"out_of_table", "chart_inversion", "non_integral", "residual"} <= codes
+    assert {"undecided", "not_conjugate", "cocycle", "band"} <= codes
     assert _undocumented(MODULES) == []
     planted = tmp_path / "planted.py"
     planted.write_text(
         'ModelError("a", "planted_positional")\n'
         'DetectionError("b", reason="planted_keyword")\n'
         '_check_centers(cs, bad, "c", "planted_center")\n'
+        'failures.append(PipelineError("d", "planted_fail"))\n'
     )
-    assert _undocumented([*MODULES, planted]) == ["planted_center", "planted_keyword", "planted_positional"]
+    assert _undocumented([*MODULES, planted]) == ["planted_center", "planted_fail", "planted_keyword", "planted_positional"]
 
 
 def test_package_import_loads_no_scipy():

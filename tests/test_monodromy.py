@@ -281,19 +281,26 @@ def test_invariants_are_exact_for_large_entries():
     while len(F) < 42:
         F.append(F[-1] + F[-2])
     P = np.array([[F[41], F[40]], [F[40], F[39]]], dtype=np.int64)
-    assert MonodromyClass(loop=[0], product=P).invariants == (F[41] + F[39], 1)
+    assert MonodromyClass(P, []).invariants == (F[41] + F[39], 1)
+
+
+def _cycle_atlas():
+    """A row of charts folded into a cycle: the last chart overlaps the first."""
+    atlas = _grid_atlas(UNIMODULAR)
+    atlas.center[-1], atlas.half[-1] = (0.0, 0.0), (1.5, 0.3)
+    return atlas
 
 
 def test_loop_monodromy_product_and_reverse():
-    atlas = _grid_atlas(UNIMODULAR)
-    # fold the row into a cycle by making the last chart overlap the first
-    atlas.center[-1], atlas.half[-1] = (0.0, 0.0), (1.5, 0.3)
-    loop = [0, 1, 2, 3]
-    fwd = loop_monodromy(atlas, loop)
-    rev = loop_monodromy(atlas, loop[::-1])
+    atlas = _cycle_atlas()
+    fwd = loop_monodromy(atlas)
+    # the same charts in the reverse order go round the other way
+    reversed_atlas = _linear_atlas(atlas.center[::-1], np.array(UNIMODULAR)[::-1])
+    reversed_atlas.half = atlas.half[::-1].copy()
+    rev = loop_monodromy(reversed_atlas)
     assert np.array_equal(fwd.product @ rev.product, np.eye(2, dtype=np.int64))
-    # the class keeps its per-edge transitions, in loop order
-    assert [(t.i, t.j) for t in fwd.edges] == [(0, 1), (1, 2), (2, 3), (3, 0)]
+    # the class keeps its per-edge transitions, chart k -> k + 1 in atlas order
+    assert [(t.i, t.j) for t in fwd.edges] == [(t.i, t.j) for t in rev.edges] == [(0, 1), (1, 2), (2, 3), (3, 0)]
     assert np.array_equal(np.linalg.multi_dot([t.M for t in fwd.edges]), fwd.product)
     if fwd.parabolic_m is not None:
         assert rev.parabolic_m == fwd.parabolic_m
@@ -303,9 +310,7 @@ def test_loop_monodromy_product_and_reverse():
 def test_class_reads_its_invariants_off_the_product(P):
     # the loop's product is the identity; a class given another product
     # reports that product's normal form
-    atlas = _grid_atlas(UNIMODULAR)
-    atlas.center[-1], atlas.half[-1] = (0.0, 0.0), (1.5, 0.3)
-    cls = loop_monodromy(atlas, [0, 1, 2, 3])
+    cls = loop_monodromy(_cycle_atlas())
     assert np.array_equal(cls.normal_form, np.eye(2)) and cls.parabolic_m == 0
     cls = dataclasses.replace(cls, product=np.array(P, dtype=np.int64))
     nf, inv, m = _normal_form(cls.product)
@@ -314,11 +319,10 @@ def test_class_reads_its_invariants_off_the_product(P):
 
 
 def test_loop_monodromy_empty_and_gap():
-    atlas = _grid_atlas(UNIMODULAR, spacing=2.0)
-    with pytest.raises(MonodromyError):
-        loop_monodromy(atlas, [])
-    with pytest.raises(MonodromyError):
-        loop_monodromy(atlas, [0, 1])
+    with pytest.raises(MonodromyError, match="empty atlas"):
+        loop_monodromy(_linear_atlas(np.empty((0, 2)), np.empty((0, 2, 2))))
+    with pytest.raises(MonodromyError, match="charts 0 and 1 do not overlap"):
+        loop_monodromy(_grid_atlas(UNIMODULAR, spacing=2.0))
 
 
 def test_cover_loop_spacing_and_budget(monkeypatch):
@@ -379,7 +383,7 @@ def test_classical_champagne_loop():
     assert cls.parabolic_m == 1
     # one action-chart transition per loop edge, in loop order; the class is
     # the transpose-inverse of their product
-    n = len(cls.loop)
+    n = len(cls.edges)
     assert all(isinstance(t, TransitionMatrix) for t in cls.edges)
     assert [(t.i, t.j) for t in cls.edges] == [(k, (k + 1) % n) for k in range(n)]
     raw = np.linalg.multi_dot([t.M for t in cls.edges])
@@ -428,7 +432,7 @@ def test_classical_double_winding():
 
 def test_compare_monodromies_cases():
     def mk(P):
-        return MonodromyClass(loop=[0], product=np.asarray(P, dtype=np.int64))
+        return MonodromyClass(np.asarray(P, dtype=np.int64), [])
 
     ident = mk(np.eye(2, dtype=int))
     p1 = mk([[1, 1], [0, 1]])
@@ -473,7 +477,7 @@ def test_compare_monodromies_decided_classes_brute_force():
     trace = P[:, 0, 0] + P[:, 1, 1]
     P = P[((det == 1) & (np.abs(trace) <= 2)) | ((det == -1) & (trace == 0))]
     assert len(P) == 44 + 20
-    cls = [MonodromyClass(loop=[0], product=A) for A in P]
+    cls = [MonodromyClass(A, []) for A in P]
     for a, A in zip(cls, P):
         for b, B in zip(cls, P):
             verdict = compare_monodromies(a, b)
@@ -490,9 +494,10 @@ def test_monodromy_report_text():
     # classical vs itself: products are transposes of each other only up to
     # conjugacy, which the parabolic invariant certifies
     assert "conjugate = true" in text
-    # the classical class keeps its edges, so the report lists them
-    assert "[transitions]" in text
-    assert f"{len(cls.loop) - 1} -> 0: M = " in text
+    # the loop is the atlas's chart order, read off the edges the report lists
+    n = len(cls.edges)
+    assert f"\nloop = {' '.join(map(str, range(n)))}\n[transitions]\n0 -> 1: M = " in text
+    assert f"\n{n - 1} -> 0: M = " in text
 
 
 @pytest.fixture(scope="module")
