@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,39 +88,6 @@ class Rect:
         return np.stack(np.broadcast_arrays(xs[..., :, None], ys[..., None, :]), axis=-1).reshape(xs.shape[:-1] + (n * n, 2))
 
 
-class AnglePolynomial:
-    """Trigonometric polynomial in the angles with action-dependent coefficients.
-
-    ``q(x, xi) = sum_m coeff_m(xi) * cos(m1*x1 + m2*x2)``.  The ``(0, 0)``
-    coefficient is the torus average.
-    """
-
-    def __init__(self, terms):
-        # terms: list of ((m1, m2), coeff) with coeff a float or callable(xi)
-        self.terms = [
-            (tuple(m), c if callable(c) else (lambda xi, _c=float(c): np.full(np.shape(xi)[:-1], _c)))
-            for m, c in terms
-        ]
-
-    def __call__(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros(np.broadcast_shapes(x.shape[:-1], xi.shape[:-1]))
-        for m, coeff in self.terms:
-            phase = m[0] * x[..., 0] + m[1] * x[..., 1]
-            out = out + coeff(xi) * np.cos(phase)
-        return out
-
-    def mean(self, xi):
-        """Exact torus average: the constant-in-angle coefficient."""
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros(np.shape(xi)[:-1])
-        for m, coeff in self.terms:
-            if m == (0, 0):
-                out = out + coeff(xi)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # model base
 # ---------------------------------------------------------------------------
@@ -128,7 +96,7 @@ class AnglePolynomial:
 class ModelSystem:
     """Base class for integrable reference systems.
 
-    Subclasses provide the perturbation symbol ``q_symbol``, the Maslov
+    Subclasses provide the perturbation ``q_symbol(x, xi)``, the Maslov
     indices ``maslov_eta`` and the critical values ``singular_values``, and
     the methods ``dist_to_singular(a)``, ``is_regular(a)``,
     ``xi_from_value(a, shear=0)``, ``value_from_xi(xi, shear=0,
@@ -141,7 +109,7 @@ class ModelSystem:
     """
 
     name: str
-    q_symbol: AnglePolynomial
+    q_symbol: Callable[[np.ndarray, np.ndarray], np.ndarray]
     maslov_eta: np.ndarray
     singular_values: list
 
@@ -163,23 +131,22 @@ class FlatModel(ModelSystem):
         a = np.asarray(a, dtype=float)
         return np.full(np.shape(a)[:-1], np.inf)
 
-    def is_regular(self, a):
-        a = np.asarray(a, dtype=float)
+    def _disc(self, a):
+        """``(omega_star_1 + xi_1)^2`` at the values ``a``, from ``E = p(xi)`` with ``G = xi_2``."""
         E, G = a[..., 0], a[..., 1]
         w1, w2 = self.omega_star
-        disc = w1 * w1 + 2.0 * E - 2.0 * w2 * G - G * G
-        return disc > 1e-8
+        return w1 * w1 + 2.0 * E - 2.0 * w2 * G - G * G
+
+    def is_regular(self, a):
+        return self._disc(np.asarray(a, dtype=float)) > 1e-8
 
     def xi_from_value(self, a, shear=0):
         # G = <q>(xi) = xi_2 ; E = p(xi) solved for xi_1 (branch with xi_1 > -w1)
         a = np.asarray(a, dtype=float)
-        E, G = a[..., 0], a[..., 1]
-        w1, w2 = self.omega_star
-        disc = w1 * w1 + 2.0 * E - 2.0 * w2 * G - G * G
+        disc = self._disc(a)
         if np.any(disc <= 0):
             raise ModelError("value outside the flat model's regular range")
-        xi1 = -w1 + np.sqrt(disc)
-        return np.stack([xi1, G], axis=-1)
+        return np.stack([-self.omega_star[0] + np.sqrt(disc), a[..., 1]], axis=-1)
 
     def value_from_xi(self, xi, shear=0, seed_E=None):
         xi = np.asarray(xi, dtype=float)
@@ -198,11 +165,15 @@ class FlatModel(ModelSystem):
         return xi, J, np.broadcast_to(np.eye(2), J.shape)
 
 
-def _flat_q(q_choice: str) -> AnglePolynomial:
+def _flat_q(q_choice: str):
+    """The flat model's perturbation ``q(x, xi)``.  The torus average of
+    ``xi_weighted`` is ``xi_2``, the value plane's G; that of ``cos_x1``
+    (acceptance criterion 7's symbol) is 0, not G, so no spectral band is
+    taken for it and a config does not accept it."""
     if q_choice == "cos_x1":
-        return AnglePolynomial([((1, 0), 1.0)])
+        return lambda x, xi: np.cos(x[..., 0])
     if q_choice == "xi_weighted":
-        return AnglePolynomial([((0, 0), lambda xi: xi[..., 1]), ((1, 0), 0.1)])
+        return lambda x, xi: xi[..., 1] + 0.1 * np.cos(x[..., 0])
     raise ParameterError("q_choice", f"unknown q_choice {q_choice!r}")
 
 
@@ -351,7 +322,7 @@ class ChampagneModel(ModelSystem):
             raise ParameterError("well_depth", f"well_depth = {well_depth} must be positive and finite")
         self.name = "champagne"
         self.b = float(well_depth)
-        self.q_symbol = AnglePolynomial([((0, 0), lambda xi: xi[..., 0]), ((0, 1), 0.1)])
+        self.q_symbol = lambda x, xi: xi[..., 0] + 0.1 * np.cos(x[..., 1])  # torus average xi_1 = l, the G
         self.maslov_eta = np.array([0, 2])
         self.singular_values = [("focus_focus_point", (0.0, 0.0)), ("minimum_energy_curve", None)]
         ls = self.b**1.5 * np.linspace(-0.8, 0.8, 600)  # boundary-curve samples

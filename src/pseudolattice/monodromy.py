@@ -108,7 +108,6 @@ def transition_matrix(atlas: PseudoChartAtlas, i, j) -> list:
 
 @dataclass
 class CocycleReport:
-    pairs: list  # computed TransitionMatrix objects
     triples_checked: int
     violations: list  # (i, j, k, M_ik, M_ij @ M_jk)
 
@@ -166,7 +165,7 @@ def cocycle_check(atlas: PseudoChartAtlas) -> CocycleReport:
             (int(i[r_ij[t]]), int(j[r_ij[t]]), int(j[r_jk[t]]), M[r_ik[t]], prod[t])
             for t in np.flatnonzero(np.any(prod != M[r_ik], axis=(1, 2)))
         ]
-    return CocycleReport(pairs=[t for t in trans if t.i < t.j], triples_checked=checked, violations=violations)
+    return CocycleReport(triples_checked=checked, violations=violations)
 
 
 def _det(P) -> int:
@@ -254,20 +253,19 @@ def cover_loop(
         frac = (s - cum[i]) / seglen[i] if seglen[i] > 0 else 0.0
         return pts[i] + frac * seg[i]
 
-    centers = [point_at(0.0)]
-    s = 0.0
+    centers, s = [point_at(0.0)], 0.0
+    r = r0 = radius(centers[0])
     while True:
-        s += spacing_factor * radius(centers[-1])
+        s += spacing_factor * r
         if s >= total:
             break
         centers.append(point_at(s))
         if len(centers) > MAX_CHARTS:
             raise MonodromyError(f"loop covering exceeds the chart budget of {MAX_CHARTS} centers", "chart_budget")
+        r = radius(centers[-1])
     # drop a final center that crowds the starting chart
-    if len(centers) > 2:
-        r0 = radius(centers[0])
-        if np.linalg.norm(centers[-1] - centers[0]) < 0.25 * spacing_factor * r0:
-            centers.pop()
+    if len(centers) > 2 and np.linalg.norm(centers[-1] - centers[0]) < 0.25 * spacing_factor * r0:
+        centers.pop()
     return np.array(centers)
 
 

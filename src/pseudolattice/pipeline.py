@@ -69,7 +69,6 @@ class SpectralChart:
     params: SemiclassicalParams
     rectangle: Rect
     coeffs: np.ndarray  # the fit's, as in HChart
-    affine: np.ndarray
     max_residual: float  # in units of h
     labeled_fraction: float
 
@@ -109,7 +108,7 @@ def spectral_chart_at(
             E, G = cloud.rectangle.center
             raise DetectionError(f"rectangle {i} at ({E:.6g}, {G:.6g}): {exc}", exc.reason, i) from exc
         elements.append(
-            SpectralChart(sym, params, cloud.rectangle, hc.coeffs, hc.affine, hc.max_residual(), hc.labeled_fraction)
+            SpectralChart(sym, params, cloud.rectangle, hc.coeffs, hc.max_residual(), hc.labeled_fraction)
         )
     return elements if np.ndim(c) == 2 else elements[0]
 

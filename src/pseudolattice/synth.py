@@ -294,16 +294,17 @@ def spectral_band(
 ):
     """Interval containing Im(mu) for eigenvalues with |Re(mu) - E| <= delta_E.
 
-    The exact torus averages are swept over the energy leaves inside the
-    chart's action box on a ``BAND_GRID`` x ``BAND_GRID`` grid; the o(1)
-    widening is the noise amplitude ``h^noise_order``, plus the symbol's
-    correction bound when a symbol is given.
+    The value plane's G, the torus average of the perturbation, is swept
+    over the leaves of a ``BAND_GRID`` x ``BAND_GRID`` grid of the chart's
+    action box whose energy lies in the window; the o(1) widening is the
+    noise amplitude ``h^noise_order``, plus the symbol's correction bound
+    when a symbol is given.  ``model`` is the chart's and is not read.
     """
-    xis = chart.xi_box.grid(BAND_GRID)
-    on_leaf = np.abs(chart.phi(xis)[..., 0] - E) <= delta_E
+    vals = chart.phi(chart.xi_box.grid(BAND_GRID))
+    on_leaf = np.abs(vals[..., 0] - E) <= delta_E
     if not np.any(on_leaf):
         raise ValueError("no leaves intersect the requested energy window")
-    avgs = model.q_symbol.mean(xis[on_leaf])
+    avgs = vals[on_leaf, 1]
     eps = params.epsilon
     margin = params.h**params.noise_order
     if symbol is not None:

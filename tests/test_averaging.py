@@ -5,11 +5,11 @@ import pytest
 
 from pseudolattice import averaging
 from pseudolattice.averaging import time_average, torus_average
-from pseudolattice.models import GOLDEN, AnglePolynomial, action_coords, make_flat_model
+from pseudolattice.models import GOLDEN, action_coords, make_champagne_model, make_flat_model
 
-COS_X1 = AnglePolynomial([((1, 0), 1.0)])
-COS_X2 = AnglePolynomial([((0, 1), 1.0)])
-CONST3 = AnglePolynomial([((0, 0), 3.0)])
+COS_X1 = lambda x, xi: np.cos(x[..., 0])
+COS_X2 = lambda x, xi: np.cos(x[..., 1])
+CONST3 = lambda x, xi: np.full(x.shape[:-1], 3.0)
 
 
 def _chart_at_origin(q_symbol, omega_star=(1.0, GOLDEN)):
@@ -34,6 +34,21 @@ def test_torus_average_xi_weighted():
     m = make_flat_model((1.0, 0.7), "xi_weighted")
     ch = action_coords(m, m.value_from_xi(np.array([0.2, 0.5])))
     assert torus_average(m, ch, np.array([0.2, 0.5])) == pytest.approx(0.5, abs=1e-12)
+    # the value plane's G is the torus average of the perturbation, which is
+    # what spectral_band reads off the chart map: phi(xi)[1] at every action
+    # of the box, flat and champagne, the sheared chart at (0.3, 0) among them
+    champ = make_champagne_model()
+    cases = [(m, ch.c, 0), (champ, (0.3, 0.15), 0), (champ, (0.3, 0.0), 1), (champ, (0.05, 0.02), 0), (champ, (-0.15, 0.05), 0)]
+    for model, c, shear in cases:
+        chart = action_coords(model, np.array(c))
+        assert chart.shear == shear
+        for xi in chart.xi_box.grid(5):
+            assert torus_average(model, chart, xi) == pytest.approx(chart.phi(xi)[1], rel=0, abs=1e-12)
+    # the one stated exception: criterion 7's symbol averages to 0, not G = xi_2
+    m = make_flat_model((1.0, GOLDEN), "cos_x1")
+    ch = action_coords(m, m.value_from_xi(np.array([0.2, 0.5])))
+    assert torus_average(m, ch, np.array([0.2, 0.5])) == pytest.approx(0.0, abs=1e-12)
+    assert ch.phi(np.array([0.2, 0.5]))[1] == 0.5
 
 
 def test_torus_average_grid_refinement(monkeypatch):

@@ -170,7 +170,6 @@ def _attributes_read(paths) -> set:
 MEMBER_ALLOWLIST = {
     "PipelineError.index": "the failing center, rectangle or edge of a batch, for the planned run records (ROADMAP.md)",
     "TransitionMatrix.pre_round": "the transition's rounding error, for the planned run records (ROADMAP.md)",
-    "CocycleReport.pairs": "the tests compare the sweep's pairs with a brute-force search",
 }
 
 

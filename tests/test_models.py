@@ -14,7 +14,6 @@ from pseudolattice.models import (
     CURVE_RUN,
     PARTIALS,
     ActionChart,
-    AnglePolynomial,
     ModelError,
     ParameterError,
     Rect,
@@ -81,15 +80,6 @@ def test_rect_contains_equals_axis_reduction(margin):
     cc, ww = np.repeat(c, 49, axis=0), np.repeat(w, 49, axis=0)
     got = Rect(cc, ww).contains(pts.reshape(-1, 2), margin=margin)
     assert got.shape == (147,) and got.tobytes() == reference(cc, ww, pts.reshape(-1, 2)).tobytes()
-
-
-def test_angle_polynomial_mean_and_eval():
-    q = AnglePolynomial([((0, 0), 2.0), ((1, 0), 0.5), ((1, 2), 0.25)])
-    xi = np.array([0.1, 0.2])
-    x = np.array([0.3, 1.1])
-    expected = 2.0 + 0.5 * math.cos(0.3) + 0.25 * math.cos(0.3 + 2 * 1.1)
-    assert q(x, xi) == pytest.approx(expected, abs=1e-14)
-    assert q.mean(xi) == pytest.approx(2.0)
 
 
 def test_flat_round_trip():

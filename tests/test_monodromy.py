@@ -116,18 +116,34 @@ def _block_atlas():
     return _linear_atlas(centers, [UNIMODULAR[2]] * len(centers))
 
 
-def test_cocycle_clean_covering():
-    rep = cocycle_check(_block_atlas())
+def _cocycle_with_pairs(monkeypatch, atlas):
+    """``cocycle_check(atlas)`` and the pairs ``i < j`` of the transitions its
+    sweep computed, recorded by wrapping ``transition_matrix``."""
+    computed = []
+
+    def record(atlas, i, j):
+        trans = transition_matrix(atlas, i, j)
+        computed.extend(trans)
+        return trans
+
+    with monkeypatch.context() as mp:
+        mp.setattr(monodromy, "transition_matrix", record)
+        rep = cocycle_check(atlas)
+    return rep, [t for t in computed if t.i < t.j]
+
+
+def test_cocycle_clean_covering(monkeypatch):
+    rep, pairs = _cocycle_with_pairs(monkeypatch, _block_atlas())
     assert rep.ok
     assert rep.triples_checked > 0
-    assert len(rep.pairs) >= 6
+    assert len(pairs) >= 6
 
 
-def test_cocycle_single_chart_vacuous():
-    rep = cocycle_check(_linear_atlas([(0.0, 0.0)], [np.eye(2)]))
+def test_cocycle_single_chart_vacuous(monkeypatch):
+    rep, pairs = _cocycle_with_pairs(monkeypatch, _linear_atlas([(0.0, 0.0)], [np.eye(2)]))
     assert rep.ok
     assert rep.triples_checked == 0
-    assert rep.pairs == []
+    assert pairs == []
 
 
 def _split_chart_atlas():
@@ -222,12 +238,12 @@ def _tied_touching_atlas():
     [_block_atlas, _split_chart_atlas, _random_atlas, _tied_touching_atlas],
     ids=["clean", "corrupted", "unequal-halves", "tied-touching"],
 )
-def test_cocycle_matches_brute_force(make_atlas):
+def test_cocycle_matches_brute_force(make_atlas, monkeypatch):
     atlas = make_atlas()
-    rep = cocycle_check(atlas)
+    rep, swept = _cocycle_with_pairs(monkeypatch, atlas)
     pairs, checked, violations = _cocycle_check_brute_force(atlas)
-    assert [(t.i, t.j) for t in rep.pairs] == [(t.i, t.j) for t in pairs]
-    assert all(np.array_equal(a.M, b.M) and np.array_equal(a.pre_round, b.pre_round) for a, b in zip(rep.pairs, pairs))
+    assert [(t.i, t.j) for t in swept] == [(t.i, t.j) for t in pairs]
+    assert all(np.array_equal(a.M, b.M) and np.array_equal(a.pre_round, b.pre_round) for a, b in zip(swept, pairs))
     assert rep.triples_checked == checked > 0
     assert len(rep.violations) == len(violations)
     for got, want in zip(rep.violations, violations):

@@ -5,7 +5,6 @@ import pytest
 
 from pseudolattice.averaging import torus_average
 from pseudolattice.models import (
-    AnglePolynomial,
     ParameterError,
     Rect,
     _frequencies_at,
@@ -244,17 +243,6 @@ def test_rectangle_must_fit_chart(champ_setup):
     big = SemiclassicalParams(h=0.01, delta=0.5, seed=0)
     with pytest.raises(ValueError):
         synth_spectrum(sym, Rect(a, (0.1, 0.1)), big)  # h^delta = 0.1: good_rectangle would cap it
-
-
-def test_band_constant_q_degenerates():
-    m = make_flat_model((1.0, 0.7))
-    m.q_symbol = AnglePolynomial([((0, 0), 3.0)])
-    chart = action_coords(m, m.value_from_xi(np.array([0.2, 0.1])))
-    lo, hi = spectral_band(m, chart, chart.c[0], 0.01, PARAMS, NormalFormSymbol(chart, {}))
-    c = 3.0 * PARAMS.epsilon
-    noise = PARAMS.h**3
-    assert lo == pytest.approx(c - noise, rel=1e-9)
-    assert hi == pytest.approx(c + noise, rel=1e-9)
 
 
 def test_band_xi_weighted_window(flat_setup):
