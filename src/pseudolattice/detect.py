@@ -47,27 +47,21 @@ def _row_norm(x):
 def _direction_peak(vs, ang):
     """Centroid of the densest angular cluster among vectors ``vs`` with angles ``ang`` (mod pi):
     the vectors within 0.15 rad of the peak of the smoothed 60-bin histogram."""
-    nb = 60
-    idx = np.minimum((ang / math.pi * nb).astype(int), nb - 1)
-    hist = np.bincount(idx, minlength=nb)
-    # wrap-around smoothing over adjacent bins
-    ext = hist[np.arange(-1, nb + 1) % nb]
-    smooth = ext[:-2] + ext[1:-1] + ext[2:]
+    idx = np.minimum((ang / math.pi * _BINS).astype(int), _BINS - 1)
+    hist = np.bincount(idx, minlength=_BINS)
+    smooth = hist[_NEIGHBORS].sum(axis=0)  # wrap-around smoothing over adjacent bins
     peak = np.argmax(smooth)
-    theta = (peak + 0.5) * math.pi / nb
+    theta = (peak + 0.5) * math.pi / _BINS
     dist = np.abs(np.mod(ang - theta + math.pi / 2, math.pi) - math.pi / 2)
-    members = vs[dist < max(0.15, 1.5 * math.pi / nb)]
-    if len(members) == 0:
-        raise DetectionError("degenerate cloud: no difference cluster found", "ill_conditioned_basis")
+    members = vs[dist < max(0.15, 1.5 * math.pi / _BINS)]  # never empty: the peak's three bins lie within 1.5 bins
     # average with consistent orientation along the peak direction
     direction = np.array([math.cos(theta), math.sin(theta)])
     members = members * np.sign(members @ direction)[:, None]
-    return members.mean(axis=0)
+    return members.sum(axis=0) / len(members)  # the mean, bit for bit
 
 
 def _gauss_reduce(b1, b2):
     """Lagrange/Gauss reduction to a shortest acute basis, |b1| <= |b2|."""
-    b1, b2 = np.asarray(b1, float), np.asarray(b2, float)
     for _ in range(60):
         if np.dot(b1, b1) > np.dot(b2, b2):
             b1, b2 = b2, b1
@@ -84,7 +78,9 @@ def _gauss_reduce(b1, b2):
 # has to be right near the anchor: it seeds the labels there, and the
 # quadratic predictions absorb the curvature further out.
 BASIS_PATCH = 30
-PATCH_PAIRS = np.triu_indices(BASIS_PATCH, 1)  # built once; smaller clouds build their own
+PATCH_PAIRS = np.flatnonzero(np.triu(np.ones((BASIS_PATCH, BASIS_PATCH)), 1))  # pairs i < j, flat; built once
+_BINS = 60  # angle bins of _direction_peak's histogram over [0, pi)
+_NEIGHBORS = (np.arange(_BINS) + np.arange(-1, 2)[:, None]) % _BINS  # each bin and its two neighbors, wrapping around
 
 
 def detect_basis(u, anchor):
@@ -104,15 +100,16 @@ def detect_basis(u, anchor):
         d2 = d0 * d0 + d1 * d1
         # sorted, so the patch keeps cloud order whatever lies outside it
         u = u[np.sort(np.argpartition(d2, BASIS_PATCH - 1)[:BASIS_PATCH])]
-    i, j = PATCH_PAIRS if len(u) == BASIS_PATCH else np.triu_indices(len(u), 1)
-    diffs = u[j] - u[i]
+    m, dx, dy = len(u), u[:, 0] - u[:, :1], u[:, 1] - u[:, 1:]  # entry (i, j) is u[j] - u[i]; (j, i) its negation
+    pairs = PATCH_PAIRS if m == BASIS_PATCH else np.flatnonzero(np.triu(np.ones((m, m)), 1))
+    sq = dx * dx + dy * dy
+    diffs, lens = np.stack([dx.take(pairs), dy.take(pairs)], axis=-1), np.sqrt(sq.take(pairs))
     flip = (diffs[:, 1] < 0) | ((diffs[:, 1] == 0) & (diffs[:, 0] < 0))
     np.negative(diffs, out=diffs, where=flip[:, None])  # into the upper half-plane
-    lens = _row_norm(diffs)
     ang = np.mod(np.arctan2(diffs[:, 1], diffs[:, 0]), math.pi)
-    near = np.full((len(u), len(u)), np.inf)
-    near[i, j] = near[j, i] = lens
-    L0 = np.median(np.min(near, axis=1))  # nearest-neighbor distances in the patch
+    sq.flat[:: m + 1] = np.inf
+    nn = np.sort(np.min(sq, axis=1))  # squared nearest-neighbor distances in the patch
+    L0 = 0.5 * (math.sqrt(nn[(m - 1) // 2]) + math.sqrt(nn[m // 2]))  # their median
 
     short = (lens > 0.5 * L0) & (lens < 1.45 * L0)
     if not np.any(short):
@@ -130,10 +127,16 @@ def detect_basis(u, anchor):
     b2 = _direction_peak(diffs[rest], ang[rest])
 
     b1, b2 = _gauss_reduce(b1, b2)
-    B = np.column_stack([b1, b2])
-    if abs(np.linalg.det(B)) < 1e-300 or np.linalg.cond(B) > 50.0:
+    if _ill_conditioned(b1, b2):
         raise DetectionError("lattice basis rejected: condition number > 50", "ill_conditioned_basis")
     return b1, b2
+
+
+def _ill_conditioned(b1, b2) -> bool:
+    """``|det B| < 1e-300`` or ``cond(B) = s1/s2 > 50`` for ``B = [b1 b2]``, as ``s1/s2 + s2/s1 = |B|_F^2 / |det B|``."""
+    (a, c), (b, d) = b1.tolist(), b2.tolist()
+    det = abs(a * d - b * c)
+    return det < 1e-300 or a * a + b * b + c * c + d * d > (50.0 + 1.0 / 50.0) * det
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +196,9 @@ def label_lattice(u, basis, rect: Rect):
     dx, dy = x - rect.center[0], y - rect.center[1]
     u0 = u[np.argmin(np.sqrt(dx * dx + dy * dy))]
     ex, ey = x - u0[0], y - u0[1]
-    near = np.flatnonzero(np.sqrt(ex * ex + ey * ey) <= 4.5 * max(map(np.linalg.norm, basis)))
-    kr, ok = _near_integer((u[near] - u0) @ np.linalg.inv(np.column_stack(basis)).T)
+    (a, c), (b, d) = (v.tolist() for v in basis)  # the basis matrix [[a, b], [c, d]]
+    near = np.flatnonzero(np.sqrt(ex * ex + ey * ey) <= 4.5 * math.sqrt(max(a * a + c * c, b * b + d * d)))
+    kr, ok = _near_integer((u[near] - u0) @ (np.array([[d, -c], [-b, a]]) / (a * d - b * c)))  # B^-T
     labels, labeled = np.zeros((n, 2)), np.zeros(n, dtype=bool)
     labels[near[ok]], labeled[near[ok]] = kr[ok], True
     X = _features(np.stack([dx / rect.half[0], dy / rect.half[1]], axis=-1))
@@ -301,8 +305,8 @@ def fit_hchart(cloud: SpectrumCloud) -> HChart:
             f"chart rejected: max residual {np.max(residuals):.4f} > {RESIDUAL_LIMIT} (units of h)", "residual"
         )
 
-    affine = _feature_jac(C, np.zeros(2), rect.half)
-    if abs(np.linalg.det(affine)) < 1e-300:
+    affine = np.stack([C[1] / rect.half[0], C[2] / rect.half[1]], axis=-1)  # _feature_jac at the center
+    if abs(affine[0, 0] * affine[1, 1] - affine[0, 1] * affine[1, 0]) < 1e-300:
         raise DetectionError("fitted chart is not a local diffeomorphism", "residual")
 
     return HChart(
@@ -315,7 +319,7 @@ def fit_hchart(cloud: SpectrumCloud) -> HChart:
         basis=basis,
         coeffs=C,
         affine=affine,
-        labeled_fraction=float(np.mean(m)),
+        labeled_fraction=float(np.count_nonzero(m) / len(m)),
     )
 
 

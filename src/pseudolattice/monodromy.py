@@ -76,34 +76,42 @@ ROUNDING_TOL = 0.1
 PAIR_BLOCK = BLOCK // 512  # chart pairs per block: a pair's 9 jet samples take ~440 elements
 
 
-def transition_matrix(atlas: PseudoChartAtlas, i, j) -> list:
-    """Integer differentials of ``f_i o f_j^{-1}`` on a 3 x 3 grid of the
-    overlap, for the pairs of the index arrays ``i`` and ``j``.
-
-    ``J_i J_j^{-1}`` is averaged over the samples before rounding; the
-    pre-rounding matrix and its distance to the integer matrix are recorded.
-    A pair with ``i == j`` is the exact identity.  The first pair that does
-    not overlap, round or have det +-1 raises :class:`MonodromyError`, the
-    last two with reason ``non_integral`` and the pair's position as index.
-    """
-    ii, jj = (np.asarray(x, dtype=np.int64) for x in (i, j))
-    pre = np.broadcast_to(np.eye(2), ii.shape + (2, 2)).copy()
+def _pre_round(atlas: PseudoChartAtlas, ii, jj, orders: int = 1):
+    """:func:`transition_matrix`'s averages of the pairs ``(ii, jj)``, then with ``orders=2`` of ``(jj, ii)`` on the same grids."""
+    pre = np.broadcast_to(np.eye(2), (orders,) + ii.shape + (2, 2)).copy()
     sel = np.flatnonzero(ii != jj)
     for s in range(0, sel.size, PAIR_BLOCK):
         blk = sel[s : s + PAIR_BLOCK]
         c, half = atlas.overlap(ii[blk], jj[blk])
         gap = blk[~np.all(half > 0, axis=-1)]
         if gap.size:
-            raise MonodromyError(f"charts {ii[gap[0]]} and {jj[gap[0]]} do not overlap")
-        pts, a, b = Rect(c, half).grid(3), ii[blk, None], jj[blk, None]
-        pre[blk] = np.mean(atlas.jac(a, pts) @ np.linalg.inv(atlas.jac(b, pts)), axis=1)
+            raise MonodromyError(f"charts {ii[gap[0]]} and {jj[gap[0]]} do not overlap", "no_overlap", int(gap[0]))
+        pts = Rect(c, half).grid(3)
+        J = [atlas.jac(k[blk, None], pts) for k in (ii, jj)]
+        pre[:, blk] = [np.mean(J[o] @ np.linalg.inv(J[1 - o]), axis=1) for o in range(orders)]
+    return pre
+
+
+def _rounded(ii, jj, pre):
+    """``M`` and rounding errors of the averages ``pre`` of the pairs ``(ii, jj)``; the first pair that does not round raises."""
     M = np.rint(pre).astype(np.int64)
     err = np.max(np.abs(pre - M), axis=(1, 2))
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     for k in np.flatnonzero((err > ROUNDING_TOL) | (np.abs(det) != 1))[:1]:  # the first failing pair
         what = f"not integral: rounding error {err[k]:.3f} > {ROUNDING_TOL}" if err[k] > ROUNDING_TOL else f"has det {det[k]}, expected +-1"
         raise MonodromyError(f"transition {ii[k]}->{jj[k]} {what}", "non_integral", int(k))
-    return [TransitionMatrix(int(a), int(b), m, p, float(e)) for a, b, m, p, e in zip(ii, jj, M, pre, err)]
+    return M, err
+
+
+def transition_matrix(atlas: PseudoChartAtlas, i, j) -> list:
+    """Integer differentials of ``f_i o f_j^{-1}`` for the pairs of the index arrays ``i`` and ``j``:
+    ``J_i J_j^{-1}`` averaged on a 3 x 3 grid of the overlap (the exact identity where ``i == j``), rounded,
+    with the average and its distance to the integer matrix.  The first pair that does not overlap, round
+    or have det +-1 raises :class:`MonodromyError`, with reason ``no_overlap`` or ``non_integral`` and the
+    pair's position as index."""
+    ii, jj = (np.asarray(x, dtype=np.int64) for x in (i, j))
+    (pre,) = _pre_round(atlas, ii, jj)
+    return [TransitionMatrix(int(a), int(b), m, p, float(e)) for a, b, p, m, e in zip(ii, jj, pre, *_rounded(ii, jj, pre))]
 
 
 @dataclass
@@ -120,10 +128,10 @@ def cocycle_check(atlas: PseudoChartAtlas) -> CocycleReport:
     """Verify ``M_ik = M_ij M_jk`` on every triple overlap, exactly.
 
     Overlapping pairs are the centers within twice the largest half-size
-    of each other (in the L-infinity norm) that pass the exact rectangle
-    test; a sweep over the centers sorted on E finds the candidates.  Each
-    ordered pair (i, j) is joined with the pairs (j, k).  Results are in
-    (i, j, k) order.
+    of each other (L-infinity) that pass the exact rectangle test, found by
+    a sweep over the centers sorted on E; an overlap's Jacobians give both
+    orders, as it and its grid are symmetric in the pair.  Each ordered
+    pair (i, j) is joined with the pairs (j, k), in (i, j, k) order.
     """
     n = len(atlas)
     # rounding can make rectangles that touch within an ulp overlap, so the
@@ -138,10 +146,11 @@ def cocycle_check(atlas: PseudoChartAtlas) -> CocycleReport:
     ij = order[np.stack([first, second], axis=1)]
     ij = ij[np.max(np.abs(atlas.center[ij[:, 0]] - atlas.center[ij[:, 1]]), axis=1) <= radius]
     ij = ij[np.all(atlas.overlap(ij[:, 0], ij[:, 1])[1] > 0, axis=1)]
+    pre = _pre_round(atlas, ij[:, 0], ij[:, 1], orders=2).reshape(-1, 2, 2)  # each pair in both orders
     ij = np.concatenate([ij, ij[:, ::-1]])
-    i, j = ij[np.lexsort((ij[:, 1], ij[:, 0]))].T
-    trans = transition_matrix(atlas, i, j)
-    M = np.array([t.M for t in trans], dtype=np.int64).reshape(-1, 2, 2)
+    order = np.lexsort((ij[:, 1], ij[:, 0]))
+    i, j = ij[order].T
+    M, _ = _rounded(i, j, pre[order])
     oc, oh = atlas.overlap(i, j)
     lo, hi = oc - oh, oc + oh
     key = i * n + j

@@ -254,20 +254,22 @@ def _synth_clouds(symbols, rects, params: SemiclassicalParams):
     each as it was made slowed the octagon's synthesis by 20 %."""
     h, eps = params.h, params.epsilon
     shear_seed = np.array([(sym.chart.shear, sym.chart.c[0]) for sym in symbols])
+    # rect.contains(chi_inverse(mu, eps)), bit for bit, on the complex points
+    inside = lambda mu, c, w: (np.abs(mu.real - c[0]) - w[0] <= 0.0) & (np.abs(mu.imag / eps - c[1]) - w[1] <= 0.0)
     for idx, labels, xi, rect_of in _candidates(symbols, rects, params):
         vals = symbols[0].chart.model.value_from_xi(xi, *shear_seed[rect_of].T)  # per-point shear and seed_E
         block = []
         for i, k, xi_k, a_k in zip(idx, *(np.split(x, np.searchsorted(rect_of, idx[1:])) for x in (labels, xi, vals))):
             sym, rect = symbols[i], rects[i]
             mu = chi(a_k, eps) + sym.correction(xi_k, eps, h)
-            keep = rect.contains(chi_inverse(mu, eps))
+            keep = inside(mu, rect.center, rect.half)
             # labels run k1-major, k2-minor: the canonical order for the noise
             k, mu = k.compress(keep, axis=0), mu.compress(keep)
             if len(mu) > 0:
                 rng = np.random.default_rng(_rect_seed(params, rect))
                 amp = h**params.noise_order
                 mu = mu + amp * (rng.uniform(-1, 1, len(mu)) + 1j * rng.uniform(-1, 1, len(mu)))
-                keep = rect.contains(chi_inverse(mu, eps))
+                keep = inside(mu, rect.center, rect.half)
                 k, mu = k.compress(keep, axis=0), mu.compress(keep)
             block.append(SpectrumCloud(points=mu, k_true=k, params=params, rectangle=rect))
         yield from block

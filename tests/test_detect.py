@@ -16,6 +16,7 @@ from pseudolattice.detect import (
     _feature_jac,
     _features,
     _gauss_reduce,
+    _ill_conditioned,
     _row_norm,
     detect_basis,
     fit_hchart,
@@ -23,9 +24,11 @@ from pseudolattice.detect import (
     invert_leading,
     label_lattice,
 )
+from pseudolattice import monodromy
 from pseudolattice.diophantine import DiophantineParams
 from pseudolattice.models import Rect, action_coords, make_champagne_model, make_flat_model
-from pseudolattice.pipeline import _cover, spectral_chart_at
+from pseudolattice.monodromy import cocycle_check, transition_matrix
+from pseudolattice.pipeline import _cover, _spectral_atlas, spectral_chart_at
 from pseudolattice.plots import _Frame, plot_spectrum
 from pseudolattice.synth import (
     NormalFormSymbol,
@@ -152,6 +155,74 @@ def test_basis_small_cloud_is_its_own_patch(n):
     b1, b2 = detect_basis(u[:n], anchor)
     B = np.abs(np.column_stack([b1, b2]))
     assert np.allclose(np.sort(B.ravel()), [0.0, 0.0, 1e-3, 1e-3], atol=1e-9)
+
+
+def _detect_basis_reference(u, anchor):
+    """``detect_basis`` as the pair list computed it: gathered differences,
+    a scattered neighbor matrix, ``np.median`` and the LAPACK basis test."""
+    if len(u) > BASIS_PATCH:
+        d = u - anchor
+        u = u[np.sort(np.argpartition(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], BASIS_PATCH - 1)[:BASIS_PATCH])]
+    i, j = np.triu_indices(len(u), 1)
+    diffs = u[j] - u[i]
+    flip = (diffs[:, 1] < 0) | ((diffs[:, 1] == 0) & (diffs[:, 0] < 0))
+    np.negative(diffs, out=diffs, where=flip[:, None])
+    lens = np.linalg.norm(diffs, axis=1)
+    ang = np.mod(np.arctan2(diffs[:, 1], diffs[:, 0]), math.pi)
+    near = np.full((len(u), len(u)), np.inf)
+    near[i, j] = near[j, i] = lens
+    L0 = np.median(np.min(near, axis=1))
+    short = (lens > 0.5 * L0) & (lens < 1.45 * L0)
+    b1 = _direction_peak_reference(diffs[short], ang[short])
+    theta1 = math.atan2(b1[1], b1[0]) % math.pi
+    rest = (np.abs(np.mod(ang - theta1 + math.pi / 2, math.pi) - math.pi / 2) > 0.35) & (lens < 4.0 * L0)
+    rest &= lens < 1.45 * np.min(lens[rest])
+    b1, b2 = _gauss_reduce(b1, _direction_peak_reference(diffs[rest], ang[rest]))
+    B = np.column_stack([b1, b2])
+    return None if abs(np.linalg.det(B)) < 1e-300 or np.linalg.cond(B) > 50.0 else (b1, b2)
+
+
+def test_basis_matches_the_pair_list_reference(flat_square_loop):
+    # the difference matrix gives the pair list's differences, lengths and
+    # median nearest-neighbor distance bit for bit: the same basis on every
+    # cloud of a loop, and on random patches of 25 to 30 points
+    rng = np.random.default_rng(11)
+    clouds = [(_rescaled(cloud)[0], cloud.rectangle.center) for cloud, _ in flat_square_loop[4]]
+    for n in (25, 26, 29, 30, 31):
+        u = rng.uniform(0.0, 1.0, (n, 2)) @ np.array([[1e-3, 2e-4], [-3e-4, 1.2e-3]]) + 0.3
+        clouds.append((u, u[0]))
+    for u, anchor in clouds:
+        want = _detect_basis_reference(u, anchor)
+        try:
+            got = detect_basis(u, anchor)
+        except DetectionError as exc:
+            assert want is None and exc.reason == "ill_conditioned_basis"
+            continue
+        assert want is not None and all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def _bases_of_condition(rng, cond, n):
+    """``n`` random 2 x 2 bases ``U diag(s, s / cond) V`` with rotations ``U``, ``V``."""
+    rot = lambda t: np.stack([np.cos(t), -np.sin(t), np.sin(t), np.cos(t)], axis=-1).reshape(-1, 2, 2)
+    s = 10.0 ** rng.uniform(-6.0, 2.0, n)
+    sigma = np.zeros((n, 2, 2))
+    sigma[:, 0, 0], sigma[:, 1, 1] = s, s / cond
+    return rot(rng.uniform(0, 2 * np.pi, n)) @ sigma @ rot(rng.uniform(0, 2 * np.pi, n))
+
+
+def test_closed_form_basis_test_decides_as_lapack():
+    # |det| < 1e-300 or cond > 50, in closed form on Python floats: the same
+    # decision as np.linalg.det and np.linalg.cond, on random bases of every
+    # scale, on bases built at condition 50 (1 +- 1e-9) and on degenerate ones
+    rng = np.random.default_rng(12)
+    B = rng.standard_normal((10_000, 2, 2)) * 10.0 ** rng.uniform(-6.0, 2.0, (10_000, 1, 1))
+    B = np.concatenate([B, _bases_of_condition(rng, 50.0 * (1 - 1e-9), 500), _bases_of_condition(rng, 50.0 * (1 + 1e-9), 500)])
+    B = np.concatenate([B, [[[1.0, 2.0], [2.0, 4.0]], [[1e-151, 0.0], [0.0, 1e-151]], np.zeros((2, 2))]])
+    want = (np.abs(np.linalg.det(B)) < 1e-300) | (np.linalg.cond(B) > 50.0)
+    got = np.array([_ill_conditioned(M[:, 0], M[:, 1]) for M in B])
+    assert np.array_equal(got, want)
+    assert 100 < np.count_nonzero(want[:10_000]) < 9_900
+    assert not np.any(want[10_000:10_500]) and np.all(want[10_500:])
 
 
 def test_basis_needs_points():
@@ -422,6 +493,15 @@ def test_fit_hchart_accepts_and_reports(flat_cloud, flat_setup):
     assert np.max(np.linalg.norm(pred - hc.h * hc.labels, axis=1)) <= 0.05 * hc.h
 
 
+def test_affine_is_the_feature_jacobian_at_the_center(flat_cloud, champ_setup):
+    # the fit's affine part is read off its linear coefficients, which is
+    # what _feature_jac returns at the rectangle's center, bit for bit
+    _, chart, a = champ_setup
+    for cloud in (flat_cloud, _cloud(NormalFormSymbol(chart, default_higher_coeffs()), a)):
+        hc = fit_hchart(cloud)
+        assert hc.affine.tobytes() == _feature_jac(hc.coeffs, np.zeros(2), hc.rectangle.half).tobytes()
+
+
 def test_fit_hchart_partial_labeling():
     # points at the centers of five lattice cells stay unlabeled (5 of 630,
     # under MAX_UNLABELED); the fit is least squares over the labeled points
@@ -483,6 +563,26 @@ def test_rebuilt_clouds_and_fits_equal_the_batch(flat_square_loop):
         # the kept fields are the fit's
         assert el.coeffs.tobytes() == ref.coeffs.tobytes()
         assert (el.max_residual, el.labeled_fraction) == (ref.max_residual(), ref.labeled_fraction)
+
+
+def test_cocycle_matrices_equal_pairwise_transitions(flat_square_loop, monkeypatch):
+    # cocycle_check evaluates each overlap's two Jacobians once and forms
+    # both orders from them: its matrices are transition_matrix's, pair by
+    # pair in both orders, bit for bit
+    atlas, calls, rounded = _spectral_atlas(flat_square_loop[3]), [], monodromy._rounded
+
+    def record(ii, jj, pre):
+        calls.append((ii, jj, pre, rounded(ii, jj, pre)[0]))
+        return rounded(ii, jj, pre)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(monodromy, "_rounded", record)
+        assert cocycle_check(atlas).ok
+    ((i, j, pre, M),) = calls
+    assert len(i) > 2 * len(atlas) and sorted(zip(i, j)) == sorted(zip(j, i))
+    for a, b, p, m in zip(i, j, pre, M):
+        (t,) = transition_matrix(atlas, [a], [b])
+        assert np.array_equal(t.pre_round, p) and np.array_equal(t.M, m)
 
 
 def test_detection_error_in_a_later_block_names_the_first_failing_rectangle(flat_setup, flat_square_loop, monkeypatch):

@@ -108,6 +108,11 @@ def test_failing_transition_gives_its_reason_and_pair():
         with pytest.raises(MonodromyError, match=f"transition 1->2 {what}") as err:
             transition_matrix(atlas, [0, 1, 1, 2], [1, 0, 2, 1])
         assert (err.value.reason, err.value.index) == ("non_integral", 2)
+        # cocycle_check rounds both orders of every overlap at once and names
+        # the first failing pair in (i, j) order, the same pairs as above
+        with pytest.raises(MonodromyError, match=f"transition 1->2 {what}") as err:
+            cocycle_check(atlas)
+        assert (err.value.reason, err.value.index) == ("non_integral", 2)
 
 
 def _block_atlas():
@@ -117,17 +122,19 @@ def _block_atlas():
 
 
 def _cocycle_with_pairs(monkeypatch, atlas):
-    """``cocycle_check(atlas)`` and the pairs ``i < j`` of the transitions its
-    sweep computed, recorded by wrapping ``transition_matrix``."""
+    """``cocycle_check(atlas)`` and the transitions ``i < j`` its sweep
+    computed, in (i, j) order, recorded by wrapping ``_rounded``: the sweep
+    rounds every overlapping pair, in both orders, at once."""
     computed = []
 
-    def record(atlas, i, j):
-        trans = transition_matrix(atlas, i, j)
-        computed.extend(trans)
-        return trans
+    def record(ii, jj, pre):
+        M, err = rounded(ii, jj, pre)
+        computed.extend(TransitionMatrix(int(a), int(b), m, p, float(e)) for a, b, m, p, e in zip(ii, jj, M, pre, err))
+        return M, err
 
     with monkeypatch.context() as mp:
-        mp.setattr(monodromy, "transition_matrix", record)
+        rounded = monodromy._rounded
+        mp.setattr(monodromy, "_rounded", record)
         rep = cocycle_check(atlas)
     return rep, [t for t in computed if t.i < t.j]
 
@@ -337,8 +344,13 @@ def test_class_reads_its_invariants_off_the_product(P):
 def test_loop_monodromy_empty_and_gap():
     with pytest.raises(MonodromyError, match="empty atlas"):
         loop_monodromy(_linear_atlas(np.empty((0, 2)), np.empty((0, 2, 2))))
-    with pytest.raises(MonodromyError, match="charts 0 and 1 do not overlap"):
+    with pytest.raises(MonodromyError, match="charts 0 and 1 do not overlap") as err:
         loop_monodromy(_grid_atlas(UNIMODULAR, spacing=2.0))
+    assert (err.value.reason, err.value.index) == ("no_overlap", 0)
+    # the first pair without an overlap is named by its position
+    with pytest.raises(MonodromyError, match="charts 3 and 0 do not overlap") as err:
+        transition_matrix(_grid_atlas(UNIMODULAR), [0, 1, 3, 2], [1, 2, 0, 0])
+    assert (err.value.reason, err.value.index) == ("no_overlap", 2)
 
 
 def test_cover_loop_spacing_and_budget(monkeypatch):
