@@ -7,7 +7,7 @@ Configs are INI-style structured text with [model], [semiclassical],
 config error.  Artifacts (spectrum tables, chart files, monodromy reports,
 SVG plots) are written to a timestamped output directory, or directly to
 ``--out`` when given.  Exit status: 0 on success, 1 when a pipeline check
-fails, 2 for config errors.
+fails, 2 for config errors and a bad ``--seed`` or ``--out``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import inspect
-import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -64,26 +63,39 @@ class RunConfig:
     vertices: np.ndarray | None = None
 
 
-def _line_of(path: str, section: str, key: str | None = None) -> int | None:
-    """Line number of ``key`` inside ``[section]`` of the config file, or of
-    the section's header."""
-    current = None
-    try:
-        for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            text = line.strip()
-            if text.startswith("[") and text.endswith("]"):
-                current = text[1:-1].strip().lower()
-                if key is None and current == section.lower():
-                    return n
-            elif current == section.lower() and key is not None:
-                if re.split("[=:]", text, maxsplit=1)[0].strip().lower() == key.lower():
-                    return n
-    except OSError:
-        pass
-    return None
+def _line_map(cp, text: str) -> dict:
+    """Where ``cp`` read ``text``: ``(section, None)`` maps to ``[line of its
+    header]``, ``(section, key)`` to the lines of the key and of each non-empty
+    row of its value.  configparser's scan: blank lines and full-line comments
+    are skipped, and a line indented deeper than its key continues the value."""
+    lines, rows, indent = {}, None, 0
+    for n, line in enumerate(text.split("\n"), start=1):
+        value = line.strip()
+        if not value or value.startswith(("#", ";")):
+            continue
+        level = len(line) - len(line.lstrip())
+        if rows is not None and level > indent:
+            rows.append(n)
+            continue
+        indent, header = level, cp.SECTCRE.match(value)
+        if header:
+            section, rows = header["header"], None
+            lines[section, None] = [n]
+        else:
+            option = cp.OPTCRE.match(value)
+            rows = lines[section, cp.optionxform(option["option"].rstrip())] = [n, n] if option["value"] else [n]
+    return lines
 
 
-def _get(cp, path, section, key, cast, required=False):
+def _at(lines: dict, section: str, key: str, row: int | None = None) -> int | None:
+    """The line of ``key`` in ``[section]``, or in ``[DEFAULT]`` if the section
+    does not set it; with ``row``, the line of that non-empty row of its value."""
+    key = key.lower()  # as configparser stores it
+    at = lines.get((section, key)) or lines.get(("DEFAULT", key))
+    return at and at[0 if row is None else row + 1]
+
+
+def _get(cp, lines, section, key, cast, required=False):
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"missing key '{key}' in section [{section}]")
@@ -92,26 +104,23 @@ def _get(cp, path, section, key, cast, required=False):
     try:
         return cast(raw)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(
-            f"bad value for '{key}' in section [{section}]: {raw!r} ({exc})",
-            lineno=_line_of(path, section, key),
-        ) from exc
+        raise ConfigError(f"bad value for '{key}' in section [{section}]: {raw!r} ({exc})", lineno=_at(lines, section, key)) from exc
 
 
-def _build(cp, path: str, section: str, make, **casts):
+def _build(cp, lines: dict, section: str, make, **casts):
     """``make`` called with the keys of ``[section]`` that the file sets, each
     read by its cast; a key that ``make`` has no default for is required.  A
     :class:`ParameterError` is a :class:`ConfigError` at the line of its key."""
     sig = inspect.signature(make).parameters
     kwargs = {
-        key: _get(cp, path, section, key, cast, required=True)
+        key: _get(cp, lines, section, key, cast, required=True)
         for key, cast in casts.items()
         if cp.has_option(section, key) or sig[key].default is inspect.Parameter.empty
     }
     try:
         return make(**kwargs)
     except ParameterError as exc:
-        raise ConfigError(str(exc), lineno=_line_of(path, section, exc.key)) from exc
+        raise ConfigError(str(exc), lineno=_at(lines, section, exc.key)) from exc
 
 
 def _parse_pair(raw: str) -> np.ndarray:
@@ -139,88 +148,70 @@ SEMICLASSICAL = {"h": float, "delta": float, "noise_order": int, "seed": int, "C
 DIOPHANTINE = {"alpha": float, "d": float, "k_max": int}
 
 
-def _check_keys(own, path: str, keys: dict):
-    """Raise :class:`ConfigError` at the first section of ``own`` (a parser
-    without a default section, so that each section holds its own keys)
-    that ``keys`` does not name, or at the first key its section does not
-    take; a ``[DEFAULT]`` key must be taken by some section."""
+def _check_keys(lines: dict, keys: dict):
+    """Raise :class:`ConfigError` at the first section of ``lines`` that ``keys``
+    does not name, or at the first key set in a section that the section does
+    not take; a ``[DEFAULT]`` key must be taken by some section."""
     keys = dict(keys, DEFAULT=[k for ks in keys.values() for k in ks])
-    for section in own.sections():
+    for (section, key), (n, *_) in lines.items():
         if section not in keys:
-            raise ConfigError(f"unknown section [{section}] (expected {', '.join(keys)})", lineno=_line_of(path, section))
-        known = [k.lower() for k in keys[section]]  # as configparser stores them
-        for key in own.options(section):
-            if key not in known:
-                raise ConfigError(
-                    f"unknown key '{key}' in section [{section}] (expected one of {', '.join(keys[section])})",
-                    lineno=_line_of(path, section, key),
-                )
+            raise ConfigError(f"unknown section [{section}] (expected {', '.join(keys)})", lineno=n)
+        if key is not None and key not in [k.lower() for k in keys[section]]:  # as configparser stores them
+            raise ConfigError(f"unknown key '{key}' in section [{section}] (expected one of {', '.join(keys[section])})", lineno=n)
 
 
-def _parse_vertices(cp, path: str) -> np.ndarray | None:
+def _parse_vertices(cp, lines: dict) -> np.ndarray | None:
     """The ``[loop]`` vertex rows, or None; a bad row is reported by its
     index, at its own line."""
     if not cp.has_option("loop", "vertices"):
         return None
-    rows = [r for r in cp.get("loop", "vertices").splitlines() if r]
-    key_line = _line_of(path, "loop", "vertices")
+    rows = [r for r in cp.get("loop", "vertices").split("\n") if r]
+    bad = "bad value for 'vertices' in section [loop]: "
     if len(rows) < 3:
-        raise ConfigError("bad value for 'vertices' in section [loop]: need at least 3 loop vertices", lineno=key_line)
-    # the value's text from the key's line on (none for a key set in
-    # [DEFAULT]); configparser strips each line
-    text = Path(path).read_text().splitlines()[key_line - 1 :] if key_line else [""]
-    text[0] = re.split("[=:]", text[0], maxsplit=1)[-1]
-    pairs, k = [], -1
+        raise ConfigError(bad + "need at least 3 loop vertices", lineno=_at(lines, "loop", "vertices"))
+    pairs = []
     for i, row in enumerate(rows):
-        k = next((j for j in range(k + 1, len(text)) if text[j].strip() == row), k)  # row i is at key_line + k
         try:
             pairs.append(_parse_pair(row))
         except ValueError as exc:
-            raise ConfigError(
-                f"bad value for 'vertices' in section [loop]: row {i} {row!r} ({exc})", lineno=key_line and key_line + k
-            ) from exc
+            raise ConfigError(f"{bad}row {i} {row!r} ({exc})", lineno=_at(lines, "loop", "vertices", i)) from exc
     return np.array(pairs)
 
 
 def parse_config(path: str) -> RunConfig:
-    cp = configparser.ConfigParser(interpolation=None)
-    # each section with its own keys only: no header names the empty section
-    own = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        for parser in (cp, own):
-            with open(path) as fh:
-                parser.read_file(fh, source=path)
-    except OSError as exc:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(text, source=path)
     except configparser.Error as exc:
-        lineno = getattr(exc, "lineno", None)
-        raise ConfigError(f"config parse error: {exc}", lineno=lineno)
+        raise ConfigError(f"config parse error: {exc}", lineno=getattr(exc, "lineno", None))
+    lines = _line_map(cp, text)
 
     for section in ("model", "semiclassical", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"missing section [{section}]")
 
-    name = _get(cp, path, "model", "name", str, required=True)
+    name = _get(cp, lines, "model", "name", str, required=True)
     if name not in MODELS:
-        raise ConfigError(
-            f"unknown model '{name}' (expected flat or champagne)",
-            lineno=_line_of(path, "model", "name"),
-        )
+        raise ConfigError(f"unknown model '{name}' (expected flat or champagne)", lineno=_at(lines, "model", "name"))
     make, casts = MODELS[name]
-    _check_keys(own, path, {
+    _check_keys(lines, {
         "model": ["name", *casts], "semiclassical": SEMICLASSICAL, "diophantine": DIOPHANTINE,
         "run": ["mode", "center"], "loop": ["vertices"],
     })
 
-    model = _build(cp, path, "model", make, **casts)
-    params = _build(cp, path, "semiclassical", SemiclassicalParams, **SEMICLASSICAL)
-    dio = _build(cp, path, "diophantine", DiophantineParams, **DIOPHANTINE)
+    model = _build(cp, lines, "model", make, **casts)
+    params = _build(cp, lines, "semiclassical", SemiclassicalParams, **SEMICLASSICAL)
+    dio = _build(cp, lines, "diophantine", DiophantineParams, **DIOPHANTINE)
 
-    mode = _get(cp, path, "run", "mode", str, required=True)
+    mode = _get(cp, lines, "run", "mode", str, required=True)
     if mode not in MODES:
-        raise ConfigError(f"unknown mode '{mode}' (expected one of {', '.join(MODES)})", lineno=_line_of(path, "run", "mode"))
-    center = _get(cp, path, "run", "center", _parse_pair)
-    vertices = _parse_vertices(cp, path)
+        raise ConfigError(f"unknown mode '{mode}' (expected one of {', '.join(MODES)})", lineno=_at(lines, "run", "mode"))
+    center = _get(cp, lines, "run", "center", _parse_pair)
+    vertices = _parse_vertices(cp, lines)
 
     if mode in ("synth", "detect") and center is None:
         raise ConfigError(f"mode '{mode}' requires 'center' in section [run]")
@@ -264,6 +255,9 @@ def _moved(cfg: RunConfig, cloud) -> str:
 
 def _run_synth(cfg: RunConfig, out: Path) -> int:
     (sym,), (cloud,) = _spectral_clouds(cfg.model, cfg.center[None], cfg.params, cfg.dio)
+    if len(cloud) == 0:
+        E, G = cloud.rectangle.center
+        raise PipelineError(f"rectangle 0 at ({E:.6g}, {G:.6g}): no eigenvalue in the good rectangle", "empty_cloud", 0)
     (out / "spectrum.tsv").write_text(cloud.to_text())
     (out / "chart.txt").write_text(chart_to_text(sym.chart))
     (out / "spectrum.svg").write_text(plots.plot_spectrum(cloud))
@@ -377,7 +371,11 @@ def main(argv=None) -> int:
             print(f"error: --seed: {exc}", file=sys.stderr)
             return 2
 
-    out = _output_dir(args.out, cfg.mode)
+    try:
+        out = _output_dir(args.out, cfg.mode)
+    except OSError as exc:  # an --out that names a file or a path under one
+        print(f"error: {'--out' if args.out else 'output directory'}: {exc}", file=sys.stderr)
+        return 2
     try:
         if cfg.mode == "synth":
             return _run_synth(cfg, out)

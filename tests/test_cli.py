@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pseudolattice.cli import ConfigError, main, parse_config
+from pseudolattice.cli import ConfigError, _at, _line_map, main, parse_config
 from pseudolattice.detect import gauge_alignment
 from pseudolattice.models import action_coords, make_flat_model
 from pseudolattice.pipeline import spectral_chart_at
@@ -198,6 +200,7 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     line = next(n for n, l in enumerate(bad.splitlines(), 1) if l.startswith("h ="))
     assert f"{path}:{line}:" in err
+    assert not (tmp_path / "o").exists()
 
 
 _CHAMPAGNE = CHAMPAGNE_SYNTH.format(center="0.3 0.02")
@@ -266,6 +269,7 @@ def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):
     text = base.replace(old, new)
     path = _write(tmp_path, text)
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
     lines = text.splitlines()
     line = next(n for n, l in enumerate(lines, 1) if l.split("=")[0].strip() == key)
@@ -285,8 +289,12 @@ def test_main_invalid_value_exit_2(tmp_path, capsys, base, old, new, key):
         (FLAT_SYNTH.replace("q_choice = xi_weighted", "well_depth = 2"), "well_depth = 2"),
         (FLAT_SYNTH.replace("center = 0.25 0.15", "center = 0.25 0.15\nvertices = 0 0"), "vertices = 0 0"),
         ("[DEFAULT]\nnoise_ordr = 1\n\n" + FLAT_SYNTH, "noise_ordr = 1"),
+        (FLAT_SYNTH + "\n[Model]\nname = flat\n", "[Model]"),
     ],
-    ids=["key-misspelled", "section-misspelled", "key-of-the-other-model", "key-of-another-section", "default-key-unknown"],
+    ids=[
+        "key-misspelled", "section-misspelled", "key-of-the-other-model", "key-of-another-section", "default-key-unknown",
+        "section-case",
+    ],
 )
 def test_main_unknown_key_or_section_exit_2(tmp_path, capsys, text, line):
     # a key or section that no constructor takes would be ignored: it is
@@ -343,6 +351,47 @@ def test_main_seed_option_past_64_bits_exit_2(tmp_path, capsys):
 def test_main_missing_file_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_undecodable_file_exit_2(tmp_path, capsys):
+    # a byte that is not text in the locale's encoding is a config error, not
+    # a UnicodeDecodeError traceback
+    path = tmp_path / "bad.ini"
+    path.write_bytes(FLAT_SYNTH.replace("name = flat", "name = flat\xff").encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot read config: .*can't decode byte 0xff"):
+        parse_config(str(path))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: cannot read config: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_main_out_under_a_file_exit_2(tmp_path, capsys, out):
+    # an --out that names an existing file, or a path under one, is refused
+    # like a bad --seed, where it used to end in an OSError traceback
+    (tmp_path / "file").write_text("kept")
+    assert main(["run", _write(tmp_path, FLAT_SYNTH), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: [Errno ") and str(tmp_path / out) in err
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[DEFAULT]\nseed = -1\n\n" + FLAT_SYNTH.replace("seed = 7\n", ""), "seed = -1"),
+        ("[DEFAULT]\nC0 = banana\n\n" + FLAT_SYNTH, "C0 = banana"),
+        ("[DEFAULT]\nvertices = 0 0\n  0 1\n\n  # a comment\n  1 x\n\n" + FLAT_LOOP[: FLAT_LOOP.index("vertices =")], "  1 x"),
+        ("[DEFAULT]\nmode = dance\n\n" + FLAT_SYNTH.replace("mode = synth\n", ""), "mode = dance"),
+    ],
+    ids=["bad-range", "bad-value", "bad-vertex-row", "unknown-mode"],
+)
+def test_main_default_key_error_at_its_line(tmp_path, capsys, text, line):
+    # a key that a section takes from [DEFAULT] is reported at its [DEFAULT] line
+    path = _write(tmp_path, text)
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:{text.splitlines().index(line) + 1}: ")
 
 
 def test_main_synth_deterministic(tmp_path):
@@ -546,5 +595,87 @@ def test_main_loop_outside_the_action_table_gives_reason(tmp_path, capsys):
 def test_main_no_good_value_gives_reason(tmp_path, capsys):
     # no value is 10 away from a resonance: the fallback search finds no good node
     cfg = _write(tmp_path, FLAT_SYNTH.replace("[run]", "[diophantine]\nalpha = 10\n\n[run]"))
-    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: [no_good_value] rectangle 0: no good value found near (0.25, 0.15)\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "mode, err",
+    [
+        ("synth", "error: [empty_cloud] rectangle 0 at (0.3, 0.15): no eigenvalue in the good rectangle\n"),
+        ("detect", "error: [too_few_points] rectangle 0 at (0.3, 0.15): insufficient points for basis detection (0 < 25)\n"),
+    ],
+    ids=["synth", "detect"],
+)
+def test_main_empty_rectangle_fails_before_writing(tmp_path, capsys, mode, err):
+    # at C0 = 10000 the good rectangle is about 3e-6 wide and holds no
+    # eigenvalue: each mode names its reason and writes no file
+    text = CHAMPAGNE_SYNTH.format(center="0.3 0.15").replace("delta = 0.5", "delta = 0.5\nC0 = 10000")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text.replace("mode = synth", f"mode = {mode}")), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
+    assert list(out.iterdir()) == []
+
+
+_ROW = st.text("0123456789 .=:-[]abXY", min_size=1, max_size=6)
+
+
+@st.composite
+def _ini_texts(draw):
+    """INI texts with mixed-case keys set by = or :, values on the key line or
+    on indented rows below it, blank and comment lines inside values, and
+    perhaps a [DEFAULT] section; a key line may itself be indented."""
+    fillers = ["", "   ", "# note", "  ; note = 1"]
+    out = draw(st.lists(st.sampled_from(fillers), max_size=2))
+    for section in draw(st.lists(st.sampled_from(["DEFAULT", "model", "Run", "a b"]), min_size=1, max_size=3, unique=True)):
+        out.append(f"[{section}]")
+        for key in draw(st.lists(st.text("abAB_", min_size=1, max_size=3), max_size=4, unique_by=str.lower)):
+            indent = draw(st.sampled_from(["", " "]))
+            space = draw(st.sampled_from(["", " ", "  "]))
+            first = draw(st.one_of(st.just(""), _ROW))
+            out.append(f"{indent}{key}{space}{draw(st.sampled_from('=:'))}{space}{first}")
+            for row in draw(st.lists(st.one_of(_ROW, st.sampled_from(fillers)), max_size=4)):
+                deeper = indent + draw(st.sampled_from([" ", "\t", "    "]))
+                out.append(row if row in fillers else deeper + row)
+    return "\n".join(out) + "\n"
+
+
+def _own(text: str, n: int | None = None):
+    """The parse of the first ``n`` lines of ``text`` by a parser that keeps
+    each section's own keys, [DEFAULT] among the sections."""
+    own = configparser.ConfigParser(interpolation=None, default_section="")
+    own.read_string("\n".join(text.split("\n")[:n]))
+    return own
+
+
+@given(_ini_texts())
+@settings(max_examples=150, deadline=None)
+def test_line_map_agrees_with_configparser(text):
+    # configparser itself is the oracle: a line defines a section or key when
+    # the parse of the text up to it holds the section or key and the parse
+    # of the text before it does not; row i of a value is at the line whose
+    # stripped text is configparser's row i
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(text)
+    except configparser.Error:
+        assume(False)
+    lines, own, text_lines = _line_map(cp, text), _own(text), text.split("\n")
+    assert list(lines) == [(s, k) for s in own.sections() for k in [None, *own.options(s)]]
+    for (section, key), (n, *_) in lines.items():
+        before, upto = _own(text, n - 1), _own(text, n)
+        if key is None:
+            assert not before.has_section(section) and upto.has_section(section)
+        else:
+            assert not before.has_option(section, key) and upto.has_option(section, key)
+    for section in cp.sections():
+        for key in cp.options(section):
+            home = section if own.has_option(section, key) else "DEFAULT"
+            assert _at(lines, section, key) == lines[home, key][0]
+            rows = [r for r in cp.get(section, key).split("\n") if r]
+            assert len(lines[home, key]) == 1 + len(rows)
+            for i, row in enumerate(rows):
+                text_line = text_lines[_at(lines, section, key, i) - 1].strip()
+                assert text_line == row or (i == 0 and cp.OPTCRE.match(text_line)["value"] == row)
